@@ -27,7 +27,7 @@ from .beliefs import (
 )
 from .costs import CostReport, cost_report
 from .equilibrium import classify, regime_boundaries, solve_bwe
-from .model import InfoEnvironment, NetworkParams, PlayerType, ValidationError, validate
+from .model import InfoEnvironment, NetworkParams, PlayerType, ValidationError
 from .oracle import OracleConfig, OracleConvergenceError, solve_fixed_point
 from .value import theorem2_grid, value_report, verify_theorem1, verify_theorem2
 
@@ -166,7 +166,7 @@ def _build_instance(config: dict) -> tuple:
         accuracy_high=config["eta_h"],
         accuracy_low=config["eta_l"],
     )
-    return validate(params, env)
+    return params, env
 
 
 def _echo(env: InfoEnvironment) -> dict:

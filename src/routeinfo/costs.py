@@ -27,7 +27,6 @@ from .model import (
     ValidationError,
     derived_constants,
     latency,
-    validate,
 )
 
 _L_SET = (PlayerType.L,)
@@ -75,7 +74,6 @@ def realized_population_state_cost(
     type's split fraction:
     sum_r sum_types rho_r(t) * latency_r(state, combined load) * P(t|s) * P(t_opp|s).
     """
-    validate(params, env)
     _require_uninformative(env)
     _check_nonempty(env, population)
     own_types = _population_types(population)
@@ -123,7 +121,6 @@ def social_costs(params: NetworkParams, env: InfoEnvironment, profile) -> tuple:
     c_soc_s = lam * c_H_s + (1 - lam) * c_L_s, with an empty population's
     term dropped rather than evaluated.
     """
-    validate(params, env)
     lam = env.frac_informed
     per_state = {}
     for state in (State.NORMAL, State.INCIDENT):
@@ -150,7 +147,6 @@ def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
     Only env.p_incident matters; the returned triple is what every value
     calculation is measured against.
     """
-    validate(params, env)
     env0 = InfoEnvironment(
         p_incident=env.p_incident,
         frac_informed=0.0,
@@ -228,28 +224,10 @@ def _state_optimum(params: NetworkParams, state: State) -> tuple:
 
 
 def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolution:
-    """Per-state optimal loads (closed form, cross-checked) and costs."""
-    validate(params, env)
+    """Per-state optimal loads and costs, in closed form."""
     d = params.demand
-    per_state = {}
-    for state in (State.NORMAL, State.INCIDENT):
-        q1, q2, avg = _state_optimum(params, state)
-        a1 = (
-            params.slope1_incident
-            if state == State.INCIDENT
-            else params.slope1_normal
-        )
-        check = projected_descent_socopt(
-            [a1, params.slope2], [params.intercept1, params.intercept2], d
-        )
-        if max(abs(check[0] - q1), abs(check[1] - q2)) > 1e-9:
-            raise RuntimeError(
-                f"social optimum solvers disagree in state {state.value}: "
-                f"closed form ({q1}, {q2}) vs descent {check}"
-            )
-        per_state[state] = (q1, q2, avg)
-    qn1, qn2, cost_n = per_state[State.NORMAL]
-    qa1, qa2, cost_a = per_state[State.INCIDENT]
+    qn1, qn2, cost_n = _state_optimum(params, State.NORMAL)
+    qa1, qa2, cost_a = _state_optimum(params, State.INCIDENT)
     p = env.p_incident
     return SocOptSolution(
         loads_normal=(qn1, qn2),
@@ -299,7 +277,6 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
     is evaluated verbatim and reported as deviating: its printed incident
     term uses the normal-state slope where the incident slope belongs.
     """
-    validate(params, env)
     _require_uninformative(env)
     if np.any(np.asarray(env.accuracy_high) != 1):
         raise ValidationError(
@@ -466,7 +443,6 @@ class CostReport:
 
 def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
     """Solve the equilibrium and assemble all cost quantities for ``env``."""
-    validate(params, env)
     profile = solve_bwe(params, env)
     lam = env.frac_informed
     p = env.p_incident

@@ -36,7 +36,6 @@ from .model import (
     PlayerType,
     ValidationError,
     derived_constants,
-    validate,
 )
 
 #: Ties against a regime boundary within this tolerance resolve to the
@@ -114,7 +113,6 @@ def _require_uninformative(env: InfoEnvironment) -> None:
 
 def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
     """The three lambda thresholds separating the four regimes."""
-    validate(params, env)
     _require_uninformative(env)
     k = derived_constants(params, env)
     dist = marginal_type_dist(env)
@@ -162,7 +160,6 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     0.0 with ``l_population_empty`` set, so downstream cost formulas never
     silently multiply an undefined fraction by zero demand.
     """
-    validate(params, env)
     _require_uninformative(env)
     k = derived_constants(params, env)
     dist = marginal_type_dist(env)
@@ -203,7 +200,6 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     profile is an epsilon-equilibrium exactly when the residual is <=
     epsilon.
     """
-    validate(params, env)
     _require_uninformative(env)
     lam = env.frac_informed
     dist = marginal_type_dist(env)
@@ -253,7 +249,6 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     only if the system solves with every interior component strictly inside
     (0, 1) and every fixed component's inequality satisfied.
     """
-    validate(params, env)
     _require_uninformative(env)
     tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
 

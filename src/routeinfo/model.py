@@ -6,11 +6,15 @@ incident occurs. Route 2 is state-independent. Both latencies are affine in
 the route load. Demand is carried in thousands of vehicles per hour, so the
 default network reads ``demand=5`` with slopes in minutes per 10^3 veh/hr.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here is safe for unrestricted concurrent use. The
-arithmetic is written so that scalar fields may be swapped for equal-shape
-numpy arrays (the numerical oracle exploits this to solve many environments
-in lockstep).
+``NetworkParams`` and ``InfoEnvironment`` check the model's orderings when
+they are constructed and raise ``ValidationError`` on any violation, so an
+invalid network or environment never exists and no function downstream
+re-checks one. All values are immutable after construction and every
+operation is a pure function, so everything here is safe for unrestricted
+concurrent use. The arithmetic is written so that scalar fields may be
+swapped for equal-shape numpy arrays (the numerical oracle exploits this to
+solve many environments in lockstep); construction then requires every
+element to satisfy the rules.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class NetworkParams:
     intercept2 >= intercept1 >= 0, i.e. route 1 is the cheaper free-flow
     road but degrades badly under an incident. Demand must exceed
     (intercept2 - intercept1) / slope1_normal so that route 2 is ever used.
+    Construction raises ValidationError unless every ordering holds (for
+    every element, when the fields are arrays).
     """
 
     slope1_normal: float
@@ -74,6 +80,9 @@ class NetworkParams:
     intercept1: float
     intercept2: float
     demand: float
+
+    def __post_init__(self):
+        validate(self, None)
 
 
 @dataclass(frozen=True)
@@ -87,12 +96,18 @@ class InfoEnvironment:
     accuracy_low: same for the other service; the equilibrium analysis fixes
         it at 0.5 (an uninformative signal), and only the general belief
         tables accept anything in [0.5, accuracy_high).
+
+    Construction raises ValidationError unless every range holds (for every
+    element, when the fields are arrays).
     """
 
     p_incident: float
     frac_informed: float
     accuracy_high: float
     accuracy_low: float = 0.5
+
+    def __post_init__(self):
+        validate(None, self)
 
 
 @dataclass(frozen=True)
@@ -118,51 +133,59 @@ class DerivedConstants:
     k4: float
 
 
-def validate(params: NetworkParams, env: InfoEnvironment):
-    """Check every model invariant; return the pair unchanged if all hold.
+def validate(params: NetworkParams | None, env: InfoEnvironment | None):
+    """Check the model invariants of whichever argument is given.
 
-    Raises ValidationError with a distinct code per violated rule:
+    Network rules run first, then environment rules; a ``None`` argument is
+    skipped. Returns the pair unchanged if all hold, else raises
+    ValidationError with a distinct code per violated rule:
     ``slope_ordering``, ``intercept_ordering``, ``demand_too_small``,
-    ``probability_out_of_range``, ``accuracy_out_of_range``.
+    ``probability_out_of_range``, ``accuracy_out_of_range``. Construction of
+    ``NetworkParams`` and ``InfoEnvironment`` calls this on itself.
     """
-    a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
-    b1, b2 = params.intercept1, params.intercept2
-    if not (np.all(a1a > a2) and np.all(a2 >= a1n) and np.all(a1n > 0)):
-        raise ValidationError(
-            "slope_ordering",
-            f"need slope1_incident > slope2 >= slope1_normal > 0, "
-            f"got ({a1a}, {a2}, {a1n})",
-        )
-    if not (np.all(b2 >= b1) and np.all(b1 >= 0)):
-        raise ValidationError(
-            "intercept_ordering",
-            f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
-        )
-    if not np.all(params.demand > (b2 - b1) / a1n):
-        raise ValidationError(
-            "demand_too_small",
-            f"demand {params.demand} must exceed "
-            f"(intercept2 - intercept1)/slope1_normal = {(b2 - b1) / a1n}",
-        )
-    p, lam = env.p_incident, env.frac_informed
-    if not (np.all(p > 0) and np.all(p < 1)):
-        raise ValidationError(
-            "probability_out_of_range", f"p_incident must lie in (0, 1), got {p}"
-        )
-    if not (np.all(lam >= 0) and np.all(lam <= 1)):
-        raise ValidationError(
-            "probability_out_of_range", f"frac_informed must lie in [0, 1], got {lam}"
-        )
-    eta_h, eta_l = env.accuracy_high, env.accuracy_low
-    if not (np.all(eta_h > 0.5) and np.all(eta_h <= 1)):
-        raise ValidationError(
-            "accuracy_out_of_range", f"accuracy_high must lie in (0.5, 1], got {eta_h}"
-        )
-    if not (np.all(eta_l >= 0.5) and np.all(eta_l < eta_h)):
-        raise ValidationError(
-            "accuracy_out_of_range",
-            f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
-        )
+    if params is not None:
+        a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
+        b1, b2 = params.intercept1, params.intercept2
+        if not (np.all(a1a > a2) and np.all(a2 >= a1n) and np.all(a1n > 0)):
+            raise ValidationError(
+                "slope_ordering",
+                f"need slope1_incident > slope2 >= slope1_normal > 0, "
+                f"got ({a1a}, {a2}, {a1n})",
+            )
+        if not (np.all(b2 >= b1) and np.all(b1 >= 0)):
+            raise ValidationError(
+                "intercept_ordering",
+                f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
+            )
+        if not np.all(params.demand > (b2 - b1) / a1n):
+            raise ValidationError(
+                "demand_too_small",
+                f"demand {params.demand} must exceed "
+                f"(intercept2 - intercept1)/slope1_normal = {(b2 - b1) / a1n}",
+            )
+    if env is not None:
+        p, lam = env.p_incident, env.frac_informed
+        if not (np.all(p > 0) and np.all(p < 1)):
+            raise ValidationError(
+                "probability_out_of_range",
+                f"p_incident must lie in (0, 1), got {p}",
+            )
+        if not (np.all(lam >= 0) and np.all(lam <= 1)):
+            raise ValidationError(
+                "probability_out_of_range",
+                f"frac_informed must lie in [0, 1], got {lam}",
+            )
+        eta_h, eta_l = env.accuracy_high, env.accuracy_low
+        if not (np.all(eta_h > 0.5) and np.all(eta_h <= 1)):
+            raise ValidationError(
+                "accuracy_out_of_range",
+                f"accuracy_high must lie in (0.5, 1], got {eta_h}",
+            )
+        if not (np.all(eta_l >= 0.5) and np.all(eta_l < eta_h)):
+            raise ValidationError(
+                "accuracy_out_of_range",
+                f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
+            )
     return params, env
 
 
@@ -190,7 +213,6 @@ def latency(params: NetworkParams, route: int, state: State, load):
 
 def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedConstants:
     """Averaged route-1 slopes and the equalizing loads K0..K4."""
-    validate(params, env)
     p, eta = env.p_incident, env.accuracy_high
     a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
     d = params.demand

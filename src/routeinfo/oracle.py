@@ -38,7 +38,6 @@ from .model import (
     State,
     ValidationError,
     latency,
-    validate,
 )
 
 #: Below this own-split sensitivity the responder's costs do not depend on its
@@ -195,7 +194,6 @@ def best_response(
     preferred corner is returned (0 when route 1 is dearer, 1 when cheaper,
     0.5 at exact indifference).
     """
-    validate(params, env)
     _require_uninformative(env)
     table = belief_uninformative(env, responder)
     g0, slope = _gap_line(params, env, table, responder, profile)
@@ -225,7 +223,6 @@ def solve_fixed_point(
     Raises OracleConvergenceError after ``config.max_iters`` sweeps, carrying
     the last iterate and its residual.
     """
-    validate(params, env)
     _require_uninformative(env)
     tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
     lam = env.frac_informed
@@ -336,7 +333,6 @@ def grid_scan(
     accepted set scales with the grid and always covers the cells around a
     true equilibrium. Scalar parameters and environment only.
     """
-    validate(params, env)
     _require_uninformative(env)
     res = config.grid_resolution
     if res > MAX_SCAN_RESOLUTION:

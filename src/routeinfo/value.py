@@ -28,7 +28,6 @@ from .model import (
     NetworkParams,
     State,
     ValidationError,
-    validate,
 )
 
 #: Slack for sign classification of finite differences and for "equals zero"
@@ -81,7 +80,6 @@ def lambda_min(params: NetworkParams, env: InfoEnvironment) -> float:
     - lambda_tilde when it falls strictly inside the third regime,
     - lambda_bar_3 otherwise (social value still rising when the regime ends).
     """
-    validate(params, env)
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     lb1, lb2, lb3 = regime_boundaries(params, env)
@@ -101,7 +99,6 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     and its value is reported as the informed population's (all players face
     the same equalized costs there), making the relative value zero.
     """
-    validate(params, env)
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     lam = env.frac_informed
@@ -313,7 +310,6 @@ def theorem2_grid(
     regimes); the third regime, open on both sides, contributes strictly
     interior points.
     """
-    validate(params, env)
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     lb1, lb2, lb3 = regime_boundaries(params, env)

@@ -118,6 +118,15 @@ def test_uninformative_requires_coin_flip_accuracy():
     assert exc.value.code == "unsupported_treatment"
 
 
+def test_invalid_environment_never_reaches_the_belief_layer():
+    # Construction rejects it; the tables would otherwise hold p_Hn = -0.5.
+    with pytest.raises(ValidationError) as exc:
+        marginal_type_dist(
+            InfoEnvironment(p_incident=1.5, frac_informed=0.5, accuracy_high=1.0)
+        )
+    assert exc.value.code == "probability_out_of_range"
+
+
 def test_owner_rules_per_treatment():
     env = _env()
     with pytest.raises(ValueError):

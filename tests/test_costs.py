@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
+    OracleConfig,
     State,
     ValidationError,
     analytic_cost_crosscheck,
     baseline_costs,
+    brute_force_socopt,
     classify,
     cost_report,
     expected_population_cost,
@@ -174,6 +176,55 @@ def test_social_optimum_pinned():
     assert abs(opt.cost_normal - 344 / 15) < 1e-9
     assert abs(opt.cost_incident - 26.16) < 1e-9
     assert abs(opt.cost_exp - (0.8 * 344 / 15 + 0.2 * 26.16)) < 1e-12
+
+
+def test_social_optimum_at_a_large_intercept_to_slope_ratio():
+    # Intercepts ~1e5 times the slopes: descent from the simplex midpoint
+    # moves iterates of a few thousand, whose float spacing exceeds an
+    # absolute 1e-12 stopping tolerance. The closed form needs no iteration.
+    params = NetworkParams(0.0093, 0.0497, 0.0446, 955.41, 956.46, 725.2)
+    opt = social_optimum(params, _env())
+    assert opt.loads_normal[0] == pytest.approx(609.8130, abs=1e-4)
+    config = OracleConfig()
+    scanned = brute_force_socopt(params, State.NORMAL, config)
+    cell = params.demand / (config.grid_resolution - 1)
+    assert abs(scanned[0] - opt.loads_normal[0]) <= cell
+
+
+@st.composite
+def rescaled_networks(draw):
+    """Valid networks, then a change of time unit and of flow unit (1e-3..1e3)."""
+    a1n = draw(st.floats(min_value=0.1, max_value=5.0))
+    a2 = a1n * draw(st.floats(min_value=1.0, max_value=4.0))
+    a1a = a2 * draw(st.floats(min_value=1.05, max_value=4.0))
+    b1 = draw(st.floats(min_value=0.0, max_value=1000.0))
+    b2 = b1 + draw(st.floats(min_value=0.0, max_value=50.0))
+    d = (b2 - b1) / a1n + draw(st.floats(min_value=0.1, max_value=1000.0))
+    time = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    flow = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+    slope = time / flow
+    return NetworkParams(
+        a1n * slope, a1a * slope, a2 * slope, b1 * time, b2 * time, d * flow
+    )
+
+
+@given(params=rescaled_networks())
+@settings(max_examples=200, deadline=None)
+def test_social_optimum_equalizes_marginal_costs(params):
+    opt = social_optimum(params, _env())
+    d, a2 = params.demand, params.slope2
+    b1, b2 = params.intercept1, params.intercept2
+    scale = b2 + 2 * max(params.slope1_incident, a2) * d
+    config = OracleConfig()
+    cell = d / (config.grid_resolution - 1)
+    for state, a1, (q1, q2) in (
+        (State.NORMAL, params.slope1_normal, opt.loads_normal),
+        (State.INCIDENT, params.slope1_incident, opt.loads_incident),
+    ):
+        gap = (2 * a1 * q1 + b1) - (2 * a2 * q2 + b2)
+        assert abs(gap) <= 1e-12 * scale, f"{state.value}: marginal cost gap {gap}"
+        scanned = brute_force_socopt(params, state, config)
+        assert abs(scanned[0] - q1) <= cell, f"{state.value}: scan {scanned} vs {q1}"
 
 
 def test_projected_descent_two_routes():

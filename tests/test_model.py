@@ -1,6 +1,9 @@
 """Parameter validation, latencies, and the derived load constants."""
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -45,6 +48,18 @@ def _params(**kwargs):
     return NetworkParams(**base)
 
 
+def _unchecked(obj, **changes):
+    """The fields of ``obj`` with ``changes`` applied, built without validation."""
+    return SimpleNamespace(**{**vars(obj), **changes})
+
+
+def _code(build, *args, **kwargs):
+    """Code of the ValidationError that ``build(*args, **kwargs)`` raises."""
+    with pytest.raises(ValidationError) as exc:
+        build(*args, **kwargs)
+    return exc.value.code
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -65,9 +80,8 @@ def test_validate_accepts_default_point():
     ],
 )
 def test_slope_ordering_rejected(bad):
-    with pytest.raises(ValidationError) as exc:
-        validate(_params(**bad), ENV)
-    assert exc.value.code == "slope_ordering"
+    assert _code(_params, **bad) == "slope_ordering"
+    assert _code(validate, _unchecked(PARAMS, **bad), ENV) == "slope_ordering"
 
 
 @pytest.mark.parametrize(
@@ -75,16 +89,14 @@ def test_slope_ordering_rejected(bad):
     [dict(intercept1=22.0), dict(intercept1=-1.0, intercept2=0.0)],
 )
 def test_intercept_ordering_rejected(bad):
-    with pytest.raises(ValidationError) as exc:
-        validate(_params(**bad), ENV)
-    assert exc.value.code == "intercept_ordering"
+    assert _code(_params, **bad) == "intercept_ordering"
+    assert _code(validate, _unchecked(PARAMS, **bad), ENV) == "intercept_ordering"
 
 
 def test_demand_floor_is_strict():
     # (intercept2 - intercept1) / slope1_normal = 2: route 2 must ever be used.
-    with pytest.raises(ValidationError) as exc:
-        validate(_params(demand=2.0), ENV)
-    assert exc.value.code == "demand_too_small"
+    assert _code(_params, demand=2.0) == "demand_too_small"
+    assert _code(validate, _unchecked(PARAMS, demand=2.0), ENV) == "demand_too_small"
     validate(_params(demand=2.0 + 1e-9), ENV)
 
 
@@ -98,9 +110,8 @@ def test_demand_floor_is_strict():
     ],
 )
 def test_probability_bounds(bad):
-    with pytest.raises(ValidationError) as exc:
-        validate(PARAMS, _env(**bad))
-    assert exc.value.code == "probability_out_of_range"
+    assert _code(_env, **bad) == "probability_out_of_range"
+    assert _code(validate, PARAMS, _unchecked(ENV, **bad)) == "probability_out_of_range"
 
 
 @pytest.mark.parametrize(
@@ -114,9 +125,8 @@ def test_probability_bounds(bad):
     ],
 )
 def test_accuracy_bounds(bad):
-    with pytest.raises(ValidationError) as exc:
-        validate(PARAMS, _env(**bad))
-    assert exc.value.code == "accuracy_out_of_range"
+    assert _code(_env, **bad) == "accuracy_out_of_range"
+    assert _code(validate, PARAMS, _unchecked(ENV, **bad)) == "accuracy_out_of_range"
 
 
 def test_error_message_carries_code():
@@ -128,6 +138,20 @@ def test_error_message_carries_code():
 def test_frac_informed_endpoints_allowed():
     validate(PARAMS, _env(frac_informed=0.0))
     validate(PARAMS, _env(frac_informed=1.0))
+
+
+def test_validate_skips_a_missing_half():
+    assert validate(PARAMS, None) == (PARAMS, None)
+    assert validate(None, ENV) == (None, ENV)
+    bad_env = _unchecked(ENV, p_incident=1.5)
+    assert _code(validate, None, bad_env) == "probability_out_of_range"
+
+
+def test_construction_checks_every_array_element():
+    env = _env(p_incident=np.array([0.1, 0.5]), frac_informed=np.array([0.0, 1.0]))
+    assert env.p_incident.shape == (2,)
+    assert _code(_env, p_incident=np.array([0.2, 1.5])) == "probability_out_of_range"
+    assert _code(_params, slope2=np.array([2.0, 0.5])) == "slope_ordering"
 
 
 # ---------------------------------------------------------------------------
