@@ -198,12 +198,6 @@ def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable
     raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
 
 
-def _own_split(profile, owner: PlayerType):
-    if owner in (PlayerType.L, PlayerType.LN, PlayerType.LA):
-        return profile.rho_L
-    return profile.rho_Hn if owner == PlayerType.HN else profile.rho_Ha
-
-
 def _population_demand(params: NetworkParams, env: InfoEnvironment, t: PlayerType):
     lam = env.frac_informed
     if t in (PlayerType.L, PlayerType.LN, PlayerType.LA):
@@ -225,20 +219,21 @@ def expected_route_cost(
     the latency at the combined load of the owner's population and the
     opponent population playing that type's split fraction. Within a state
     each population receives one common signal, so its entire demand moves as
-    one type realization.
+    one type realization. Split fractions come from ``profile.split``, which
+    maps ``LN``/``LA`` to the uninformed split.
     """
     if belief.owner != owner:
         raise ValidationError(
             "belief_owner_mismatch",
             f"belief belongs to {belief.owner}, not {owner}",
         )
-    own_rho = _own_split(profile, owner)
+    own_rho = profile.split(owner)
     own_demand = _population_demand(params, env, owner)
     own_load = own_rho * own_demand if route == 1 else (1 - own_rho) * own_demand
 
     total = 0.0
     for (state, opp), prob in belief.entries.items():
-        opp_rho = _own_split(profile, opp)
+        opp_rho = profile.split(opp)
         opp_demand = _population_demand(params, env, opp)
         opp_load = opp_rho * opp_demand if route == 1 else (1 - opp_rho) * opp_demand
         total = total + prob * latency(params, route, state, own_load + opp_load)

@@ -19,15 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import (
-    belief_conditional_ck,
-    belief_marginal_ck,
-    belief_uninformative,
-    marginal_type_dist,
-)
+from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
 from .costs import CostReport, cost_report
-from .equilibrium import classify, regime_boundaries, solve_bwe
-from .model import InfoEnvironment, NetworkParams, PlayerType, ValidationError
+from .equilibrium import _type_masses, classify, regime_boundaries, solve_bwe
+from .model import (
+    EQUILIBRIUM_TYPES,
+    InfoEnvironment,
+    NetworkParams,
+    PlayerType,
+    ValidationError,
+)
 from .oracle import OracleConfig, OracleConvergenceError, solve_fixed_point
 from .value import theorem2_grid, value_report, verify_theorem1, verify_theorem2
 
@@ -274,15 +275,12 @@ def _rows_beliefs(params, env, treatment: str) -> list:
 def _rows_oracle(params, env) -> list:
     closed = solve_bwe(params, env)
     numeric = solve_fixed_point(params, env, OracleConfig())
-    lam = env.frac_informed
-    dist = marginal_type_dist(env)
-    gaps = []
-    if 1 - lam > 0:
-        gaps.append(abs(closed.rho_L - numeric.rho_L))
-    if lam * dist.p_Hn > 0:
-        gaps.append(abs(closed.rho_Hn - numeric.rho_Hn))
-    if lam * dist.p_Ha > 0:
-        gaps.append(abs(closed.rho_Ha - numeric.rho_Ha))
+    masses = _type_masses(env)
+    gaps = [
+        abs(closed.split(t) - numeric.split(t))
+        for t in EQUILIBRIUM_TYPES
+        if masses[t] > 0
+    ]
     return [
         {
             **_echo(env),

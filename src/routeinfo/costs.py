@@ -195,7 +195,8 @@ def projected_descent_socopt(
     """Loads minimizing total cost sum q_i (a_i q_i + b_i) over the simplex.
 
     General route count; projected gradient descent with step 1/(2 max a),
-    stopping when an iterate moves less than ``tol``.
+    stopping when an iterate moves less than ``tol * demand``, a relative
+    step that float spacing at the loads' own scale can meet.
     """
     slopes = np.asarray(slopes, dtype=float)
     intercepts = np.asarray(intercepts, dtype=float)
@@ -204,7 +205,7 @@ def projected_descent_socopt(
     for _ in range(max_iters):
         grad = 2.0 * slopes * q + intercepts
         nxt = _project_simplex(q - step * grad, demand)
-        if np.max(np.abs(nxt - q)) < tol:
+        if np.max(np.abs(nxt - q)) < tol * demand:
             return nxt
         q = nxt
     raise RuntimeError(

@@ -191,6 +191,37 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     return StrategyProfile(0.0, rho_hn, rho_ha, l_population_empty=bool(lam == 1))
 
 
+def _type_masses(env: InfoEnvironment) -> dict:
+    """Demand share of each equilibrium type: 1-lam, lam*P(Hn), lam*P(Ha)."""
+    lam = env.frac_informed
+    dist = marginal_type_dist(env)
+    return {
+        PlayerType.L: 1 - lam,
+        PlayerType.HN: lam * dist.p_Hn,
+        PlayerType.HA: lam * dist.p_Ha,
+    }
+
+
+def _type_gap(params, env, table, t: PlayerType, profile):
+    """Type ``t``'s route-1 minus route-2 expected cost under its belief."""
+    c1 = expected_route_cost(params, env, table, t, 1, profile)
+    c2 = expected_route_cost(params, env, table, t, 2, profile)
+    return c1 - c2
+
+
+def _type_defect(gap, rho, mass):
+    """One type's equilibrium violation, given its route cost gap.
+
+    A route counts as utilized only when it carries more than
+    UTILIZED_SHARE_EPS of the type's demand; the defect is the excess cost
+    of a utilized route over the cheaper one, and zero-mass types contribute
+    nothing.
+    """
+    gap1 = np.where(rho > UTILIZED_SHARE_EPS, np.maximum(gap, 0.0), 0.0)
+    gap2 = np.where(1 - rho > UTILIZED_SHARE_EPS, np.maximum(-gap, 0.0), 0.0)
+    return np.where(mass > 0, np.maximum(gap1, gap2), 0.0)
+
+
 def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     """Worst equilibrium violation of a profile, in cost units (minutes).
 
@@ -201,26 +232,12 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     epsilon.
     """
     _require_uninformative(env)
-    lam = env.frac_informed
-    dist = marginal_type_dist(env)
-    masses = {
-        PlayerType.L: 1 - lam,
-        PlayerType.HN: lam * dist.p_Hn,
-        PlayerType.HA: lam * dist.p_Ha,
-    }
+    masses = _type_masses(env)
     residual = 0.0
     for t in EQUILIBRIUM_TYPES:
-        table = belief_uninformative(env, t)
-        c1 = expected_route_cost(params, env, table, t, 1, profile)
-        c2 = expected_route_cost(params, env, table, t, 2, profile)
-        rho = profile.rho_L if t == PlayerType.L else (
-            profile.rho_Hn if t == PlayerType.HN else profile.rho_Ha
-        )
-        cheapest = np.minimum(c1, c2)
-        gap1 = np.where(rho > UTILIZED_SHARE_EPS, c1 - cheapest, 0.0)
-        gap2 = np.where((1 - rho) > UTILIZED_SHARE_EPS, c2 - cheapest, 0.0)
-        type_residual = np.where(masses[t] > 0, np.maximum(gap1, gap2), 0.0)
-        residual = np.maximum(residual, type_residual)
+        gap = _type_gap(params, env, belief_uninformative(env, t), t, profile)
+        defect = _type_defect(gap, profile.split(t), masses[t])
+        residual = np.maximum(residual, defect)
     if np.ndim(residual) == 0:
         return float(residual)
     return residual
@@ -253,10 +270,7 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
 
     def cost_gap(t: PlayerType, rho: tuple):
-        prof = StrategyProfile(*rho)
-        c1 = expected_route_cost(params, env, tables[t], t, 1, prof)
-        c2 = expected_route_cost(params, env, tables[t], t, 2, prof)
-        return c1 - c2
+        return _type_gap(params, env, tables[t], t, StrategyProfile(*rho))
 
     # Affine decomposition: gap_t(rho) = g0[t] + sum_j coef[t][j] * rho[j],
     # with coefficients extracted exactly from evaluations at unit points.

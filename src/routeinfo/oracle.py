@@ -12,8 +12,11 @@ closed-form equilibrium is genuine two-sided evidence:
 - ``brute_force_socopt``: direct scan of the one-dimensional social-cost
   objective per state.
 
-Expected route costs are affine in each type's own split fraction, which the
-solvers exploit: two evaluations pin down the whole best-response line.
+The equilibrium condition itself comes from ``equilibrium``: each type's
+route-cost gap, its defect and the type masses are defined there once and
+shared with ``wardrop_residual``. The gap is affine in the type's own split
+fraction, which the fixed point exploits: two evaluations pin down the whole
+best-response line.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .beliefs import belief_uninformative, expected_route_cost, marginal_type_dist
+from .beliefs import belief_uninformative
 from .equilibrium import (
-    UTILIZED_SHARE_EPS,
     StrategyProfile,
     _require_uninformative,
+    _type_defect,
+    _type_gap,
+    _type_masses,
     wardrop_residual,
 )
 from .model import (
@@ -102,22 +107,12 @@ def _gap_line(params, env, table, responder, profile):
     Returns (gap at own split 0, slope), exact because the gap is affine in
     the responder's split fraction with the opponent profile held fixed.
     """
-    fields = {
-        "rho_L": profile.rho_L,
-        "rho_Hn": profile.rho_Hn,
-        "rho_Ha": profile.rho_Ha,
-    }
-    own_field = {
-        PlayerType.L: "rho_L",
-        PlayerType.HN: "rho_Hn",
-        PlayerType.HA: "rho_Ha",
-    }[responder]
-
     def gap(own_value):
-        probe = StrategyProfile(**{**fields, own_field: own_value})
-        c1 = expected_route_cost(params, env, table, responder, 1, probe)
-        c2 = expected_route_cost(params, env, table, responder, 2, probe)
-        return c1 - c2
+        splits = [
+            own_value if t == responder else profile.split(t)
+            for t in EQUILIBRIUM_TYPES
+        ]
+        return _type_gap(params, env, table, responder, StrategyProfile(*splits))
 
     g0 = gap(0.0)
     return g0, gap(1.0) - g0
@@ -168,18 +163,6 @@ def _drift_multiplier(lam, rho, delta):
     return np.where(aligned, np.maximum(room, 1.0), 1.0)
 
 
-def _type_defect(g0, slope, rho, mass):
-    """One type's contribution to the Wardrop residual, from its gap line.
-
-    A route counts as utilized only above UTILIZED_SHARE_EPS, mirroring
-    wardrop_residual, and zero-mass types contribute nothing.
-    """
-    g = g0 + slope * rho
-    gap1 = np.where(rho > UTILIZED_SHARE_EPS, np.maximum(g, 0.0), 0.0)
-    gap2 = np.where(1 - rho > UTILIZED_SHARE_EPS, np.maximum(-g, 0.0), 0.0)
-    return np.where(mass > 0, np.maximum(gap1, gap2), 0.0)
-
-
 def best_response(
     params: NetworkParams,
     env: InfoEnvironment,
@@ -211,11 +194,13 @@ def solve_fixed_point(
     """Damped simultaneous best-response iteration from (0.5, 0.5, 0.5).
 
     Stops once no positive-mass type can gain more than ``config.tolerance``
-    minutes by rerouting utilized demand — i.e. the current iterate's Wardrop
-    residual (up to rounding) is below tolerance — and returns that iterate,
-    so converged output satisfies wardrop_residual <= 10 * tolerance with
-    room to spare. Environment fields may be equal-shape arrays; instances
-    then iterate in lockstep until the slowest converges. Sweeps that match
+    minutes by rerouting utilized demand and returns that iterate. Each
+    sweep evaluates every type's gap line once; the stopping test applies
+    wardrop_residual's per-type defect to the gap read off that line, which
+    equals the residual up to rounding, so converged output satisfies
+    wardrop_residual <= 10 * tolerance with room to spare. Environment
+    fields may be equal-shape arrays; instances then iterate in lockstep
+    until the slowest converges. Sweeps that match
     the all-interior translation mode (see _drift_multiplier) are
     fast-forwarded to the nearest box face; they would otherwise crawl
     there over thousands of iterations.
@@ -226,12 +211,7 @@ def solve_fixed_point(
     _require_uninformative(env)
     tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
     lam = env.frac_informed
-    dist = marginal_type_dist(env)
-    masses = {
-        PlayerType.L: 1 - lam,
-        PlayerType.HN: lam * dist.p_Hn,
-        PlayerType.HA: lam * dist.p_Ha,
-    }
+    masses = _type_masses(env)
     shape = np.broadcast_shapes(
         *(
             np.shape(x)
@@ -259,22 +239,21 @@ def solve_fixed_point(
         return StrategyProfile(*vals, l_population_empty=empty)
 
     for _ in range(config.max_iters):
-        probe = StrategyProfile(rho[PlayerType.L], rho[PlayerType.HN], rho[PlayerType.HA])
+        probe = StrategyProfile(*(rho[t] for t in EQUILIBRIUM_TYPES))
         lines = {
             t: _gap_line(params, env, tables[t], t, probe)
             for t in EQUILIBRIUM_TYPES
         }
         defect = 0.0
-        for t in EQUILIBRIUM_TYPES:
-            g0, slope = lines[t]
-            defect = np.maximum(defect, _type_defect(g0, slope, rho[t], masses[t]))
+        for t, (g0, slope) in lines.items():
+            gap = g0 + slope * rho[t]
+            defect = np.maximum(defect, _type_defect(gap, rho[t], masses[t]))
         if np.all(defect < config.tolerance):
             return as_profile(rho)
-        delta = {}
-        for t in EQUILIBRIUM_TYPES:
-            g0, slope = lines[t]
-            br = _br_from_line(g0, slope)
-            delta[t] = config.damping * (br - rho[t])
+        delta = {
+            t: config.damping * (_br_from_line(*lines[t]) - rho[t])
+            for t in EQUILIBRIUM_TYPES
+        }
         boost = _drift_multiplier(lam, rho, delta)
         for t in EQUILIBRIUM_TYPES:
             rho[t] = np.clip(rho[t] + boost * delta[t], 0.0, 1.0)

@@ -26,6 +26,7 @@ from routeinfo import (
     social_optimum,
     solve_bwe,
 )
+from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -181,7 +182,8 @@ def test_social_optimum_pinned():
 def test_social_optimum_at_a_large_intercept_to_slope_ratio():
     # Intercepts ~1e5 times the slopes: descent from the simplex midpoint
     # moves iterates of a few thousand, whose float spacing exceeds an
-    # absolute 1e-12 stopping tolerance. The closed form needs no iteration.
+    # absolute 1e-12 step, so the descent's stopping step is relative to the
+    # demand. The closed form needs no iteration.
     params = NetworkParams(0.0093, 0.0497, 0.0446, 955.41, 956.46, 725.2)
     opt = social_optimum(params, _env())
     assert opt.loads_normal[0] == pytest.approx(609.8130, abs=1e-4)
@@ -189,23 +191,12 @@ def test_social_optimum_at_a_large_intercept_to_slope_ratio():
     scanned = brute_force_socopt(params, State.NORMAL, config)
     cell = params.demand / (config.grid_resolution - 1)
     assert abs(scanned[0] - opt.loads_normal[0]) <= cell
-
-
-@st.composite
-def rescaled_networks(draw):
-    """Valid networks, then a change of time unit and of flow unit (1e-3..1e3)."""
-    a1n = draw(st.floats(min_value=0.1, max_value=5.0))
-    a2 = a1n * draw(st.floats(min_value=1.0, max_value=4.0))
-    a1a = a2 * draw(st.floats(min_value=1.05, max_value=4.0))
-    b1 = draw(st.floats(min_value=0.0, max_value=1000.0))
-    b2 = b1 + draw(st.floats(min_value=0.0, max_value=50.0))
-    d = (b2 - b1) / a1n + draw(st.floats(min_value=0.1, max_value=1000.0))
-    time = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
-    flow = 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
-    slope = time / flow
-    return NetworkParams(
-        a1n * slope, a1a * slope, a2 * slope, b1 * time, b2 * time, d * flow
+    descent = projected_descent_socopt(
+        [params.slope1_normal, params.slope2],
+        [params.intercept1, params.intercept2],
+        params.demand,
     )
+    assert abs(descent[0] - opt.loads_normal[0]) <= 1e-9 * params.demand
 
 
 @given(params=rescaled_networks())
@@ -225,6 +216,8 @@ def test_social_optimum_equalizes_marginal_costs(params):
         assert abs(gap) <= 1e-12 * scale, f"{state.value}: marginal cost gap {gap}"
         scanned = brute_force_socopt(params, state, config)
         assert abs(scanned[0] - q1) <= cell, f"{state.value}: scan {scanned} vs {q1}"
+        descent = projected_descent_socopt([a1, a2], [b1, b2], d)
+        assert abs(descent[0] - q1) <= 1e-9 * d, f"{state.value}: descent {descent}"
 
 
 def test_projected_descent_two_routes():

@@ -1,20 +1,29 @@
 """Regime boundaries, the closed-form equilibrium, and the pattern table."""
 
+import itertools
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from routeinfo import (
+    EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     StrategyProfile,
     ValidationError,
+    belief_uninformative,
     classify,
     enumerate_profiles,
+    expected_route_cost,
+    marginal_type_dist,
     regime_boundaries,
     solve_bwe,
     wardrop_residual,
 )
+from routeinfo.equilibrium import UTILIZED_SHARE_EPS
+from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -121,6 +130,32 @@ def test_residual_flags_a_wrong_profile():
     assert residual > 1.0, f"everyone on route 1 should violate badly, got {residual}"
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_residual_is_the_definition(lam):
+    """Per positive-mass type, the excess of each utilized route's expected
+    cost over the cheaper route; shares within UTILIZED_SHARE_EPS of a corner
+    leave the other route unutilized."""
+    eps = UTILIZED_SHARE_EPS
+    splits = (0.0, eps / 2, 2 * eps, 0.3, 0.77, 1 - 2 * eps, 1 - eps / 2, 1.0)
+    rho = np.array(list(itertools.product(splits, repeat=3))).T
+    profile = StrategyProfile(*rho)
+    env = _env(p=0.6, lam=lam, eta_h=0.8)
+    dist = marginal_type_dist(env)
+    masses = (1 - lam, lam * dist.p_Hn, lam * dist.p_Ha)
+    want = np.zeros(rho.shape[1])
+    for t, rho_t, mass in zip(EQUILIBRIUM_TYPES, rho, masses):
+        table = belief_uninformative(env, t)
+        c1 = expected_route_cost(PARAMS, env, table, t, 1, profile)
+        c2 = expected_route_cost(PARAMS, env, table, t, 2, profile)
+        cheapest = np.minimum(c1, c2)
+        gap1 = np.where(rho_t > eps, c1 - cheapest, 0.0)
+        gap2 = np.where(1 - rho_t > eps, c2 - cheapest, 0.0)
+        if mass > 0:
+            want = np.maximum(want, np.maximum(gap1, gap2))
+    got = wardrop_residual(PARAMS, env, profile)
+    assert np.all(got == want)
+
+
 def test_profiles_continuous_across_boundaries():
     for p in (0.2, 0.6):
         for lb in regime_boundaries(PARAMS, _env(p=p)):
@@ -149,6 +184,39 @@ def test_solve_bwe_properties(p, lam, eta):
         assert 0.0 <= rho <= 1.0
     residual = wardrop_residual(PARAMS, env, profile)
     assert residual <= 1e-9, f"(p, lam, eta)={(p, lam, eta)}: residual {residual}"
+
+
+def _route1_loads(params, env, profile):
+    """Expected route-1 load in the normal and the incident state."""
+    lam, d, eta = env.frac_informed, params.demand, env.accuracy_high
+    uninformed = (1 - lam) * d * profile.rho_L
+    return [
+        uninformed + lam * d * ((1 - p_ha) * profile.rho_Hn + p_ha * profile.rho_Ha)
+        for p_ha in (1 - eta, eta)
+    ]
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    eta=st.floats(min_value=0.55, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_on_random_networks(params, p, lam, eta):
+    """The closed form is an equilibrium in any units, and every pattern the
+    enumeration accepts routes the same expected loads in each state."""
+    env = _env(p=p, lam=lam, eta_h=eta)
+    closed = solve_bwe(params, env)
+    scale = params.intercept2 + params.slope1_incident * params.demand
+    residual = wardrop_residual(params, env, closed)
+    assert residual <= 1e-12 * scale, f"residual {residual}, cost scale {scale}"
+    want = _route1_loads(params, env, closed)
+    for verdict in enumerate_profiles(params, env):
+        if verdict.is_equilibrium:
+            got = _route1_loads(params, env, verdict.profile)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-9 * params.demand, (verdict.pattern, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,37 @@ def test_social_value_rising_case_with_equal_intercepts():
     assert report.passed, report.failures
 
 
+@pytest.mark.parametrize(
+    "params,p",
+    [
+        # lambda_tilde lies between the last third-regime grid point and
+        # lambda_bar_3, so the sampled slice only rises.
+        (
+            NetworkParams(
+                1.6900101256424944, 9.262922269419196, 4.46823143430873,
+                15.232429658893158, 15.234688233318513, 5.641066366750383,
+            ),
+            0.3,
+        ),
+        # lambda_tilde lies between the first two third-regime grid points,
+        # and the first is the sampled maximum, so the sampled slice only
+        # falls.
+        (PARAMS, 0.396),
+    ],
+    ids=["past_the_last_point", "between_the_first_points"],
+)
+def test_social_value_peak_next_to_a_third_regime_boundary(params, p):
+    env = _env(p=p)
+    grid = theorem2_grid(params, env, points_per_regime=501)
+    _, lb2, lb3 = regime_boundaries(params, env)
+    r3 = [e.frac_informed for e in grid if lb2 < e.frac_informed < lb3]
+    tilde = lambda_tilde(params)
+    assert r3[0] < tilde < r3[1] or r3[-1] < tilde < lb3
+    report = verify_theorem2(params, grid)
+    assert report.regime_cases["R3"] == "peaked"
+    assert report.passed, report.failures
+
+
 def test_theorem2_rejects_unsorted_grid():
     grid = _grid(0.2, points=5)
     with pytest.raises(ValueError):
