@@ -21,7 +21,7 @@ import numpy as np
 
 from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
 from .costs import CostReport, cost_report
-from .equilibrium import _type_masses, classify, regime_boundaries, solve_bwe
+from .equilibrium import _type_masses, classify, solve_bwe
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -152,7 +152,10 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_instance(config: dict) -> tuple:
+def _build_instance(config: dict, sweep: SweepSpec | None = None) -> tuple:
+    """(params, env) at ``config``; a sweep makes its axis an array field."""
+    if sweep is not None:
+        config = {**config, sweep.axis: sweep.values()}
     params = NetworkParams(
         slope1_normal=config["slope1_normal"],
         slope1_incident=config["slope1_incident"],
@@ -179,14 +182,23 @@ def _echo(env: InfoEnvironment) -> dict:
     }
 
 
+def _table(columns: dict) -> list:
+    """One row per point from columns of scalars and equal-length arrays."""
+    cells = [np.atleast_1d(c).tolist() for c in np.broadcast_arrays(*columns.values())]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
+
+
 # ---------------------------------------------------------------------------
 # Row builders
 # ---------------------------------------------------------------------------
+#
+# The regimes, equilibrium, costs and value builders take an environment
+# whose swept field is an array and make one library call for all points.
 
 
 def _rows_regimes(params, env) -> list:
     regime = classify(params, env)
-    return [
+    return _table(
         {
             **_echo(env),
             "lambda_bar_1": regime.lambda_bar_1,
@@ -194,13 +206,13 @@ def _rows_regimes(params, env) -> list:
             "lambda_bar_3": regime.lambda_bar_3,
             "regime": regime.label,
         }
-    ]
+    )
 
 
 def _rows_equilibrium(params, env) -> list:
     regime = classify(params, env)
     profile = solve_bwe(params, env)
-    return [
+    return _table(
         {
             **_echo(env),
             "regime": regime.label,
@@ -209,35 +221,35 @@ def _rows_equilibrium(params, env) -> list:
             "rho_Ha": profile.rho_Ha,
             "l_population_empty": profile.l_population_empty,
         }
-    ]
+    )
 
 
 def _rows_costs(params, env) -> list:
     report = cost_report(params, env)
-    row = {**_echo(env)}
+    columns = {**_echo(env)}
     for name in CostReport.__dataclass_fields__:
-        row[name] = getattr(report, name)
-    row["c_L_n_norm"] = report.c_L_n / report.socopt_n
-    row["c_L_a_norm"] = report.c_L_a / report.socopt_a
-    row["c_H_n_norm"] = report.c_H_n / report.socopt_n
-    row["c_H_a_norm"] = report.c_H_a / report.socopt_a
-    row["c_L_exp_norm"] = report.c_L_exp / report.socopt_exp
-    row["c_H_exp_norm"] = report.c_H_exp / report.socopt_exp
-    row["c_soc_n_norm"] = report.c_soc_n / report.socopt_n
-    row["c_soc_a_norm"] = report.c_soc_a / report.socopt_a
-    row["c_soc_exp_norm"] = report.c_soc_exp / report.socopt_exp
-    return [row]
+        columns[name] = getattr(report, name)
+    columns["c_L_n_norm"] = report.c_L_n / report.socopt_n
+    columns["c_L_a_norm"] = report.c_L_a / report.socopt_a
+    columns["c_H_n_norm"] = report.c_H_n / report.socopt_n
+    columns["c_H_a_norm"] = report.c_H_a / report.socopt_a
+    columns["c_L_exp_norm"] = report.c_L_exp / report.socopt_exp
+    columns["c_H_exp_norm"] = report.c_H_exp / report.socopt_exp
+    columns["c_soc_n_norm"] = report.c_soc_n / report.socopt_n
+    columns["c_soc_a_norm"] = report.c_soc_a / report.socopt_a
+    columns["c_soc_exp_norm"] = report.c_soc_exp / report.socopt_exp
+    return _table(columns)
 
 
 def _rows_value(params, env) -> list:
     report = value_report(params, env)
-    row = {**_echo(env)}
+    columns = {**_echo(env)}
     for name in (
         "v_L_n", "v_L_a", "v_H_n", "v_H_a", "v_L_exp", "v_H_exp",
         "v_rel_n", "v_rel_a", "v_rel_exp", "w_n", "w_a", "w_exp", "lambda_min",
     ):
-        row[name] = getattr(report, name)
-    return [row]
+        columns[name] = getattr(report, name)
+    return _table(columns)
 
 
 def _rows_beliefs(params, env, treatment: str) -> list:
@@ -402,21 +414,22 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
         _write(_emit_json(payload), out)
         return code
 
-    builders = {
+    sweep_builders = {
         "regimes": _rows_regimes,
         "equilibrium": _rows_equilibrium,
         "costs": _rows_costs,
         "value": _rows_value,
-        "oracle": _rows_oracle,
     }
     rows = []
-    if subcommand == "beliefs":
+    if subcommand in sweep_builders:
+        rows = sweep_builders[subcommand](*_build_instance(config, sweep))
+    elif subcommand == "beliefs":
         treatment = config.get("treatment", "uninformative")
         for params, env in _environments(config, sweep):
             rows.extend(_rows_beliefs(params, env, treatment))
-    elif subcommand in builders:
+    elif subcommand == "oracle":
         for params, env in _environments(config, sweep):
-            rows.extend(builders[subcommand](params, env))
+            rows.extend(_rows_oracle(params, env))
     else:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
 

@@ -8,16 +8,21 @@ closed forms are kept only as cross-check rows in
 (an undefined symbol, a garbled additive term, and one wrong slope
 subscript); the crosscheck reports each branch's status explicitly instead
 of silently trusting it.
+
+``social_costs``, ``baseline_costs`` and ``cost_report`` broadcast over
+array-valued environment fields; an empty population's terms are masked
+per point (NaN in the report, dropped from the social cost), so a sweep
+across lambda = 0 or 1 is one call. ``realized_population_state_cost``
+still raises ``empty_population`` if asked for an empty population.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _type_given_state, marginal_type_dist
+from .beliefs import _type_given_state
 from .equilibrium import StrategyProfile, _require_uninformative, classify, solve_bwe
 from .model import (
     InfoEnvironment,
@@ -25,6 +30,7 @@ from .model import (
     PlayerType,
     State,
     ValidationError,
+    _as_results,
     derived_constants,
     latency,
 )
@@ -73,10 +79,19 @@ def realized_population_state_cost(
     population draws one common signal), weighting each route by the owner
     type's split fraction:
     sum_r sum_types rho_r(t) * latency_r(state, combined load) * P(t|s) * P(t_opp|s).
+    Raises ``empty_population`` if the population is empty at any point.
     """
     _require_uninformative(env)
     _check_nonempty(env, population)
-    own_types = _population_types(population)
+    return _state_cost(params, env, profile, _population_types(population), state)
+
+
+def _state_cost(params, env, profile, own_types: tuple, state: State):
+    """``realized_population_state_cost`` without its checks.
+
+    Where the population is empty its demand is zero and the result is the
+    cost its placeholder split would face; callers mask those points.
+    """
     opp_types = _H_SET if own_types is _L_SET else _L_SET
     lam = env.frac_informed
     d = params.demand
@@ -115,30 +130,27 @@ def expected_population_cost(
     return (1 - p) * c_n + p * c_a
 
 
+def _social_state_cost(params, env, profile, state: State):
+    """lam * c_H + (1 - lam) * c_L in one state, dropping an empty population."""
+    lam = env.frac_informed
+    c_l = _state_cost(params, env, profile, _L_SET, state)
+    c_h = _state_cost(params, env, profile, _H_SET, state)
+    return np.where(
+        lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l)
+    )
+
+
 def social_costs(params: NetworkParams, env: InfoEnvironment, profile) -> tuple:
     """Population-weighted state costs and their expectation.
 
     c_soc_s = lam * c_H_s + (1 - lam) * c_L_s, with an empty population's
     term dropped rather than evaluated.
     """
-    lam = env.frac_informed
-    per_state = {}
-    for state in (State.NORMAL, State.INCIDENT):
-        if np.all(lam == 0):
-            per_state[state] = realized_population_state_cost(
-                params, env, profile, "L", state
-            )
-        elif np.all(lam == 1):
-            per_state[state] = realized_population_state_cost(
-                params, env, profile, "H", state
-            )
-        else:
-            c_l = realized_population_state_cost(params, env, profile, "L", state)
-            c_h = realized_population_state_cost(params, env, profile, "H", state)
-            per_state[state] = lam * c_h + (1 - lam) * c_l
+    _require_uninformative(env)
+    c_n = _social_state_cost(params, env, profile, State.NORMAL)
+    c_a = _social_state_cost(params, env, profile, State.INCIDENT)
     p = env.p_incident
-    c_n, c_a = per_state[State.NORMAL], per_state[State.INCIDENT]
-    return (c_n, c_a, (1 - p) * c_n + p * c_a)
+    return tuple(_as_results(c_n, c_a, (1 - p) * c_n + p * c_a))
 
 
 def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
@@ -154,10 +166,10 @@ def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
         accuracy_low=0.5,
     )
     profile0 = solve_bwe(params, env0)
-    c_n = realized_population_state_cost(params, env0, profile0, "L", State.NORMAL)
-    c_a = realized_population_state_cost(params, env0, profile0, "L", State.INCIDENT)
+    c_n = _state_cost(params, env0, profile0, _L_SET, State.NORMAL)
+    c_a = _state_cost(params, env0, profile0, _L_SET, State.INCIDENT)
     p = env.p_incident
-    return (c_n, c_a, (1 - p) * c_n + p * c_a)
+    return tuple(_as_results(c_n, c_a, (1 - p) * c_n + p * c_a))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +208,15 @@ def projected_descent_socopt(
 
     General route count; projected gradient descent with step 1/(2 max a),
     stopping when an iterate moves less than ``tol * demand``, a relative
-    step that float spacing at the loads' own scale can meet.
+    step that float spacing at the loads' own scale can meet. The smallest
+    intercept is subtracted from all of them first: that shifts the total
+    cost by a constant times the demand and leaves the minimizer alone, but
+    keeps the pre-projection iterates at the loads' scale instead of the
+    intercepts', where their float spacing could exceed the stopping step.
     """
     slopes = np.asarray(slopes, dtype=float)
     intercepts = np.asarray(intercepts, dtype=float)
+    intercepts = intercepts - np.min(intercepts)
     q = np.full(slopes.size, demand / slopes.size)
     step = 1.0 / (2.0 * float(np.max(slopes)))
     for _ in range(max_iters):
@@ -218,26 +235,30 @@ def _state_optimum(params: NetworkParams, state: State) -> tuple:
     a1 = params.slope1_incident if state == State.INCIDENT else params.slope1_normal
     a2, b1, b2, d = params.slope2, params.intercept1, params.intercept2, params.demand
     q1 = (2 * a2 * d - b1 + b2) / (2 * (a1 + a2))
-    q1 = min(max(q1, 0.0), d)
+    q1 = np.clip(q1, 0.0, d)
     q2 = d - q1
     total = q1 * latency(params, 1, state, q1) + q2 * latency(params, 2, state, q2)
     return q1, q2, total / d
 
 
 def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolution:
-    """Per-state optimal loads and costs, in closed form."""
+    """Per-state optimal loads and costs, in closed form (fields broadcast)."""
     d = params.demand
     qn1, qn2, cost_n = _state_optimum(params, State.NORMAL)
     qa1, qa2, cost_a = _state_optimum(params, State.INCIDENT)
     p = env.p_incident
+    qn1, qn2, qa1, qa2, rho_n, rho_a, cost_n, cost_a, cost_exp = _as_results(
+        qn1, qn2, qa1, qa2, qn1 / d, qa1 / d, cost_n, cost_a,
+        (1 - p) * cost_n + p * cost_a,
+    )
     return SocOptSolution(
         loads_normal=(qn1, qn2),
         loads_incident=(qa1, qa2),
-        rho_normal=qn1 / d,
-        rho_incident=qa1 / d,
+        rho_normal=rho_n,
+        rho_incident=rho_a,
         cost_normal=cost_n,
         cost_incident=cost_a,
-        cost_exp=(1 - p) * cost_n + p * cost_a,
+        cost_exp=cost_exp,
     )
 
 
@@ -443,41 +464,31 @@ class CostReport:
 
 
 def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
-    """Solve the equilibrium and assemble all cost quantities for ``env``."""
+    """Solve the equilibrium and assemble all cost quantities for ``env``.
+
+    Array-valued environment fields give arrays of their common shape, with
+    NaN at the points where a population is empty.
+    """
     profile = solve_bwe(params, env)
     lam = env.frac_informed
     p = env.p_incident
 
-    def population_costs(population, empty):
-        if empty:
-            return math.nan, math.nan, math.nan
-        c_n = realized_population_state_cost(
-            params, env, profile, population, State.NORMAL
-        )
-        c_a = realized_population_state_cost(
-            params, env, profile, population, State.INCIDENT
-        )
-        return c_n, c_a, (1 - p) * c_n + p * c_a
+    def population_costs(types, empty):
+        c_n = _state_cost(params, env, profile, types, State.NORMAL)
+        c_a = _state_cost(params, env, profile, types, State.INCIDENT)
+        c_exp = (1 - p) * c_n + p * c_a
+        return [np.where(empty, np.nan, c) for c in (c_n, c_a, c_exp)]
 
-    c_l_n, c_l_a, c_l_exp = population_costs("L", empty=lam == 1)
-    c_h_n, c_h_a, c_h_exp = population_costs("H", empty=lam == 0)
+    c_l_n, c_l_a, c_l_exp = population_costs(_L_SET, lam == 1)
+    c_h_n, c_h_a, c_h_exp = population_costs(_H_SET, lam == 0)
     soc_n, soc_a, soc_exp = social_costs(params, env, profile)
     base_n, base_a, base_exp = baseline_costs(params, env)
     opt = social_optimum(params, env)
     return CostReport(
-        c_L_n=float(c_l_n),
-        c_L_a=float(c_l_a),
-        c_H_n=float(c_h_n),
-        c_H_a=float(c_h_a),
-        c_L_exp=float(c_l_exp),
-        c_H_exp=float(c_h_exp),
-        c_soc_n=float(soc_n),
-        c_soc_a=float(soc_a),
-        c_soc_exp=float(soc_exp),
-        baseline_n=float(base_n),
-        baseline_a=float(base_a),
-        baseline_exp=float(base_exp),
-        socopt_n=float(opt.cost_normal),
-        socopt_a=float(opt.cost_incident),
-        socopt_exp=float(opt.cost_exp),
+        *_as_results(
+            c_l_n, c_l_a, c_h_n, c_h_a, c_l_exp, c_h_exp,
+            soc_n, soc_a, soc_exp,
+            base_n, base_a, base_exp,
+            opt.cost_normal, opt.cost_incident, opt.cost_exp,
+        )
     )

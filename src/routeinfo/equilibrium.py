@@ -13,6 +13,10 @@ lambda_bar_2 <= lambda_bar_3. Qualitatively:
 - R4 (lb3 <= lambda): the informed split on both signals; route loads hit the
   per-state equalizing values and everyone faces the same costs.
 
+``classify`` and ``solve_bwe`` broadcast over array-valued fields: the
+regime is an index computed from the three boundaries, and ``solve_bwe``
+evaluates every regime's closed form and keeps the classified one, so a
+sweep is one call and each element equals the scalar call at that point.
 ``solve_bwe`` returns the closed form for the classified regime;
 ``wardrop_residual`` checks any profile against the equilibrium definition
 (equal costs across co-utilized routes, no cheaper unused route, each type
@@ -35,6 +39,8 @@ from .model import (
     NetworkParams,
     PlayerType,
     ValidationError,
+    _as_results,
+    _enforce,
     derived_constants,
 )
 
@@ -102,20 +108,21 @@ class ProfileVerdict:
     note: str = ""
 
 
+_UNINFORMATIVE_RULE = (
+    (
+        "unsupported_treatment",
+        lambda eta_l: eta_l == 0.5,
+        lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
+    ),
+)
+
+
 def _require_uninformative(env: InfoEnvironment) -> None:
-    if np.any(np.asarray(env.accuracy_low) != 0.5):
-        raise ValidationError(
-            "unsupported_treatment",
-            f"equilibrium analysis requires accuracy_low == 0.5, "
-            f"got {env.accuracy_low}",
-        )
+    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
 
 
-def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """The three lambda thresholds separating the four regimes."""
-    _require_uninformative(env)
-    k = derived_constants(params, env)
-    dist = marginal_type_dist(env)
+def _boundaries(params: NetworkParams, k, dist) -> tuple:
+    """lambda_bar_1..3 from the derived constants and the type marginals."""
     d, a2 = params.demand, params.slope2
     lb1 = (
         k.k1
@@ -127,6 +134,29 @@ def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
     return (lb1, lb2, lb3)
 
 
+def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """The three lambda thresholds separating the four regimes."""
+    _require_uninformative(env)
+    return _boundaries(params, derived_constants(params, env), marginal_type_dist(env))
+
+
+_LABELS = np.array(["R1", "R2", "R3", "R4"])
+
+
+def _regime_index(lam, bounds):
+    """0..3 for R1..R4 at each lambda, by the membership rules of ``classify``.
+
+    Each flag marks lambda below the closed start of the next regime; the
+    cumulative ``|`` reads the flags in order, as an ``if``/``elif`` chain
+    over the three boundaries would.
+    """
+    lb1, lb2, lb3 = bounds
+    below_r2 = lam < lb1 - BOUNDARY_TOL
+    below_r3 = below_r2 | (lam <= lb2 + BOUNDARY_TOL)
+    below_r4 = below_r3 | (lam < lb3 - BOUNDARY_TOL)
+    return 3 - below_r2 - below_r3 - below_r4
+
+
 def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     """The regime containing ``env.frac_informed``.
 
@@ -134,61 +164,59 @@ def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     ends, R3 open, R4 closed at lambda_bar_3); ties within BOUNDARY_TOL go
     to the lower-indexed closed regime so the choice is deterministic. The
     split fractions are continuous across the boundaries, so the tie rule is
-    cost-free.
+    cost-free. Array-valued fields give arrays of labels and boundaries.
     """
-    lb1, lb2, lb3 = regime_boundaries(params, env)
-    lam = env.frac_informed
-    if lam < lb1 - BOUNDARY_TOL:
-        label = "R1"
-    elif lam <= lb2 + BOUNDARY_TOL:
-        label = "R2"
-    elif lam < lb3 - BOUNDARY_TOL:
-        label = "R3"
-    else:
-        label = "R4"
-    return Regime(label, lb1, lb2, lb3)
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+    bounds = regime_boundaries(params, env)
+    label = _LABELS[_regime_index(env.frac_informed, bounds)]
+    return Regime(*_as_results(label, *bounds))
 
 
 def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     """Closed-form Bayesian Wardrop equilibrium for the classified regime.
 
-    At lambda = 1 the uninformed population is empty; rho_L is reported as
-    0.0 with ``l_population_empty`` set, so downstream cost formulas never
+    Each regime's closed form is evaluated at every point and the classified
+    one is kept, so array-valued fields solve a whole sweep in one call. At
+    lambda = 1 the uninformed population is empty; rho_L is reported as 0.0
+    with ``l_population_empty`` set, so downstream cost formulas never
     silently multiply an undefined fraction by zero demand.
     """
     _require_uninformative(env)
     k = derived_constants(params, env)
     dist = marginal_type_dist(env)
     p_hn, p_ha = dist.p_Hn, dist.p_Ha
-    lam, d = env.frac_informed, params.demand
-    regime = classify(params, env)
+    # A numpy float, so that the divisions below follow np.errstate.
+    lam, d = np.asarray(env.frac_informed, dtype=float)[()], params.demand
+    regime = _regime_index(lam, _boundaries(params, k, dist))
 
-    if regime.label == "R1":
-        rho_l = k.k1 / ((1 - lam) * d) - p_hn * lam / (1 - lam)
-        return StrategyProfile(_clamp01(rho_l), 1.0, 0.0)
-
-    # The remaining regimes all have lambda >= lambda_bar_1 > 0, so the
+    # Regimes past the first all have lambda >= lambda_bar_1 > 0, so their
     # divisions below cannot hit zero for validated inputs.
-    if not np.all(lam > 0):
+    if ((regime > 0) & ~(lam > 0)).any():
         raise ValidationError(
             "internal_error", "lambda = 0 classified outside the first regime"
         )
 
-    if regime.label == "R2":
-        rho_l = (k.k1 - lam * d * p_hn - p_ha * k.k2) / ((1 - lam) * d * p_hn)
-        rho_ha = (lam * d * p_hn + k.k2 - k.k1) / (lam * d * p_hn)
-        return StrategyProfile(_clamp01(rho_l), 1.0, _clamp01(rho_ha))
-
-    if regime.label == "R3":
-        return StrategyProfile(0.0, 1.0, _clamp01(k.k2 / (lam * d)))
-
-    rho_hn = _clamp01(k.k3 / (lam * d))
-    rho_ha = _clamp01(k.k2 / (lam * d))
-    return StrategyProfile(0.0, rho_hn, rho_ha, l_population_empty=bool(lam == 1))
+    # Every regime's closed form at every point, as a regime x (rho_L,
+    # rho_Hn, rho_Ha) table. Branches not taken at a point may divide by
+    # zero or overflow there; they are discarded.
+    with np.errstate(all="ignore"):
+        r34_rho_ha = k.k2 / (lam * d)
+        zero = np.zeros_like(r34_rho_ha)
+        one = zero + 1.0
+        table = np.array(
+            [
+                [k.k1 / ((1 - lam) * d) - p_hn * lam / (1 - lam), one, zero],
+                [
+                    (k.k1 - lam * d * p_hn - p_ha * k.k2) / ((1 - lam) * d * p_hn),
+                    one,
+                    (lam * d * p_hn + k.k2 - k.k1) / (lam * d * p_hn),
+                ],
+                [zero, one, r34_rho_ha],
+                [zero, k.k3 / (lam * d), r34_rho_ha],
+            ]
+        )
+    rho_l, rho_hn, rho_ha = np.clip(np.choose(regime, table), 0.0, 1.0)
+    empty = (regime == 3) & (lam == 1)
+    return StrategyProfile(*_as_results(rho_l, rho_hn, rho_ha, empty))
 
 
 def _type_masses(env: InfoEnvironment) -> dict:

@@ -11,10 +11,13 @@ they are constructed and raise ``ValidationError`` on any violation, so an
 invalid network or environment never exists and no function downstream
 re-checks one. All values are immutable after construction and every
 operation is a pure function, so everything here is safe for unrestricted
-concurrent use. The arithmetic is written so that scalar fields may be
-swapped for equal-shape numpy arrays (the numerical oracle exploits this to
-solve many environments in lockstep); construction then requires every
-element to satisfy the rules.
+concurrent use. Any field may be a numpy array, the fields broadcasting
+against each other: the closed forms of ``equilibrium``, ``costs`` and
+``value`` then answer a whole sweep in one call, and the numerical oracle
+solves many environments in lockstep. Construction then requires every
+element to satisfy the rules, and an error names the first element that
+does not. Broadcasting functions return Python scalars for scalar inputs
+and arrays of the common shape otherwise.
 """
 
 from __future__ import annotations
@@ -133,6 +136,75 @@ class DerivedConstants:
     k4: float
 
 
+#: The model's rules in checking order: (code, holds, message), where
+#: ``holds`` and ``message`` take the fields by keyword.
+_NETWORK_RULES = (
+    (
+        "slope_ordering",
+        lambda a1n, a1a, a2, **_: (a1a > a2) & (a2 >= a1n) & (a1n > 0),
+        lambda a1n, a1a, a2, **_: (
+            f"need slope1_incident > slope2 >= slope1_normal > 0, "
+            f"got ({a1a}, {a2}, {a1n})"
+        ),
+    ),
+    (
+        "intercept_ordering",
+        lambda b1, b2, **_: (b2 >= b1) & (b1 >= 0),
+        lambda b1, b2, **_: f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
+    ),
+    (
+        "demand_too_small",
+        lambda a1n, b1, b2, d, **_: d > (b2 - b1) / a1n,
+        lambda a1n, b1, b2, d, **_: (
+            f"demand {d} must exceed "
+            f"(intercept2 - intercept1)/slope1_normal = {(b2 - b1) / a1n}"
+        ),
+    ),
+)
+
+_ENVIRONMENT_RULES = (
+    (
+        "probability_out_of_range",
+        lambda p, **_: (p > 0) & (p < 1),
+        lambda p, **_: f"p_incident must lie in (0, 1), got {p}",
+    ),
+    (
+        "probability_out_of_range",
+        lambda lam, **_: (lam >= 0) & (lam <= 1),
+        lambda lam, **_: f"frac_informed must lie in [0, 1], got {lam}",
+    ),
+    (
+        "accuracy_out_of_range",
+        lambda eta_h, **_: (eta_h > 0.5) & (eta_h <= 1),
+        lambda eta_h, **_: f"accuracy_high must lie in (0.5, 1], got {eta_h}",
+    ),
+    (
+        "accuracy_out_of_range",
+        lambda eta_h, eta_l, **_: (eta_l >= 0.5) & (eta_l < eta_h),
+        lambda eta_l, **_: f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
+    ),
+)
+
+
+def _enforce(rules, **fields) -> None:
+    """Raise ValidationError unless every element of ``fields`` obeys ``rules``.
+
+    ``rules`` holds (code, holds, message) triples in checking order. With
+    array fields the error names the first element (in C order) that breaks
+    any rule, at the first rule it breaks, with that element's values: the
+    error a loop checking one element at a time would raise.
+    """
+    if all(np.asarray(holds(**fields)).all() for _, holds, _ in rules):
+        return
+    shape = np.broadcast_shapes(*(np.shape(v) for v in fields.values()))
+    flat = {k: np.broadcast_to(v, shape).ravel() for k, v in fields.items()}
+    with np.errstate(all="ignore"):
+        broken = np.stack([~holds(**flat) for _, holds, _ in rules])
+    i = int(np.flatnonzero(broken.any(axis=0))[0])
+    code, _, message = rules[int(np.flatnonzero(broken[:, i])[0])]
+    raise ValidationError(code, message(**{k: v[i].item() for k, v in flat.items()}))
+
+
 def validate(params: NetworkParams | None, env: InfoEnvironment | None):
     """Check the model invariants of whichever argument is given.
 
@@ -140,53 +212,43 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
     skipped. Returns the pair unchanged if all hold, else raises
     ValidationError with a distinct code per violated rule:
     ``slope_ordering``, ``intercept_ordering``, ``demand_too_small``,
-    ``probability_out_of_range``, ``accuracy_out_of_range``. Construction of
-    ``NetworkParams`` and ``InfoEnvironment`` calls this on itself.
+    ``probability_out_of_range``, ``accuracy_out_of_range``. For array
+    fields the message names the first offending element (see ``_enforce``).
+    Construction of ``NetworkParams`` and ``InfoEnvironment`` calls this on
+    itself.
     """
     if params is not None:
-        a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
-        b1, b2 = params.intercept1, params.intercept2
-        if not (np.all(a1a > a2) and np.all(a2 >= a1n) and np.all(a1n > 0)):
-            raise ValidationError(
-                "slope_ordering",
-                f"need slope1_incident > slope2 >= slope1_normal > 0, "
-                f"got ({a1a}, {a2}, {a1n})",
-            )
-        if not (np.all(b2 >= b1) and np.all(b1 >= 0)):
-            raise ValidationError(
-                "intercept_ordering",
-                f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
-            )
-        if not np.all(params.demand > (b2 - b1) / a1n):
-            raise ValidationError(
-                "demand_too_small",
-                f"demand {params.demand} must exceed "
-                f"(intercept2 - intercept1)/slope1_normal = {(b2 - b1) / a1n}",
-            )
+        _enforce(
+            _NETWORK_RULES,
+            a1n=params.slope1_normal,
+            a1a=params.slope1_incident,
+            a2=params.slope2,
+            b1=params.intercept1,
+            b2=params.intercept2,
+            d=params.demand,
+        )
     if env is not None:
-        p, lam = env.p_incident, env.frac_informed
-        if not (np.all(p > 0) and np.all(p < 1)):
-            raise ValidationError(
-                "probability_out_of_range",
-                f"p_incident must lie in (0, 1), got {p}",
-            )
-        if not (np.all(lam >= 0) and np.all(lam <= 1)):
-            raise ValidationError(
-                "probability_out_of_range",
-                f"frac_informed must lie in [0, 1], got {lam}",
-            )
-        eta_h, eta_l = env.accuracy_high, env.accuracy_low
-        if not (np.all(eta_h > 0.5) and np.all(eta_h <= 1)):
-            raise ValidationError(
-                "accuracy_out_of_range",
-                f"accuracy_high must lie in (0.5, 1], got {eta_h}",
-            )
-        if not (np.all(eta_l >= 0.5) and np.all(eta_l < eta_h)):
-            raise ValidationError(
-                "accuracy_out_of_range",
-                f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
-            )
+        _enforce(
+            _ENVIRONMENT_RULES,
+            p=env.p_incident,
+            lam=env.frac_informed,
+            eta_h=env.accuracy_high,
+            eta_l=env.accuracy_low,
+        )
     return params, env
+
+
+def _as_results(*values) -> list:
+    """``values`` broadcast to one shape; Python scalars when that shape is ().
+
+    Every broadcasting function returns through this, so scalar inputs give
+    Python ``float``/``str``/``bool`` results and array inputs give arrays
+    of their common shape.
+    """
+    shape = np.broadcast(*values).shape
+    if shape == ():
+        return [np.asarray(v).item() for v in values]
+    return [np.broadcast_to(v, shape) for v in values]
 
 
 def route_slope(params: NetworkParams, route: int, state: State) -> float:

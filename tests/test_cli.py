@@ -292,6 +292,33 @@ def test_invalid_inputs_exit_one(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["value", "--sweep", "eta_h:0.55:1:10"],
+            "not_analyzed: value analysis covers accuracy_high = 1 only, got 0.55",
+        ),
+        (
+            ["regimes", "--eta-l", "0.7", "--sweep", "eta_h:0.55:1:10"],
+            "accuracy_out_of_range: accuracy_low must lie in [0.5, accuracy_high), "
+            "got 0.7",
+        ),
+        (
+            ["costs", "--lambda", "1.2"],
+            "probability_out_of_range: frac_informed must lie in [0, 1], got 1.2",
+        ),
+    ],
+    ids=["value_eta_h_sweep", "regimes_eta_l_above_sweep_start", "single_point"],
+)
+def test_invalid_input_names_the_first_offending_value(capsys, argv, message):
+    """A sweep fails with the message of its first bad point, not the array."""
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_valid_eta_sweep_passes(capsys):
     code, out, _ = _run(capsys, ["regimes", "--sweep", "eta_h:0.6:1.0:3"])
     assert code == 0

@@ -220,6 +220,17 @@ def test_social_optimum_equalizes_marginal_costs(params):
         assert abs(descent[0] - q1) <= 1e-9 * d, f"{state.value}: descent {descent}"
 
 
+def test_projected_descent_with_equal_large_intercepts():
+    # Intercepts ~2e4 times the slopes and a small demand: without the
+    # common intercept removed, iterates before projection sit near 1e4,
+    # whose float spacing exceeds the stopping step of 1e-12 * demand.
+    slopes = [0.010937500000000001, 0.012304687500000001]
+    intercepts, demand = [260.0, 260.0], 1.25
+    closed = 2 * slopes[1] * demand / (2 * (slopes[0] + slopes[1]))
+    loads = projected_descent_socopt(slopes, intercepts, demand)
+    assert abs(loads[0] - closed) <= 1e-9 * demand
+
+
 def test_projected_descent_two_routes():
     loads = projected_descent_socopt([1.0, 2.0], [19.0, 21.0], 5.0)
     assert abs(loads[0] - 11 / 3) < 1e-9

@@ -154,6 +154,40 @@ def test_construction_checks_every_array_element():
     assert _code(_params, slope2=np.array([2.0, 0.5])) == "slope_ordering"
 
 
+def _error(build, **fields):
+    with pytest.raises(ValidationError) as exc:
+        build(**fields)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "build,fields",
+    [
+        # Element 0 breaks the last environment rule, element 1 the first.
+        (
+            _env,
+            dict(
+                p_incident=np.array([0.2, 1.5]),
+                accuracy_high=np.array([0.6, 1.0]),
+                accuracy_low=np.array([0.7, 0.5]),
+            ),
+        ),
+        # Element 0 breaks the demand rule, element 1 the slope ordering.
+        (
+            _params,
+            dict(slope2=np.array([2.0, 0.5]), demand=np.array([1.0, 5.0])),
+        ),
+    ],
+    ids=["environment", "network"],
+)
+def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
+    """The error names the first bad element and its first broken rule."""
+    first = {k: v[0].item() for k, v in fields.items()}
+    second = {k: v[1].item() for k, v in fields.items()}
+    assert _error(build, **fields) == _error(build, **first)
+    assert _error(build, **first) != _error(build, **second)
+
+
 # ---------------------------------------------------------------------------
 # Latency
 # ---------------------------------------------------------------------------

@@ -1,0 +1,37 @@
+"""Static checks of the package source (no linter is a dependency)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "routeinfo"
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts}
+    return sorted(set(imported) - used)
+
+
+def test_unused_import_detection():
+    source = "import os\nimport numpy as np\nfrom a import b, c\nprint(np, c)\n"
+    assert unused_imports(source) == ["b", "os"]
+    assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

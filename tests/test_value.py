@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import routeinfo.value as value_module
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
@@ -190,6 +191,50 @@ def test_social_value_peak_next_to_a_third_regime_boundary(params, p):
     report = verify_theorem2(params, grid)
     assert report.regime_cases["R3"] == "peaked"
     assert report.passed, report.failures
+
+
+@pytest.mark.parametrize(
+    "params,p,points",
+    [
+        # lambda_tilde sits 3.5e-5 above lambda_bar_2 with no grid point
+        # between them, so the sampled third-regime peak ties the
+        # second-regime plateau and the plateau's start is the smallest
+        # grid maximizer.
+        (PARAMS, 0.395, 501),
+        # The same tie on a drawn network.
+        (
+            NetworkParams(
+                1.967532287556495, 5.468715626149539, 2.1820824558292524,
+                19.67723486648885, 24.385851092320884, 6.241139718150279,
+            ),
+            0.46365934731902003,
+            151,
+        ),
+    ],
+    ids=["running_example", "drawn_network"],
+)
+def test_social_value_plateau_tying_the_third_regime_peak(params, p, points):
+    env = _env(p=p)
+    report = verify_theorem2(params, theorem2_grid(params, env, points))
+    assert report.passed, report.failures
+    lb1, lb2, _ = regime_boundaries(params, env)
+    assert report.regime_cases["R3"] == "peaked"
+    assert lb2 < lambda_tilde(params) < lb2 + 1e-3
+    # The smallest grid maximizer is still reported, far from lambda_min.
+    assert report.grid_argmax_lambda == pytest.approx(lb1, abs=1e-12)
+    assert report.lambda_min == pytest.approx(lambda_tilde(params), abs=1e-12)
+    w_at = value_report(params, _env(p=p, lam=report.lambda_min)).w_exp
+    w_plateau = value_report(params, _env(p=p, lam=lb1)).w_exp
+    assert w_at >= w_plateau
+
+
+def test_theorem2_catches_a_misplaced_lambda_min(monkeypatch):
+    """Both maximum checks fail when lambda_min points into the rising regime."""
+    monkeypatch.setattr(value_module, "lambda_min", lambda params, env: 0.1)
+    report = verify_theorem2(PARAMS, _grid(0.2))
+    assert not report.passed
+    assert any(f.startswith("grid argmax of social value") for f in report.failures)
+    assert any("below the grid maximum" in f for f in report.failures)
 
 
 def test_theorem2_rejects_unsorted_grid():
