@@ -190,46 +190,6 @@ class SocOptSolution:
     cost_exp: float
 
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {q >= 0, sum q = total} (sort-based)."""
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    feasible = u + (total - cumulative) / ks > 0
-    k = int(ks[feasible][-1])
-    tau = (cumulative[k - 1] - total) / k
-    return np.maximum(v - tau, 0.0)
-
-
-def projected_descent_socopt(
-    slopes, intercepts, demand: float, tol: float = 1e-12, max_iters: int = 100_000
-) -> np.ndarray:
-    """Loads minimizing total cost sum q_i (a_i q_i + b_i) over the simplex.
-
-    General route count; projected gradient descent with step 1/(2 max a),
-    stopping when an iterate moves less than ``tol * demand``, a relative
-    step that float spacing at the loads' own scale can meet. The smallest
-    intercept is subtracted from all of them first: that shifts the total
-    cost by a constant times the demand and leaves the minimizer alone, but
-    keeps the pre-projection iterates at the loads' scale instead of the
-    intercepts', where their float spacing could exceed the stopping step.
-    """
-    slopes = np.asarray(slopes, dtype=float)
-    intercepts = np.asarray(intercepts, dtype=float)
-    intercepts = intercepts - np.min(intercepts)
-    q = np.full(slopes.size, demand / slopes.size)
-    step = 1.0 / (2.0 * float(np.max(slopes)))
-    for _ in range(max_iters):
-        grad = 2.0 * slopes * q + intercepts
-        nxt = _project_simplex(q - step * grad, demand)
-        if np.max(np.abs(nxt - q)) < tol * demand:
-            return nxt
-        q = nxt
-    raise RuntimeError(
-        f"projected descent did not converge within {max_iters} iterations"
-    )
-
-
 def _state_optimum(params: NetworkParams, state: State) -> tuple:
     """(q1, q2, average cost) minimizing state social cost, closed form."""
     a1 = params.slope1_incident if state == State.INCIDENT else params.slope1_normal

@@ -38,7 +38,6 @@ from .model import (
     InfoEnvironment,
     NetworkParams,
     PlayerType,
-    ValidationError,
     _as_results,
     _enforce,
     derived_constants,
@@ -148,10 +147,12 @@ def _regime_index(lam, bounds):
 
     Each flag marks lambda below the closed start of the next regime; the
     cumulative ``|`` reads the flags in order, as an ``if``/``elif`` chain
-    over the three boundaries would.
+    over the three boundaries would. lambda = 0 is R1 even when
+    lambda_bar_1 lies within BOUNDARY_TOL of 0: no other closed form is
+    defined there.
     """
     lb1, lb2, lb3 = bounds
-    below_r2 = lam < lb1 - BOUNDARY_TOL
+    below_r2 = (lam < lb1 - BOUNDARY_TOL) | (lam == 0)
     below_r3 = below_r2 | (lam <= lb2 + BOUNDARY_TOL)
     below_r4 = below_r3 | (lam < lb3 - BOUNDARY_TOL)
     return 3 - below_r2 - below_r3 - below_r4
@@ -164,7 +165,8 @@ def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     ends, R3 open, R4 closed at lambda_bar_3); ties within BOUNDARY_TOL go
     to the lower-indexed closed regime so the choice is deterministic. The
     split fractions are continuous across the boundaries, so the tie rule is
-    cost-free. Array-valued fields give arrays of labels and boundaries.
+    cost-free, and lambda = 0 is always R1. Array-valued fields give arrays
+    of labels and boundaries.
     """
     bounds = regime_boundaries(params, env)
     label = _LABELS[_regime_index(env.frac_informed, bounds)]
@@ -187,13 +189,6 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     # A numpy float, so that the divisions below follow np.errstate.
     lam, d = np.asarray(env.frac_informed, dtype=float)[()], params.demand
     regime = _regime_index(lam, _boundaries(params, k, dist))
-
-    # Regimes past the first all have lambda >= lambda_bar_1 > 0, so their
-    # divisions below cannot hit zero for validated inputs.
-    if ((regime > 0) & ~(lam > 0)).any():
-        raise ValidationError(
-            "internal_error", "lambda = 0 classified outside the first regime"
-        )
 
     # Every regime's closed form at every point, as a regime x (rho_L,
     # rho_Hn, rho_Ha) table. Branches not taken at a point may divide by
@@ -274,9 +269,12 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
 #: Component order used by the qualitative patterns.
 _COMPONENTS = (PlayerType.L, PlayerType.HN, PlayerType.HA)
 
-#: Tolerance for the weak inequalities of fixed (0 or 1) components, and the
-#: strictness margin demanded of interior solutions.
+#: Strictness margin demanded of interior solutions (a share of demand).
 _PATTERN_TOL = 1e-9
+
+#: Tolerance for the weak inequalities of fixed (0 or 1) components, as a
+#: fraction of the cost scale intercept2 + slope1_incident * demand.
+_PATTERN_GAP_RTOL = 1e-11
 
 #: Condition-number ceiling above which a pattern's equalization system is
 #: treated as degenerate rather than solved. Genuine systems stay many orders
@@ -292,9 +290,13 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     two routes, components fixed at 0 (resp. 1) must make route 2 (resp. 1)
     weakly cheapest for their owner. The pattern is marked an equilibrium
     only if the system solves with every interior component strictly inside
-    (0, 1) and every fixed component's inequality satisfied.
+    (0, 1) and every fixed component's inequality satisfied within
+    _PATTERN_GAP_RTOL of the cost scale.
     """
     _require_uninformative(env)
+    gap_tol = _PATTERN_GAP_RTOL * (
+        params.intercept2 + params.slope1_incident * params.demand
+    )
     tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
 
     def cost_gap(t: PlayerType, rho: tuple):
@@ -365,11 +367,11 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
                     ok, note = False, f"{t.value} split leaves (0, 1)"
                     break
             elif sym == "0":
-                if gap_at(t, rho) < -_PATTERN_TOL:
+                if gap_at(t, rho) < -gap_tol:
                     ok, note = False, f"{t.value} strictly prefers route 1"
                     break
             else:
-                if gap_at(t, rho) > _PATTERN_TOL:
+                if gap_at(t, rho) > gap_tol:
                     ok, note = False, f"{t.value} strictly prefers route 2"
                     break
 

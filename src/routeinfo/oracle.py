@@ -8,7 +8,8 @@ closed-form equilibrium is genuine two-sided evidence:
 - ``solve_fixed_point``: damped simultaneous best-response iteration over the
   three split fractions.
 - ``grid_scan``: exhaustive epsilon-equilibrium scan of the unit cube of
-  profiles, with connected-cluster labeling as uniqueness evidence.
+  profiles, with a count of the accepted cells' 26-connected clusters as
+  uniqueness evidence (a numpy union-find).
 - ``brute_force_socopt``: direct scan of the one-dimensional social-cost
   objective per state.
 
@@ -21,10 +22,10 @@ best-response line.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .beliefs import belief_uninformative
 from .equilibrium import (
@@ -50,8 +51,12 @@ from .model import (
 #: convention documented on ``best_response``.
 DEGENERATE_SLOPE_EPS = 1e-15
 
-#: Grid scans allocate a resolution**3 boolean volume; this cap keeps a
-#: single scan under ~64 MB and a few minutes of residual evaluations.
+#: Step fraction of the fixed-point iteration toward the best response.
+DAMPING = 0.5
+
+#: Grid scans allocate resolution**3 volumes of residuals (8 bytes a cell)
+#: and of cell numbers for the cluster count (4 bytes); this cap keeps a
+#: single scan under ~1 GB and a few minutes of residual evaluations.
 MAX_SCAN_RESOLUTION = 400
 
 
@@ -59,13 +64,11 @@ MAX_SCAN_RESOLUTION = 400
 class OracleConfig:
     """Knobs shared by the numerical solvers.
 
-    ``grid_resolution`` is points per scanned axis, ``damping`` the step
-    fraction toward the best response, ``tolerance`` the residual (minutes)
-    at which the fixed-point iteration stops.
+    ``grid_resolution`` is points per scanned axis, ``tolerance`` the
+    residual (minutes) at which the fixed-point iteration stops.
     """
 
     grid_resolution: int = 2001
-    damping: float = 0.5
     max_iters: int = 10_000
     tolerance: float = 1e-10
 
@@ -74,11 +77,6 @@ class OracleConfig:
             raise ValidationError(
                 "config_out_of_range",
                 f"grid_resolution must be >= 3, got {self.grid_resolution}",
-            )
-        if not 0 < self.damping <= 1:
-            raise ValidationError(
-                "config_out_of_range",
-                f"damping must lie in (0, 1], got {self.damping}",
             )
         if self.max_iters < 1:
             raise ValidationError(
@@ -251,7 +249,7 @@ def solve_fixed_point(
         if np.all(defect < config.tolerance):
             return as_profile(rho)
         delta = {
-            t: config.damping * (_br_from_line(*lines[t]) - rho[t])
+            t: DAMPING * (_br_from_line(*lines[t]) - rho[t])
             for t in EQUILIBRIUM_TYPES
         }
         boost = _drift_multiplier(lam, rho, delta)
@@ -334,8 +332,6 @@ def grid_scan(
         residuals[i] = r
         accepted[i] = r <= epsilon
 
-    structure = np.ones((3, 3, 3), dtype=bool)
-    _, n_clusters = ndimage.label(accepted, structure=structure)
     idx = np.argwhere(accepted)
     return GridScanResult(
         resolution=res,
@@ -343,8 +339,66 @@ def grid_scan(
         axis_values=axis,
         cell_indices=idx,
         cell_residuals=residuals[accepted],
-        n_clusters=int(n_clusters),
+        n_clusters=_count_clusters(accepted),
     )
+
+
+#: The 13 neighbour offsets that follow a cell in C order; with their
+#: negatives they make up its 26 neighbours.
+_FORWARD_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+
+
+def _forward_edges(accepted: np.ndarray, n: int) -> list:
+    """(cell, neighbour) number arrays of the accepted pairs, one per offset.
+
+    A function of its own so that the index volume is freed before the
+    union-find rounds run.
+    """
+    shape = accepted.shape
+    index = np.full(tuple(s + 2 for s in shape), -1, dtype=np.int32)
+    core = index[1:-1, 1:-1, 1:-1]
+    core[accepted] = np.arange(n, dtype=np.int32)
+    edges = []
+    for offset in _FORWARD_OFFSETS:
+        neighbour = index[tuple(slice(1 + o, 1 + o + s) for o, s in zip(offset, shape))]
+        both = accepted & (neighbour >= 0)
+        edges.append((core[both], neighbour[both]))
+    return edges
+
+
+def _count_clusters(accepted: np.ndarray) -> int:
+    """Number of 26-connected clusters of True cells in a 3-D volume.
+
+    Vectorized union-find (Hoshen & Kopelman 1976): cells are numbered in an
+    int32 volume padded by one cell (-1 outside the set), and each of the
+    13 forward offsets keeps its own pair of edge arrays. Every round hooks
+    the larger root of each edge that joins two roots onto the smaller one
+    (roots as they stood when the round began, so a hook cannot cut a link
+    made earlier in the round), then pointer-jumps until every cell points
+    at its root; it ends when no edge joins two roots.
+    """
+    n = int(np.count_nonzero(accepted))
+    if n == 0:
+        return 0
+    edges = _forward_edges(accepted, n)
+    parent = np.arange(n, dtype=np.int32)
+    while True:
+        root = parent.copy()
+        hooked = False
+        for a, b in edges:
+            ra, rb = root[a], root[b]
+            apart = ra != rb
+            if apart.any():
+                hooked = True
+                ra, rb = ra[apart], rb[apart]
+                np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        if not hooked:
+            return int(np.count_nonzero(parent == np.arange(n, dtype=np.int32)))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def brute_force_socopt(

@@ -12,9 +12,10 @@ unvalidated numbers.
 cost is minimized, by the three-way case split on lambda_tilde — the vertex
 of the quadratic that expected social cost follows in the third regime.
 ``verify_theorem1``/``verify_theorem2`` check the monotonicity and
-positivity claims numerically over caller-supplied environment grids,
-stacked into one array call each: ``lambda_min`` and ``value_report``
-broadcast over array-valued environment fields.
+positivity claims numerically over one environment whose ``frac_informed``
+is a grid of lambda values (``theorem2_grid`` builds one), in one array
+call each: ``lambda_min`` and ``value_report`` broadcast over array-valued
+environment fields.
 """
 
 from __future__ import annotations
@@ -152,41 +153,30 @@ class Theorem1Report:
     failures: list = field(default_factory=list)
 
 
-def _stacked(envs: list) -> InfoEnvironment:
-    """One environment whose fields are arrays over ``envs``, in order."""
-    return InfoEnvironment(
-        p_incident=np.array([e.p_incident for e in envs], dtype=float),
-        frac_informed=np.array([e.frac_informed for e in envs], dtype=float),
-        accuracy_high=np.array([e.accuracy_high for e in envs], dtype=float),
-        accuracy_low=np.array([e.accuracy_low for e in envs], dtype=float),
-    )
-
-
-def verify_theorem1(params: NetworkParams, envs) -> Theorem1Report:
+def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Report:
     """Check: v_rel_exp > 0 strictly below lambda_bar_3, ~0 at or above it.
 
-    ``envs`` is any iterable of environments (accuracy_high = 1). Boundary
-    membership follows ``classify``: environments landing in the fourth
-    regime must show |v_rel_exp| <= 1e-9, all others a strictly positive
-    value. Environments with frac_informed = 0 are skipped — the relative
-    value compares two populations, and the informed one does not exist
-    there. The rest are evaluated in one array call. Failures carry
-    (frac_informed, v_rel_exp, expectation).
+    ``env`` holds the informed fractions to check in ``frac_informed``
+    (accuracy_high = 1). Boundary membership follows ``classify``: points
+    landing in the fourth regime must show |v_rel_exp| <= 1e-9, all others
+    a strictly positive value. Points with frac_informed = 0 are skipped —
+    the relative value compares two populations, and the informed one does
+    not exist there. The rest are evaluated in one array call. Failures
+    carry (frac_informed, v_rel_exp, expectation).
     """
-    envs = [env for env in envs if env.frac_informed != 0]
-    stacked = _stacked(envs)
-    v_rel = value_report(params, stacked).v_rel_exp
-    labels = classify(params, stacked).label
+    lams = np.ravel(env.frac_informed)
+    lams = lams[lams != 0]
+    env = replace(env, frac_informed=lams)
+    v_rel = value_report(params, env).v_rel_exp
+    labels = classify(params, env).label
     failures = []
-    for lam, v, regime in zip(
-        stacked.frac_informed.tolist(), v_rel.tolist(), labels.tolist()
-    ):
+    for lam, v, regime in zip(lams.tolist(), v_rel.tolist(), labels.tolist()):
         if regime == "R4":
             if abs(v) > _FLAT_TOL:
                 failures.append((lam, v, "expected ~0 in R4"))
         elif not v > 0:
             failures.append((lam, v, f"expected > 0 in {regime}"))
-    return Theorem1Report(passed=not failures, n_checked=len(envs), failures=failures)
+    return Theorem1Report(passed=not failures, n_checked=lams.size, failures=failures)
 
 
 @dataclass(frozen=True)
@@ -222,34 +212,32 @@ def _check_shape(ws, expected: str, regime: str, failures: list) -> None:
         failures.append(f"{regime}: expected constant social value")
 
 
-def verify_theorem2(params: NetworkParams, envs) -> Theorem2Report:
+def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Report:
     """Check the regime-wise shape of w_exp and the location of its maximum.
 
-    ``envs`` must share p_incident and accuracies and be sorted by
-    frac_informed (``theorem2_grid`` builds a suitable grid); they are
-    evaluated in one array call. Expected shapes: rising in the first
-    regime, flat in the second, the three-way case in the third (decreasing
-    / rise-then-fall peaked at lambda_tilde / increasing), flat in the
-    fourth. A peaked third regime is checked as rising through the grid
-    points at or below lambda_tilde and falling through those at or above
-    it. Social value at ``lambda_min`` must reach the grid maximum within
+    ``env`` holds a sorted 1-D array of informed fractions in
+    ``frac_informed`` and scalar p_incident and accuracies (``theorem2_grid``
+    builds a suitable grid); it is evaluated in one array call. Expected
+    shapes: rising in the first regime, flat in the second, the three-way
+    case in the third (decreasing / rise-then-fall peaked at lambda_tilde /
+    increasing), flat in the fourth. A peaked third regime is checked as
+    rising through the grid points at or below lambda_tilde and falling
+    through those at or above it. Social value at ``lambda_min`` must reach the grid maximum within
     tolerance, and some grid point within tolerance of that maximum must
     sit within one grid step of ``lambda_min``. The maximum may be attained
     far from ``lambda_min`` as well (the second-regime plateau can tie a
     third-regime peak), so its smallest achiever, reported as
     ``grid_argmax_lambda``, is not checked by location.
     """
-    envs = list(envs)
-    if len(envs) < 2:
-        raise ValueError("need at least two environments to difference")
-    stacked = _stacked(envs)
-    lams = stacked.frac_informed
+    lams = np.asarray(env.frac_informed, dtype=float)
+    if lams.ndim != 1 or lams.size < 2:
+        raise ValueError("need at least two informed fractions to difference")
     if np.any(np.diff(lams) <= 0):
-        raise ValueError("environments must be sorted by frac_informed")
-    ws = value_report(params, stacked).w_exp
-    labels = classify(params, stacked).label.tolist()
+        raise ValueError("frac_informed must be sorted")
+    ws = value_report(params, env).w_exp
+    labels = classify(params, env).label.tolist()
 
-    lb1, lb2, lb3 = regime_boundaries(params, envs[0])
+    lb1, lb2, lb3 = regime_boundaries(params, env)
     tilde = lambda_tilde(params)
     if tilde <= lb2:
         r3_case = "decreasing"
@@ -290,14 +278,14 @@ def verify_theorem2(params: NetworkParams, envs) -> Theorem2Report:
     w_max = float(np.max(ws))
     achievers = np.flatnonzero(ws >= w_max - _FLAT_TOL)
     argmax_lam = float(lams[achievers[0]])
-    lam_min = lambda_min(params, envs[0])
+    lam_min = lambda_min(params, env)
     grid_step = float(np.max(np.diff(lams)))
     if not np.any(np.abs(lams[achievers] - lam_min) <= grid_step + _FLAT_TOL):
         failures.append(
             f"grid argmax of social value at {argmax_lam:.6f}, "
             f"lambda_min predicts {lam_min:.6f}"
         )
-    w_at_min = value_report(params, replace(envs[0], frac_informed=lam_min)).w_exp
+    w_at_min = value_report(params, replace(env, frac_informed=lam_min)).w_exp
     if not w_at_min >= w_max - _FLAT_TOL:
         failures.append(
             f"social value {w_at_min:.9g} at lambda_min {lam_min:.6f} "
@@ -316,12 +304,12 @@ def verify_theorem2(params: NetworkParams, envs) -> Theorem2Report:
 
 def theorem2_grid(
     params: NetworkParams, env: InfoEnvironment, points_per_regime: int = 2001
-) -> list:
-    """Sorted environments covering all four regimes for verify_theorem2.
+) -> InfoEnvironment:
+    """``env`` with ``frac_informed`` a sorted grid covering all four regimes.
 
     Endpoints land exactly on the boundaries (classified into the closed
     regimes); the third regime, open on both sides, contributes strictly
-    interior points.
+    interior points. The result feeds verify_theorem1 and verify_theorem2.
     """
     _require_uninformative(env)
     _require_perfect_accuracy(env)
@@ -335,12 +323,4 @@ def theorem2_grid(
             np.linspace(lb3, 1.0, n),
         ]
     )
-    return [
-        InfoEnvironment(
-            p_incident=env.p_incident,
-            frac_informed=float(lam),
-            accuracy_high=env.accuracy_high,
-            accuracy_low=env.accuracy_low,
-        )
-        for lam in lams
-    ]
+    return replace(env, frac_informed=lams)

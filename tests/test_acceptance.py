@@ -24,7 +24,6 @@ from routeinfo import (
     cost_report,
     enumerate_profiles,
     lambda_min,
-    projected_descent_socopt,
     realized_population_state_cost,
     regime_boundaries,
     social_optimum,
@@ -193,18 +192,13 @@ def test_social_optimum_loads_three_ways():
     assert abs(sol.loads_normal[0] - 3.666667) <= 1e-6
     assert abs(sol.loads_incident[0] - 2.2) <= 1e-6
 
-    qp_normal = projected_descent_socopt(
-        (PARAMS.slope1_normal, PARAMS.slope2),
-        (PARAMS.intercept1, PARAMS.intercept2),
-        PARAMS.demand,
-    )
-    qp_incident = projected_descent_socopt(
-        (PARAMS.slope1_incident, PARAMS.slope2),
-        (PARAMS.intercept1, PARAMS.intercept2),
-        PARAMS.demand,
-    )
-    assert abs(qp_normal[0] - 3.666667) <= 1e-6
-    assert abs(qp_incident[0] - 2.2) <= 1e-6
+    # First-order condition: equal marginal costs 2 a_i q_i + b_i on both routes.
+    a2, b1, b2 = PARAMS.slope2, PARAMS.intercept1, PARAMS.intercept2
+    for a1, (q1, q2) in (
+        (PARAMS.slope1_normal, sol.loads_normal),
+        (PARAMS.slope1_incident, sol.loads_incident),
+    ):
+        assert abs((2 * a1 * q1 + b1) - (2 * a2 * q2 + b2)) <= 1e-12
 
     config = OracleConfig(grid_resolution=500_001)
     scanned_normal = brute_force_socopt(PARAMS, State.NORMAL, config)

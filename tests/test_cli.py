@@ -79,6 +79,23 @@ def test_equilibrium_all_informed_flags_empty_population(capsys):
     assert row["rho_Ha"] == "0.48"
 
 
+def test_lambda_zero_with_a_nearly_uninformative_service(capsys):
+    code, out, err = _run(
+        capsys, ["equilibrium", "--lambda", "0", "--eta-h", "0.500000000001"]
+    )
+    assert code == 0, err
+    row = _rows(out)[0]
+    assert row["regime"] == "R1"
+    assert row["rho_L"] == "0.705882353"
+
+
+def test_costs_with_a_nearly_uninformative_service(capsys):
+    # Every cost row compares with the lambda = 0 baseline environment.
+    code, out, err = _run(capsys, ["costs", "--eta-h", "0.500000000001"])
+    assert code == 0, err
+    assert len(_rows(out)) == 1
+
+
 def test_value_default_point(capsys):
     code, out, _ = _run(capsys, ["value"])
     assert code == 0

@@ -20,7 +20,6 @@ from routeinfo import (
     cost_report,
     expected_population_cost,
     latency,
-    projected_descent_socopt,
     realized_population_state_cost,
     social_costs,
     social_optimum,
@@ -180,10 +179,8 @@ def test_social_optimum_pinned():
 
 
 def test_social_optimum_at_a_large_intercept_to_slope_ratio():
-    # Intercepts ~1e5 times the slopes: descent from the simplex midpoint
-    # moves iterates of a few thousand, whose float spacing exceeds an
-    # absolute 1e-12 step, so the descent's stopping step is relative to the
-    # demand. The closed form needs no iteration.
+    # Intercepts ~1e5 times the slopes: an iterative optimizer stopping on
+    # an absolute step fails here; the closed form needs no iteration.
     params = NetworkParams(0.0093, 0.0497, 0.0446, 955.41, 956.46, 725.2)
     opt = social_optimum(params, _env())
     assert opt.loads_normal[0] == pytest.approx(609.8130, abs=1e-4)
@@ -191,12 +188,6 @@ def test_social_optimum_at_a_large_intercept_to_slope_ratio():
     scanned = brute_force_socopt(params, State.NORMAL, config)
     cell = params.demand / (config.grid_resolution - 1)
     assert abs(scanned[0] - opt.loads_normal[0]) <= cell
-    descent = projected_descent_socopt(
-        [params.slope1_normal, params.slope2],
-        [params.intercept1, params.intercept2],
-        params.demand,
-    )
-    assert abs(descent[0] - opt.loads_normal[0]) <= 1e-9 * params.demand
 
 
 @given(params=rescaled_networks())
@@ -216,43 +207,6 @@ def test_social_optimum_equalizes_marginal_costs(params):
         assert abs(gap) <= 1e-12 * scale, f"{state.value}: marginal cost gap {gap}"
         scanned = brute_force_socopt(params, state, config)
         assert abs(scanned[0] - q1) <= cell, f"{state.value}: scan {scanned} vs {q1}"
-        descent = projected_descent_socopt([a1, a2], [b1, b2], d)
-        assert abs(descent[0] - q1) <= 1e-9 * d, f"{state.value}: descent {descent}"
-
-
-def test_projected_descent_with_equal_large_intercepts():
-    # Intercepts ~2e4 times the slopes and a small demand: without the
-    # common intercept removed, iterates before projection sit near 1e4,
-    # whose float spacing exceeds the stopping step of 1e-12 * demand.
-    slopes = [0.010937500000000001, 0.012304687500000001]
-    intercepts, demand = [260.0, 260.0], 1.25
-    closed = 2 * slopes[1] * demand / (2 * (slopes[0] + slopes[1]))
-    loads = projected_descent_socopt(slopes, intercepts, demand)
-    assert abs(loads[0] - closed) <= 1e-9 * demand
-
-
-def test_projected_descent_two_routes():
-    loads = projected_descent_socopt([1.0, 2.0], [19.0, 21.0], 5.0)
-    assert abs(loads[0] - 11 / 3) < 1e-9
-    assert abs(loads[1] - 4 / 3) < 1e-9
-
-
-def test_projected_descent_symmetric_three_routes():
-    loads = projected_descent_socopt([2.0, 2.0, 2.0], [0.0, 0.0, 0.0], 3.0)
-    assert np.allclose(loads, [1.0, 1.0, 1.0], atol=1e-9)
-
-
-def test_projected_descent_three_distinct_routes():
-    # Stationarity 2 a_i q_i + b_i = mu with all routes active gives mu = 36/7.
-    loads = projected_descent_socopt([1.0, 2.0, 4.0], [0.0, 1.0, 2.0], 4.0)
-    assert np.allclose(loads, [18 / 7, 29 / 28, 11 / 28], atol=1e-9)
-
-
-def test_projected_descent_drops_a_dominated_route():
-    # Route 2 is so slow it should carry nothing at this demand.
-    loads = projected_descent_socopt([1.0, 1.0], [0.0, 100.0], 1.0)
-    assert abs(loads[0] - 1.0) < 1e-9
-    assert abs(loads[1]) < 1e-9
 
 
 @given(frac=st.floats(min_value=0.0, max_value=1.0))

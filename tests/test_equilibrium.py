@@ -5,7 +5,7 @@ import itertools
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from routeinfo import (
     EQUILIBRIUM_TYPES,
@@ -72,6 +72,21 @@ def test_classify_membership(lam, label):
     regime = classify(PARAMS, _env(lam=lam))
     assert regime.label == label, f"lambda={lam!r}"
     assert regime.bounds == regime_boundaries(PARAMS, _env(lam=lam))
+
+
+@pytest.mark.parametrize(
+    "lam", [0.0, -0.0, np.array([0.0, 0.5])], ids=["zero", "negative_zero", "array"]
+)
+def test_lambda_zero_is_the_first_regime_next_to_a_vanishing_boundary(lam):
+    # lambda_bar_1 is 5.3e-13 here, within BOUNDARY_TOL of 0, so the tie
+    # rule alone would put lambda = 0 in the second regime, where no closed
+    # form is defined.
+    env = _env(lam=lam, eta_h=0.500000000001)
+    assert regime_boundaries(PARAMS, env)[0] < 1e-12
+    label = np.ravel(classify(PARAMS, env).label)
+    assert label[0] == "R1"
+    rho_l = np.ravel(solve_bwe(PARAMS, env).rho_L)[0]
+    assert rho_l == pytest.approx(12 / 17, abs=1e-12)
 
 
 def test_rejects_informative_low_accuracy_signal():
@@ -203,6 +218,14 @@ def _route1_loads(params, env, profile):
     eta=st.floats(min_value=0.55, max_value=1.0),
 )
 @settings(max_examples=200, deadline=None)
+# Cost scale 0.00266 minutes: an absolute 1e-9 gap bound in the pattern table
+# accepted ('int', 'int', '0'), whose loads differ from the closed form's.
+@example(
+    params=NetworkParams(0.01, 0.010625, 0.01, 0.0, 0.0, 0.25),
+    p=0.0234375,
+    lam=0.5,
+    eta=0.625,
+)
 def test_closed_form_on_random_networks(params, p, lam, eta):
     """The closed form is an equilibrium in any units, and every pattern the
     enumeration accepts routes the same expected loads in each state."""

@@ -1,7 +1,11 @@
 """The definition-level numerical solvers and their agreement with closed forms."""
 
+import itertools
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from routeinfo import (
     GridScanResult,
@@ -20,6 +24,7 @@ from routeinfo import (
     solve_fixed_point,
     wardrop_residual,
 )
+from routeinfo.oracle import DAMPING, _count_clusters
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -36,7 +41,7 @@ def _env(p=0.2, lam=0.5, eta_h=1.0):
 def test_config_defaults_construct():
     config = OracleConfig()
     assert config.grid_resolution == 2001
-    assert config.damping == 0.5
+    assert DAMPING == 0.5
     assert config.max_iters == 10_000
     assert config.tolerance == 1e-10
 
@@ -45,8 +50,6 @@ def test_config_defaults_construct():
     "bad",
     [
         dict(grid_resolution=2),
-        dict(damping=0.0),
-        dict(damping=1.2),
         dict(max_iters=0),
         dict(tolerance=0.0),
         dict(tolerance=-1e-9),
@@ -227,6 +230,56 @@ def test_grid_scan_rejects_huge_resolutions():
     with pytest.raises(ValidationError) as exc:
         grid_scan(PARAMS, _env(), OracleConfig(grid_resolution=401))
     assert exc.value.code == "config_out_of_range"
+
+
+def _flood_fill_clusters(volume):
+    """26-connected clusters of True cells by a plain depth-first search."""
+    cells = {tuple(c) for c in np.argwhere(volume).tolist()}
+    steps = [d for d in itertools.product((-1, 0, 1), repeat=3) if d != (0, 0, 0)]
+    clusters = 0
+    while cells:
+        clusters += 1
+        frontier = [cells.pop()]
+        while frontier:
+            i, j, k = frontier.pop()
+            for di, dj, dk in steps:
+                cell = (i + di, j + dj, k + dk)
+                if cell in cells:
+                    cells.remove(cell)
+                    frontier.append(cell)
+    return clusters
+
+
+@given(
+    volume=hnp.arrays(
+        bool, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=9)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cluster_count_matches_a_flood_fill(volume):
+    assert _count_clusters(volume) == _flood_fill_clusters(volume)
+
+
+def _volume(shape, *cells):
+    volume = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        volume[cell] = True
+    return volume
+
+
+@pytest.mark.parametrize(
+    "volume,want",
+    [
+        (_volume((2, 2, 2), (0, 0, 0), (1, 1, 1)), 1),
+        (_volume((2, 2, 2), (0, 1, 1), (1, 0, 0)), 1),
+        (_volume((1, 1, 3), (0, 0, 0), (0, 0, 2)), 2),
+        (_volume((3, 3, 3), (0, 0, 0), (2, 2, 2)), 2),
+        (_volume((4, 4, 4)), 0),
+    ],
+    ids=["corner", "corner_reversed", "one_apart", "one_apart_diagonal", "empty"],
+)
+def test_cluster_count_by_hand(volume, want):
+    assert _count_clusters(volume) == want
 
 
 # ---------------------------------------------------------------------------

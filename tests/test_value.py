@@ -1,5 +1,7 @@
 """Value of information: definitions, pinned points, and the two theorem checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ def test_informed_premium_positive_below_third_boundary(p):
     report = verify_theorem1(PARAMS, grid)
     assert report.passed, report.failures[:5]
     # Every grid point except the empty-population origin is checked.
-    assert report.n_checked == len(grid) - 1
+    assert report.n_checked == grid.frac_informed.size - 1
 
 
 def test_social_value_shapes():
@@ -185,7 +187,8 @@ def test_social_value_peak_next_to_a_third_regime_boundary(params, p):
     env = _env(p=p)
     grid = theorem2_grid(params, env, points_per_regime=501)
     _, lb2, lb3 = regime_boundaries(params, env)
-    r3 = [e.frac_informed for e in grid if lb2 < e.frac_informed < lb3]
+    lams = grid.frac_informed
+    r3 = lams[(lams > lb2) & (lams < lb3)]
     tilde = lambda_tilde(params)
     assert r3[0] < tilde < r3[1] or r3[-1] < tilde < lb3
     report = verify_theorem2(params, grid)
@@ -240,7 +243,7 @@ def test_theorem2_catches_a_misplaced_lambda_min(monkeypatch):
 def test_theorem2_rejects_unsorted_grid():
     grid = _grid(0.2, points=5)
     with pytest.raises(ValueError):
-        verify_theorem2(PARAMS, list(reversed(grid)))
+        verify_theorem2(PARAMS, replace(grid, frac_informed=grid.frac_informed[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +254,13 @@ def test_theorem2_rejects_unsorted_grid():
 @pytest.mark.parametrize("p", [0.2, 0.6])
 def test_informed_value_never_negative_and_never_rises(p):
     grid = _grid(p, points=120)
-    v_h = [
-        value_report(PARAMS, env).v_H_exp
-        for env in grid
-        if env.frac_informed > 0
-    ]
-    assert min(v_h) > -1e-9
-    assert all(b <= a + 1e-9 for a, b in zip(v_h, v_h[1:])), (
+    v_h = value_report(PARAMS, grid).v_H_exp[grid.frac_informed > 0]
+    assert v_h.min() > -1e-9
+    assert np.all(np.diff(v_h) <= 1e-9), (
         "being informed should only get less valuable as it gets common"
     )
 
 
 @pytest.mark.parametrize("p", [0.2, 0.6])
 def test_social_value_never_negative(p):
-    ws = [value_report(PARAMS, env).w_exp for env in _grid(p, points=120)]
-    assert min(ws) > -1e-9
+    assert value_report(PARAMS, _grid(p, points=120)).w_exp.min() > -1e-9
