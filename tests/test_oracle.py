@@ -50,6 +50,8 @@ def test_config_defaults_construct():
     "bad",
     [
         dict(grid_resolution=2),
+        dict(grid_resolution=0),
+        dict(tolerance=float("nan")),
         dict(max_iters=0),
         dict(tolerance=0.0),
         dict(tolerance=-1e-9),
