@@ -192,8 +192,8 @@ def _table(columns: dict) -> list:
 # Row builders
 # ---------------------------------------------------------------------------
 #
-# The regimes, equilibrium, costs and value builders take an environment
-# whose swept field is an array and make one library call for all points.
+# Every builder but beliefs takes an environment whose swept field is an
+# array and makes one library call for all points.
 
 
 def _rows_regimes(params, env) -> list:
@@ -288,12 +288,11 @@ def _rows_oracle(params, env) -> list:
     closed = solve_bwe(params, env)
     numeric = solve_fixed_point(params, env, OracleConfig())
     masses = _type_masses(env)
-    gaps = [
-        abs(closed.split(t) - numeric.split(t))
-        for t in EQUILIBRIUM_TYPES
-        if masses[t] > 0
-    ]
-    return [
+    deviation = 0.0
+    for t in EQUILIBRIUM_TYPES:
+        gap = np.abs(closed.split(t) - numeric.split(t))
+        deviation = np.maximum(deviation, np.where(masses[t] > 0, gap, 0.0))
+    return _table(
         {
             **_echo(env),
             "regime": classify(params, env).label,
@@ -303,9 +302,9 @@ def _rows_oracle(params, env) -> list:
             "rho_L_oracle": numeric.rho_L,
             "rho_Hn_oracle": numeric.rho_Hn,
             "rho_Ha_oracle": numeric.rho_Ha,
-            "deviation": max(gaps) if gaps else 0.0,
+            "deviation": deviation,
         }
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +418,7 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
         "equilibrium": _rows_equilibrium,
         "costs": _rows_costs,
         "value": _rows_value,
+        "oracle": _rows_oracle,
     }
     rows = []
     if subcommand in sweep_builders:
@@ -427,9 +427,6 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
         treatment = config.get("treatment", "uninformative")
         for params, env in _environments(config, sweep):
             rows.extend(_rows_beliefs(params, env, treatment))
-    elif subcommand == "oracle":
-        for params, env in _environments(config, sweep):
-            rows.extend(_rows_oracle(params, env))
     else:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
 

@@ -14,10 +14,10 @@ operation is a pure function, so everything here is safe for unrestricted
 concurrent use. Any field may be a numpy array, the fields broadcasting
 against each other: the closed forms of ``equilibrium``, ``costs`` and
 ``value`` then answer a whole sweep in one call, and the numerical oracle
-solves many environments in lockstep. Construction then requires every
-element to satisfy the rules, and an error names the first element that
-does not. Broadcasting functions return Python scalars for scalar inputs
-and arrays of the common shape otherwise.
+solves many environments at once, each stopping when it converges.
+Construction then requires every element to satisfy the rules, and an
+error names the first element that does not. Broadcasting functions return
+Python scalars for scalar inputs and arrays of the common shape otherwise.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ best-response line.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -184,6 +185,16 @@ def best_response(
     return br
 
 
+def _map_array_fields(obj, fn):
+    """``obj`` with ``fn`` applied to each array-valued field; scalars stay."""
+    changes = {
+        f.name: fn(value)
+        for f in dataclasses.fields(obj)
+        if np.ndim(value := getattr(obj, f.name))
+    }
+    return dataclasses.replace(obj, **changes) if changes else obj
+
+
 def solve_fixed_point(
     params: NetworkParams,
     env: InfoEnvironment,
@@ -196,72 +207,89 @@ def solve_fixed_point(
     sweep evaluates every type's gap line once; the stopping test applies
     wardrop_residual's per-type defect to the gap read off that line, which
     equals the residual up to rounding, so converged output satisfies
-    wardrop_residual <= 10 * tolerance with room to spare. Environment
-    fields may be equal-shape arrays; instances then iterate in lockstep
-    until the slowest converges. Sweeps that match
+    wardrop_residual <= 10 * tolerance with room to spare. Sweeps that match
     the all-interior translation mode (see _drift_multiplier) are
     fast-forwarded to the nearest box face; they would otherwise crawl
     there over thousands of iterations.
 
-    Raises OracleConvergenceError after ``config.max_iters`` sweeps, carrying
-    the last iterate and its residual.
+    Fields may be arrays that broadcast against each other. Each instance
+    then stops at its own first converged sweep and leaves the working set,
+    so every element equals the scalar call at that point bit for bit; the
+    profile comes back in the broadcast shape.
+
+    Raises OracleConvergenceError after ``config.max_iters`` sweeps. Its
+    ``last_profile`` has the input's shape, holding each converged
+    instance's stopping iterate and each other instance's last iterate; its
+    message names the largest defect among the unconverged instances.
     """
     _require_uninformative(env)
-    tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
-    lam = env.frac_informed
-    masses = _type_masses(env)
     shape = np.broadcast_shapes(
         *(
-            np.shape(x)
-            for x in (
-                params.slope1_normal,
-                params.slope1_incident,
-                params.slope2,
-                params.intercept1,
-                params.intercept2,
-                params.demand,
-                env.p_incident,
-                env.frac_informed,
-                env.accuracy_high,
-                env.accuracy_low,
-            )
+            np.shape(getattr(x, f.name))
+            for x in (params, env)
+            for f in dataclasses.fields(x)
         )
     )
-    rho = {t: np.full(shape, 0.5) for t in EQUILIBRIUM_TYPES}
 
-    def as_profile(r) -> StrategyProfile:
-        vals = [r[t] for t in EQUILIBRIUM_TYPES]
-        if shape == ():
-            vals = [float(v) for v in vals]
-        empty = bool(np.ndim(lam) == 0 and lam == 1)
-        return StrategyProfile(*vals, l_population_empty=empty)
+    def flatten(v):
+        return np.broadcast_to(v, shape).ravel()
+
+    live_params = _map_array_fields(params, flatten)
+    live_env = _map_array_fields(env, flatten)
+    # Flat positions of the instances still iterating; a scalar call has one,
+    # and its iterate stays a scalar.
+    live = np.arange(int(np.prod(shape)))
+    rho = {t: np.full(live.shape if shape else (), 0.5) for t in EQUILIBRIUM_TYPES}
+    final = {t: np.empty(live.shape) for t in EQUILIBRIUM_TYPES}
+    tables = {t: belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES}
+    masses = _type_masses(live_env)
 
     for _ in range(config.max_iters):
         probe = StrategyProfile(*(rho[t] for t in EQUILIBRIUM_TYPES))
         lines = {
-            t: _gap_line(params, env, tables[t], t, probe)
+            t: _gap_line(live_params, live_env, tables[t], t, probe)
             for t in EQUILIBRIUM_TYPES
         }
         defect = 0.0
         for t, (g0, slope) in lines.items():
             gap = g0 + slope * rho[t]
             defect = np.maximum(defect, _type_defect(gap, rho[t], masses[t]))
-        if np.all(defect < config.tolerance):
-            return as_profile(rho)
+        done = defect < config.tolerance
+        if done.all():
+            break
         delta = {
             t: DAMPING * (_br_from_line(*lines[t]) - rho[t])
             for t in EQUILIBRIUM_TYPES
         }
-        boost = _drift_multiplier(lam, rho, delta)
+        if done.any():
+            keep = ~done
+            for t in EQUILIBRIUM_TYPES:
+                final[t][live[done]] = rho[t][done]
+                rho[t], delta[t] = rho[t][keep], delta[t][keep]
+            live, defect = live[keep], defect[keep]
+            live_params = _map_array_fields(live_params, lambda v: v[keep])
+            live_env = _map_array_fields(live_env, lambda v: v[keep])
+            tables = {t: belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES}
+            masses = _type_masses(live_env)
+        boost = _drift_multiplier(live_env.frac_informed, rho, delta)
         for t in EQUILIBRIUM_TYPES:
             rho[t] = np.clip(rho[t] + boost * delta[t], 0.0, 1.0)
 
-    last = as_profile(rho)
+    for t in EQUILIBRIUM_TYPES:
+        final[t][live] = rho[t]
+    vals = [final[t].reshape(shape) for t in EQUILIBRIUM_TYPES]
+    if shape == ():
+        vals = [float(v) for v in vals]
+    lam = env.frac_informed
+    empty = bool(np.ndim(lam) == 0 and lam == 1)
+    profile = StrategyProfile(*vals, l_population_empty=empty)
+    if done.all():  # the loop ended on the break, not on max_iters
+        return profile
     raise OracleConvergenceError(
         f"no fixed point within {config.max_iters} iterations "
         f"(worst residual {np.max(defect):.3e})",
-        last_profile=last,
-        residual=wardrop_residual(params, env, last),
+        last_profile=profile,
+        residual=wardrop_residual(params, env, profile),
     )
 
 

@@ -16,7 +16,6 @@ from routeinfo import (
     OracleConfig,
     PlayerType,
     State,
-    StrategyProfile,
     belief_conditional_ck,
     belief_marginal_ck,
     belief_uninformative,
@@ -102,20 +101,17 @@ def test_closed_form_agrees_with_fixed_point_on_dense_grid():
     )
     numeric = solve_fixed_point(PARAMS, env)
 
-    closed = np.empty((3, 50, 50, 5))
-    for i, p in enumerate(p_grid):
-        for j, lam in enumerate(lam_grid):
-            for k, eta in enumerate(eta_grid):
-                point = solve_bwe(PARAMS, _env(p=float(p), lam=float(lam), eta_h=float(eta)))
-                closed[:, i, j, k] = (point.rho_L, point.rho_Hn, point.rho_Ha)
+    closed = solve_bwe(PARAMS, env)
 
-    for c, n in zip(closed, (numeric.rho_L, numeric.rho_Hn, numeric.rho_Ha)):
+    for c, n in (
+        (closed.rho_L, numeric.rho_L),
+        (closed.rho_Hn, numeric.rho_Hn),
+        (closed.rho_Ha, numeric.rho_Ha),
+    ):
         worst = np.max(np.abs(c - n))
         assert worst <= 1e-6, f"closed form vs oracle deviate by {worst}"
 
-    residual = wardrop_residual(
-        PARAMS, env, StrategyProfile(closed[0], closed[1], closed[2])
-    )
+    residual = wardrop_residual(PARAMS, env, closed)
     assert np.max(residual) <= 1e-9, f"closed-form residual {np.max(residual)}"
 
 

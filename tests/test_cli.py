@@ -8,6 +8,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from routeinfo.cli import main
@@ -267,6 +268,33 @@ def test_oracle_reports_deviation(capsys):
     rows = _rows(out)
     assert len(rows) == 5
     assert all(float(r["deviation"]) <= 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
+    """A sweep is one array call; its rows and its stderr summary are those of
+    a run per point, byte for byte."""
+    code, out, err = _run(
+        capsys, ["oracle", "--sweep", "lambda:0:1:11", "--format", fmt]
+    )
+    assert code == 0
+    rows, summaries = [], []
+    for lam in np.linspace(0.0, 1.0, 11):
+        point_code, point_out, point_err = _run(
+            capsys, ["oracle", "--lambda", repr(float(lam)), "--format", fmt]
+        )
+        assert point_code == 0
+        if fmt == "csv":
+            header, row = point_out.splitlines()
+        else:
+            row = point_out[len("[\n"):-len("\n]\n")]
+        rows.append(row)
+        summaries.append(point_err)
+    if fmt == "csv":
+        assert out == "\n".join([header, *rows]) + "\n"
+    else:
+        assert out == "[\n" + ",\n".join(rows) + "\n]\n"
+    assert err == max(summaries, key=lambda line: float(line.rsplit(" ", 1)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -171,15 +171,21 @@ def test_fixed_point_handles_empty_populations():
 
 
 def test_fixed_point_lockstep_matches_scalar_runs():
-    lams = np.array([0.1, 0.5, 0.9])
-    env = InfoEnvironment(p_incident=0.2, frac_informed=lams, accuracy_high=1.0)
+    """Every element of an array call is the scalar call at that point, bit
+    for bit, on a grid whose instances converge at different sweeps."""
+    ps, etas = np.array([0.2, 0.95]), np.array([1.0, 0.75])
+    lams = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+    env = InfoEnvironment(
+        p_incident=ps[:, None], frac_informed=lams, accuracy_high=etas[:, None]
+    )
     batch = solve_fixed_point(PARAMS, env)
-    assert batch.rho_L.shape == (3,)
-    for i, lam in enumerate(lams):
-        single = solve_fixed_point(PARAMS, _env(lam=float(lam)))
-        assert abs(batch.rho_L[i] - single.rho_L) < 1e-9
-        assert abs(batch.rho_Hn[i] - single.rho_Hn) < 1e-9
-        assert abs(batch.rho_Ha[i] - single.rho_Ha) < 1e-9
+    assert batch.rho_L.shape == (2, 5)
+    for i, j in itertools.product(range(2), range(5)):
+        single = solve_fixed_point(
+            PARAMS, _env(p=float(ps[i]), lam=float(lams[j]), eta_h=float(etas[i]))
+        )
+        got = (batch.rho_L[i, j], batch.rho_Hn[i, j], batch.rho_Ha[i, j])
+        assert got == (single.rho_L, single.rho_Hn, single.rho_Ha), (i, j)
 
 
 def test_fixed_point_raises_and_reports_when_starved():
@@ -189,6 +195,35 @@ def test_fixed_point_raises_and_reports_when_starved():
     assert isinstance(err.last_profile, StrategyProfile)
     assert err.residual >= 0.0
     assert "2 iterations" in str(err)
+
+
+def _splits(profile):
+    return np.array([profile.rho_L, profile.rho_Hn, profile.rho_Ha])
+
+
+def test_starved_array_call_reports_every_instance():
+    """At 40 sweeps lambda = 0.1 has converged and 0.5 and 0.9 have not: the
+    error keeps the input's shape, holds the scalar calls' iterates, and
+    names the worst unconverged defect."""
+    env = _env(lam=np.array([0.1, 0.5, 0.9]))
+    config = OracleConfig(max_iters=40)
+    with pytest.raises(OracleConvergenceError) as exc:
+        solve_fixed_point(PARAMS, env, config)
+    err = exc.value
+    got = _splits(err.last_profile)
+    assert got.shape == (3, 3)
+    assert np.array_equal(err.residual, wardrop_residual(PARAMS, env, err.last_profile))
+
+    single = solve_fixed_point(PARAMS, _env(lam=0.1), config)
+    assert np.array_equal(got[:, 0], _splits(single))
+    messages = []
+    for i, lam in ((1, 0.5), (2, 0.9)):
+        with pytest.raises(OracleConvergenceError) as point:
+            solve_fixed_point(PARAMS, _env(lam=lam), config)
+        assert np.array_equal(got[:, i], _splits(point.value.last_profile))
+        messages.append(str(point.value))
+    # lambda = 0.5 has the larger of the two unconverged defects.
+    assert str(err) == messages[0] != messages[1]
 
 
 # ---------------------------------------------------------------------------
