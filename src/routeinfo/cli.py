@@ -60,7 +60,11 @@ _VERIFY_POINTS = 501
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept axis; the other parameters stay at their config values."""
+    """One swept axis; the other parameters stay at their config values.
+
+    The axis's valid range is not checked here: the environment built from
+    the sweep checks every value and names the first one out of range.
+    """
 
     axis: str
     start: float
@@ -82,24 +86,6 @@ class SweepSpec:
             raise ValidationError(
                 "malformed_sweep", f"sweep needs >= 2 points, got {self.points}"
             )
-        lo, hi = {
-            "lambda": (0.0, 1.0),
-            "p": (0.0, 1.0),
-            "eta_h": (0.5, 1.0),
-        }[self.axis]
-        strict_lo = self.axis in ("p", "eta_h")
-        strict_hi = self.axis == "p"
-        if (
-            self.start < lo
-            or (strict_lo and self.start <= lo)
-            or self.stop > hi
-            or (strict_hi and self.stop >= hi)
-        ):
-            raise ValidationError(
-                "malformed_sweep",
-                f"sweep range {self.start}..{self.stop} leaves the valid "
-                f"interval for {self.axis}",
-            )
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -114,9 +100,10 @@ def parse_sweep(text: str) -> SweepSpec:
         )
     axis, start, stop, points = parts
     try:
-        return SweepSpec(axis, float(start), float(stop), int(points))
+        start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise ValidationError("malformed_sweep", f"bad sweep {text!r}: {exc}") from exc
+    return SweepSpec(axis, start, stop, points)
 
 
 def parse_config_file(path: str) -> dict:
@@ -192,8 +179,8 @@ def _table(columns: dict) -> list:
 # Row builders
 # ---------------------------------------------------------------------------
 #
-# Every builder but beliefs takes an environment whose swept field is an
-# array and makes one library call for all points.
+# Every builder takes an environment whose swept field is an array and makes
+# one library call for all points.
 
 
 def _rows_regimes(params, env) -> list:
@@ -267,21 +254,24 @@ def _rows_beliefs(params, env, treatment: str) -> list:
             (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA),
         ),
     }[treatment]
-    rows = []
+    entries = []
     for owner in owners:
         table = build(env, owner)
         for (state, opponent), prob in table.entries.items():
-            rows.append(
-                {
-                    **_echo(env),
-                    "treatment": treatment,
-                    "owner": owner.value,
-                    "state": state.value,
-                    "opponent": opponent.value,
-                    "probability": prob,
-                }
+            entries.append(
+                _table(
+                    {
+                        **_echo(env),
+                        "treatment": treatment,
+                        "owner": owner.value,
+                        "state": state.value,
+                        "opponent": opponent.value,
+                        "probability": prob,
+                    }
+                )
             )
-    return rows
+    # One row per point and entry, point-major as a run per point prints them.
+    return [row for point in zip(*entries) for row in point]
 
 
 def _rows_oracle(params, env) -> list:
@@ -362,17 +352,6 @@ def _write(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _environments(config: dict, sweep: SweepSpec | None):
-    """(params, env) per evaluation point, in sweep order."""
-    if sweep is None:
-        yield _build_instance(config)
-        return
-    for value in sweep.values():
-        point = dict(config)
-        point[sweep.axis] = float(value)
-        yield _build_instance(point)
-
-
 def _run_verify(config: dict) -> tuple:
     params, env = _build_instance(config)
     grid = theorem2_grid(params, env, points_per_regime=_VERIFY_POINTS)
@@ -409,26 +388,25 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
     out = config.get("out")
 
     if subcommand == "verify":
+        if sweep is not None:
+            # verify ignores a sweep, but still rejects values out of range.
+            _build_instance(config, sweep)
         payload, code = _run_verify(config)
         _write(_emit_json(payload), out)
         return code
 
-    sweep_builders = {
+    treatment = config.get("treatment", "uninformative")
+    builders = {
         "regimes": _rows_regimes,
         "equilibrium": _rows_equilibrium,
+        "beliefs": lambda params, env: _rows_beliefs(params, env, treatment),
         "costs": _rows_costs,
         "value": _rows_value,
         "oracle": _rows_oracle,
     }
-    rows = []
-    if subcommand in sweep_builders:
-        rows = sweep_builders[subcommand](*_build_instance(config, sweep))
-    elif subcommand == "beliefs":
-        treatment = config.get("treatment", "uninformative")
-        for params, env in _environments(config, sweep):
-            rows.extend(_rows_beliefs(params, env, treatment))
-    else:
+    if subcommand not in builders:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
+    rows = builders[subcommand](*_build_instance(config, sweep))
 
     _write(_emit_csv(rows) if fmt == "csv" else _emit_json(rows), out)
 

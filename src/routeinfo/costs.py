@@ -9,6 +9,9 @@ closed forms are kept only as cross-check rows in
 subscript); the crosscheck reports each branch's status explicitly instead
 of silently trusting it.
 
+This module is the only place equilibrium costs are derived: each of the
+four population state costs is evaluated once per report, and the social
+cost is built from them (``value`` reads its costs from ``cost_report``).
 ``social_costs``, ``baseline_costs`` and ``cost_report`` broadcast over
 array-valued environment fields; an empty population's terms are masked
 per point (NaN in the report, dropped from the social cost), so a sweep
@@ -18,7 +21,7 @@ still raises ``empty_population`` if asked for an empty population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -130,14 +133,25 @@ def expected_population_cost(
     return (1 - p) * c_n + p * c_a
 
 
-def _social_state_cost(params, env, profile, state: State):
-    """lam * c_H + (1 - lam) * c_L in one state, dropping an empty population."""
-    lam = env.frac_informed
-    c_l = _state_cost(params, env, profile, _L_SET, state)
-    c_h = _state_cost(params, env, profile, _H_SET, state)
-    return np.where(
-        lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l)
+def _population_state_costs(params, env, profile) -> tuple:
+    """(c_L_n, c_L_a, c_H_n, c_H_a), unmasked: one ``_state_cost`` each."""
+    return tuple(
+        _state_cost(params, env, profile, types, state)
+        for types in (_L_SET, _H_SET)
+        for state in (State.NORMAL, State.INCIDENT)
     )
+
+
+def _social_state_costs(env: InfoEnvironment, c_l_n, c_l_a, c_h_n, c_h_a) -> tuple:
+    """(c_soc_n, c_soc_a, c_soc_exp): lam * c_H + (1 - lam) * c_L per state,
+    dropping an empty population's term, and its expectation."""
+    lam = env.frac_informed
+    c_n, c_a = (
+        np.where(lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l))
+        for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
+    )
+    p = env.p_incident
+    return c_n, c_a, (1 - p) * c_n + p * c_a
 
 
 def social_costs(params: NetworkParams, env: InfoEnvironment, profile) -> tuple:
@@ -147,10 +161,8 @@ def social_costs(params: NetworkParams, env: InfoEnvironment, profile) -> tuple:
     term dropped rather than evaluated.
     """
     _require_uninformative(env)
-    c_n = _social_state_cost(params, env, profile, State.NORMAL)
-    c_a = _social_state_cost(params, env, profile, State.INCIDENT)
-    p = env.p_incident
-    return tuple(_as_results(c_n, c_a, (1 - p) * c_n + p * c_a))
+    costs = _population_state_costs(params, env, profile)
+    return tuple(_as_results(*_social_state_costs(env, *costs)))
 
 
 def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
@@ -250,7 +262,9 @@ _MATCH_TOL = 1e-9
 def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> list:
     """Evaluate every printed per-regime cost branch against first principles.
 
-    Requires the perfectly-informed specialization (accuracy_high = 1) and an
+    Scalar fields only: the printed branch is chosen by one regime label, so
+    an array-valued field raises ``scalar_only``. Requires the
+    perfectly-informed specialization (accuracy_high = 1) and an
     interior informed fraction so both populations exist. Branches with known
     typographical defects are excluded with a reason instead of guessed at:
     the uninformed normal-state cost in the first regime references an
@@ -259,6 +273,15 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
     is evaluated verbatim and reported as deviating: its printed incident
     term uses the normal-state slope where the incident slope belongs.
     """
+    arrays = [
+        f.name for obj in (params, env) for f in fields(obj)
+        if np.ndim(getattr(obj, f.name))
+    ]
+    if arrays:
+        raise ValidationError(
+            "scalar_only",
+            f"the crosscheck takes scalar fields only, {arrays[0]} is an array",
+        )
     _require_uninformative(env)
     if np.any(np.asarray(env.accuracy_high) != 1):
         raise ValidationError(
@@ -279,17 +302,11 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
     a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
     b1, b2 = params.intercept1, params.intercept2
 
-    computed = {
-        "c_L_n": realized_population_state_cost(params, env, profile, "L", State.NORMAL),
-        "c_L_a": realized_population_state_cost(
-            params, env, profile, "L", State.INCIDENT
-        ),
-        "c_H_n": realized_population_state_cost(params, env, profile, "H", State.NORMAL),
-        "c_H_a": realized_population_state_cost(
-            params, env, profile, "H", State.INCIDENT
-        ),
-        "c_soc_exp": social_costs(params, env, profile)[2],
-    }
+    population_costs = _population_state_costs(params, env, profile)
+    computed = dict(
+        zip(("c_L_n", "c_L_a", "c_H_n", "c_H_a"), population_costs),
+        c_soc_exp=_social_state_costs(env, *population_costs)[2],
+    )
 
     def printed_c_L_n():
         if regime == "R1":
@@ -432,16 +449,15 @@ def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
     profile = solve_bwe(params, env)
     lam = env.frac_informed
     p = env.p_incident
+    c_l_n, c_l_a, c_h_n, c_h_a = _population_state_costs(params, env, profile)
+    soc_n, soc_a, soc_exp = _social_state_costs(env, c_l_n, c_l_a, c_h_n, c_h_a)
 
-    def population_costs(types, empty):
-        c_n = _state_cost(params, env, profile, types, State.NORMAL)
-        c_a = _state_cost(params, env, profile, types, State.INCIDENT)
+    def masked(c_n, c_a, empty):
         c_exp = (1 - p) * c_n + p * c_a
         return [np.where(empty, np.nan, c) for c in (c_n, c_a, c_exp)]
 
-    c_l_n, c_l_a, c_l_exp = population_costs(_L_SET, lam == 1)
-    c_h_n, c_h_a, c_h_exp = population_costs(_H_SET, lam == 0)
-    soc_n, soc_a, soc_exp = social_costs(params, env, profile)
+    c_l_n, c_l_a, c_l_exp = masked(c_l_n, c_l_a, lam == 1)
+    c_h_n, c_h_a, c_h_exp = masked(c_h_n, c_h_a, lam == 0)
     base_n, base_a, base_exp = baseline_costs(params, env)
     opt = social_optimum(params, env)
     return CostReport(

@@ -24,15 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import _H_SET, _L_SET, _state_cost, baseline_costs, social_costs
-from .equilibrium import _require_uninformative, classify, regime_boundaries, solve_bwe
-from .model import (
-    InfoEnvironment,
-    NetworkParams,
-    State,
-    _as_results,
-    _enforce,
-)
+from .costs import cost_report
+from .equilibrium import _require_uninformative, classify, regime_boundaries
+from .model import InfoEnvironment, NetworkParams, _as_results, _enforce
 
 #: Slack for sign classification of finite differences and for "equals zero"
 #: assertions on plateaus.
@@ -106,33 +100,25 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     and its value is reported as the informed population's (all players face
     the same equalized costs there), making the relative value zero.
     Array-valued environment fields give arrays of their common shape.
+    Every cost comes from one ``cost_report`` call; ``lambda_min`` runs the
+    environment checks first.
     """
-    _require_uninformative(env)
-    _require_perfect_accuracy(env)
-    lam = env.frac_informed
-    base_n, base_a, base_exp = baseline_costs(params, env)
     lam_min = lambda_min(params, env)
+    r = cost_report(params, env)
+    lam = env.frac_informed
     p = env.p_incident
 
-    profile = solve_bwe(params, env)
-    c_h_n = _state_cost(params, env, profile, _H_SET, State.NORMAL)
-    c_h_a = _state_cost(params, env, profile, _H_SET, State.INCIDENT)
-    c_l_n = np.where(
-        lam == 1, c_h_n, _state_cost(params, env, profile, _L_SET, State.NORMAL)
-    )
-    c_l_a = np.where(
-        lam == 1, c_h_a, _state_cost(params, env, profile, _L_SET, State.INCIDENT)
-    )
-    soc_n, soc_a, soc_exp = social_costs(params, env, profile)
-
-    v_l_n, v_l_a = base_n - c_l_n, base_a - c_l_a
-    v_h_n, v_h_a = base_n - c_h_n, base_a - c_h_a
+    c_l_n = np.where(lam == 1, r.c_H_n, r.c_L_n)
+    c_l_a = np.where(lam == 1, r.c_H_a, r.c_L_a)
+    v_l_n, v_l_a = r.baseline_n - c_l_n, r.baseline_a - c_l_a
+    v_h_n, v_h_a = r.baseline_n - r.c_H_n, r.baseline_a - r.c_H_a
     v_l_exp = (1 - p) * v_l_n + p * v_l_a
     v_h_exp = (1 - p) * v_h_n + p * v_h_a
     values = (
         v_l_n, v_l_a, v_h_n, v_h_a, v_l_exp, v_h_exp,
         v_h_n - v_l_n, v_h_a - v_l_a, v_h_exp - v_l_exp,
-        base_n - soc_n, base_a - soc_a, base_exp - soc_exp,
+        r.baseline_n - r.c_soc_n, r.baseline_a - r.c_soc_a,
+        r.baseline_exp - r.c_soc_exp,
     )
     return ValueReport(
         *_as_results(*(np.where(lam == 0, 0.0, v) for v in values), lam_min)

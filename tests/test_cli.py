@@ -191,6 +191,43 @@ def test_beliefs_table_sizes(capsys, treatment, n_rows):
         assert abs(total - 1.0) < 1e-7, f"{treatment}/{owner} sums to {total}"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "axis,start,stop",
+    [("lambda", 0.0, 1.0), ("p", 0.05, 0.95), ("eta_h", 0.6, 1.0)],
+)
+@pytest.mark.parametrize(
+    "treatment,extra",
+    [
+        ("uninformative", []),
+        ("conditional", ["--eta-l", "0.55"]),
+        ("marginal", ["--eta-l", "0.55"]),
+    ],
+)
+def test_beliefs_sweep_prints_the_rows_of_single_points(
+    capsys, treatment, extra, axis, start, stop, fmt
+):
+    """A beliefs sweep is one array call; entries that do not depend on the
+    swept axis are repeated per point, as a run per point prints them."""
+    base = ["beliefs", "--treatment", treatment, *extra, "--format", fmt]
+    code, out, _ = _run(capsys, [*base, "--sweep", f"{axis}:{start}:{stop}:4"])
+    assert code == 0
+    flag = {"lambda": "--lambda", "p": "--p", "eta_h": "--eta-h"}[axis]
+    header, rows = None, []
+    for value in np.linspace(start, stop, 4):
+        point_code, point_out, _ = _run(capsys, [*base, flag, repr(float(value))])
+        assert point_code == 0
+        if fmt == "csv":
+            header, *point_rows = point_out.splitlines()
+            rows.extend(point_rows)
+        else:
+            rows.append(point_out[len("[\n"):-len("\n]\n")])
+    if fmt == "csv":
+        assert out == "\n".join([header, *rows]) + "\n"
+    else:
+        assert out == "[\n" + ",\n".join(rows) + "\n]\n"
+
+
 def test_beliefs_uninformative_needs_coin_flip_low_type(capsys):
     code, _, err = _run(
         capsys, ["beliefs", "--treatment", "uninformative", "--eta-l", "0.6"]
@@ -353,8 +390,17 @@ def test_invalid_inputs_exit_one(capsys, argv):
             ["costs", "--lambda", "1.2"],
             "probability_out_of_range: frac_informed must lie in [0, 1], got 1.2",
         ),
+        (
+            ["equilibrium", "--sweep", "eta_h:0.5:1:3"],
+            "accuracy_out_of_range: accuracy_high must lie in (0.5, 1], got 0.5",
+        ),
     ],
-    ids=["value_eta_h_sweep", "regimes_eta_l_above_sweep_start", "single_point"],
+    ids=[
+        "value_eta_h_sweep",
+        "regimes_eta_l_above_sweep_start",
+        "single_point",
+        "sweep_range",
+    ],
 )
 def test_invalid_input_names_the_first_offending_value(capsys, argv, message):
     """A sweep fails with the message of its first bad point, not the array."""

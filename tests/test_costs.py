@@ -1,6 +1,7 @@
 """Equilibrium costs, baselines, the social optimum, and the closed-form audit."""
 
 import math
+import sys
 
 import hypothesis.strategies as st
 import numpy as np
@@ -24,7 +25,9 @@ from routeinfo import (
     social_costs,
     social_optimum,
     solve_bwe,
+    value_report,
 )
+import routeinfo.costs
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -276,6 +279,15 @@ def test_crosscheck_guards():
         assert exc.value.code == "empty_population"
 
 
+def test_crosscheck_rejects_array_fields():
+    """The branch is picked by one regime label, so a sweep is refused
+    up front instead of failing inside numpy's truth-value test."""
+    with pytest.raises(ValidationError) as exc:
+        analytic_cost_crosscheck(PARAMS, _env(lam=np.array([0.1, 0.5])))
+    assert exc.value.code == "scalar_only"
+    assert "frac_informed" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # Empty populations and the assembled report
 # ---------------------------------------------------------------------------
@@ -323,3 +335,28 @@ def test_cost_report_consistent_with_parts():
     assert report.baseline_exp == pytest.approx(407 / 17, abs=1e-12)
     assert report.socopt_exp == pytest.approx(23.578666666666667, abs=1e-9)
     assert classify(PARAMS, env).label == "R2"
+
+
+@pytest.mark.parametrize("report", [cost_report, value_report])
+@pytest.mark.parametrize(
+    "lam", [0.5, np.linspace(0.0, 1.0, 9)], ids=["scalar", "sweep_through_0_and_1"]
+)
+def test_reports_evaluate_each_population_state_cost_once(monkeypatch, report, lam):
+    """Four equilibrium population state costs plus two baseline ones.
+
+    The counter replaces ``_state_cost`` in every module that holds it, so a
+    call through another module's import counts too.
+    """
+    calls = []
+    state_cost = routeinfo.costs._state_cost
+
+    def counted(*args):
+        calls.append(args[-1])
+        return state_cost(*args)
+
+    for name, module in list(sys.modules.items()):
+        holds = vars(module).get("_state_cost") is state_cost
+        if name.startswith("routeinfo") and holds:
+            monkeypatch.setattr(module, "_state_cost", counted)
+    report(PARAMS, _env(lam=lam))
+    assert len(calls) == 6
