@@ -389,8 +389,9 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
 
     if subcommand == "verify":
         if sweep is not None:
-            # verify ignores a sweep, but still rejects values out of range.
-            _build_instance(config, sweep)
+            raise ValidationError(
+                "malformed_sweep", "verify checks one point and takes no --sweep"
+            )
         payload, code = _run_verify(config)
         _write(_emit_json(payload), out)
         return code
@@ -477,7 +478,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value parameter file")
         sp.add_argument("--p", type=float, help="incident probability (0,1)")
         sp.add_argument(
-            "--lambda", dest="lam", type=float, help="informed fraction [0,1]"
+            "--lambda", dest="lambda", type=float, help="informed fraction [0,1]"
         )
         sp.add_argument(
             "--eta-h", type=float, help="informed-service accuracy (0.5,1]"
@@ -509,27 +510,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_KEY = {
-    "p": "p",
-    "lam": "lambda",
-    "eta_h": "eta_h",
-    "eta_l": "eta_l",
-    "demand": "demand",
-    "slope1_normal": "slope1_normal",
-    "slope1_incident": "slope1_incident",
-    "slope2": "slope2",
-    "intercept1": "intercept1",
-    "intercept2": "intercept2",
-}
-
-
 def _assemble(args: argparse.Namespace) -> tuple:
     """Defaults, then config file, then explicit flags."""
     config = dict(DEFAULTS)
     if args.config:
         config.update(parse_config_file(args.config))
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr)
+    for key in _PARAM_KEYS:
+        value = vars(args)[key]
         if value is not None:
             config[key] = value
     config["format"] = args.format

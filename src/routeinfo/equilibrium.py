@@ -22,7 +22,10 @@ sweep is one call and each element equals the scalar call at that point.
 (equal costs across co-utilized routes, no cheaper unused route, each type
 judged under its own belief); ``enumerate_profiles`` rebuilds the full
 27-pattern feasibility table from scratch as structural evidence that only
-the four closed-form patterns survive.
+the four closed-form patterns survive. Each type's route-cost gap is affine
+in the profile, and ``_affine_gaps`` is the one home of that model's
+``(g0, C)``; the table solves each pattern as a box-constrained linear
+system in it and broadcasts like the closed forms, one element per point.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class ProfileVerdict:
 
     ``pattern`` gives each component of (rho_L, rho_Hn, rho_Ha) as one of
     "0", "int", "1". For equilibrium patterns ``profile`` carries the solved
-    split fractions.
+    split fractions; array-valued fields make every other field an array.
     """
 
     pattern: tuple
@@ -269,8 +272,17 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
 #: Component order used by the qualitative patterns.
 _COMPONENTS = (PlayerType.L, PlayerType.HN, PlayerType.HA)
 
-#: Strictness margin demanded of interior solutions (a share of demand).
-_PATTERN_TOL = 1e-9
+#: The 27 qualitative patterns {0, int, 1}^3, and for each component of each
+#: the note that names its failure.
+_PATTERNS = tuple(itertools.product(("0", "int", "1"), repeat=3))
+_FAILURES = {
+    "0": "strictly prefers route 1",
+    "int": "split leaves [0, 1]",
+    "1": "strictly prefers route 2",
+}
+_FAILURE_NOTES = np.array(
+    [[f"{t.value} {_FAILURES[s]}" for t, s in zip(_COMPONENTS, p)] for p in _PATTERNS]
+)
 
 #: Tolerance for the weak inequalities of fixed (0 or 1) components, as a
 #: fraction of the cost scale intercept2 + slope1_incident * demand.
@@ -282,99 +294,94 @@ _PATTERN_GAP_RTOL = 1e-11
 _MAX_SYSTEM_COND = 1e12
 
 
+def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
+
+    With the other types' splits held fixed, each type's route-cost gap
+    (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
+    rho_Ha), so its values at the origin and at the three unit profiles fix
+    it exactly.
+    """
+    tables = [belief_uninformative(env, t) for t in _COMPONENTS]
+    gaps = [
+        _type_gap(params, env, table, t, StrategyProfile(*rho))
+        for rho in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        for t, table in zip(_COMPONENTS, tables)
+    ]
+    at = np.stack(np.broadcast_arrays(*gaps), axis=-1)
+    at = at.reshape(at.shape[:-1] + (4, 3))  # (..., profile, type)
+    return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
+
+
 def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     """Feasibility verdicts for all 27 qualitative patterns {0, int, 1}^3.
 
-    Each type's route-cost gap is affine in the profile, so a pattern pins
-    down a linear system: interior components must equalize their owner's
-    two routes, components fixed at 0 (resp. 1) must make route 2 (resp. 1)
-    weakly cheapest for their owner. The pattern is marked an equilibrium
-    only if the system solves with every interior component strictly inside
-    (0, 1) and every fixed component's inequality satisfied within
-    _PATTERN_GAP_RTOL of the cost scale.
+    In the affine gaps of ``_affine_gaps`` a pattern is a linear system:
+    interior components must equalize their owner's two routes, components
+    fixed at 0 (resp. 1) must make route 2 (resp. 1) weakly cheapest for
+    their owner. The pattern is an equilibrium only if the system solves
+    with every interior component in [0, 1] and every fixed component's
+    inequality holds within _PATTERN_GAP_RTOL of the cost scale.
+
+    Array-valued fields give each element the scalar call's verdict:
+    ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
+    solved splits, NaN where the pattern is rejected (None in a scalar call).
     """
     _require_uninformative(env)
     gap_tol = _PATTERN_GAP_RTOL * (
         params.intercept2 + params.slope1_incident * params.demand
     )
-    tables = {t: belief_uninformative(env, t) for t in EQUILIBRIUM_TYPES}
+    g0, coef = _affine_gaps(params, env)
+    shape = g0.shape[:-1]
 
-    def cost_gap(t: PlayerType, rho: tuple):
-        return _type_gap(params, env, tables[t], t, StrategyProfile(*rho))
+    # Splits as (..., pattern, component), solvability as (..., pattern).
+    symbols = np.array(_PATTERNS)
+    rho = np.where(symbols == "1", 1.0, np.zeros(shape + (1, 1)))
+    solvable = np.ones(shape + (len(_PATTERNS),), dtype=bool)
+    for n, pattern in enumerate(_PATTERNS):
+        unknowns = [j for j, sym in enumerate(pattern) if sym == "int"]
+        if not unknowns:
+            continue
+        fixed = [j for j in range(3) if j not in unknowns]
+        a = coef[..., unknowns, :][..., unknowns]
+        b = -g0[..., unknowns] - sum(
+            coef[..., unknowns, i] * float(pattern[i] == "1") for i in fixed
+        )
+        # np.linalg.solve returns rounding noise, not an error, for a system
+        # that is singular up to float dust (the all-interior pattern always
+        # is), so screen conditioning first. Screened-out systems become the
+        # identity, and one stacked call solves the rest; b is (..., k, 1)
+        # because NumPy 2 broadcasts a (..., k) right-hand side differently.
+        eye = np.eye(len(unknowns))
+        ok = np.isfinite(a).all(axis=(-2, -1))
+        a = np.where(ok[..., None, None], a, eye)
+        ok &= ~(np.linalg.cond(a) > _MAX_SYSTEM_COND)
+        x = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])
+        solvable[..., n] = ok & np.isfinite(x).all(axis=(-2, -1))
+        rho[..., n, unknowns] = x[..., 0]
 
-    # Affine decomposition: gap_t(rho) = g0[t] + sum_j coef[t][j] * rho[j],
-    # with coefficients extracted exactly from evaluations at unit points.
-    origin = (0.0, 0.0, 0.0)
-    g0 = {t: cost_gap(t, origin) for t in _COMPONENTS}
-    coef = {}
-    for t in _COMPONENTS:
-        row = []
-        for j in range(3):
-            unit = tuple(1.0 if i == j else 0.0 for i in range(3))
-            row.append(cost_gap(t, unit) - g0[t])
-        coef[t] = row
-
-    def gap_at(t: PlayerType, rho: list) -> float:
-        return g0[t] + sum(coef[t][j] * rho[j] for j in range(3))
+    # All components of all patterns at once; the sums run in a fixed order,
+    # so each element equals the scalar call's.
+    gap = g0[..., None, :] + sum(
+        coef[..., None, :, i] * rho[..., i, None] for i in range(3)
+    )
+    bad = np.where(
+        symbols == "int",
+        ~((rho >= 0.0) & (rho <= 1.0)),
+        np.where(symbols == "0", gap < -gap_tol, gap > gap_tol),
+    )
+    rejected = bad.any(axis=-1)
+    first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]
+    note = np.where(rejected, first_failure, "")
+    note = np.where(solvable, note, "degenerate equalization system")
+    is_equilibrium = solvable & ~rejected
+    rho = np.where(is_equilibrium[..., None], rho, np.nan)
 
     verdicts = []
-    for pattern in itertools.product(("0", "int", "1"), repeat=3):
-        fixed_value = {"0": 0.0, "1": 1.0}
-        unknowns = [j for j, sym in enumerate(pattern) if sym == "int"]
-        rho = [fixed_value.get(sym, 0.0) for sym in pattern]
-
-        solvable = True
-        if unknowns:
-            a = np.array(
-                [[coef[_COMPONENTS[j]][u] for u in unknowns] for j in unknowns]
-            )
-            b = np.array(
-                [
-                    -g0[_COMPONENTS[j]]
-                    - sum(
-                        coef[_COMPONENTS[j]][i] * rho[i]
-                        for i in range(3)
-                        if i not in unknowns
-                    )
-                    for j in unknowns
-                ]
-            )
-            # np.linalg.solve returns rounding noise, not an error, for a
-            # system that is singular up to float dust (the all-interior
-            # pattern always is), so screen conditioning before solving.
-            if not np.all(np.isfinite(a)) or np.linalg.cond(a) > _MAX_SYSTEM_COND:
-                solvable = False
-            else:
-                x = np.linalg.solve(a, b)
-                if not np.all(np.isfinite(x)):
-                    solvable = False
-            if solvable:
-                for u, val in zip(unknowns, x):
-                    rho[u] = float(val)
-
-        if not solvable:
-            verdicts.append(
-                ProfileVerdict(pattern, False, note="degenerate equalization system")
-            )
-            continue
-
-        ok = True
-        note = ""
-        for j, sym in enumerate(pattern):
-            t = _COMPONENTS[j]
-            if sym == "int":
-                if not (_PATTERN_TOL < rho[j] < 1 - _PATTERN_TOL):
-                    ok, note = False, f"{t.value} split leaves (0, 1)"
-                    break
-            elif sym == "0":
-                if gap_at(t, rho) < -gap_tol:
-                    ok, note = False, f"{t.value} strictly prefers route 1"
-                    break
-            else:
-                if gap_at(t, rho) > gap_tol:
-                    ok, note = False, f"{t.value} strictly prefers route 2"
-                    break
-
-        profile = StrategyProfile(rho[0], rho[1], rho[2]) if ok else None
-        verdicts.append(ProfileVerdict(pattern, ok, profile=profile, note=note))
+    for n, pattern in enumerate(_PATTERNS):
+        ok, text, *split = _as_results(
+            is_equilibrium[..., n], note[..., n], *(rho[..., n, j] for j in range(3))
+        )
+        profile = None if ok is False else StrategyProfile(*split)
+        verdicts.append(ProfileVerdict(pattern, ok, profile=profile, note=text))
     return verdicts

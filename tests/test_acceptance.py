@@ -90,15 +90,20 @@ def test_fully_informed_population_plays_per_state_equilibria():
 # ---------------------------------------------------------------------------
 
 
-def test_closed_form_agrees_with_fixed_point_on_dense_grid():
+def _dense_grid():
+    """50 x 50 x 5 instances over (p, lambda, eta_h) as one environment."""
     p_grid = np.linspace(0.02, 0.98, 50)
     lam_grid = np.linspace(0.005, 0.995, 50)
     eta_grid = np.array([0.6, 0.7, 0.8, 0.9, 1.0])
-    env = InfoEnvironment(
+    return InfoEnvironment(
         p_incident=p_grid[:, None, None],
         frac_informed=lam_grid[None, :, None],
         accuracy_high=eta_grid[None, None, :],
     )
+
+
+def test_closed_form_agrees_with_fixed_point_on_dense_grid():
+    env = _dense_grid()
     numeric = solve_fixed_point(PARAMS, env)
 
     closed = solve_bwe(PARAMS, env)
@@ -113,6 +118,21 @@ def test_closed_form_agrees_with_fixed_point_on_dense_grid():
 
     residual = wardrop_residual(PARAMS, env, closed)
     assert np.max(residual) <= 1e-9, f"closed-form residual {np.max(residual)}"
+
+
+def test_pattern_table_agrees_with_closed_form_on_dense_grid():
+    """One array call of the pattern table over the dense grid: every
+    instance accepts a pattern, and every accepted split is the closed form's."""
+    env = _dense_grid()
+    verdicts = enumerate_profiles(PARAMS, env)
+    closed = solve_bwe(PARAMS, env)
+    accepted = sum(v.is_equilibrium.astype(int) for v in verdicts)
+    assert accepted.min() >= 1, f"{np.sum(accepted == 0)} instances accept no pattern"
+    for v in verdicts:
+        for name in ("rho_L", "rho_Hn", "rho_Ha"):
+            got, want = getattr(v.profile, name), getattr(closed, name)
+            worst = np.max(np.abs(got - want), where=v.is_equilibrium, initial=0.0)
+            assert worst <= 1e-9, f"{v.pattern} {name} deviates by {worst}"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from routeinfo import (
     baseline_costs,
     classify,
     cost_report,
+    enumerate_profiles,
     lambda_min,
+    regime_boundaries,
     social_costs,
     social_optimum,
     solve_bwe,
@@ -133,3 +135,29 @@ def test_array_inputs_give_arrays_of_the_common_shape():
     for name in CostReport.__dataclass_fields__:
         assert getattr(report, name).shape == lam.shape, name
     assert np.isnan(report.c_L_n[-1]) and np.isnan(report.c_H_n[0])
+
+
+@pytest.mark.parametrize("p,eta_h", [(0.2, 1.0), (0.6, 1.0), (0.3, 0.8)])
+def test_pattern_table_array_call_equals_scalar_calls(p, eta_h):
+    """One array call over a lambda sweep gives, verdict by verdict, the
+    scalar call's verdict, note and splits (NaN where a pattern is rejected).
+    The sweep holds both lambda edges and points within 1e-9 of each regime
+    boundary, where interior splits sit next to 0 or 1."""
+    bounds = regime_boundaries(PARAMS, InfoEnvironment(p, 0.5, eta_h))
+    near = [b + d for b in bounds for d in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)]
+    lams = np.clip([0.0, 1.0, *np.linspace(0.0, 1.0, 21), *near], 0.0, 1.0)
+    table = enumerate_profiles(PARAMS, InfoEnvironment(p, lams, eta_h))
+    names = ("rho_L", "rho_Hn", "rho_Ha")
+    for i, lam in enumerate(lams):
+        scalar = enumerate_profiles(PARAMS, InfoEnvironment(p, lam.item(), eta_h))
+        for got, want in zip(table, scalar, strict=True):
+            where = (lam, got.pattern)
+            assert got.pattern == want.pattern
+            assert type(want.is_equilibrium) is bool and type(want.note) is str
+            assert got.is_equilibrium[i].item() is want.is_equilibrium, where
+            assert got.note[i].item() == want.note, where
+            splits = [getattr(got.profile, name)[i].item() for name in names]
+            if want.profile is None:
+                assert all(math.isnan(r) for r in splits), where
+            else:
+                assert splits == [getattr(want.profile, name) for name in names], where

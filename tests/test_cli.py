@@ -394,12 +394,17 @@ def test_invalid_inputs_exit_one(capsys, argv):
             ["equilibrium", "--sweep", "eta_h:0.5:1:3"],
             "accuracy_out_of_range: accuracy_high must lie in (0.5, 1], got 0.5",
         ),
+        (
+            ["verify", "--sweep", "lambda:0:1:5"],
+            "malformed_sweep: verify checks one point and takes no --sweep",
+        ),
     ],
     ids=[
         "value_eta_h_sweep",
         "regimes_eta_l_above_sweep_start",
         "single_point",
         "sweep_range",
+        "verify_sweep",
     ],
 )
 def test_invalid_input_names_the_first_offending_value(capsys, argv, message):

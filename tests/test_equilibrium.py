@@ -234,12 +234,30 @@ def test_closed_form_on_random_networks(params, p, lam, eta):
     scale = params.intercept2 + params.slope1_incident * params.demand
     residual = wardrop_residual(params, env, closed)
     assert residual <= 1e-12 * scale, f"residual {residual}, cost scale {scale}"
+    _assert_table_routes_the_closed_form(params, env, closed)
+
+
+def _assert_table_routes_the_closed_form(params, env, closed):
+    """At least one pattern is accepted, and each accepted one routes the
+    closed form's expected route-1 load in each state."""
     want = _route1_loads(params, env, closed)
-    for verdict in enumerate_profiles(params, env):
-        if verdict.is_equilibrium:
-            got = _route1_loads(params, env, verdict.profile)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-9 * params.demand, (verdict.pattern, got, want)
+    accepted = [v for v in enumerate_profiles(params, env) if v.is_equilibrium]
+    assert accepted, "the pattern table accepts no pattern"
+    for verdict in accepted:
+        got = _route1_loads(params, env, verdict.profile)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * params.demand, (verdict.pattern, got, want)
+
+
+@pytest.mark.parametrize("offset", [-1e-9, -1e-10, 0.0, 1e-10, 1e-9])
+@pytest.mark.parametrize("boundary", [0, 1, 2])
+def test_pattern_table_next_to_each_boundary(boundary, offset):
+    """Next to a regime boundary an interior split sits next to 0 or 1; the
+    table still accepts the pattern that routes the closed form's loads
+    (exactly on a boundary, both neighbouring patterns may)."""
+    lam = regime_boundaries(PARAMS, _env())[boundary] + offset
+    env = _env(lam=lam)
+    _assert_table_routes_the_closed_form(PARAMS, env, solve_bwe(PARAMS, env))
 
 
 # ---------------------------------------------------------------------------
