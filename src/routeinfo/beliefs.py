@@ -220,7 +220,8 @@ def expected_route_cost(
     opponent population playing that type's split fraction. Within a state
     each population receives one common signal, so its entire demand moves as
     one type realization. Split fractions come from ``profile.split``, which
-    maps ``LN``/``LA`` to the uninformed split.
+    maps ``LN``/``LA`` to the uninformed split. Each opponent type's combined
+    load is computed once, however many states its entries cover.
     """
     if belief.owner != owner:
         raise ValidationError(
@@ -231,10 +232,13 @@ def expected_route_cost(
     own_demand = _population_demand(params, env, owner)
     own_load = own_rho * own_demand if route == 1 else (1 - own_rho) * own_demand
 
+    loads = {}
     total = 0.0
     for (state, opp), prob in belief.entries.items():
-        opp_rho = profile.split(opp)
-        opp_demand = _population_demand(params, env, opp)
-        opp_load = opp_rho * opp_demand if route == 1 else (1 - opp_rho) * opp_demand
-        total = total + prob * latency(params, route, state, own_load + opp_load)
+        if opp not in loads:
+            opp_rho = profile.split(opp)
+            opp_demand = _population_demand(params, env, opp)
+            opp_load = opp_rho * opp_demand if route == 1 else (1 - opp_rho) * opp_demand
+            loads[opp] = own_load + opp_load
+        total = total + prob * latency(params, route, state, loads[opp])
     return total

@@ -284,6 +284,24 @@ _FAILURE_NOTES = np.array(
     [[f"{t.value} {_FAILURES[s]}" for t, s in zip(_COMPONENTS, p)] for p in _PATTERNS]
 )
 
+
+def _pattern_group(k: int) -> tuple:
+    """The patterns with ``k`` interior components, as index arrays.
+
+    Returns the pattern numbers (g,), their interior components (g, k), their
+    fixed components (g, 3 - k) in ascending order, and the fixed values.
+    """
+    numbers = [n for n, p in enumerate(_PATTERNS) if p.count("int") == k]
+    interior = [[j for j, s in enumerate(_PATTERNS[n]) if s == "int"] for n in numbers]
+    fixed = [[j for j, s in enumerate(_PATTERNS[n]) if s != "int"] for n in numbers]
+    value = [[float(_PATTERNS[n][j] == "1") for j in row] for n, row in zip(numbers, fixed)]
+    return tuple(map(np.array, (numbers, interior, fixed, value)))
+
+
+#: The patterns with interior components grouped by their number (12 with
+#: one, 6 with two, 1 with three), so that each group solves in one call.
+_PATTERN_GROUPS = tuple(_pattern_group(k) for k in (1, 2, 3))
+
 #: Tolerance for the weak inequalities of fixed (0 or 1) components, as a
 #: fraction of the cost scale intercept2 + slope1_incident * demand.
 _PATTERN_GAP_RTOL = 1e-11
@@ -338,27 +356,27 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     symbols = np.array(_PATTERNS)
     rho = np.where(symbols == "1", 1.0, np.zeros(shape + (1, 1)))
     solvable = np.ones(shape + (len(_PATTERNS),), dtype=bool)
-    for n, pattern in enumerate(_PATTERNS):
-        unknowns = [j for j, sym in enumerate(pattern) if sym == "int"]
-        if not unknowns:
-            continue
-        fixed = [j for j in range(3) if j not in unknowns]
-        a = coef[..., unknowns, :][..., unknowns]
+    for n, unknowns, fixed, value in _PATTERN_GROUPS:
+        # Each group's systems are (..., pattern, k, k): the interior rows
+        # and columns of C, with the fixed components moved to b.
+        a = coef[..., unknowns[:, :, None], unknowns[:, None, :]]
         b = -g0[..., unknowns] - sum(
-            coef[..., unknowns, i] * float(pattern[i] == "1") for i in fixed
+            coef[..., unknowns, fixed[:, i, None]] * value[:, i, None]
+            for i in range(fixed.shape[1])
         )
         # np.linalg.solve returns rounding noise, not an error, for a system
         # that is singular up to float dust (the all-interior pattern always
         # is), so screen conditioning first. Screened-out systems become the
-        # identity, and one stacked call solves the rest; b is (..., k, 1)
-        # because NumPy 2 broadcasts a (..., k) right-hand side differently.
-        eye = np.eye(len(unknowns))
+        # identity, and one stacked call solves the rest; LAPACK solves each
+        # matrix of the stack on its own. b is (..., pattern, k, 1) because
+        # NumPy 2 broadcasts a (..., k) right-hand side differently.
+        eye = np.eye(unknowns.shape[1])
         ok = np.isfinite(a).all(axis=(-2, -1))
         a = np.where(ok[..., None, None], a, eye)
         ok &= ~(np.linalg.cond(a) > _MAX_SYSTEM_COND)
         x = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])
         solvable[..., n] = ok & np.isfinite(x).all(axis=(-2, -1))
-        rho[..., n, unknowns] = x[..., 0]
+        rho[..., n[:, None], unknowns] = x[..., 0]
 
     # All components of all patterns at once; the sums run in a fixed order,
     # so each element equals the scalar call's.

@@ -264,7 +264,7 @@ def route_slope(params: NetworkParams, route: int, state: State) -> float:
 
 def latency(params: NetworkParams, route: int, state: State, load):
     """Travel time on a route carrying ``load``: slope(state) * load + intercept."""
-    if np.any(np.asarray(load) < 0):
+    if (np.asarray(load) < 0).any():
         raise ValidationError("negative_load", f"route load must be >= 0, got {load}")
     if route == 1:
         return route_slope(params, 1, state) * load + params.intercept1

@@ -16,8 +16,8 @@ closed-form equilibrium is genuine two-sided evidence:
 The equilibrium condition itself comes from ``equilibrium``: each type's
 route-cost gap, its defect and the type masses are defined there once and
 shared with ``wardrop_residual``. The gap is affine in the type's own split
-fraction, which the fixed point exploits: two evaluations pin down the whole
-best-response line.
+fraction, which the fixed point exploits: one stacked evaluation, at own split
+0 and 1, pins down the whole best-response line.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .model import (
     PlayerType,
     State,
     ValidationError,
+    _as_results,
     latency,
 )
 
@@ -100,21 +101,25 @@ class OracleConvergenceError(RuntimeError):
         self.residual = residual
 
 
+#: The responder's own splits at which ``_gap_line`` evaluates its gap.
+_OWN_ENDS = np.array([0.0, 1.0])
+
+
 def _gap_line(params, env, table, responder, profile):
     """Route-1-minus-route-2 expected cost as a line in the own split.
 
     Returns (gap at own split 0, slope), exact because the gap is affine in
-    the responder's split fraction with the opponent profile held fixed.
+    the responder's split fraction with the opponent profile held fixed. One
+    ``_type_gap`` evaluation gives both ends: the responder's split is
+    (0, 1) on a new leading axis, and the result's two rows are the gaps at
+    own split 0 and 1, each element computed as a separate call would.
     """
-    def gap(own_value):
-        splits = [
-            own_value if t == responder else profile.split(t)
-            for t in EQUILIBRIUM_TYPES
-        ]
-        return _type_gap(params, env, table, responder, StrategyProfile(*splits))
-
-    g0 = gap(0.0)
-    return g0, gap(1.0) - g0
+    splits = [profile.split(t) for t in EQUILIBRIUM_TYPES]
+    fields = (*splits, *vars(params).values(), *vars(env).values())
+    ndim = max(getattr(v, "ndim", 0) for v in fields)
+    splits[EQUILIBRIUM_TYPES.index(responder)] = _OWN_ENDS.reshape((2,) + (1,) * ndim)
+    g0, g1 = _type_gap(params, env, table, responder, StrategyProfile(*splits))
+    return g0, g1 - g0
 
 
 def _br_from_line(g0, slope):
@@ -145,21 +150,20 @@ def _drift_multiplier(lam, rho, delta):
     box-feasible multiple of it covers that distance in one sweep. The
     stopping rule is untouched: a jump changes how fast the iteration
     travels, never what it accepts.
+
+    ``rho`` and ``delta`` stack the types' iterates and updates along a
+    leading axis in EQUILIBRIUM_TYPES order.
     """
-    d = {t: np.asarray(delta[t], dtype=float) for t in EQUILIBRIUM_TYPES}
-    d_l, d_n, d_a = (d[t] for t in EQUILIBRIUM_TYPES)
-    scale = np.maximum(np.abs(d_l), np.maximum(np.abs(d_n), np.abs(d_a)))
+    d_l, d_n, d_a = delta
+    scale = np.abs(delta).max(axis=0)
     aligned = (
         (scale > 0)
         & (np.abs(d_n - d_a) <= _DRIFT_PATTERN_RTOL * scale)
         & (np.abs((1 - lam) * d_l + lam * d_n) <= _DRIFT_PATTERN_RTOL * scale)
     )
-    room = np.full(np.shape(scale), np.inf)
-    for t in EQUILIBRIUM_TYPES:
-        wall = np.where(d[t] > 0, 1.0 - np.asarray(rho[t]), np.asarray(rho[t]))
-        step = np.where(d[t] == 0, np.inf, wall / np.abs(np.where(d[t] == 0, 1.0, d[t])))
-        room = np.minimum(room, step)
-    return np.where(aligned, np.maximum(room, 1.0), 1.0)
+    wall = np.where(delta > 0, 1.0 - rho, rho)
+    step = np.where(delta == 0, np.inf, wall / np.abs(np.where(delta == 0, 1.0, delta)))
+    return np.where(aligned, np.maximum(step.min(axis=0), 1.0), 1.0)
 
 
 def best_response(
@@ -215,7 +219,8 @@ def solve_fixed_point(
     Fields may be arrays that broadcast against each other. Each instance
     then stops at its own first converged sweep and leaves the working set,
     so every element equals the scalar call at that point bit for bit; the
-    profile comes back in the broadcast shape.
+    profile comes back in the broadcast shape, ``l_population_empty`` too
+    (True where lambda = 1, as in solve_bwe).
 
     Raises OracleConvergenceError after ``config.max_iters`` sweeps. Its
     ``last_profile`` has the input's shape, holding each converged
@@ -236,53 +241,48 @@ def solve_fixed_point(
 
     live_params = _map_array_fields(params, flatten)
     live_env = _map_array_fields(env, flatten)
-    # Flat positions of the instances still iterating; a scalar call has one,
-    # and its iterate stays a scalar.
+    # Flat positions of the instances still iterating (a scalar call has
+    # one); the iterate, masses, gap lines and updates stack one row per type
+    # in EQUILIBRIUM_TYPES order.
     live = np.arange(int(np.prod(shape)))
-    rho = {t: np.full(live.shape if shape else (), 0.5) for t in EQUILIBRIUM_TYPES}
-    final = {t: np.empty(live.shape) for t in EQUILIBRIUM_TYPES}
-    tables = {t: belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES}
-    masses = _type_masses(live_env)
+
+    def type_masses(env):
+        masses = _type_masses(env)
+        return np.stack([np.broadcast_to(masses[t], live.shape) for t in EQUILIBRIUM_TYPES])
+
+    rho = np.full((len(EQUILIBRIUM_TYPES),) + live.shape, 0.5)
+    final = np.empty_like(rho)
+    tables = [belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES]
+    masses = type_masses(live_env)
 
     for _ in range(config.max_iters):
-        probe = StrategyProfile(*(rho[t] for t in EQUILIBRIUM_TYPES))
-        lines = {
-            t: _gap_line(live_params, live_env, tables[t], t, probe)
-            for t in EQUILIBRIUM_TYPES
-        }
-        defect = 0.0
-        for t, (g0, slope) in lines.items():
-            gap = g0 + slope * rho[t]
-            defect = np.maximum(defect, _type_defect(gap, rho[t], masses[t]))
+        probe = StrategyProfile(*rho)
+        lines = [
+            _gap_line(live_params, live_env, table, t, probe)
+            for t, table in zip(EQUILIBRIUM_TYPES, tables)
+        ]
+        g0, slope = (np.stack(v) for v in zip(*lines))
+        defect = _type_defect(g0 + slope * rho, rho, masses).max(axis=0)
         done = defect < config.tolerance
         if done.all():
             break
-        delta = {
-            t: DAMPING * (_br_from_line(*lines[t]) - rho[t])
-            for t in EQUILIBRIUM_TYPES
-        }
+        delta = DAMPING * (_br_from_line(g0, slope) - rho)
         if done.any():
             keep = ~done
-            for t in EQUILIBRIUM_TYPES:
-                final[t][live[done]] = rho[t][done]
-                rho[t], delta[t] = rho[t][keep], delta[t][keep]
+            final[:, live[done]] = rho[:, done]
+            rho, delta = rho[:, keep], delta[:, keep]
             live, defect = live[keep], defect[keep]
             live_params = _map_array_fields(live_params, lambda v: v[keep])
             live_env = _map_array_fields(live_env, lambda v: v[keep])
-            tables = {t: belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES}
-            masses = _type_masses(live_env)
+            tables = [belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES]
+            masses = type_masses(live_env)
         boost = _drift_multiplier(live_env.frac_informed, rho, delta)
-        for t in EQUILIBRIUM_TYPES:
-            rho[t] = np.clip(rho[t] + boost * delta[t], 0.0, 1.0)
+        rho = np.clip(rho + boost * delta, 0.0, 1.0)
 
-    for t in EQUILIBRIUM_TYPES:
-        final[t][live] = rho[t]
-    vals = [final[t].reshape(shape) for t in EQUILIBRIUM_TYPES]
-    if shape == ():
-        vals = [float(v) for v in vals]
-    lam = env.frac_informed
-    empty = bool(np.ndim(lam) == 0 and lam == 1)
-    profile = StrategyProfile(*vals, l_population_empty=empty)
+    final[:, live] = rho
+    profile = StrategyProfile(
+        *_as_results(*final.reshape((-1,) + shape), env.frac_informed == 1)
+    )
     if done.all():  # the loop ended on the break, not on max_iters
         return profile
     raise OracleConvergenceError(

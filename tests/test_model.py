@@ -204,6 +204,9 @@ def test_latency_rejects_negative_load():
     with pytest.raises(ValidationError) as exc:
         latency(PARAMS, 1, State.NORMAL, -0.1)
     assert exc.value.code == "negative_load"
+    with pytest.raises(ValidationError) as exc:
+        latency(PARAMS, 2, State.NORMAL, np.array([0.1, -0.1]))
+    assert exc.value.code == "negative_load"
 
 
 def test_route_slope():

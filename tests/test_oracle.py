@@ -3,11 +3,13 @@
 import itertools
 
 import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from routeinfo import (
+    EQUILIBRIUM_TYPES,
     GridScanResult,
     InfoEnvironment,
     NetworkParams,
@@ -17,6 +19,7 @@ from routeinfo import (
     State,
     StrategyProfile,
     ValidationError,
+    belief_uninformative,
     best_response,
     brute_force_socopt,
     grid_scan,
@@ -24,7 +27,9 @@ from routeinfo import (
     solve_fixed_point,
     wardrop_residual,
 )
-from routeinfo.oracle import DAMPING, _count_clusters
+from routeinfo.equilibrium import _type_gap
+from routeinfo.oracle import DAMPING, _count_clusters, _gap_line
+from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -137,6 +142,42 @@ def test_best_response_stays_in_unit_interval():
             assert 0.0 <= br <= 1.0
 
 
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.sampled_from([0.0, 1.0]) | _UNIT | st.lists(_UNIT, min_size=1, max_size=4),
+    eta=st.just(1.0) | st.floats(min_value=0.55, max_value=1.0),
+    probes=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=4),
+    array_probe=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_gap_line_equals_two_scalar_split_evaluations(
+    params, p, lam, eta, probes, array_probe
+):
+    """The one stacked evaluation in _gap_line returns exactly (==) the gap at
+    own split 0 and the gap at own split 1 minus it, each computed by its own
+    _type_gap call with the responder's split a plain float. An array probe
+    is a column, so with an array lambda the call broadcasts two ways."""
+    env = _env(p=p, lam=np.array(lam) if isinstance(lam, list) else lam, eta_h=eta)
+    splits = np.array(probes).T[..., None] if array_probe else probes[0]
+    probe = StrategyProfile(*splits)
+    for t in EQUILIBRIUM_TYPES:
+        table = belief_uninformative(env, t)
+
+        def gap_at(own):
+            at = [own if u == t else probe.split(u) for u in EQUILIBRIUM_TYPES]
+            return _type_gap(params, env, table, t, StrategyProfile(*at))
+
+        g0, slope = _gap_line(params, env, table, t, probe)
+        want = gap_at(0.0)
+        assert np.shape(g0) == np.shape(slope) == np.broadcast(want, *splits).shape
+        assert np.array_equal(g0, want), t
+        assert np.array_equal(slope, gap_at(1.0) - want), t
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point iteration
 # ---------------------------------------------------------------------------
@@ -179,13 +220,15 @@ def test_fixed_point_lockstep_matches_scalar_runs():
         p_incident=ps[:, None], frac_informed=lams, accuracy_high=etas[:, None]
     )
     batch = solve_fixed_point(PARAMS, env)
-    assert batch.rho_L.shape == (2, 5)
+    assert batch.rho_L.shape == batch.l_population_empty.shape == (2, 5)
     for i, j in itertools.product(range(2), range(5)):
         single = solve_fixed_point(
             PARAMS, _env(p=float(ps[i]), lam=float(lams[j]), eta_h=float(etas[i]))
         )
         got = (batch.rho_L[i, j], batch.rho_Hn[i, j], batch.rho_Ha[i, j])
         assert got == (single.rho_L, single.rho_Hn, single.rho_Ha), (i, j)
+        assert batch.l_population_empty[i, j] == single.l_population_empty, (i, j)
+        assert type(single.l_population_empty) is bool
 
 
 def test_fixed_point_raises_and_reports_when_starved():
