@@ -15,20 +15,22 @@ service's signal technology:
   informed subscriber keeps only its state posterior and knows the opponent
   type is L.
 
-The first two keep all four signal-conditioned types (Ln, La, Hn, Ha); no
-equilibrium is computed from them — they exist for completeness and testing.
-Everything downstream (equilibrium, costs, value) runs on the third.
+All three are one construction: entry (state, t_opp) is P(state | own
+type) times the treatment's opponent-type factor. The first two keep all
+four signal-conditioned types (Ln, La, Hn, Ha); no equilibrium is computed
+from them — they exist for completeness and testing. Everything downstream
+(equilibrium, costs, value) runs on the third, and the coin-flip
+precondition it shares with them is checked here.
 
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
-arrays.
+arrays, or ``fractions.Fraction`` values, in which case they come back exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .model import (
     InfoEnvironment,
@@ -36,6 +38,7 @@ from .model import (
     PlayerType,
     State,
     ValidationError,
+    _enforce,
     latency,
 )
 
@@ -111,11 +114,35 @@ def posterior_state(env: InfoEnvironment, service: str, signal: State):
     return p * (1 - eta) / (p * (1 - eta) + (1 - p) * eta)
 
 
-def _own_posterior(env: InfoEnvironment, owner: PlayerType, state: State):
-    """P(state | own type) via Bayes on the owner's signal."""
-    service, signal = _signal_of(owner)
-    p_a = posterior_state(env, service, signal)
-    return p_a if state == State.INCIDENT else 1 - p_a
+def _belief(env: InfoEnvironment, owner: PlayerType, opponents, opponent_prob):
+    """Entries P(state | owner) * opponent_prob(t, state), incident state first.
+
+    P(state | owner) is Bayes on the owner's signal, or the prior for L.
+    """
+    if owner == PlayerType.L:
+        p_a = env.p_incident
+    else:
+        p_a = posterior_state(env, *_signal_of(owner))
+    entries = {}
+    for state, post in ((State.INCIDENT, p_a), (State.NORMAL, 1 - p_a)):
+        for t in opponents:
+            entries[(state, t)] = post * opponent_prob(t, state)
+    return BeliefTable(owner=owner, entries=entries)
+
+
+def _marginal(env: InfoEnvironment):
+    """Opponent factor P(t), ignoring the state."""
+    dist = marginal_type_dist(env)
+    return lambda t, state: getattr(dist, f"p_{t.value}")
+
+
+def _signal_opponents(owner: PlayerType) -> tuple:
+    """The other population's signal-conditioned types."""
+    if owner not in (*_H_TYPES, *_L_TYPES):
+        raise ValueError(
+            f"owner must be a signal-conditioned type (Ln/La/Hn/Ha), got {owner}"
+        )
+    return _L_TYPES if owner in _H_TYPES else _H_TYPES
 
 
 def belief_conditional_ck(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:
@@ -126,17 +153,8 @@ def belief_conditional_ck(env: InfoEnvironment, owner: PlayerType) -> BeliefTabl
     meaningless here because this treatment distinguishes the low-accuracy
     signals.
     """
-    if owner not in (*_H_TYPES, *_L_TYPES):
-        raise ValueError(
-            f"owner must be a signal-conditioned type (Ln/La/Hn/Ha), got {owner}"
-        )
-    opponents = _L_TYPES if owner in _H_TYPES else _H_TYPES
-    entries = {}
-    for state in (State.INCIDENT, State.NORMAL):
-        post = _own_posterior(env, owner, state)
-        for t in opponents:
-            entries[(state, t)] = post * _type_given_state(env, t, state)
-    return BeliefTable(owner=owner, entries=entries)
+    opponents = _signal_opponents(owner)
+    return _belief(env, owner, opponents, partial(_type_given_state, env))
 
 
 def belief_marginal_ck(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:
@@ -145,24 +163,21 @@ def belief_marginal_ck(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:
     Entry (s, t_opp) = P(s | own type) * P(t_opp); the opponent factor no
     longer depends on the state.
     """
-    if owner not in (*_H_TYPES, *_L_TYPES):
-        raise ValueError(
-            f"owner must be a signal-conditioned type (Ln/La/Hn/Ha), got {owner}"
-        )
-    dist = marginal_type_dist(env)
-    marginals = {
-        PlayerType.HN: dist.p_Hn,
-        PlayerType.HA: dist.p_Ha,
-        PlayerType.LN: dist.p_Ln,
-        PlayerType.LA: dist.p_La,
-    }
-    opponents = _L_TYPES if owner in _H_TYPES else _H_TYPES
-    entries = {}
-    for state in (State.INCIDENT, State.NORMAL):
-        post = _own_posterior(env, owner, state)
-        for t in opponents:
-            entries[(state, t)] = post * marginals[t]
-    return BeliefTable(owner=owner, entries=entries)
+    return _belief(env, owner, _signal_opponents(owner), _marginal(env))
+
+
+_UNINFORMATIVE_RULE = (
+    (
+        "unsupported_treatment",
+        lambda eta_l: eta_l == 0.5,
+        lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
+    ),
+)
+
+
+def _require_uninformative(env: InfoEnvironment) -> None:
+    """Reject an environment whose low-accuracy service is not a coin flip."""
+    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
 
 
 def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:
@@ -172,29 +187,11 @@ def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable
     P(state) * P(informed type), independent across the two coordinates. An
     informed type keeps its state posterior and is certain the opponent is L.
     """
-    if np.any(np.asarray(env.accuracy_low) != 0.5):
-        raise ValidationError(
-            "unsupported_treatment",
-            f"this belief construction requires accuracy_low == 0.5 exactly, "
-            f"got {env.accuracy_low}",
-        )
-    p = env.p_incident
-    dist = marginal_type_dist(env)
+    _require_uninformative(env)
     if owner == PlayerType.L:
-        entries = {
-            (State.INCIDENT, PlayerType.HA): p * dist.p_Ha,
-            (State.INCIDENT, PlayerType.HN): p * dist.p_Hn,
-            (State.NORMAL, PlayerType.HA): (1 - p) * dist.p_Ha,
-            (State.NORMAL, PlayerType.HN): (1 - p) * dist.p_Hn,
-        }
-        return BeliefTable(owner=owner, entries=entries)
+        return _belief(env, owner, (PlayerType.HA, PlayerType.HN), _marginal(env))
     if owner in _H_TYPES:
-        post = _own_posterior(env, owner, State.INCIDENT)
-        entries = {
-            (State.INCIDENT, PlayerType.L): post,
-            (State.NORMAL, PlayerType.L): 1 - post,
-        }
-        return BeliefTable(owner=owner, entries=entries)
+        return _belief(env, owner, (PlayerType.L,), lambda t, state: 1)
     raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
 
 
@@ -233,7 +230,7 @@ def expected_route_cost(
     own_load = own_rho * own_demand if route == 1 else (1 - own_rho) * own_demand
 
     loads = {}
-    total = 0.0
+    total = 0
     for (state, opp), prob in belief.entries.items():
         if opp not in loads:
             opp_rho = profile.split(opp)

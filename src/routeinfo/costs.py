@@ -9,9 +9,11 @@ closed forms are kept only as cross-check rows in
 subscript); the crosscheck reports each branch's status explicitly instead
 of silently trusting it.
 
-This module is the only place equilibrium costs are derived: each of the
-four population state costs is evaluated once per report, and the social
-cost is built from them (``value`` reads its costs from ``cost_report``).
+This module is the only place equilibrium costs are derived. In each state
+the route loads depend only on the informed type's signal, so one latency
+per (informed type, route) serves both populations' realized costs; the
+social cost is built from those (``value`` reads its costs from
+``cost_report``).
 ``social_costs``, ``baseline_costs`` and ``cost_report`` broadcast over
 array-valued environment fields; an empty population's terms are masked
 per point (NaN in the report, dropped from the social cost), so a sweep
@@ -25,8 +27,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .beliefs import _type_given_state
-from .equilibrium import StrategyProfile, _require_uninformative, classify, solve_bwe
+from .beliefs import _require_uninformative, _type_given_state
+from .equilibrium import StrategyProfile, classify, solve_bwe
 from .model import (
     InfoEnvironment,
     NetworkParams,
@@ -37,17 +39,6 @@ from .model import (
     derived_constants,
     latency,
 )
-
-_L_SET = (PlayerType.L,)
-_H_SET = (PlayerType.HN, PlayerType.HA)
-
-
-def _population_types(population) -> tuple:
-    if population in ("L", PlayerType.L):
-        return _L_SET
-    if population == "H":
-        return _H_SET
-    raise ValueError(f"population must be 'L' or 'H', got {population!r}")
 
 
 def _check_nonempty(env: InfoEnvironment, population) -> None:
@@ -60,13 +51,6 @@ def _check_nonempty(env: InfoEnvironment, population) -> None:
         raise ValidationError(
             "empty_population", "population H is empty at frac_informed = 0"
         )
-
-
-def _type_prob(env: InfoEnvironment, t: PlayerType, state: State):
-    """P(type | state): the collapsed uninformed type is certain."""
-    if t == PlayerType.L:
-        return 1.0
-    return _type_given_state(env, t, state)
 
 
 def realized_population_state_cost(
@@ -86,36 +70,36 @@ def realized_population_state_cost(
     """
     _require_uninformative(env)
     _check_nonempty(env, population)
-    return _state_cost(params, env, profile, _population_types(population), state)
+    if population not in ("L", "H"):
+        raise ValueError(f"population must be 'L' or 'H', got {population!r}")
+    c_l, c_h = _state_costs(params, env, profile, state)
+    return c_l if population == "L" else c_h
 
 
-def _state_cost(params, env, profile, own_types: tuple, state: State):
-    """``realized_population_state_cost`` without its checks.
+def _state_costs(params, env, profile, state: State) -> tuple:
+    """(c_L, c_H) of ``realized_population_state_cost``, without its checks.
 
-    Where the population is empty its demand is zero and the result is the
-    cost its placeholder split would face; callers mask those points.
+    Each population's demand moves as one type realization, so in ``state``
+    the route loads depend only on the informed type t: one latency per
+    (t, route) serves both populations, each weighting it by P(t | state)
+    and its own share of that route. Where a population is empty its demand
+    is zero and its cost is the one its placeholder split would face;
+    callers mask those points.
     """
-    opp_types = _H_SET if own_types is _L_SET else _L_SET
-    lam = env.frac_informed
-    d = params.demand
-    own_demand = (1 - lam) * d if own_types is _L_SET else lam * d
-    opp_demand = lam * d if own_types is _L_SET else (1 - lam) * d
-
-    total = 0.0
-    for t_own in own_types:
-        p_own = _type_prob(env, t_own, state)
-        rho_own = profile.split(t_own)
-        for t_opp in opp_types:
-            p_opp = _type_prob(env, t_opp, state)
-            rho_opp = profile.split(t_opp)
-            for route in (1, 2):
-                share_own = rho_own if route == 1 else 1 - rho_own
-                share_opp = rho_opp if route == 1 else 1 - rho_opp
-                load = share_own * own_demand + share_opp * opp_demand
-                total = total + (
-                    p_own * p_opp * share_own * latency(params, route, state, load)
-                )
-    return total
+    lam, d, rho_l = env.frac_informed, params.demand, profile.rho_L
+    demand_l, demand_h = (1 - lam) * d, lam * d
+    c_l = c_h = 0
+    for t in (PlayerType.HN, PlayerType.HA):
+        prob = _type_given_state(env, t, state)
+        rho_t = profile.split(t)
+        for route in (1, 2):
+            share_l = rho_l if route == 1 else 1 - rho_l
+            share_t = rho_t if route == 1 else 1 - rho_t
+            load = share_l * demand_l + share_t * demand_h
+            lat = latency(params, route, state, load)
+            c_l = c_l + prob * share_l * lat
+            c_h = c_h + prob * share_t * lat
+    return c_l, c_h
 
 
 def expected_population_cost(
@@ -134,12 +118,12 @@ def expected_population_cost(
 
 
 def _population_state_costs(params, env, profile) -> tuple:
-    """(c_L_n, c_L_a, c_H_n, c_H_a), unmasked: one ``_state_cost`` each."""
-    return tuple(
-        _state_cost(params, env, profile, types, state)
-        for types in (_L_SET, _H_SET)
+    """(c_L_n, c_L_a, c_H_n, c_H_a), unmasked: one ``_state_costs`` per state."""
+    (c_l_n, c_h_n), (c_l_a, c_h_a) = (
+        _state_costs(params, env, profile, state)
         for state in (State.NORMAL, State.INCIDENT)
     )
+    return c_l_n, c_l_a, c_h_n, c_h_a
 
 
 def _social_state_costs(env: InfoEnvironment, c_l_n, c_l_a, c_h_n, c_h_a) -> tuple:
@@ -178,8 +162,8 @@ def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
         accuracy_low=0.5,
     )
     profile0 = solve_bwe(params, env0)
-    c_n = _state_cost(params, env0, profile0, _L_SET, State.NORMAL)
-    c_a = _state_cost(params, env0, profile0, _L_SET, State.INCIDENT)
+    c_n, _ = _state_costs(params, env0, profile0, State.NORMAL)
+    c_a, _ = _state_costs(params, env0, profile0, State.INCIDENT)
     p = env.p_incident
     return tuple(_as_results(c_n, c_a, (1 - p) * c_n + p * c_a))
 

@@ -35,14 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import belief_uninformative, expected_route_cost, marginal_type_dist
+from .beliefs import (
+    _require_uninformative,
+    belief_uninformative,
+    expected_route_cost,
+    marginal_type_dist,
+)
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     PlayerType,
     _as_results,
-    _enforce,
     derived_constants,
 )
 
@@ -108,19 +112,6 @@ class ProfileVerdict:
     is_equilibrium: bool
     profile: StrategyProfile | None = None
     note: str = ""
-
-
-_UNINFORMATIVE_RULE = (
-    (
-        "unsupported_treatment",
-        lambda eta_l: eta_l == 0.5,
-        lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
-    ),
-)
-
-
-def _require_uninformative(env: InfoEnvironment) -> None:
-    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
 
 
 def _boundaries(params: NetworkParams, k, dist) -> tuple:
@@ -312,22 +303,38 @@ _PATTERN_GAP_RTOL = 1e-11
 _MAX_SYSTEM_COND = 1e12
 
 
+def _probe_axis(probes, fields):
+    """``probes`` on a new leading axis, ahead of the dimensions of ``fields``.
+
+    A gap evaluated at a profile holding these splits gives one row per
+    probe, each element computed as a separate call at that probe would be.
+    """
+    ndim = max(getattr(v, "ndim", 0) for v in fields)
+    return probes.reshape((len(probes),) + (1,) * ndim)
+
+
+#: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
+#: component of (rho_L, rho_Hn, rho_Ha).
+_GAP_PROBES = np.eye(4)[1:]
+
+
 def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
 
     With the other types' splits held fixed, each type's route-cost gap
     (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
     rho_Ha), so its values at the origin and at the three unit profiles fix
-    it exactly.
+    it exactly. One ``_type_gap`` call per type evaluates all four, stacked
+    on a leading probe axis.
     """
-    tables = [belief_uninformative(env, t) for t in _COMPONENTS]
+    fields = (*vars(params).values(), *vars(env).values())
+    probes = StrategyProfile(*(_probe_axis(row, fields) for row in _GAP_PROBES))
     gaps = [
-        _type_gap(params, env, table, t, StrategyProfile(*rho))
-        for rho in ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        for t, table in zip(_COMPONENTS, tables)
+        _type_gap(params, env, belief_uninformative(env, t), t, probes)
+        for t in _COMPONENTS
     ]
-    at = np.stack(np.broadcast_arrays(*gaps), axis=-1)
-    at = at.reshape(at.shape[:-1] + (4, 3))  # (..., profile, type)
+    # (..., profile, type)
+    at = np.moveaxis(np.stack(np.broadcast_arrays(*gaps), axis=-1), 0, -2)
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
 
 

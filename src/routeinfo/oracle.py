@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import belief_uninformative
+from .beliefs import _require_uninformative, belief_uninformative
 from .equilibrium import (
     StrategyProfile,
-    _require_uninformative,
+    _probe_axis,
     _type_defect,
     _type_gap,
     _type_masses,
@@ -116,8 +116,7 @@ def _gap_line(params, env, table, responder, profile):
     """
     splits = [profile.split(t) for t in EQUILIBRIUM_TYPES]
     fields = (*splits, *vars(params).values(), *vars(env).values())
-    ndim = max(getattr(v, "ndim", 0) for v in fields)
-    splits[EQUILIBRIUM_TYPES.index(responder)] = _OWN_ENDS.reshape((2,) + (1,) * ndim)
+    splits[EQUILIBRIUM_TYPES.index(responder)] = _probe_axis(_OWN_ENDS, fields)
     g0, g1 = _type_gap(params, env, table, responder, StrategyProfile(*splits))
     return g0, g1 - g0
 

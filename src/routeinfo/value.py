@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .beliefs import _require_uninformative
 from .costs import cost_report
-from .equilibrium import _require_uninformative, classify, regime_boundaries
+from .equilibrium import classify, regime_boundaries
 from .model import InfoEnvironment, NetworkParams, _as_results, _enforce
 
 #: Slack for sign classification of finite differences and for "equals zero"

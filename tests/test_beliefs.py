@@ -1,6 +1,7 @@
 """Interim belief tables: normalization, worked entries, and collapses."""
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -116,6 +117,14 @@ def test_uninformative_requires_coin_flip_accuracy():
     with pytest.raises(ValidationError) as exc:
         belief_uninformative(_env(eta_h=0.75, eta_l=0.6), PlayerType.L)
     assert exc.value.code == "unsupported_treatment"
+
+
+def test_coin_flip_rule_names_the_first_offending_accuracy():
+    """An array field is reported by its first bad element, not printed whole."""
+    with pytest.raises(ValidationError) as exc:
+        belief_uninformative(_env(eta_l=np.array([0.5, 0.6, 0.7])), PlayerType.L)
+    assert exc.value.code == "unsupported_treatment"
+    assert str(exc.value).endswith("got 0.6")
 
 
 def test_invalid_environment_never_reaches_the_belief_layer():

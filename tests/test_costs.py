@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,6 +14,7 @@ from routeinfo import (
     NetworkParams,
     OracleConfig,
     State,
+    StrategyProfile,
     ValidationError,
     analytic_cost_crosscheck,
     baseline_costs,
@@ -27,7 +29,7 @@ from routeinfo import (
     solve_bwe,
     value_report,
 )
-import routeinfo.costs
+import routeinfo.model
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -125,6 +127,24 @@ def test_social_cost_is_population_mix(lam):
         c_h = realized_population_state_cost(PARAMS, env, profile, "H", state)
         c_soc = social_costs(PARAMS, env, profile)[0 if state == State.NORMAL else 1]
         assert abs(c_soc - ((1 - lam) * c_l + lam * c_h)) < 1e-12
+
+
+def test_exact_inputs_give_exact_population_costs():
+    """Rational fields give each population's state costs as exact fractions."""
+    params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
+    env = InfoEnvironment(Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    profile = StrategyProfile(Fraction(1, 2), Fraction(1), Fraction(1, 3))
+    want = {
+        "L": [Fraction(185, 8), Fraction(625, 24)],
+        "H": [Fraction(91, 4), Fraction(947, 36)],
+    }
+    for population, costs in want.items():
+        got = [
+            realized_population_state_cost(params, env, profile, population, state)
+            for state in (State.NORMAL, State.INCIDENT)
+        ]
+        assert all(isinstance(c, Fraction) for c in got), got
+        assert got == costs, population
 
 
 def test_expected_population_cost_weights_states():
@@ -342,21 +362,24 @@ def test_cost_report_consistent_with_parts():
     "lam", [0.5, np.linspace(0.0, 1.0, 9)], ids=["scalar", "sweep_through_0_and_1"]
 )
 def test_reports_evaluate_each_population_state_cost_once(monkeypatch, report, lam):
-    """Four equilibrium population state costs plus two baseline ones.
+    """Twenty latencies: a report derives each cost from one shared table.
 
-    The counter replaces ``_state_cost`` in every module that holds it, so a
-    call through another module's import counts too.
+    The two equilibrium states and the two baseline states take one latency
+    per informed type and route each (4 x 4), which both populations' costs
+    read, and the social optimum takes one per state and route (4). The
+    counter replaces ``latency`` in every module that holds it, so a call
+    through another module's import counts too.
     """
     calls = []
-    state_cost = routeinfo.costs._state_cost
+    latency_fn = routeinfo.model.latency
 
     def counted(*args):
-        calls.append(args[-1])
-        return state_cost(*args)
+        calls.append(args)
+        return latency_fn(*args)
 
     for name, module in list(sys.modules.items()):
-        holds = vars(module).get("_state_cost") is state_cost
+        holds = vars(module).get("latency") is latency_fn
         if name.startswith("routeinfo") and holds:
-            monkeypatch.setattr(module, "_state_cost", counted)
+            monkeypatch.setattr(module, "latency", counted)
     report(PARAMS, _env(lam=lam))
-    assert len(calls) == 6
+    assert len(calls) == 20

@@ -1,6 +1,7 @@
 """Regime boundaries, the closed-form equilibrium, and the pattern table."""
 
 import itertools
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,7 +23,7 @@ from routeinfo import (
     solve_bwe,
     wardrop_residual,
 )
-from routeinfo.equilibrium import UTILIZED_SHARE_EPS
+from routeinfo.equilibrium import UTILIZED_SHARE_EPS, _type_gap
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -143,6 +144,17 @@ def test_residual_flags_a_wrong_profile():
     env = _env(lam=0.5)
     residual = wardrop_residual(PARAMS, env, StrategyProfile(1.0, 1.0, 1.0))
     assert residual > 1.0, f"everyone on route 1 should violate badly, got {residual}"
+
+
+def test_exact_inputs_give_exact_gaps():
+    """Rational fields flow through beliefs and route costs without rounding."""
+    params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
+    env = InfoEnvironment(Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    origin = StrategyProfile(Fraction(0), Fraction(0), Fraction(0))
+    for t in EQUILIBRIUM_TYPES:
+        gap = _type_gap(params, env, belief_uninformative(env, t), t, origin)
+        assert isinstance(gap, Fraction), f"{t}: {gap!r}"
+        assert gap == -12, f"{t}: {gap!r}"
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

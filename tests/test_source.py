@@ -40,6 +40,47 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unreferenced_private_names(sources: dict) -> list:
+    """Module-level ``_names`` of ``sources`` (module name -> source) that no
+    module reads: as a loaded name, as an attribute, or as an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, n) for n in private]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unreferenced_private_name_detection():
+    sources = {
+        "a": "_X = 1\n_Y: int = 2\ndef _f(): return _X\nclass _C: pass\n__all__ = []\n",
+        "b": "from a import _f\nimport a\nprint(a._C)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._Y"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert unreferenced_private_names(sources) == []
+
+
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
