@@ -15,13 +15,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
 from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
 from .costs import CostReport, cost_report
-from .equilibrium import _type_masses, classify, solve_bwe
+from .equilibrium import StrategyProfile, _type_masses, classify, solve_bwe
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -30,25 +30,42 @@ from .model import (
     ValidationError,
 )
 from .oracle import OracleConfig, OracleConvergenceError, solve_fixed_point
-from .value import theorem2_grid, value_report, verify_theorem1, verify_theorem2
+from .value import (
+    ValueReport,
+    theorem2_grid,
+    value_report,
+    verify_theorem1,
+    verify_theorem2,
+)
 
-#: Default network: the running two-route example (slopes 1/3/2, intercepts
-#: 19/21, demand 5) with a fifth of traffic incident-prone and a perfectly
-#: accurate subscription service for half the population.
-DEFAULTS = {
-    "p": 0.2,
-    "lambda": 0.5,
-    "eta_h": 1.0,
-    "eta_l": 0.5,
-    "demand": 5.0,
-    "slope1_normal": 1.0,
-    "slope1_incident": 3.0,
-    "slope2": 2.0,
-    "intercept1": 19.0,
-    "intercept2": 21.0,
+#: The ten parameters in flag order: key -> (default, help). The defaults are
+#: the running two-route example (slopes 1/3/2, intercepts 19/21, demand 5)
+#: with a fifth of traffic incident-prone and a perfectly accurate
+#: subscription service for half the population.
+_PARAMS = {
+    "p": (0.2, "incident probability (0,1)"),
+    "lambda": (0.5, "informed fraction [0,1]"),
+    "eta_h": (1.0, "informed-service accuracy (0.5,1]"),
+    "eta_l": (0.5, "uninformed-service accuracy [0.5,eta_h)"),
+    "demand": (5.0, "total demand"),
+    "slope1_normal": (1.0, "route 1 slope, normal"),
+    "slope1_incident": (3.0, "route 1 slope, incident"),
+    "slope2": (2.0, "route 2 slope"),
+    "intercept1": (19.0, "route 1 free-flow time"),
+    "intercept2": (21.0, "route 2 free-flow time"),
 }
 
-_PARAM_KEYS = tuple(DEFAULTS)
+DEFAULTS = {key: default for key, (default, _) in _PARAMS.items()}
+
+#: Parameter key -> InfoEnvironment field; the other keys name NetworkParams
+#: fields. Every row echoes these four keys first.
+_ENV_FIELDS = {
+    "p": "p_incident",
+    "lambda": "frac_informed",
+    "eta_h": "accuracy_high",
+    "eta_l": "accuracy_low",
+}
+
 _SWEEP_AXES = ("lambda", "p", "eta_h")
 
 #: Deviation above which the oracle subcommand reports failure (exit 2).
@@ -58,41 +75,12 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 _VERIFY_POINTS = 501
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept axis; the other parameters stay at their config values.
+def parse_sweep(text: str) -> tuple:
+    """Parse 'axis:start:stop:points' into (axis, evenly spaced values).
 
     The axis's valid range is not checked here: the environment built from
     the sweep checks every value and names the first one out of range.
     """
-
-    axis: str
-    start: float
-    stop: float
-    points: int
-
-    def __post_init__(self):
-        if self.axis not in _SWEEP_AXES:
-            raise ValidationError(
-                "malformed_sweep",
-                f"sweep axis must be one of {_SWEEP_AXES}, got {self.axis!r}",
-            )
-        if not self.start < self.stop:
-            raise ValidationError(
-                "malformed_sweep",
-                f"sweep needs start < stop, got {self.start}..{self.stop}",
-            )
-        if self.points < 2:
-            raise ValidationError(
-                "malformed_sweep", f"sweep needs >= 2 points, got {self.points}"
-            )
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
-
-
-def parse_sweep(text: str) -> SweepSpec:
-    """Parse 'axis:start:stop:points'."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ValidationError(
@@ -103,7 +91,19 @@ def parse_sweep(text: str) -> SweepSpec:
         start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise ValidationError("malformed_sweep", f"bad sweep {text!r}: {exc}") from exc
-    return SweepSpec(axis, start, stop, points)
+    if axis not in _SWEEP_AXES:
+        raise ValidationError(
+            "malformed_sweep", f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}"
+        )
+    if not start < stop:
+        raise ValidationError(
+            "malformed_sweep", f"sweep needs start < stop, got {start}..{stop}"
+        )
+    if points < 2:
+        raise ValidationError(
+            "malformed_sweep", f"sweep needs >= 2 points, got {points}"
+        )
+    return axis, np.linspace(start, stop, points)
 
 
 def parse_config_file(path: str) -> dict:
@@ -124,11 +124,11 @@ def parse_config_file(path: str) -> dict:
             )
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _PARAM_KEYS:
+        if key not in _PARAMS:
             raise ValidationError(
                 "malformed_config",
                 f"{path}:{lineno}: unknown key {key!r} "
-                f"(valid: {', '.join(_PARAM_KEYS)})",
+                f"(valid: {', '.join(_PARAMS)})",
             )
         try:
             values[key] = float(value.strip())
@@ -139,34 +139,18 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _build_instance(config: dict, sweep: SweepSpec | None = None) -> tuple:
+def _build_instance(config: dict, sweep: tuple | None = None) -> tuple:
     """(params, env) at ``config``; a sweep makes its axis an array field."""
     if sweep is not None:
-        config = {**config, sweep.axis: sweep.values()}
-    params = NetworkParams(
-        slope1_normal=config["slope1_normal"],
-        slope1_incident=config["slope1_incident"],
-        slope2=config["slope2"],
-        intercept1=config["intercept1"],
-        intercept2=config["intercept2"],
-        demand=config["demand"],
-    )
-    env = InfoEnvironment(
-        p_incident=config["p"],
-        frac_informed=config["lambda"],
-        accuracy_high=config["eta_h"],
-        accuracy_low=config["eta_l"],
-    )
+        axis, values = sweep
+        config = {**config, axis: values}
+    params = NetworkParams(**{f.name: config[f.name] for f in fields(NetworkParams)})
+    env = InfoEnvironment(**{name: config[key] for key, name in _ENV_FIELDS.items()})
     return params, env
 
 
 def _echo(env: InfoEnvironment) -> dict:
-    return {
-        "p": env.p_incident,
-        "lambda": env.frac_informed,
-        "eta_h": env.accuracy_high,
-        "eta_l": env.accuracy_low,
-    }
+    return {key: getattr(env, name) for key, name in _ENV_FIELDS.items()}
 
 
 def _table(columns: dict) -> list:
@@ -185,74 +169,42 @@ def _table(columns: dict) -> list:
 
 def _rows_regimes(params, env) -> list:
     regime = classify(params, env)
-    return _table(
-        {
-            **_echo(env),
-            "lambda_bar_1": regime.lambda_bar_1,
-            "lambda_bar_2": regime.lambda_bar_2,
-            "lambda_bar_3": regime.lambda_bar_3,
-            "regime": regime.label,
-        }
-    )
+    bounds = {k: v for k, v in vars(regime).items() if k != "label"}
+    return _table({**_echo(env), **bounds, "regime": regime.label})
 
 
 def _rows_equilibrium(params, env) -> list:
     regime = classify(params, env)
-    profile = solve_bwe(params, env)
     return _table(
-        {
-            **_echo(env),
-            "regime": regime.label,
-            "rho_L": profile.rho_L,
-            "rho_Hn": profile.rho_Hn,
-            "rho_Ha": profile.rho_Ha,
-            "l_population_empty": profile.l_population_empty,
-        }
+        {**_echo(env), "regime": regime.label, **vars(solve_bwe(params, env))}
     )
 
 
 def _rows_costs(params, env) -> list:
-    report = cost_report(params, env)
-    columns = {**_echo(env)}
-    for name in CostReport.__dataclass_fields__:
-        columns[name] = getattr(report, name)
-    columns["c_L_n_norm"] = report.c_L_n / report.socopt_n
-    columns["c_L_a_norm"] = report.c_L_a / report.socopt_a
-    columns["c_H_n_norm"] = report.c_H_n / report.socopt_n
-    columns["c_H_a_norm"] = report.c_H_a / report.socopt_a
-    columns["c_L_exp_norm"] = report.c_L_exp / report.socopt_exp
-    columns["c_H_exp_norm"] = report.c_H_exp / report.socopt_exp
-    columns["c_soc_n_norm"] = report.c_soc_n / report.socopt_n
-    columns["c_soc_a_norm"] = report.c_soc_a / report.socopt_a
-    columns["c_soc_exp_norm"] = report.c_soc_exp / report.socopt_exp
-    return _table(columns)
+    report = vars(cost_report(params, env))
+    # Each equilibrium cost c_* over the social optimum of its state (the
+    # suffix _n, _a or _exp).
+    norms = {
+        f"{name}_norm": cost / report["socopt_" + name.rsplit("_", 1)[1]]
+        for name, cost in report.items()
+        if name.startswith("c_")
+    }
+    return _table({**_echo(env), **report, **norms})
 
 
 def _rows_value(params, env) -> list:
-    report = value_report(params, env)
-    columns = {**_echo(env)}
-    for name in (
-        "v_L_n", "v_L_a", "v_H_n", "v_H_a", "v_L_exp", "v_H_exp",
-        "v_rel_n", "v_rel_a", "v_rel_exp", "w_n", "w_a", "w_exp", "lambda_min",
-    ):
-        columns[name] = getattr(report, name)
-    return _table(columns)
+    return _table({**_echo(env), **vars(value_report(params, env))})
+
+
+#: Owners of the two general belief tables, which split the uninformed signal.
+_GENERAL_OWNERS = (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA)
 
 
 def _rows_beliefs(params, env, treatment: str) -> list:
     build, owners = {
-        "uninformative": (
-            belief_uninformative,
-            (PlayerType.L, PlayerType.HN, PlayerType.HA),
-        ),
-        "conditional": (
-            belief_conditional_ck,
-            (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA),
-        ),
-        "marginal": (
-            belief_marginal_ck,
-            (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA),
-        ),
+        "uninformative": (belief_uninformative, EQUILIBRIUM_TYPES),
+        "conditional": (belief_conditional_ck, _GENERAL_OWNERS),
+        "marginal": (belief_marginal_ck, _GENERAL_OWNERS),
     }[treatment]
     entries = []
     for owner in owners:
@@ -282,19 +234,13 @@ def _rows_oracle(params, env) -> list:
     for t in EQUILIBRIUM_TYPES:
         gap = np.abs(closed.split(t) - numeric.split(t))
         deviation = np.maximum(deviation, np.where(masses[t] > 0, gap, 0.0))
-    return _table(
-        {
-            **_echo(env),
-            "regime": classify(params, env).label,
-            "rho_L_closed": closed.rho_L,
-            "rho_Hn_closed": closed.rho_Hn,
-            "rho_Ha_closed": closed.rho_Ha,
-            "rho_L_oracle": numeric.rho_L,
-            "rho_Hn_oracle": numeric.rho_Hn,
-            "rho_Ha_oracle": numeric.rho_Ha,
-            "deviation": deviation,
-        }
-    )
+    splits = {
+        f"rho_{t.value}_{side}": profile.split(t)
+        for side, profile in (("closed", closed), ("oracle", numeric))
+        for t in EQUILIBRIUM_TYPES
+    }
+    regime = classify(params, env).label
+    return _table({**_echo(env), "regime": regime, **splits, "deviation": deviation})
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +251,8 @@ def _rows_oracle(params, env) -> list:
 def _format_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
+    if isinstance(value, float):
+        return f"{value:.9g}"
     return str(value)
 
 
@@ -321,18 +265,13 @@ def _emit_csv(rows: list) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return None if math.isnan(v) else v
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+    return value
 
 
 def _emit_json(payload) -> str:
@@ -358,31 +297,21 @@ def _run_verify(config: dict) -> tuple:
     t1 = verify_theorem1(params, grid)
     t2 = verify_theorem2(params, grid)
     payload = {
-        "params": {k: config[k] for k in _PARAM_KEYS},
-        "theorem1": {
-            "passed": t1.passed,
-            "n_checked": t1.n_checked,
-            "failures": t1.failures,
-        },
-        "theorem2": {
-            "passed": t2.passed,
-            "regime_cases": t2.regime_cases,
-            "grid_argmax_lambda": t2.grid_argmax_lambda,
-            "lambda_min": t2.lambda_min,
-            "peak_lambda": t2.peak_lambda,
-            "failures": t2.failures,
-        },
+        "params": {k: config[k] for k in _PARAMS},
+        "theorem1": vars(t1),
+        "theorem2": vars(t2),
         "passed": t1.passed and t2.passed,
     }
     return payload, (0 if payload["passed"] else 2)
 
 
-def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
+def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     """Execute one subcommand; returns the process exit code.
 
     ``config`` holds the ten parameter keys plus optional ``format``
     (csv|json, default csv), ``out`` (path, default stdout), and
-    ``treatment`` (beliefs subcommand only).
+    ``treatment`` (beliefs subcommand only). ``sweep`` is an (axis, values)
+    pair from ``parse_sweep``.
     """
     fmt = config.get("format", "csv")
     out = config.get("out")
@@ -426,37 +355,45 @@ def run(subcommand: str, config: dict, sweep: SweepSpec | None = None) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-_COLUMN_DOCS = {
-    "beliefs": "p,lambda,eta_h,eta_l,treatment,owner,state,opponent,probability",
-    "regimes": "p,lambda,eta_h,eta_l,lambda_bar_1,lambda_bar_2,lambda_bar_3,regime",
+
+def _fields(cls) -> str:
+    return ",".join(f.name for f in fields(cls))
+
+
+_ECHO = ",".join(_ENV_FIELDS)
+
+#: Subcommand -> (help, output columns), in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "beliefs": (
+        "interim belief tables (one row per table entry)",
+        f"{_ECHO},treatment,owner,state,opponent,probability",
+    ),
+    "regimes": (
+        "regime boundaries and membership",
+        f"{_ECHO},lambda_bar_1,lambda_bar_2,lambda_bar_3,regime",
+    ),
     "equilibrium": (
-        "p,lambda,eta_h,eta_l,regime,rho_L,rho_Hn,rho_Ha,l_population_empty"
+        "equilibrium split fractions",
+        f"{_ECHO},regime,{_fields(StrategyProfile)}",
     ),
     "costs": (
-        "p,lambda,eta_h,eta_l followed by c_L_n,c_L_a,c_H_n,c_H_a,c_L_exp,"
-        "c_H_exp,c_soc_n,c_soc_a,c_soc_exp,baseline_n,baseline_a,baseline_exp,"
-        "socopt_n,socopt_a,socopt_exp and *_norm variants (each cost divided "
-        "by its social-optimum counterpart)"
+        "equilibrium, baseline, and social-optimum costs",
+        f"{_ECHO} followed by {_fields(CostReport)} and *_norm variants (each "
+        "cost divided by its social-optimum counterpart)",
     ),
     "value": (
-        "p,lambda,eta_h,eta_l,v_L_n,v_L_a,v_H_n,v_H_a,v_L_exp,v_H_exp,"
-        "v_rel_n,v_rel_a,v_rel_exp,w_n,w_a,w_exp,lambda_min"
+        "individual and social value of information",
+        f"{_ECHO},{_fields(ValueReport)}",
     ),
-    "verify": "JSON summary: theorem1/theorem2 pass flags, cases, failures",
+    "verify": (
+        "run the theorem checks and emit a pass/fail summary",
+        "JSON summary: theorem1/theorem2 pass flags, cases, failures",
+    ),
     "oracle": (
-        "p,lambda,eta_h,eta_l,regime,rho_*_closed,rho_*_oracle,deviation; "
-        "prints the max deviation to stderr and exits 2 above 1e-6"
+        "compare closed-form equilibria against the numerical solver",
+        f"{_ECHO},regime,rho_*_closed,rho_*_oracle,deviation; "
+        "prints the max deviation to stderr and exits 2 above 1e-6",
     ),
-}
-
-_SUBCOMMAND_HELP = {
-    "beliefs": "interim belief tables (one row per table entry)",
-    "regimes": "regime boundaries and membership",
-    "equilibrium": "equilibrium split fractions",
-    "costs": "equilibrium, baseline, and social-optimum costs",
-    "value": "individual and social value of information",
-    "verify": "run the theorem checks and emit a pass/fail summary",
-    "oracle": "compare closed-form equilibria against the numerical solver",
 }
 
 
@@ -469,31 +406,17 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in _SUBCOMMAND_HELP.items():
+    for name, (help_text, columns) in _SUBCOMMANDS.items():
         sp = sub.add_parser(
             name,
             help=help_text,
-            description=f"{help_text}. Output columns: {_COLUMN_DOCS[name]}.",
+            description=f"{help_text}. Output columns: {columns}.",
         )
         sp.add_argument("--config", help="flat key=value parameter file")
-        sp.add_argument("--p", type=float, help="incident probability (0,1)")
-        sp.add_argument(
-            "--lambda", dest="lambda", type=float, help="informed fraction [0,1]"
-        )
-        sp.add_argument(
-            "--eta-h", type=float, help="informed-service accuracy (0.5,1]"
-        )
-        sp.add_argument(
-            "--eta-l", type=float, help="uninformed-service accuracy [0.5,eta_h)"
-        )
-        sp.add_argument("--demand", type=float, help="total demand")
-        sp.add_argument("--slope1-normal", type=float, help="route 1 slope, normal")
-        sp.add_argument(
-            "--slope1-incident", type=float, help="route 1 slope, incident"
-        )
-        sp.add_argument("--slope2", type=float, help="route 2 slope")
-        sp.add_argument("--intercept1", type=float, help="route 1 free-flow time")
-        sp.add_argument("--intercept2", type=float, help="route 2 free-flow time")
+        for key, (_, param_help) in _PARAMS.items():
+            sp.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=float, help=param_help
+            )
         sp.add_argument(
             "--sweep",
             help="axis:start:stop:points with axis in {lambda, p, eta_h}",
@@ -515,7 +438,7 @@ def _assemble(args: argparse.Namespace) -> tuple:
     config = dict(DEFAULTS)
     if args.config:
         config.update(parse_config_file(args.config))
-    for key in _PARAM_KEYS:
+    for key in _PARAMS:
         value = vars(args)[key]
         if value is not None:
             config[key] = value
@@ -535,15 +458,12 @@ def main(argv=None) -> int:
     try:
         config, sweep = _assemble(args)
         return run(args.subcommand, config, sweep)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OracleConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

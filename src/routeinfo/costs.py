@@ -36,6 +36,7 @@ from .model import (
     State,
     ValidationError,
     _as_results,
+    _cost_tol,
     derived_constants,
     latency,
 )
@@ -227,7 +228,8 @@ def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolutio
 class CrosscheckRow:
     """One printed closed-form branch compared against first principles.
 
-    ``status`` is "match" (|deviation| <= 1e-9), "deviates", or "excluded"
+    ``status`` is "match" (|deviation| within 1e-11 of the cost scale
+    intercept2 + slope1_incident * demand), "deviates", or "excluded"
     (branch not evaluated; see ``note`` for the defect).
     """
 
@@ -238,9 +240,6 @@ class CrosscheckRow:
     deviation: float | None
     status: str
     note: str = ""
-
-
-_MATCH_TOL = 1e-9
 
 
 def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> list:
@@ -382,7 +381,7 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
             continue
         deviation = abs(printed - computed[quantity])
         status = forced_status or (
-            "match" if deviation <= _MATCH_TOL else "deviates"
+            "match" if deviation <= _cost_tol(params) else "deviates"
         )
         rows.append(
             CrosscheckRow(

@@ -47,6 +47,7 @@ from .model import (
     NetworkParams,
     PlayerType,
     _as_results,
+    _cost_tol,
     derived_constants,
 )
 
@@ -260,10 +261,8 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     return residual
 
 
-#: Component order used by the qualitative patterns.
-_COMPONENTS = (PlayerType.L, PlayerType.HN, PlayerType.HA)
-
-#: The 27 qualitative patterns {0, int, 1}^3, and for each component of each
+#: The 27 qualitative patterns {0, int, 1}^3 over the components (rho_L,
+#: rho_Hn, rho_Ha) of EQUILIBRIUM_TYPES, and for each component of each
 #: the note that names its failure.
 _PATTERNS = tuple(itertools.product(("0", "int", "1"), repeat=3))
 _FAILURES = {
@@ -272,7 +271,10 @@ _FAILURES = {
     "1": "strictly prefers route 2",
 }
 _FAILURE_NOTES = np.array(
-    [[f"{t.value} {_FAILURES[s]}" for t, s in zip(_COMPONENTS, p)] for p in _PATTERNS]
+    [
+        [f"{t.value} {_FAILURES[s]}" for t, s in zip(EQUILIBRIUM_TYPES, p)]
+        for p in _PATTERNS
+    ]
 )
 
 
@@ -292,10 +294,6 @@ def _pattern_group(k: int) -> tuple:
 #: The patterns with interior components grouped by their number (12 with
 #: one, 6 with two, 1 with three), so that each group solves in one call.
 _PATTERN_GROUPS = tuple(_pattern_group(k) for k in (1, 2, 3))
-
-#: Tolerance for the weak inequalities of fixed (0 or 1) components, as a
-#: fraction of the cost scale intercept2 + slope1_incident * demand.
-_PATTERN_GAP_RTOL = 1e-11
 
 #: Condition-number ceiling above which a pattern's equalization system is
 #: treated as degenerate rather than solved. Genuine systems stay many orders
@@ -331,7 +329,7 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     probes = StrategyProfile(*(_probe_axis(row, fields) for row in _GAP_PROBES))
     gaps = [
         _type_gap(params, env, belief_uninformative(env, t), t, probes)
-        for t in _COMPONENTS
+        for t in EQUILIBRIUM_TYPES
     ]
     # (..., profile, type)
     at = np.moveaxis(np.stack(np.broadcast_arrays(*gaps), axis=-1), 0, -2)
@@ -346,17 +344,16 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     fixed at 0 (resp. 1) must make route 2 (resp. 1) weakly cheapest for
     their owner. The pattern is an equilibrium only if the system solves
     with every interior component in [0, 1] and every fixed component's
-    inequality holds within _PATTERN_GAP_RTOL of the cost scale.
+    inequality holds within the cost slack of ``model._cost_tol``.
 
     Array-valued fields give each element the scalar call's verdict:
     ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
     solved splits, NaN where the pattern is rejected (None in a scalar call).
     """
     _require_uninformative(env)
-    gap_tol = _PATTERN_GAP_RTOL * (
-        params.intercept2 + params.slope1_incident * params.demand
-    )
     g0, coef = _affine_gaps(params, env)
+    # (..., 1, 1), against gaps of shape (..., pattern, component).
+    gap_tol = np.asarray(_cost_tol(params))[..., None, None]
     shape = g0.shape[:-1]
 
     # Splits as (..., pattern, component), solvability as (..., pattern).

@@ -137,8 +137,20 @@ class DerivedConstants:
 
 
 #: The model's rules in checking order: (code, holds, message), where
-#: ``holds`` and ``message`` take the fields by keyword.
+#: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
+#: tests finiteness for ``Fraction`` fields too, where ``np.isfinite`` raises.
 _NETWORK_RULES = (
+    (
+        "not_finite",
+        lambda a1n, a1a, a2, b1, b2, d: (
+            (abs(a1n) < np.inf) & (abs(a1a) < np.inf) & (abs(a2) < np.inf)
+            & (abs(b1) < np.inf) & (abs(b2) < np.inf) & (abs(d) < np.inf)
+        ),
+        lambda a1n, a1a, a2, b1, b2, d: (
+            f"need finite slope1_normal, slope1_incident, slope2, intercept1, "
+            f"intercept2 and demand, got ({a1n}, {a1a}, {a2}, {b1}, {b2}, {d})"
+        ),
+    ),
     (
         "slope_ordering",
         lambda a1n, a1a, a2, **_: (a1a > a2) & (a2 >= a1n) & (a1n > 0),
@@ -210,7 +222,7 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
 
     Network rules run first, then environment rules; a ``None`` argument is
     skipped. Returns the pair unchanged if all hold, else raises
-    ValidationError with a distinct code per violated rule:
+    ValidationError with a distinct code per violated rule: ``not_finite``,
     ``slope_ordering``, ``intercept_ordering``, ``demand_too_small``,
     ``probability_out_of_range``, ``accuracy_out_of_range``. For array
     fields the message names the first offending element (see ``_enforce``).
@@ -236,6 +248,18 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
             eta_l=env.accuracy_low,
         )
     return params, env
+
+
+#: Costs that differ by less than this fraction of the cost scale
+#: intercept2 + slope1_incident * demand, which bounds every route's latency,
+#: count as equal. Relative to that scale, no comparison depends on the
+#: time unit.
+_COST_RTOL = 1e-11
+
+
+def _cost_tol(params: NetworkParams):
+    """Absolute slack for comparing two costs on ``params``'s network."""
+    return _COST_RTOL * (params.intercept2 + params.slope1_incident * params.demand)
 
 
 def _as_results(*values) -> list:

@@ -27,11 +27,11 @@ import numpy as np
 from .beliefs import _require_uninformative
 from .costs import cost_report
 from .equilibrium import classify, regime_boundaries
-from .model import InfoEnvironment, NetworkParams, _as_results, _enforce
+from .model import InfoEnvironment, NetworkParams, _as_results, _cost_tol, _enforce
 
-#: Slack for sign classification of finite differences and for "equals zero"
-#: assertions on plateaus.
-_FLAT_TOL = 1e-9
+#: Slack for comparing informed fractions, which carry no time unit. Costs
+#: and values compare within ``model._cost_tol`` instead.
+_LAMBDA_TOL = 1e-9
 
 
 _PERFECT_ACCURACY_RULE = (
@@ -145,8 +145,9 @@ def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Repo
 
     ``env`` holds the informed fractions to check in ``frac_informed``
     (accuracy_high = 1). Boundary membership follows ``classify``: points
-    landing in the fourth regime must show |v_rel_exp| <= 1e-9, all others
-    a strictly positive value. Points with frac_informed = 0 are skipped —
+    landing in the fourth regime must show |v_rel_exp| within 1e-11 of the
+    cost scale intercept2 + slope1_incident * demand, all others a strictly
+    positive value. Points with frac_informed = 0 are skipped —
     the relative value compares two populations, and the informed one does
     not exist there. The rest are evaluated in one array call. Failures
     carry (frac_informed, v_rel_exp, expectation).
@@ -156,10 +157,11 @@ def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Repo
     env = replace(env, frac_informed=lams)
     v_rel = value_report(params, env).v_rel_exp
     labels = classify(params, env).label
+    tol = _cost_tol(params)
     failures = []
     for lam, v, regime in zip(lams.tolist(), v_rel.tolist(), labels.tolist()):
         if regime == "R4":
-            if abs(v) > _FLAT_TOL:
+            if abs(v) > tol:
                 failures.append((lam, v, "expected ~0 in R4"))
         elif not v > 0:
             failures.append((lam, v, f"expected > 0 in {regime}"))
@@ -178,22 +180,25 @@ class Theorem2Report:
     failures: list = field(default_factory=list)
 
 
-def _sign(delta: float) -> int:
-    if delta > _FLAT_TOL:
+def _sign(delta: float, tol: float) -> int:
+    if delta > tol:
         return 1
-    if delta < -_FLAT_TOL:
+    if delta < -tol:
         return -1
     return 0
 
 
-def _check_shape(ws, expected: str, regime: str, failures: list) -> None:
-    """Assert a regime slice is increasing, decreasing or flat in shape."""
-    signs = [_sign(ws[i + 1] - ws[i]) for i in range(len(ws) - 1)]
+def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> None:
+    """Assert a regime slice is increasing, decreasing or flat in shape.
+
+    Steps within ``tol`` count as flat.
+    """
+    signs = [_sign(ws[i + 1] - ws[i], tol) for i in range(len(ws) - 1)]
     if expected == "increasing":
-        if any(s < 0 for s in signs) or not ws[-1] - ws[0] > _FLAT_TOL:
+        if any(s < 0 for s in signs) or not ws[-1] - ws[0] > tol:
             failures.append(f"{regime}: expected increasing social value")
     elif expected == "decreasing":
-        if any(s > 0 for s in signs) or not ws[0] - ws[-1] > _FLAT_TOL:
+        if any(s > 0 for s in signs) or not ws[0] - ws[-1] > tol:
             failures.append(f"{regime}: expected decreasing social value")
     elif any(s != 0 for s in signs):
         failures.append(f"{regime}: expected constant social value")
@@ -223,6 +228,7 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
         raise ValueError("frac_informed must be sorted")
     ws = value_report(params, env).w_exp
     labels = classify(params, env).label.tolist()
+    tol = _cost_tol(params)
 
     lb1, lb2, lb3 = regime_boundaries(params, env)
     tilde = lambda_tilde(params)
@@ -240,7 +246,7 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
         if len(idx) < 2:
             continue
         if expected != "peaked":
-            _check_shape(ws[idx], expected, regime, failures)
+            _check_shape(ws[idx], expected, regime, failures, tol)
             continue
         # Rising up to lambda_tilde and falling after it. The grid step that
         # straddles lambda_tilde may go either way, and a side with fewer
@@ -250,30 +256,30 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
         above = [i for i in idx if lams[i] >= tilde]
         for side, shape in ((below, "increasing"), (above, "decreasing")):
             if len(side) >= 2:
-                _check_shape(ws[side], shape, regime, failures)
+                _check_shape(ws[side], shape, regime, failures, tol)
 
     if r3_case == "peaked":
         idx = [i for i, lab in enumerate(labels) if lab == "R3"]
         if idx:
             peak_lam = lams[idx][int(np.argmax(ws[idx]))]
             r3_step = float(np.max(np.diff(lams[idx]))) if len(idx) > 1 else 0.0
-            if abs(peak_lam - tilde) > r3_step + _FLAT_TOL:
+            if abs(peak_lam - tilde) > r3_step + _LAMBDA_TOL:
                 failures.append(
                     f"R3: peak at {peak_lam:.6f}, expected near {tilde:.6f}"
                 )
 
     w_max = float(np.max(ws))
-    achievers = np.flatnonzero(ws >= w_max - _FLAT_TOL)
+    achievers = np.flatnonzero(ws >= w_max - tol)
     argmax_lam = float(lams[achievers[0]])
     lam_min = lambda_min(params, env)
     grid_step = float(np.max(np.diff(lams)))
-    if not np.any(np.abs(lams[achievers] - lam_min) <= grid_step + _FLAT_TOL):
+    if not np.any(np.abs(lams[achievers] - lam_min) <= grid_step + _LAMBDA_TOL):
         failures.append(
             f"grid argmax of social value at {argmax_lam:.6f}, "
             f"lambda_min predicts {lam_min:.6f}"
         )
     w_at_min = value_report(params, replace(env, frac_informed=lam_min)).w_exp
-    if not w_at_min >= w_max - _FLAT_TOL:
+    if not w_at_min >= w_max - tol:
         failures.append(
             f"social value {w_at_min:.9g} at lambda_min {lam_min:.6f} "
             f"below the grid maximum {w_max:.9g}"

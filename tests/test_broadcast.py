@@ -137,6 +137,19 @@ def test_array_inputs_give_arrays_of_the_common_shape():
     assert np.isnan(report.c_L_n[-1]) and np.isnan(report.c_H_n[0])
 
 
+def test_pattern_table_over_a_network_field_equals_scalar_calls():
+    """An array network field gives each element the scalar call's verdicts,
+    each judged at the cost scale of its own network."""
+    demands = np.array([3.0, 5.0, 9.0, 40.0])
+    env = InfoEnvironment(0.2, 0.5, 1.0)
+    table = enumerate_profiles(NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, demands), env)
+    for i, d in enumerate(demands.tolist()):
+        scalar = enumerate_profiles(NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, d), env)
+        for got, want in zip(table, scalar, strict=True):
+            assert got.is_equilibrium[i].item() is want.is_equilibrium, (d, got.pattern)
+            assert got.note[i].item() == want.note, (d, got.pattern)
+
+
 @pytest.mark.parametrize("p,eta_h", [(0.2, 1.0), (0.6, 1.0), (0.3, 0.8)])
 def test_pattern_table_array_call_equals_scalar_calls(p, eta_h):
     """One array call over a lambda sweep gives, verdict by verdict, the

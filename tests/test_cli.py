@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from routeinfo.cli import main
+from routeinfo.cli import DEFAULTS, main
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -398,6 +398,16 @@ def test_invalid_inputs_exit_one(capsys, argv):
             ["verify", "--sweep", "lambda:0:1:5"],
             "malformed_sweep: verify checks one point and takes no --sweep",
         ),
+        (
+            ["equilibrium", "--slope1-incident", "inf"],
+            "not_finite: need finite slope1_normal, slope1_incident, slope2, "
+            "intercept1, intercept2 and demand, got (1.0, inf, 2.0, 19.0, 21.0, 5.0)",
+        ),
+        (
+            ["costs", "--demand", "inf"],
+            "not_finite: need finite slope1_normal, slope1_incident, slope2, "
+            "intercept1, intercept2 and demand, got (1.0, 3.0, 2.0, 19.0, 21.0, inf)",
+        ),
     ],
     ids=[
         "value_eta_h_sweep",
@@ -405,6 +415,8 @@ def test_invalid_inputs_exit_one(capsys, argv):
         "single_point",
         "sweep_range",
         "verify_sweep",
+        "infinite_slope",
+        "infinite_demand",
     ],
 )
 def test_invalid_input_names_the_first_offending_value(capsys, argv, message):
@@ -430,3 +442,43 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "equilibrium" in out
+
+
+@pytest.mark.parametrize(
+    "sub", ["regimes", "equilibrium", "beliefs", "costs", "value", "verify", "oracle"]
+)
+def test_help_lists_the_parameters_and_printed_columns(capsys, sub):
+    """Each subcommand's help names the ten parameter flags in DEFAULTS order
+    and, for the fully listed ones, the CSV header the subcommand prints."""
+    assert main([sub, "--help"]) == 0
+    text = capsys.readouterr().out
+    assert len(DEFAULTS) == 10
+    positions = [text.index(f"  --{key.replace('_', '-')} ") for key in DEFAULTS]
+    assert positions == sorted(positions)
+    if sub in ("regimes", "equilibrium", "beliefs", "value"):
+        code, out, _ = _run(capsys, [sub])
+        assert code == 0
+        header = out.splitlines()[0]
+        assert header in "".join(text.split())
+
+
+#: The running example's slopes and intercepts, each scaled by a change of
+#: time unit.
+_TIME_FLAGS = {
+    "--slope1-normal": 1.0,
+    "--slope1-incident": 3.0,
+    "--slope2": 2.0,
+    "--intercept1": 19.0,
+    "--intercept2": 21.0,
+}
+
+
+@pytest.mark.parametrize("p", [0.2, 0.395, 0.6])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
+def test_verify_does_not_depend_on_the_time_unit(capsys, scale, p):
+    argv = ["verify", "--p", str(p)]
+    for flag, value in _TIME_FLAGS.items():
+        argv += [flag, repr(value * scale)]
+    code, out, _ = _run(capsys, argv)
+    payload = json.loads(out)
+    assert code == 0, (payload["theorem1"]["failures"], payload["theorem2"]["failures"])

@@ -289,6 +289,21 @@ def test_crosscheck_third_regime_reports_slope_defect():
     assert "slope" in row.note
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
+def test_crosscheck_statuses_do_not_depend_on_the_time_unit(scale):
+    """Scaling every slope and intercept (a change of time unit) scales every
+    cost, and leaves each branch's status as it is."""
+    scaled = NetworkParams(
+        1.0 * scale, 3.0 * scale, 2.0 * scale, 19.0 * scale, 21.0 * scale, 5.0
+    )
+    for p in (0.2, 0.395, 0.6):
+        for lam in np.linspace(0.05, 0.95, 19).tolist():
+            env = _env(p=p, lam=lam)
+            assert _statuses(analytic_cost_crosscheck(scaled, env)) == _statuses(
+                analytic_cost_crosscheck(PARAMS, env)
+            ), (p, lam)
+
+
 def test_crosscheck_guards():
     with pytest.raises(ValidationError) as exc:
         analytic_cost_crosscheck(PARAMS, _env(eta_h=0.75))

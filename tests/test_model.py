@@ -93,6 +93,28 @@ def test_intercept_ordering_rejected(bad):
     assert _code(validate, _unchecked(PARAMS, **bad), ENV) == "intercept_ordering"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(slope1_incident=np.inf),
+        dict(slope2=np.nan),
+        dict(intercept1=-np.inf),
+        dict(intercept2=np.inf),
+        dict(demand=np.inf),
+        dict(demand=np.nan),
+    ],
+)
+def test_non_finite_fields_rejected(bad):
+    assert _code(_params, **bad) == "not_finite"
+    assert _code(validate, _unchecked(PARAMS, **bad), ENV) == "not_finite"
+
+
+def test_non_finite_array_field_names_its_first_bad_element():
+    message = _error(_params, demand=np.array([5.0, np.inf, np.nan]))
+    assert message == _error(_params, demand=np.inf)
+    assert message.endswith("got (1.0, 3.0, 2.0, 19.0, 21.0, inf)")
+
+
 def test_demand_floor_is_strict():
     # (intercept2 - intercept1) / slope1_normal = 2: route 2 must ever be used.
     assert _code(_params, demand=2.0) == "demand_too_small"
