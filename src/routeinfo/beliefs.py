@@ -38,7 +38,7 @@ from .model import (
     PlayerType,
     State,
     ValidationError,
-    _enforce,
+    _require_uninformative,
     latency,
 )
 
@@ -164,20 +164,6 @@ def belief_marginal_ck(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:
     longer depends on the state.
     """
     return _belief(env, owner, _signal_opponents(owner), _marginal(env))
-
-
-_UNINFORMATIVE_RULE = (
-    (
-        "unsupported_treatment",
-        lambda eta_l: eta_l == 0.5,
-        lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
-    ),
-)
-
-
-def _require_uninformative(env: InfoEnvironment) -> None:
-    """Reject an environment whose low-accuracy service is not a coin flip."""
-    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
 
 
 def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable:

@@ -95,6 +95,10 @@ def parse_sweep(text: str) -> tuple:
         raise ValidationError(
             "malformed_sweep", f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}"
         )
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(
+            "malformed_sweep", f"sweep needs finite bounds, got {start}..{stop}"
+        )
     if not start < stop:
         raise ValidationError(
             "malformed_sweep", f"sweep needs start < stop, got {start}..{stop}"

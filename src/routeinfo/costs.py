@@ -23,35 +23,26 @@ still raises ``empty_population`` if asked for an empty population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _require_uninformative, _type_given_state
+from .beliefs import _type_given_state
 from .equilibrium import StrategyProfile, classify, solve_bwe
 from .model import (
     InfoEnvironment,
     NetworkParams,
     PlayerType,
     State,
-    ValidationError,
     _as_results,
     _cost_tol,
+    _require_nonempty,
+    _require_perfect_accuracy,
+    _require_scalar,
+    _require_uninformative,
     derived_constants,
     latency,
 )
-
-
-def _check_nonempty(env: InfoEnvironment, population) -> None:
-    lam = env.frac_informed
-    if population in ("L", PlayerType.L) and np.any(lam == 1):
-        raise ValidationError(
-            "empty_population", "population L is empty at frac_informed = 1"
-        )
-    if population == "H" and np.any(lam == 0):
-        raise ValidationError(
-            "empty_population", "population H is empty at frac_informed = 0"
-        )
 
 
 def realized_population_state_cost(
@@ -70,7 +61,7 @@ def realized_population_state_cost(
     Raises ``empty_population`` if the population is empty at any point.
     """
     _require_uninformative(env)
-    _check_nonempty(env, population)
+    _require_nonempty(env, population)
     if population not in ("L", "H"):
         raise ValueError(f"population must be 'L' or 'H', got {population!r}")
     c_l, c_h = _state_costs(params, env, profile, state)
@@ -242,156 +233,98 @@ class CrosscheckRow:
     note: str = ""
 
 
-def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> list:
-    """Evaluate every printed per-regime cost branch against first principles.
+#: Printed branches that are not evaluated, with the defect in each.
+_EXCLUDED = {
+    ("c_L_n", "R1"): "undefined_symbol: R1 branch references K_L^1",
+    ("c_soc_exp", "R1"): "garbled_expression: R1 branch drops a factor",
+}
 
-    Scalar fields only: the printed branch is chosen by one regime label, so
-    an array-valued field raises ``scalar_only``. Requires the
-    perfectly-informed specialization (accuracy_high = 1) and an
-    interior informed fraction so both populations exist. Branches with known
-    typographical defects are excluded with a reason instead of guessed at:
-    the uninformed normal-state cost in the first regime references an
-    undefined load symbol, and the expected-social-cost expression for that
-    regime has a garbled additive term. The third-regime expected social cost
-    is evaluated verbatim and reported as deviating: its printed incident
-    term uses the normal-state slope where the incident slope belongs.
-    """
-    arrays = [
-        f.name for obj in (params, env) for f in fields(obj)
-        if np.ndim(getattr(obj, f.name))
-    ]
-    if arrays:
-        raise ValidationError(
-            "scalar_only",
-            f"the crosscheck takes scalar fields only, {arrays[0]} is an array",
-        )
-    _require_uninformative(env)
-    if np.any(np.asarray(env.accuracy_high) != 1):
-        raise ValidationError(
-            "not_analyzed",
-            "closed-form cost branches are only stated for accuracy_high = 1",
-        )
-    lam = env.frac_informed
-    if not 0 < lam < 1:
-        raise ValidationError(
-            "empty_population",
-            "crosscheck needs both populations present (0 < frac_informed < 1)",
-        )
+#: Printed branches evaluated verbatim and known to be wrong, with the defect.
+_DEVIATES = {
+    ("c_soc_exp", "R3"): (
+        "printed incident term uses the normal-state slope; "
+        "expected shortfall (slope1_incident - slope1_normal) * K2 * p"
+    ),
+}
 
-    profile = solve_bwe(params, env)
-    regime = classify(params, env).label
+
+def _printed_branches(params: NetworkParams, env: InfoEnvironment) -> dict:
+    """The paper's closed form of each (quantity, regime) but the
+    ``_EXCLUDED`` ones, as printed, all at ``env``. Every denominator is
+    positive for 0 < frac_informed < 1 and accuracy_high = 1."""
     k = derived_constants(params, env)
-    p, d = env.p_incident, params.demand
+    lam, p, d = env.frac_informed, env.p_incident, params.demand
     a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
     b1, b2 = params.intercept1, params.intercept2
+    # Uninformed splits and route costs that several branches share.
+    rho_l_r1 = k.k1 / ((1 - lam) * d) - (1 - p) * lam / (1 - lam)
+    rho_l_r2 = k.k4 / ((1 - lam) * d) - lam / (1 - lam)
+    q1_r1 = k.k1 - (1 - p) * lam * d
+    route1_r1, route2_r1 = a1a * q1_r1 + b1, a2 * (d - q1_r1) + b2
+    route1_k4, route2_k4 = a1n * k.k4 + b1, a2 * (d - k.k4) + b2
+    incident_route1 = a1a * k.k2 + b1
+    incident_route2 = a2 * (d - k.k0 / (a1a + a2)) + b2
+    return {
+        ("c_L_n", "R2"): rho_l_r2 * route1_k4 + (1 - rho_l_r2) * route2_k4,
+        ("c_L_n", "R3"): a2 * (1 - lam) * d + b2,
+        ("c_L_n", "R4"): a2 * (d - k.k3) + b2,
+        ("c_L_a", "R1"): rho_l_r1 * route1_r1 + (1 - rho_l_r1) * route2_r1,
+        ("c_H_n", "R1"): a1n * (k.k1 + p * lam * d) + b1,
+        ("c_H_n", "R2"): route1_k4,
+        ("c_H_n", "R3"): a1n * lam * d + b1,
+        ("c_H_n", "R4"): a1n * k.k3 + b1,
+        ("c_H_a", "R1"): route2_r1,
+        **{
+            (quantity, regime): incident_route1
+            for quantity in ("c_L_a", "c_H_a")
+            for regime in ("R2", "R3", "R4")
+        },
+        ("c_soc_exp", "R2"): p * incident_route2 + (1 - p) * (
+            (k.k4 / d) * route1_k4 + (1 - k.k4 / d) * route2_k4
+        ),
+        ("c_soc_exp", "R3"): p * (a1n * k.k2 + b1) + (1 - p) * (
+            lam**2 * a1n * d + lam * b1 + (1 - lam) ** 2 * a2 * d + (1 - lam) * b2
+        ),
+        ("c_soc_exp", "R4"): p * incident_route2 + (1 - p) * (
+            a2 * (d - k.k0 / (a1n + a2)) + b2
+        ),
+    }
 
-    population_costs = _population_state_costs(params, env, profile)
+
+def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> list:
+    """Compare the classified regime's printed cost branches with first principles.
+
+    One row per quantity. Scalar fields only (the branch is chosen by one
+    regime label), accuracy_high = 1, and both populations present. The
+    ``_EXCLUDED`` branches carry typos and are not guessed at; the
+    ``_DEVIATES`` one is evaluated verbatim and reported as deviating.
+    """
+    _require_scalar("the crosscheck", params, env)
+    _require_uninformative(env)
+    _require_perfect_accuracy(env)
+    _require_nonempty(env, "L", "H")
+
+    regime = classify(params, env).label
+    population_costs = _population_state_costs(params, env, solve_bwe(params, env))
     computed = dict(
         zip(("c_L_n", "c_L_a", "c_H_n", "c_H_a"), population_costs),
         c_soc_exp=_social_state_costs(env, *population_costs)[2],
     )
-
-    def printed_c_L_n():
-        if regime == "R1":
-            return None, "excluded", "undefined_symbol: R1 branch references K_L^1"
-        if regime == "R2":
-            rho = k.k4 / ((1 - lam) * d) - lam / (1 - lam)
-            val = rho * (a1n * k.k4 + b1) + (1 - rho) * (a2 * (d - k.k4) + b2)
-        elif regime == "R3":
-            val = a2 * (1 - lam) * d + b2
-        else:
-            val = a2 * (d - k.k3) + b2
-        return val, None, ""
-
-    def printed_c_L_a():
-        if regime == "R1":
-            rho = k.k1 / ((1 - lam) * d) - (1 - p) * lam / (1 - lam)
-            q1 = k.k1 - (1 - p) * lam * d
-            val = rho * (a1a * q1 + b1) + (1 - rho) * (a2 * (d - q1) + b2)
-        else:
-            val = a1a * k.k2 + b1
-        return val, None, ""
-
-    def printed_c_H_n():
-        val = {
-            "R1": a1n * (k.k1 + p * lam * d) + b1,
-            "R2": a1n * k.k4 + b1,
-            "R3": a1n * lam * d + b1,
-            "R4": a1n * k.k3 + b1,
-        }[regime]
-        return val, None, ""
-
-    def printed_c_H_a():
-        if regime == "R1":
-            val = a2 * (d - (k.k1 - (1 - p) * lam * d)) + b2
-        else:
-            val = a1a * k.k2 + b1
-        return val, None, ""
-
-    def printed_c_soc_exp():
-        if regime == "R1":
-            return None, "excluded", "garbled_expression: R1 branch drops a factor"
-        if regime == "R2":
-            val = p * (a2 * (d - k.k0 / (a1a + a2)) + b2) + (1 - p) * (
-                (k.k4 / d) * (a1n * k.k4 + b1)
-                + (1 - k.k4 / d) * (a2 * (d - k.k4) + b2)
-            )
-            return val, None, ""
-        if regime == "R3":
-            val = p * (a1n * k.k2 + b1) + (1 - p) * (
-                lam**2 * a1n * d
-                + lam * b1
-                + (1 - lam) ** 2 * a2 * d
-                + (1 - lam) * b2
-            )
-            return (
-                val,
-                "deviates",
-                "printed incident term uses the normal-state slope; "
-                "expected shortfall (slope1_incident - slope1_normal) * K2 * p",
-            )
-        val = p * (a2 * (d - k.k0 / (a1a + a2)) + b2) + (1 - p) * (
-            a2 * (d - k.k0 / (a1n + a2)) + b2
-        )
-        return val, None, ""
-
-    builders = {
-        "c_L_n": printed_c_L_n,
-        "c_L_a": printed_c_L_a,
-        "c_H_n": printed_c_H_n,
-        "c_H_a": printed_c_H_a,
-        "c_soc_exp": printed_c_soc_exp,
-    }
-
+    branches = _printed_branches(params, env)
     rows = []
-    for quantity, build in builders.items():
-        printed, forced_status, note = build()
-        if printed is None:
-            rows.append(
-                CrosscheckRow(
-                    quantity=quantity,
-                    regime=regime,
-                    printed=None,
-                    computed=float(computed[quantity]),
-                    deviation=None,
-                    status="excluded",
-                    note=note,
-                )
-            )
-            continue
-        deviation = abs(printed - computed[quantity])
-        status = forced_status or (
-            "match" if deviation <= _cost_tol(params) else "deviates"
-        )
+    for quantity, value in computed.items():
+        key = (quantity, regime)
+        printed = deviation = None
+        status = "excluded"
+        if key not in _EXCLUDED:
+            printed = float(branches[key])
+            deviation = float(abs(branches[key] - value))
+            matches = key not in _DEVIATES and deviation <= _cost_tol(params)
+            status = "match" if matches else "deviates"
+        note = _EXCLUDED.get(key, _DEVIATES.get(key, ""))
         rows.append(
             CrosscheckRow(
-                quantity=quantity,
-                regime=regime,
-                printed=float(printed),
-                computed=float(computed[quantity]),
-                deviation=float(deviation),
-                status=status,
-                note=note,
+                quantity, regime, printed, float(value), deviation, status, note
             )
         )
     return rows

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import (
-    _require_uninformative,
     belief_uninformative,
     expected_route_cost,
     marginal_type_dist,
@@ -48,6 +47,7 @@ from .model import (
     PlayerType,
     _as_results,
     _cost_tol,
+    _require_uninformative,
     derived_constants,
 )
 

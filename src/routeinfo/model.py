@@ -22,7 +22,7 @@ Python scalars for scalar inputs and arrays of the common shape otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -214,7 +214,9 @@ def _enforce(rules, **fields) -> None:
         broken = np.stack([~holds(**flat) for _, holds, _ in rules])
     i = int(np.flatnonzero(broken.any(axis=0))[0])
     code, _, message = rules[int(np.flatnonzero(broken[:, i])[0])]
-    raise ValidationError(code, message(**{k: v[i].item() for k, v in flat.items()}))
+    # ``tolist`` also reads object arrays (``Fraction`` fields), unlike ``item``.
+    values = {k: v[i : i + 1].tolist()[0] for k, v in flat.items()}
+    raise ValidationError(code, message(**values))
 
 
 def validate(params: NetworkParams | None, env: InfoEnvironment | None):
@@ -248,6 +250,50 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
             eta_l=env.accuracy_low,
         )
     return params, env
+
+
+#: Scope rules, each written once: the equilibrium analysis needs a coin-flip
+#: uninformed signal, the value analysis and crosscheck a perfect service.
+_UNINFORMATIVE_RULE = (
+    (
+        "unsupported_treatment",
+        lambda eta_l: eta_l == 0.5,
+        lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
+    ),
+)
+_PERFECT_ACCURACY_RULE = (
+    (
+        "not_analyzed",
+        lambda eta_h: eta_h == 1,
+        lambda eta_h: f"value analysis covers accuracy_high = 1 only, got {eta_h}",
+    ),
+)
+
+
+def _require_uninformative(env: InfoEnvironment) -> None:
+    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
+
+
+def _require_perfect_accuracy(env: InfoEnvironment) -> None:
+    _enforce(_PERFECT_ACCURACY_RULE, eta_h=env.accuracy_high)
+
+
+def _require_nonempty(env: InfoEnvironment, *populations) -> None:
+    """Reject ``env`` if a named population ("L", "H") is empty at any point."""
+    for population, empty_at in (("L", 1), ("H", 0)):
+        if population in populations and np.any(env.frac_informed == empty_at):
+            message = f"population {population} is empty at frac_informed = {empty_at}"
+            raise ValidationError("empty_population", message)
+
+
+def _require_scalar(caller: str, *objs) -> None:
+    """Reject array-valued fields of ``objs``, naming the first."""
+    arrays = [
+        f.name for obj in objs for f in fields(obj) if np.ndim(getattr(obj, f.name))
+    ]
+    if arrays:
+        message = f"{caller} takes scalar fields only, {arrays[0]} is an array"
+        raise ValidationError("scalar_only", message)
 
 
 #: Costs that differ by less than this fraction of the cost scale

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _require_uninformative, belief_uninformative
+from .beliefs import belief_uninformative
 from .equilibrium import (
     StrategyProfile,
     _probe_axis,
@@ -45,6 +45,8 @@ from .model import (
     State,
     ValidationError,
     _as_results,
+    _require_scalar,
+    _require_uninformative,
     latency,
 )
 
@@ -179,7 +181,6 @@ def best_response(
     preferred corner is returned (0 when route 1 is dearer, 1 when cheaper,
     0.5 at exact indifference).
     """
-    _require_uninformative(env)
     table = belief_uninformative(env, responder)
     g0, slope = _gap_line(params, env, table, responder, profile)
     br = _br_from_line(g0, slope)
@@ -335,8 +336,10 @@ def grid_scan(
 
     epsilon = 10 * (cell diagonal) * (max latency slope) * demand, so the
     accepted set scales with the grid and always covers the cells around a
-    true equilibrium. Scalar parameters and environment only.
+    true equilibrium. Scalar parameters and environment only: an
+    array-valued field raises ``scalar_only``.
     """
+    _require_scalar("grid_scan", params, env)
     _require_uninformative(env)
     res = config.grid_resolution
     if res > MAX_SCAN_RESOLUTION:
@@ -437,7 +440,9 @@ def brute_force_socopt(
 
     Scans route-1 load over [0, D] at ``grid_resolution`` points, then
     refines once at 10x resolution inside the winning cell's neighborhood.
+    Scalar parameters only: an array-valued field raises ``scalar_only``.
     """
+    _require_scalar("brute_force_socopt", params)
     d = params.demand
 
     def total_cost(q1):

@@ -24,27 +24,20 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beliefs import _require_uninformative
 from .costs import cost_report
 from .equilibrium import classify, regime_boundaries
-from .model import InfoEnvironment, NetworkParams, _as_results, _cost_tol, _enforce
+from .model import (
+    InfoEnvironment,
+    NetworkParams,
+    _as_results,
+    _cost_tol,
+    _require_perfect_accuracy,
+    _require_uninformative,
+)
 
 #: Slack for comparing informed fractions, which carry no time unit. Costs
 #: and values compare within ``model._cost_tol`` instead.
 _LAMBDA_TOL = 1e-9
-
-
-_PERFECT_ACCURACY_RULE = (
-    (
-        "not_analyzed",
-        lambda eta_h: eta_h == 1,
-        lambda eta_h: f"value analysis covers accuracy_high = 1 only, got {eta_h}",
-    ),
-)
-
-
-def _require_perfect_accuracy(env: InfoEnvironment) -> None:
-    _enforce(_PERFECT_ACCURACY_RULE, eta_h=env.accuracy_high)
 
 
 @dataclass(frozen=True)
@@ -180,28 +173,21 @@ class Theorem2Report:
     failures: list = field(default_factory=list)
 
 
-def _sign(delta: float, tol: float) -> int:
-    if delta > tol:
-        return 1
-    if delta < -tol:
-        return -1
-    return 0
-
-
 def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> None:
     """Assert a regime slice is increasing, decreasing or flat in shape.
 
     Steps within ``tol`` count as flat.
     """
-    signs = [_sign(ws[i + 1] - ws[i], tol) for i in range(len(ws) - 1)]
+    steps = np.diff(ws)
+    rises, falls = np.any(steps > tol), np.any(steps < -tol)
     if expected == "increasing":
-        if any(s < 0 for s in signs) or not ws[-1] - ws[0] > tol:
-            failures.append(f"{regime}: expected increasing social value")
+        broken = falls or not ws[-1] - ws[0] > tol
     elif expected == "decreasing":
-        if any(s > 0 for s in signs) or not ws[0] - ws[-1] > tol:
-            failures.append(f"{regime}: expected decreasing social value")
-    elif any(s != 0 for s in signs):
-        failures.append(f"{regime}: expected constant social value")
+        broken = rises or not ws[0] - ws[-1] > tol
+    else:
+        broken = rises or falls
+    if broken:
+        failures.append(f"{regime}: expected {expected} social value")
 
 
 def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Report:

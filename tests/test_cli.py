@@ -408,6 +408,14 @@ def test_invalid_inputs_exit_one(capsys, argv):
             "not_finite: need finite slope1_normal, slope1_incident, slope2, "
             "intercept1, intercept2 and demand, got (1.0, 3.0, 2.0, 19.0, 21.0, inf)",
         ),
+        (
+            ["equilibrium", "--sweep", "lambda:0:inf:3"],
+            "malformed_sweep: sweep needs finite bounds, got 0.0..inf",
+        ),
+        (
+            ["equilibrium", "--sweep", "lambda:nan:1:3"],
+            "malformed_sweep: sweep needs finite bounds, got nan..1.0",
+        ),
     ],
     ids=[
         "value_eta_h_sweep",
@@ -417,6 +425,8 @@ def test_invalid_inputs_exit_one(capsys, argv):
         "verify_sweep",
         "infinite_slope",
         "infinite_demand",
+        "infinite_sweep_stop",
+        "nan_sweep_start",
     ],
 )
 def test_invalid_input_names_the_first_offending_value(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Equilibrium costs, baselines, the social optimum, and the closed-form audit."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from routeinfo import (
     brute_force_socopt,
     classify,
     cost_report,
+    derived_constants,
     expected_population_cost,
     latency,
     realized_population_state_cost,
@@ -30,6 +32,7 @@ from routeinfo import (
     value_report,
 )
 import routeinfo.model
+from routeinfo.costs import _DEVIATES, _EXCLUDED, _printed_branches
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -304,14 +307,55 @@ def test_crosscheck_statuses_do_not_depend_on_the_time_unit(scale):
             ), (p, lam)
 
 
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.01, max_value=0.99),
+    lam=st.floats(min_value=0.001, max_value=0.999),
+)
+@settings(max_examples=300, deadline=None)
+def test_crosscheck_on_random_networks(params, p, lam):
+    """Every evaluated branch matches first principles on any network, except
+    the third-regime expected social cost, which misses by exactly its slope
+    defect p * (slope1_incident - slope1_normal) * K2."""
+    env = _env(p=p, lam=lam)
+    tol = routeinfo.model._cost_tol(params)
+    for row in analytic_cost_crosscheck(params, env):
+        key = (row.quantity, row.regime)
+        if key in (("c_L_n", "R1"), ("c_soc_exp", "R1")):
+            assert row.status == "excluded", row
+        elif key == ("c_soc_exp", "R3"):
+            assert row.status == "deviates", row
+            shortfall = (
+                p
+                * (params.slope1_incident - params.slope1_normal)
+                * derived_constants(params, env).k2
+            )
+            assert abs(row.deviation - shortfall) <= tol, row
+        else:
+            assert row.status == "match", row
+
+
+def test_printed_branches_and_exclusions_cover_each_row_once():
+    printed = set(_printed_branches(PARAMS, _env()))
+    quantities = ("c_L_n", "c_L_a", "c_H_n", "c_H_a", "c_soc_exp")
+    every = set(itertools.product(quantities, ("R1", "R2", "R3", "R4")))
+    assert not printed & set(_EXCLUDED)
+    assert printed | set(_EXCLUDED) == every
+    assert set(_DEVIATES) <= printed
+
+
 def test_crosscheck_guards():
+    """The crosscheck states its scope in the words of the value analysis
+    and of the population-cost check."""
     with pytest.raises(ValidationError) as exc:
         analytic_cost_crosscheck(PARAMS, _env(eta_h=0.75))
     assert exc.value.code == "not_analyzed"
-    for lam in (0.0, 1.0):
+    assert "value analysis covers accuracy_high = 1 only, got 0.75" in str(exc.value)
+    for lam, empty in ((0.0, "H"), (1.0, "L")):
         with pytest.raises(ValidationError) as exc:
             analytic_cost_crosscheck(PARAMS, _env(lam=lam))
         assert exc.value.code == "empty_population"
+        assert f"population {empty} is empty" in str(exc.value)
 
 
 def test_crosscheck_rejects_array_fields():

@@ -1,5 +1,6 @@
 """Parameter validation, latencies, and the derived load constants."""
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -113,6 +114,21 @@ def test_non_finite_array_field_names_its_first_bad_element():
     message = _error(_params, demand=np.array([5.0, np.inf, np.nan]))
     assert message == _error(_params, demand=np.inf)
     assert message.endswith("got (1.0, 3.0, 2.0, 19.0, 21.0, inf)")
+
+
+def test_fraction_fields_that_break_a_rule_raise_validation_error():
+    """Fraction fields become object arrays on the error path; the error
+    names their values instead of failing to read them."""
+    with pytest.raises(ValidationError) as exc:
+        NetworkParams(*map(Fraction, (1, 3, 2, 22, 21, 5)))
+    assert str(exc.value) == (
+        "intercept_ordering: need intercept2 >= intercept1 >= 0, got (21, 22)"
+    )
+    with pytest.raises(ValidationError) as exc:
+        InfoEnvironment(Fraction(0), Fraction(1, 2), Fraction(1))
+    assert str(exc.value) == (
+        "probability_out_of_range: p_incident must lie in (0, 1), got 0"
+    )
 
 
 def test_demand_floor_is_strict():

@@ -312,6 +312,21 @@ def test_grid_scan_rejects_huge_resolutions():
     assert exc.value.code == "config_out_of_range"
 
 
+@pytest.mark.parametrize(
+    "params,env,field",
+    [
+        (PARAMS, _env(p=np.array([0.2, 0.3])), "p_incident"),
+        (NetworkParams(np.array([1.0, 1.5]), 3.0, 2.0, 19.0, 21.0, 5.0), _env(),
+         "slope1_normal"),
+    ],
+)
+def test_grid_scan_rejects_array_fields(params, env, field):
+    with pytest.raises(ValidationError) as exc:
+        grid_scan(params, env, OracleConfig(grid_resolution=11))
+    assert exc.value.code == "scalar_only"
+    assert f"{field} is an array" in str(exc.value)
+
+
 def _flood_fill_clusters(volume):
     """26-connected clusters of True cells by a plain depth-first search."""
     cells = {tuple(c) for c in np.argwhere(volume).tolist()}
@@ -380,3 +395,11 @@ def test_brute_force_socopt_symmetric_network():
     loads = brute_force_socopt(params, State.NORMAL, OracleConfig())
     assert abs(loads[0] - 2.0) < 2.5e-4
     assert abs(loads[1] - 2.0) < 2.5e-4
+
+
+def test_brute_force_socopt_rejects_array_fields():
+    params = NetworkParams(np.array([1.0, 1.5]), 3.0, 2.0, 19.0, 21.0, 5.0)
+    with pytest.raises(ValidationError) as exc:
+        brute_force_socopt(params, State.NORMAL, OracleConfig())
+    assert exc.value.code == "scalar_only"
+    assert "slope1_normal is an array" in str(exc.value)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,3 +95,47 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def error_codes(source: str) -> set:
+    """Code literals passed first to ``ValidationError(...)`` or heading a
+    (code, holds, message) rule tuple."""
+    codes = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "ValidationError"
+        ):
+            head = node.args[0] if node.args else None
+        elif (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) >= 2
+            and isinstance(node.elts[1], ast.Lambda)
+        ):
+            head = node.elts[0]
+        else:
+            continue
+        if isinstance(head, ast.Constant) and isinstance(head.value, str):
+            codes.add(head.value)
+    return codes
+
+
+def test_error_code_detection():
+    source = (
+        'RULES = (("a_rule", lambda x: x, lambda x: ""),)\n'
+        'raise ValidationError("b_code", "message")\n'
+        'pair = ("not_a_rule", 1)\n'
+    )
+    assert error_codes(source) == {"a_rule", "b_code"}
+
+
+def test_readme_lists_every_error_code():
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Errors\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `([a-z_]+)`", section, re.M))
+    raised = set().union(
+        *(error_codes(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py"))
+    )
+    assert sorted(raised - listed) == []
+    assert sorted(listed - raised) == []
