@@ -37,7 +37,6 @@ from .model import (
     NetworkParams,
     PlayerType,
     State,
-    ValidationError,
     _require_uninformative,
     latency,
 )
@@ -181,47 +180,47 @@ def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable
     raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
 
 
-def _population_demand(params: NetworkParams, env: InfoEnvironment, t: PlayerType):
-    lam = env.frac_informed
-    if t in (PlayerType.L, PlayerType.LN, PlayerType.LA):
-        return (1 - lam) * params.demand
-    return lam * params.demand
+def _route_load(
+    params: NetworkParams, env: InfoEnvironment, profile, route: int, informed
+):
+    """Load on ``route`` while the informed population plays type ``informed``.
+
+    Each population's demand moves as one type realization, so this is
+    share(rho_L) * (1 - lam) * d + share(rho_informed) * lam * d, where share
+    is the split for route 1 and its complement for route 2. It is the one
+    place a route load is formed, for interim and realized costs alike.
+    """
+    lam, d = env.frac_informed, params.demand
+    rho_l, rho_h = profile.rho_L, profile.split(informed)
+    if route == 1:
+        return rho_l * ((1 - lam) * d) + rho_h * (lam * d)
+    return (1 - rho_l) * ((1 - lam) * d) + (1 - rho_h) * (lam * d)
 
 
 def expected_route_cost(
     params: NetworkParams,
     env: InfoEnvironment,
     belief: BeliefTable,
-    owner: PlayerType,
     route: int,
     profile,
 ):
-    """Expected latency of a route for ``owner`` under ``belief``.
+    """Expected latency of a route for ``belief.owner`` under ``belief``.
 
     Each belief entry (state, opponent type) contributes its probability times
-    the latency at the combined load of the owner's population and the
-    opponent population playing that type's split fraction. Within a state
-    each population receives one common signal, so its entire demand moves as
-    one type realization. Split fractions come from ``profile.split``, which
-    maps ``LN``/``LA`` to the uninformed split. Each opponent type's combined
-    load is computed once, however many states its entries cover.
+    the latency at the route's load while the informed population plays its
+    type in that entry: the owner if the owner is informed, the opponent
+    otherwise. Within a state each population receives one common signal, so
+    its entire demand moves as one type realization. Split fractions come from
+    ``profile.split``, which maps ``LN``/``LA`` to the uninformed split. Each
+    informed type's load is computed once, however many states its entries
+    cover.
     """
-    if belief.owner != owner:
-        raise ValidationError(
-            "belief_owner_mismatch",
-            f"belief belongs to {belief.owner}, not {owner}",
-        )
-    own_rho = profile.split(owner)
-    own_demand = _population_demand(params, env, owner)
-    own_load = own_rho * own_demand if route == 1 else (1 - own_rho) * own_demand
-
+    owner = belief.owner
     loads = {}
     total = 0
     for (state, opp), prob in belief.entries.items():
-        if opp not in loads:
-            opp_rho = profile.split(opp)
-            opp_demand = _population_demand(params, env, opp)
-            opp_load = opp_rho * opp_demand if route == 1 else (1 - opp_rho) * opp_demand
-            loads[opp] = own_load + opp_load
-        total = total + prob * latency(params, route, state, loads[opp])
+        informed = owner if owner in _H_TYPES else opp
+        if informed not in loads:
+            loads[informed] = _route_load(params, env, profile, route, informed)
+        total = total + prob * latency(params, route, state, loads[informed])
     return total

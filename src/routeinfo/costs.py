@@ -9,16 +9,19 @@ closed forms are kept only as cross-check rows in
 subscript); the crosscheck reports each branch's status explicitly instead
 of silently trusting it.
 
-This module is the only place equilibrium costs are derived. In each state
-the route loads depend only on the informed type's signal, so one latency
-per (informed type, route) serves both populations' realized costs; the
-social cost is built from those (``value`` reads its costs from
-``cost_report``).
-``social_costs``, ``baseline_costs`` and ``cost_report`` broadcast over
-array-valued environment fields; an empty population's terms are masked
-per point (NaN in the report, dropped from the social cost), so a sweep
-across lambda = 0 or 1 is one call. ``realized_population_state_cost``
-still raises ``empty_population`` if asked for an empty population.
+This module is the only place equilibrium costs are derived, and
+``cost_report`` the only place they are assembled: equilibrium, social,
+baseline and expected costs all come from one call (``value`` reads its
+costs from it). In each state the route loads depend only on the informed
+type's signal, so one ``beliefs._route_load`` and one latency per (informed
+type, route) serve both populations' realized costs; the same load rule
+gives the interim costs of ``beliefs.expected_route_cost``. ``cost_report``
+broadcasts over array-valued environment fields; an empty population's
+terms are masked per point (NaN in the report, dropped from the social
+cost), so a sweep across lambda = 0 or 1 is one call.
+``realized_population_state_cost`` is the definition-level cost of one
+population at any profile; it raises ``empty_population`` if asked for an
+empty population.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _type_given_state
+from .beliefs import _route_load, _type_given_state
 from .equilibrium import StrategyProfile, classify, solve_bwe
 from .model import (
     InfoEnvironment,
@@ -42,6 +45,7 @@ from .model import (
     _require_uninformative,
     derived_constants,
     latency,
+    route_slope,
 )
 
 
@@ -71,15 +75,13 @@ def realized_population_state_cost(
 def _state_costs(params, env, profile, state: State) -> tuple:
     """(c_L, c_H) of ``realized_population_state_cost``, without its checks.
 
-    Each population's demand moves as one type realization, so in ``state``
-    the route loads depend only on the informed type t: one latency per
-    (t, route) serves both populations, each weighting it by P(t | state)
-    and its own share of that route. Where a population is empty its demand
-    is zero and its cost is the one its placeholder split would face;
-    callers mask those points.
+    In ``state`` the route loads depend only on the informed type t, so one
+    ``_route_load`` and one latency per (t, route) serve both populations,
+    each weighting it by P(t | state) and its own share of that route. Where
+    a population is empty its demand is zero and its cost is the one its
+    placeholder split would face; callers mask those points.
     """
-    lam, d, rho_l = env.frac_informed, params.demand, profile.rho_L
-    demand_l, demand_h = (1 - lam) * d, lam * d
+    rho_l = profile.rho_L
     c_l = c_h = 0
     for t in (PlayerType.HN, PlayerType.HA):
         prob = _type_given_state(env, t, state)
@@ -87,77 +89,11 @@ def _state_costs(params, env, profile, state: State) -> tuple:
         for route in (1, 2):
             share_l = rho_l if route == 1 else 1 - rho_l
             share_t = rho_t if route == 1 else 1 - rho_t
-            load = share_l * demand_l + share_t * demand_h
+            load = _route_load(params, env, profile, route, t)
             lat = latency(params, route, state, load)
             c_l = c_l + prob * share_l * lat
             c_h = c_h + prob * share_t * lat
     return c_l, c_h
-
-
-def expected_population_cost(
-    params: NetworkParams,
-    env: InfoEnvironment,
-    profile: StrategyProfile,
-    population,
-):
-    """Incident-probability-weighted average of the two state costs."""
-    c_n = realized_population_state_cost(params, env, profile, population, State.NORMAL)
-    c_a = realized_population_state_cost(
-        params, env, profile, population, State.INCIDENT
-    )
-    p = env.p_incident
-    return (1 - p) * c_n + p * c_a
-
-
-def _population_state_costs(params, env, profile) -> tuple:
-    """(c_L_n, c_L_a, c_H_n, c_H_a), unmasked: one ``_state_costs`` per state."""
-    (c_l_n, c_h_n), (c_l_a, c_h_a) = (
-        _state_costs(params, env, profile, state)
-        for state in (State.NORMAL, State.INCIDENT)
-    )
-    return c_l_n, c_l_a, c_h_n, c_h_a
-
-
-def _social_state_costs(env: InfoEnvironment, c_l_n, c_l_a, c_h_n, c_h_a) -> tuple:
-    """(c_soc_n, c_soc_a, c_soc_exp): lam * c_H + (1 - lam) * c_L per state,
-    dropping an empty population's term, and its expectation."""
-    lam = env.frac_informed
-    c_n, c_a = (
-        np.where(lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l))
-        for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
-    )
-    p = env.p_incident
-    return c_n, c_a, (1 - p) * c_n + p * c_a
-
-
-def social_costs(params: NetworkParams, env: InfoEnvironment, profile) -> tuple:
-    """Population-weighted state costs and their expectation.
-
-    c_soc_s = lam * c_H_s + (1 - lam) * c_L_s, with an empty population's
-    term dropped rather than evaluated.
-    """
-    _require_uninformative(env)
-    costs = _population_state_costs(params, env, profile)
-    return tuple(_as_results(*_social_state_costs(env, *costs)))
-
-
-def baseline_costs(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """Equilibrium costs of the zero-information environment (lam = 0).
-
-    Only env.p_incident matters; the returned triple is what every value
-    calculation is measured against.
-    """
-    env0 = InfoEnvironment(
-        p_incident=env.p_incident,
-        frac_informed=0.0,
-        accuracy_high=env.accuracy_high,
-        accuracy_low=0.5,
-    )
-    profile0 = solve_bwe(params, env0)
-    c_n, _ = _state_costs(params, env0, profile0, State.NORMAL)
-    c_a, _ = _state_costs(params, env0, profile0, State.INCIDENT)
-    p = env.p_incident
-    return tuple(_as_results(c_n, c_a, (1 - p) * c_n + p * c_a))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +116,7 @@ class SocOptSolution:
 
 def _state_optimum(params: NetworkParams, state: State) -> tuple:
     """(q1, q2, average cost) minimizing state social cost, closed form."""
-    a1 = params.slope1_incident if state == State.INCIDENT else params.slope1_normal
+    a1 = route_slope(params, 1, state)
     a2, b1, b2, d = params.slope2, params.intercept1, params.intercept2, params.demand
     q1 = (2 * a2 * d - b1 + b2) / (2 * (a1 + a2))
     q1 = np.clip(q1, 0.0, d)
@@ -305,14 +241,11 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
     _require_nonempty(env, "L", "H")
 
     regime = classify(params, env).label
-    population_costs = _population_state_costs(params, env, solve_bwe(params, env))
-    computed = dict(
-        zip(("c_L_n", "c_L_a", "c_H_n", "c_H_a"), population_costs),
-        c_soc_exp=_social_state_costs(env, *population_costs)[2],
-    )
+    report = cost_report(params, env)
     branches = _printed_branches(params, env)
     rows = []
-    for quantity, value in computed.items():
+    for quantity in ("c_L_n", "c_L_a", "c_H_n", "c_H_a", "c_soc_exp"):
+        value = getattr(report, quantity)
         key = (quantity, regime)
         printed = deviation = None
         status = "excluded"
@@ -359,28 +292,38 @@ class CostReport:
 def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
     """Solve the equilibrium and assemble all cost quantities for ``env``.
 
-    Array-valued environment fields give arrays of their common shape, with
-    NaN at the points where a population is empty.
+    The only place equilibrium, social, baseline and expected costs are
+    assembled. The social cost per state is lam * c_H + (1 - lam) * c_L with
+    an empty population's term dropped; the baseline is the uninformed cost
+    at the equilibrium of lam = 0, where only p_incident matters. Array-valued
+    environment fields give arrays of their common shape, with NaN at the
+    points where a population is empty.
     """
-    profile = solve_bwe(params, env)
-    lam = env.frac_informed
-    p = env.p_incident
-    c_l_n, c_l_a, c_h_n, c_h_a = _population_state_costs(params, env, profile)
-    soc_n, soc_a, soc_exp = _social_state_costs(env, c_l_n, c_l_a, c_h_n, c_h_a)
+    lam, p = env.frac_informed, env.p_incident
 
-    def masked(c_n, c_a, empty):
-        c_exp = (1 - p) * c_n + p * c_a
-        return [np.where(empty, np.nan, c) for c in (c_n, c_a, c_exp)]
+    def state_costs(at: InfoEnvironment) -> list:
+        profile = solve_bwe(params, at)
+        return [_state_costs(params, at, profile, s) for s in State]
 
-    c_l_n, c_l_a, c_l_exp = masked(c_l_n, c_l_a, lam == 1)
-    c_h_n, c_h_a, c_h_exp = masked(c_h_n, c_h_a, lam == 0)
-    base_n, base_a, base_exp = baseline_costs(params, env)
+    def expected(c_n, c_a):
+        return (1 - p) * c_n + p * c_a
+
+    (c_l_n, c_h_n), (c_l_a, c_h_a) = state_costs(env)
+    (base_n, _), (base_a, _) = state_costs(InfoEnvironment(p, 0.0, env.accuracy_high))
+    soc_n, soc_a = (
+        np.where(lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l))
+        for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
+    )
+    # NaN marks an empty population's costs, and so its expected cost.
+    c_l_n, c_l_a = (np.where(lam == 1, np.nan, c) for c in (c_l_n, c_l_a))
+    c_h_n, c_h_a = (np.where(lam == 0, np.nan, c) for c in (c_h_n, c_h_a))
     opt = social_optimum(params, env)
     return CostReport(
         *_as_results(
-            c_l_n, c_l_a, c_h_n, c_h_a, c_l_exp, c_h_exp,
-            soc_n, soc_a, soc_exp,
-            base_n, base_a, base_exp,
+            c_l_n, c_l_a, c_h_n, c_h_a,
+            expected(c_l_n, c_l_a), expected(c_h_n, c_h_a),
+            soc_n, soc_a, expected(soc_n, soc_a),
+            base_n, base_a, expected(base_n, base_a),
             opt.cost_normal, opt.cost_incident, opt.cost_exp,
         )
     )

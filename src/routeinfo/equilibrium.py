@@ -77,12 +77,12 @@ class StrategyProfile:
     l_population_empty: bool = False
 
     def split(self, t: PlayerType):
-        if t in (PlayerType.L, PlayerType.LN, PlayerType.LA):
-            return self.rho_L
         if t == PlayerType.HN:
             return self.rho_Hn
         if t == PlayerType.HA:
             return self.rho_Ha
+        if t in (PlayerType.L, PlayerType.LN, PlayerType.LA):
+            return self.rho_L
         raise ValueError(f"no split fraction for type {t}")
 
 
@@ -180,28 +180,31 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     _require_uninformative(env)
     k = derived_constants(params, env)
     dist = marginal_type_dist(env)
-    p_hn, p_ha = dist.p_Hn, dist.p_Ha
-    # A numpy float, so that the divisions below follow np.errstate.
-    lam, d = np.asarray(env.frac_informed, dtype=float)[()], params.demand
+    # Numpy floats, also for Fraction fields, so that the divisions below
+    # follow np.errstate.
+    lam, d, p_hn, p_ha, k1, k2, k3 = (
+        np.asarray(v, dtype=float)[()]
+        for v in (env.frac_informed, params.demand, dist.p_Hn, dist.p_Ha, k.k1, k.k2, k.k3)
+    )
     regime = _regime_index(lam, _boundaries(params, k, dist))
 
     # Every regime's closed form at every point, as a regime x (rho_L,
     # rho_Hn, rho_Ha) table. Branches not taken at a point may divide by
     # zero or overflow there; they are discarded.
     with np.errstate(all="ignore"):
-        r34_rho_ha = k.k2 / (lam * d)
+        r34_rho_ha = k2 / (lam * d)
         zero = np.zeros_like(r34_rho_ha)
         one = zero + 1.0
         table = np.array(
             [
-                [k.k1 / ((1 - lam) * d) - p_hn * lam / (1 - lam), one, zero],
+                [k1 / ((1 - lam) * d) - p_hn * lam / (1 - lam), one, zero],
                 [
-                    (k.k1 - lam * d * p_hn - p_ha * k.k2) / ((1 - lam) * d * p_hn),
+                    (k1 - lam * d * p_hn - p_ha * k2) / ((1 - lam) * d * p_hn),
                     one,
-                    (lam * d * p_hn + k.k2 - k.k1) / (lam * d * p_hn),
+                    (lam * d * p_hn + k2 - k1) / (lam * d * p_hn),
                 ],
                 [zero, one, r34_rho_ha],
-                [zero, k.k3 / (lam * d), r34_rho_ha],
+                [zero, k3 / (lam * d), r34_rho_ha],
             ]
         )
     rho_l, rho_hn, rho_ha = np.clip(np.choose(regime, table), 0.0, 1.0)
@@ -220,10 +223,10 @@ def _type_masses(env: InfoEnvironment) -> dict:
     }
 
 
-def _type_gap(params, env, table, t: PlayerType, profile):
-    """Type ``t``'s route-1 minus route-2 expected cost under its belief."""
-    c1 = expected_route_cost(params, env, table, t, 1, profile)
-    c2 = expected_route_cost(params, env, table, t, 2, profile)
+def _type_gap(params, env, table, profile):
+    """``table.owner``'s route-1 minus route-2 expected cost under its belief."""
+    c1 = expected_route_cost(params, env, table, 1, profile)
+    c2 = expected_route_cost(params, env, table, 2, profile)
     return c1 - c2
 
 
@@ -253,7 +256,7 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     masses = _type_masses(env)
     residual = 0.0
     for t in EQUILIBRIUM_TYPES:
-        gap = _type_gap(params, env, belief_uninformative(env, t), t, profile)
+        gap = _type_gap(params, env, belief_uninformative(env, t), profile)
         defect = _type_defect(gap, profile.split(t), masses[t])
         residual = np.maximum(residual, defect)
     if np.ndim(residual) == 0:
@@ -328,7 +331,7 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     fields = (*vars(params).values(), *vars(env).values())
     probes = StrategyProfile(*(_probe_axis(row, fields) for row in _GAP_PROBES))
     gaps = [
-        _type_gap(params, env, belief_uninformative(env, t), t, probes)
+        _type_gap(params, env, belief_uninformative(env, t), probes)
         for t in EQUILIBRIUM_TYPES
     ]
     # (..., profile, type)

@@ -107,19 +107,20 @@ class OracleConvergenceError(RuntimeError):
 _OWN_ENDS = np.array([0.0, 1.0])
 
 
-def _gap_line(params, env, table, responder, profile):
+def _gap_line(params, env, table, profile):
     """Route-1-minus-route-2 expected cost as a line in the own split.
 
     Returns (gap at own split 0, slope), exact because the gap is affine in
-    the responder's split fraction with the opponent profile held fixed. One
-    ``_type_gap`` evaluation gives both ends: the responder's split is
-    (0, 1) on a new leading axis, and the result's two rows are the gaps at
-    own split 0 and 1, each element computed as a separate call would.
+    the responder's (``table.owner``'s) split fraction with the opponent
+    profile held fixed. One ``_type_gap`` evaluation gives both ends: the
+    responder's split is (0, 1) on a new leading axis, and the result's two
+    rows are the gaps at own split 0 and 1, each element computed as a
+    separate call would.
     """
     splits = [profile.split(t) for t in EQUILIBRIUM_TYPES]
     fields = (*splits, *vars(params).values(), *vars(env).values())
-    splits[EQUILIBRIUM_TYPES.index(responder)] = _probe_axis(_OWN_ENDS, fields)
-    g0, g1 = _type_gap(params, env, table, responder, StrategyProfile(*splits))
+    splits[EQUILIBRIUM_TYPES.index(table.owner)] = _probe_axis(_OWN_ENDS, fields)
+    g0, g1 = _type_gap(params, env, table, StrategyProfile(*splits))
     return g0, g1 - g0
 
 
@@ -182,7 +183,7 @@ def best_response(
     0.5 at exact indifference).
     """
     table = belief_uninformative(env, responder)
-    g0, slope = _gap_line(params, env, table, responder, profile)
+    g0, slope = _gap_line(params, env, table, profile)
     br = _br_from_line(g0, slope)
     if np.ndim(br) == 0:
         return float(br)
@@ -257,10 +258,7 @@ def solve_fixed_point(
 
     for _ in range(config.max_iters):
         probe = StrategyProfile(*rho)
-        lines = [
-            _gap_line(live_params, live_env, table, t, probe)
-            for t, table in zip(EQUILIBRIUM_TYPES, tables)
-        ]
+        lines = [_gap_line(live_params, live_env, table, probe) for table in tables]
         g0, slope = (np.stack(v) for v in zip(*lines))
         defect = _type_defect(g0 + slope * rho, rho, masses).max(axis=0)
         done = defect < config.tolerance

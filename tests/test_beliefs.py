@@ -218,20 +218,10 @@ def test_expected_route_cost_equalized_at_uninformed_split():
     env = _env(lam=0.0)
     profile = StrategyProfile(12 / 17, 1.0, 0.0)
     table = belief_uninformative(env, PlayerType.L)
-    c1 = expected_route_cost(PARAMS, env, table, PlayerType.L, 1, profile)
-    c2 = expected_route_cost(PARAMS, env, table, PlayerType.L, 2, profile)
+    c1 = expected_route_cost(PARAMS, env, table, 1, profile)
+    c2 = expected_route_cost(PARAMS, env, table, 2, profile)
     assert abs(c1 - 407 / 17) < 1e-12
     assert abs(c2 - 407 / 17) < 1e-12
-
-
-def test_expected_route_cost_rejects_wrong_owner():
-    env = _env()
-    table = belief_uninformative(env, PlayerType.L)
-    with pytest.raises(ValidationError) as exc:
-        expected_route_cost(
-            PARAMS, env, table, PlayerType.HN, 1, StrategyProfile(0.5, 0.5, 0.5)
-        )
-    assert exc.value.code == "belief_owner_mismatch"
 
 
 def test_expected_route_cost_mixes_states():
@@ -239,6 +229,6 @@ def test_expected_route_cost_mixes_states():
     env = _env(lam=0.5, eta_h=1.0)
     profile = StrategyProfile(0.0, 0.0, 1.0)  # only the Ha demand is on route 1
     table = belief_uninformative(env, PlayerType.HA)
-    c1 = expected_route_cost(PARAMS, env, table, PlayerType.HA, 1, profile)
+    c1 = expected_route_cost(PARAMS, env, table, 1, profile)
     # Own load 2.5, opponent load 0; certain of the incident at eta_h = 1.
     assert abs(c1 - (3.0 * 2.5 + 19.0)) < 1e-12

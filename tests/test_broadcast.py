@@ -13,13 +13,11 @@ from routeinfo import (
     NetworkParams,
     ValidationError,
     ValueReport,
-    baseline_costs,
     classify,
     cost_report,
     enumerate_profiles,
     lambda_min,
     regime_boundaries,
-    social_costs,
     social_optimum,
     solve_bwe,
     value_report,
@@ -121,8 +119,6 @@ def test_scalar_inputs_give_python_scalars(lam):
     for report in (cost_report(PARAMS, env), value_report(PARAMS, env)):
         for name in type(report).__dataclass_fields__:
             assert type(getattr(report, name)) is float, name
-    values = (*social_costs(PARAMS, env, profile), *baseline_costs(PARAMS, env))
-    assert all(type(v) is float for v in values)
     assert type(lambda_min(PARAMS, env)) is float
     opt = social_optimum(PARAMS, env)
     assert all(type(q) is float for q in (*opt.loads_normal, *opt.loads_incident))

@@ -14,19 +14,19 @@ from routeinfo import (
     InfoEnvironment,
     NetworkParams,
     OracleConfig,
+    PlayerType,
     State,
     StrategyProfile,
     ValidationError,
     analytic_cost_crosscheck,
-    baseline_costs,
+    belief_uninformative,
     brute_force_socopt,
     classify,
     cost_report,
     derived_constants,
-    expected_population_cost,
+    expected_route_cost,
     latency,
     realized_population_state_cost,
-    social_costs,
     social_optimum,
     solve_bwe,
     value_report,
@@ -47,16 +47,20 @@ def _env(p=0.2, lam=0.5, eta_h=1.0):
 # ---------------------------------------------------------------------------
 
 
+def _baseline(report):
+    return report.baseline_n, report.baseline_a, report.baseline_exp
+
+
 def test_baseline_costs_pinned():
-    c_n, c_a, c_exp = baseline_costs(PARAMS, _env())
+    c_n, c_a, c_exp = _baseline(cost_report(PARAMS, _env()))
     assert abs(c_n - 6631 / 289) < 1e-12
     assert abs(c_a - 8071 / 289) < 1e-12
     assert abs(c_exp - 407 / 17) < 1e-12
 
 
 def test_baseline_ignores_informed_fraction():
-    a = baseline_costs(PARAMS, _env(lam=0.5))
-    b = baseline_costs(PARAMS, _env(lam=0.9))
+    a = _baseline(cost_report(PARAMS, _env(lam=0.5)))
+    b = _baseline(cost_report(PARAMS, _env(lam=0.9)))
     assert a == b
 
 
@@ -78,10 +82,7 @@ def test_informed_normal_cost_in_final_regime():
 
 
 def test_social_cost_plateau_in_second_regime():
-    values = []
-    for lam in (0.3, 0.5, 0.7):
-        env = _env(lam=lam)
-        values.append(social_costs(PARAMS, env, solve_bwe(PARAMS, env))[2])
+    values = [cost_report(PARAMS, _env(lam=lam)).c_soc_exp for lam in (0.3, 0.5, 0.7)]
     assert abs(values[0] - 23.5967723183391) < 1e-9
     assert max(values) - min(values) < 1e-12, f"plateau broken: {values}"
 
@@ -113,7 +114,8 @@ def _state_cost_from_loads(params, env, profile, state):
 def test_social_cost_matches_load_accounting(p, eta_h):
     env = _env(p=p, lam=0.3, eta_h=eta_h)
     profile = solve_bwe(PARAMS, env)
-    c_n, c_a, c_exp = social_costs(PARAMS, env, profile)
+    report = cost_report(PARAMS, env)
+    c_n, c_a, c_exp = report.c_soc_n, report.c_soc_a, report.c_soc_exp
     want_n = _state_cost_from_loads(PARAMS, env, profile, State.NORMAL)
     want_a = _state_cost_from_loads(PARAMS, env, profile, State.INCIDENT)
     assert abs(c_n - want_n) < 1e-12
@@ -125,10 +127,11 @@ def test_social_cost_matches_load_accounting(p, eta_h):
 def test_social_cost_is_population_mix(lam):
     env = _env(lam=lam)
     profile = solve_bwe(PARAMS, env)
+    report = cost_report(PARAMS, env)
     for state in (State.NORMAL, State.INCIDENT):
         c_l = realized_population_state_cost(PARAMS, env, profile, "L", state)
         c_h = realized_population_state_cost(PARAMS, env, profile, "H", state)
-        c_soc = social_costs(PARAMS, env, profile)[0 if state == State.NORMAL else 1]
+        c_soc = getattr(report, f"c_soc_{state.value}")
         assert abs(c_soc - ((1 - lam) * c_l + lam * c_h)) < 1e-12
 
 
@@ -150,13 +153,60 @@ def test_exact_inputs_give_exact_population_costs():
         assert got == costs, population
 
 
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.01, max_value=0.99),
+    lam=st.floats(min_value=0.001, max_value=0.999),
+    rho=st.tuples(_UNIT, _UNIT, _UNIT),
+)
+@settings(max_examples=200, deadline=None)
+def test_realized_cost_of_a_certain_type_is_its_interim_cost(params, p, lam, rho):
+    """At accuracy_high = 1 each informed type knows the state, so the informed
+    population's realized cost in that state is the type's interim cost
+    rho_t * E[c1 | t] + (1 - rho_t) * E[c2 | t]: Ha in the incident state, Hn
+    in the normal one. The realized and interim paths meet at any profile."""
+    env = _env(p=p, lam=lam)
+    profile = StrategyProfile(*rho)
+    tol = routeinfo.model._cost_tol(params)
+    for t, state in ((PlayerType.HA, State.INCIDENT), (PlayerType.HN, State.NORMAL)):
+        table = belief_uninformative(env, t)
+        c1, c2 = (
+            expected_route_cost(params, env, table, route, profile) for route in (1, 2)
+        )
+        interim = profile.split(t) * c1 + (1 - profile.split(t)) * c2
+        realized = realized_population_state_cost(params, env, profile, "H", state)
+        assert abs(realized - interim) <= tol, (t, realized, interim)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(1, 2), Fraction(77, 100)])
+def test_reports_accept_rational_fields(lam):
+    """Fraction fields give the float network's report and crosscheck rows:
+    the closed-form splits are floats, and solving the lambda = 0 baseline
+    divides by zero only in branches it discards."""
+    params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
+    env = InfoEnvironment(Fraction(1, 5), lam, Fraction(1), Fraction(1, 2))
+    float_env = _env(lam=float(lam))
+    assert vars(cost_report(params, env)) == pytest.approx(
+        vars(cost_report(PARAMS, float_env)), rel=1e-12
+    )
+    rows = analytic_cost_crosscheck(params, env)
+    assert _statuses(rows) == _statuses(analytic_cost_crosscheck(PARAMS, float_env))
+
+
 def test_expected_population_cost_weights_states():
     env = _env(lam=0.5)
     profile = solve_bwe(PARAMS, env)
-    c_n = realized_population_state_cost(PARAMS, env, profile, "L", State.NORMAL)
-    c_a = realized_population_state_cost(PARAMS, env, profile, "L", State.INCIDENT)
-    want = 0.8 * c_n + 0.2 * c_a
-    assert abs(expected_population_cost(PARAMS, env, profile, "L") - want) < 1e-12
+    report = cost_report(PARAMS, env)
+    for population in ("L", "H"):
+        c_n, c_a = (
+            realized_population_state_cost(PARAMS, env, profile, population, state)
+            for state in (State.NORMAL, State.INCIDENT)
+        )
+        want = 0.8 * c_n + 0.2 * c_a
+        assert abs(getattr(report, f"c_{population}_exp") - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +431,9 @@ def test_empty_population_errors():
     assert exc.value.code == "empty_population"
     profile = solve_bwe(PARAMS, _env(lam=1.0))
     with pytest.raises(ValidationError) as exc:
-        expected_population_cost(PARAMS, _env(lam=1.0), profile, "L")
+        realized_population_state_cost(
+            PARAMS, _env(lam=1.0), profile, "L", State.INCIDENT
+        )
     assert exc.value.code == "empty_population"
 
 

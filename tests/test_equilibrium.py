@@ -152,7 +152,7 @@ def test_exact_inputs_give_exact_gaps():
     env = InfoEnvironment(Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(1, 2))
     origin = StrategyProfile(Fraction(0), Fraction(0), Fraction(0))
     for t in EQUILIBRIUM_TYPES:
-        gap = _type_gap(params, env, belief_uninformative(env, t), t, origin)
+        gap = _type_gap(params, env, belief_uninformative(env, t), origin)
         assert isinstance(gap, Fraction), f"{t}: {gap!r}"
         assert gap == -12, f"{t}: {gap!r}"
 
@@ -172,8 +172,8 @@ def test_residual_is_the_definition(lam):
     want = np.zeros(rho.shape[1])
     for t, rho_t, mass in zip(EQUILIBRIUM_TYPES, rho, masses):
         table = belief_uninformative(env, t)
-        c1 = expected_route_cost(PARAMS, env, table, t, 1, profile)
-        c2 = expected_route_cost(PARAMS, env, table, t, 2, profile)
+        c1 = expected_route_cost(PARAMS, env, table, 1, profile)
+        c2 = expected_route_cost(PARAMS, env, table, 2, profile)
         cheapest = np.minimum(c1, c2)
         gap1 = np.where(rho_t > eps, c1 - cheapest, 0.0)
         gap2 = np.where(1 - rho_t > eps, c2 - cheapest, 0.0)

@@ -169,9 +169,9 @@ def test_gap_line_equals_two_scalar_split_evaluations(
 
         def gap_at(own):
             at = [own if u == t else probe.split(u) for u in EQUILIBRIUM_TYPES]
-            return _type_gap(params, env, table, t, StrategyProfile(*at))
+            return _type_gap(params, env, table, StrategyProfile(*at))
 
-        g0, slope = _gap_line(params, env, table, t, probe)
+        g0, slope = _gap_line(params, env, table, probe)
         want = gap_at(0.0)
         assert np.shape(g0) == np.shape(slope) == np.broadcast(want, *splits).shape
         assert np.array_equal(g0, want), t

@@ -139,3 +139,29 @@ def test_readme_lists_every_error_code():
     )
     assert sorted(raised - listed) == []
     assert sorted(listed - raised) == []
+
+
+def test_failing_property_test_does_not_stop_the_run(tmp_path):
+    """A failing ``@given`` test is reported as one failure, and the run goes
+    on: hypothesis's failure report must not trip ``filterwarnings = error``
+    into an INTERNALERROR that ends the session."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    assert True\n",
+        encoding="utf-8",
+    )
+    config = SRC.parent.parent / "pyproject.toml"
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(config), "--rootdir", str(tmp_path), str(probe),
+        ],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout
