@@ -22,6 +22,13 @@ from them — they exist for completeness and testing. Everything downstream
 (equilibrium, costs, value) runs on the third, and the coin-flip
 precondition it shares with them is checked here.
 
+``_route_load`` is the one load rule, fed the population demands of
+``_population_demands``. ``expected_route_cost`` is the public definition
+of one type's interim cost on one route; the solvers read every type's cost
+gap from ``equilibrium._type_gaps``, which weighs the same loads and
+latencies by the same belief entries (``_informed_weights``) in the same
+order, so both give the same bits.
+
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
 arrays, or ``fractions.Fraction`` values, in which case they come back exact.
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .model import (
+    EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     PlayerType,
@@ -173,28 +181,51 @@ def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable
     informed type keeps its state posterior and is certain the opponent is L.
     """
     _require_uninformative(env)
+    _require_equilibrium_type(owner)
     if owner == PlayerType.L:
         return _belief(env, owner, (PlayerType.HA, PlayerType.HN), _marginal(env))
-    if owner in _H_TYPES:
-        return _belief(env, owner, (PlayerType.L,), lambda t, state: 1)
-    raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
+    return _belief(env, owner, (PlayerType.L,), lambda t, state: 1)
 
 
-def _route_load(
-    params: NetworkParams, env: InfoEnvironment, profile, route: int, informed
-):
-    """Load on ``route`` while the informed population plays type ``informed``.
+def _require_equilibrium_type(owner: PlayerType) -> None:
+    """Reject a type outside the coin-flip treatment's L, Hn and Ha."""
+    if owner not in EQUILIBRIUM_TYPES:
+        raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
+
+
+def _population_demands(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """(uninformed, informed) demand: (1 - lam) * d and lam * d."""
+    lam, d = env.frac_informed, params.demand
+    return (1 - lam) * d, lam * d
+
+
+def _route_load(demands: tuple, rho_l, rho_h, route: int):
+    """Load on ``route`` while the uninformed play ``rho_l`` and the informed
+    population's realized type plays ``rho_h``.
 
     Each population's demand moves as one type realization, so this is
     share(rho_L) * (1 - lam) * d + share(rho_informed) * lam * d, where share
-    is the split for route 1 and its complement for route 2. It is the one
-    place a route load is formed, for interim and realized costs alike.
+    is the split for route 1 and its complement for route 2, and ``demands``
+    comes from ``_population_demands``. It is the one place a route load is
+    formed, for interim and realized costs alike.
     """
-    lam, d = env.frac_informed, params.demand
-    rho_l, rho_h = profile.rho_L, profile.split(informed)
+    d_l, d_h = demands
     if route == 1:
-        return rho_l * ((1 - lam) * d) + rho_h * (lam * d)
-    return (1 - rho_l) * ((1 - lam) * d) + (1 - rho_h) * (lam * d)
+        return rho_l * d_l + rho_h * d_h
+    return (1 - rho_l) * d_l + (1 - rho_h) * d_h
+
+
+def _informed_weights(belief: BeliefTable) -> dict:
+    """``belief``'s entries keyed by (state, informed type), in entry order.
+
+    The informed type of an entry is the owner if the owner is informed and
+    the opponent otherwise: the type whose split sets the route loads there.
+    """
+    owner = belief.owner
+    return {
+        (state, owner if owner in _H_TYPES else opp): prob
+        for (state, opp), prob in belief.entries.items()
+    }
 
 
 def expected_route_cost(
@@ -215,12 +246,12 @@ def expected_route_cost(
     informed type's load is computed once, however many states its entries
     cover.
     """
-    owner = belief.owner
+    demands = _population_demands(params, env)
     loads = {}
     total = 0
-    for (state, opp), prob in belief.entries.items():
-        informed = owner if owner in _H_TYPES else opp
+    for (state, informed), prob in _informed_weights(belief).items():
         if informed not in loads:
-            loads[informed] = _route_load(params, env, profile, route, informed)
+            rho_h = profile.split(informed)
+            loads[informed] = _route_load(demands, profile.rho_L, rho_h, route)
         total = total + prob * latency(params, route, state, loads[informed])
     return total

@@ -15,7 +15,8 @@ baseline and expected costs all come from one call (``value`` reads its
 costs from it). In each state the route loads depend only on the informed
 type's signal, so one ``beliefs._route_load`` and one latency per (informed
 type, route) serve both populations' realized costs; the same load rule
-gives the interim costs of ``beliefs.expected_route_cost``. ``cost_report``
+gives the interim costs of ``beliefs.expected_route_cost`` and every
+type's cost gap in ``equilibrium._type_gaps``. ``cost_report``
 broadcasts over array-valued environment fields; an empty population's
 terms are masked per point (NaN in the report, dropped from the social
 cost), so a sweep across lambda = 0 or 1 is one call.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _route_load, _type_given_state
+from .beliefs import _population_demands, _route_load, _type_given_state
 from .equilibrium import StrategyProfile, classify, solve_bwe
 from .model import (
     InfoEnvironment,
@@ -82,6 +83,7 @@ def _state_costs(params, env, profile, state: State) -> tuple:
     placeholder split would face; callers mask those points.
     """
     rho_l = profile.rho_L
+    demands = _population_demands(params, env)
     c_l = c_h = 0
     for t in (PlayerType.HN, PlayerType.HA):
         prob = _type_given_state(env, t, state)
@@ -89,7 +91,7 @@ def _state_costs(params, env, profile, state: State) -> tuple:
         for route in (1, 2):
             share_l = rho_l if route == 1 else 1 - rho_l
             share_t = rho_t if route == 1 else 1 - rho_t
-            load = _route_load(params, env, profile, route, t)
+            load = _route_load(demands, rho_l, rho_t, route)
             lat = latency(params, route, state, load)
             c_l = c_l + prob * share_l * lat
             c_h = c_h + prob * share_t * lat

@@ -22,10 +22,13 @@ sweep is one call and each element equals the scalar call at that point.
 (equal costs across co-utilized routes, no cheaper unused route, each type
 judged under its own belief); ``enumerate_profiles`` rebuilds the full
 27-pattern feasibility table from scratch as structural evidence that only
-the four closed-form patterns survive. Each type's route-cost gap is affine
-in the profile, and ``_affine_gaps`` is the one home of that model's
-``(g0, C)``; the table solves each pattern as a box-constrained linear
-system in it and broadcasts like the closed forms, one element per point.
+the four closed-form patterns survive. ``_type_gaps`` evaluates all three
+types' route-cost gaps in one pass, owner axis first, from four loads and
+eight latencies; the residual, ``_affine_gaps`` and the fixed-point oracle
+each call it once per evaluation. Each type's gap is affine in the profile,
+and ``_affine_gaps`` is the one home of that model's ``(g0, C)``; the table
+solves each pattern as a box-constrained linear system in it and broadcasts
+like the closed forms, one element per point.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import (
+    _informed_weights,
+    _population_demands,
+    _route_load,
     belief_uninformative,
-    expected_route_cost,
     marginal_type_dist,
 )
 from .model import (
@@ -45,10 +50,12 @@ from .model import (
     InfoEnvironment,
     NetworkParams,
     PlayerType,
+    State,
     _as_results,
     _cost_tol,
     _require_uninformative,
     derived_constants,
+    latency,
 )
 
 #: Ties against a regime boundary within this tolerance resolve to the
@@ -60,6 +67,16 @@ BOUNDARY_TOL = 1e-12
 #: corners geometrically and may hold ~1e-9 of residual mass on a route whose
 #: cost is far from minimal; that mass is an artifact, not a utilization.
 UTILIZED_SHARE_EPS = 1e-8
+
+#: The ``StrategyProfile`` field of each type's split; the uninformed signal
+#: types LN and LA play the uninformed split.
+_SPLIT_FIELDS = {
+    PlayerType.L: "rho_L",
+    PlayerType.LN: "rho_L",
+    PlayerType.LA: "rho_L",
+    PlayerType.HN: "rho_Hn",
+    PlayerType.HA: "rho_Ha",
+}
 
 
 @dataclass(frozen=True)
@@ -77,13 +94,11 @@ class StrategyProfile:
     l_population_empty: bool = False
 
     def split(self, t: PlayerType):
-        if t == PlayerType.HN:
-            return self.rho_Hn
-        if t == PlayerType.HA:
-            return self.rho_Ha
-        if t in (PlayerType.L, PlayerType.LN, PlayerType.LA):
-            return self.rho_L
-        raise ValueError(f"no split fraction for type {t}")
+        try:
+            field = _SPLIT_FIELDS[t]
+        except KeyError:
+            raise ValueError(f"no split fraction for type {t}") from None
+        return getattr(self, field)
 
 
 @dataclass(frozen=True)
@@ -223,11 +238,74 @@ def _type_masses(env: InfoEnvironment) -> dict:
     }
 
 
-def _type_gap(params, env, table, profile):
-    """``table.owner``'s route-1 minus route-2 expected cost under its belief."""
-    c1 = expected_route_cost(params, env, table, 1, profile)
-    c2 = expected_route_cost(params, env, table, 2, profile)
-    return c1 - c2
+#: The (state, informed type) entries of a type's expected route cost, in
+#: the order of the L belief's entries. The informed population's type sets
+#: the loads, so four loads and eight latencies serve every owner.
+_GAP_ENTRIES = tuple(
+    itertools.product((State.INCIDENT, State.NORMAL), (PlayerType.HA, PlayerType.HN))
+)
+
+
+def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile) -> int:
+    """Dimensions of the gaps at ``profile``: the most of any field they read."""
+    env_read = (env.p_incident, env.frac_informed, env.accuracy_high)
+    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
+
+
+def _stack_leading(values, lead: tuple, ndim: int):
+    """``values`` stacked on leading axes of shape ``lead``, then ``ndim``
+    dimensions.
+
+    The values broadcast against each other; their common dimensions come
+    last, so that the result broadcasts against arrays of ``ndim``
+    dimensions after the leading axes. Scalars skip the broadcast, which
+    costs more than the rest of a scalar residual's weights.
+    """
+    if any(getattr(v, "ndim", 0) for v in values):
+        stacked = np.stack(np.broadcast_arrays(*values))
+    else:
+        stacked = np.array(values)
+    pad = (1,) * (ndim + 1 - stacked.ndim)
+    return stacked.reshape(lead + pad + stacked.shape[1:])
+
+
+def _gap_weights(env: InfoEnvironment, ndim: int) -> np.ndarray:
+    """Each type's belief weight on each entry of ``_GAP_ENTRIES``.
+
+    Indexed (entry, owner in EQUILIBRIUM_TYPES order), then ``ndim``
+    dimensions that broadcast against the gaps. An entry the owner's belief
+    lacks weighs the int 0, so ``Fraction`` fields stay exact.
+    """
+    tables = [_informed_weights(belief_uninformative(env, t)) for t in EQUILIBRIUM_TYPES]
+    weights = [table.get(entry, 0) for entry in _GAP_ENTRIES for table in tables]
+    return _stack_leading(weights, (len(_GAP_ENTRIES), len(tables)), ndim)
+
+
+def _type_gaps(params: NetworkParams, demands: tuple, weights: np.ndarray, profile):
+    """Every type's route-1 minus route-2 expected cost, owner axis first.
+
+    ``demands`` come from ``beliefs._population_demands`` and ``weights``
+    from ``_gap_weights``. The profile's fields may carry the owner axis
+    too, so that each type is evaluated at a profile of its own. Each of the
+    four loads (route x informed type) and eight latencies is computed once,
+    and each owner's route cost is the left-to-right sum of its weighted
+    latencies over ``_GAP_ENTRIES``. An entry outside the owner's belief
+    adds +0.0, so each gap keeps the bits of ``expected_route_cost`` at
+    route 1 minus route 2 under that owner's belief.
+    """
+    rho_l = profile.rho_L
+    costs = []
+    for route in (1, 2):
+        loads = {
+            t: _route_load(demands, rho_l, profile.split(t), route)
+            for t in (PlayerType.HA, PlayerType.HN)
+        }
+        total = 0
+        for w, (state, t) in zip(weights, _GAP_ENTRIES):
+            total = total + w * latency(params, route, state, loads[t])
+        costs.append(total)
+    return costs[0] - costs[1]
 
 
 def _type_defect(gap, rho, mass):
@@ -253,10 +331,11 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     epsilon.
     """
     _require_uninformative(env)
+    weights = _gap_weights(env, _gap_ndim(params, env, profile))
+    gaps = _type_gaps(params, _population_demands(params, env), weights, profile)
     masses = _type_masses(env)
     residual = 0.0
-    for t in EQUILIBRIUM_TYPES:
-        gap = _type_gap(params, env, belief_uninformative(env, t), profile)
+    for t, gap in zip(EQUILIBRIUM_TYPES, gaps):
         defect = _type_defect(gap, profile.split(t), masses[t])
         residual = np.maximum(residual, defect)
     if np.ndim(residual) == 0:
@@ -304,16 +383,6 @@ _PATTERN_GROUPS = tuple(_pattern_group(k) for k in (1, 2, 3))
 _MAX_SYSTEM_COND = 1e12
 
 
-def _probe_axis(probes, fields):
-    """``probes`` on a new leading axis, ahead of the dimensions of ``fields``.
-
-    A gap evaluated at a profile holding these splits gives one row per
-    probe, each element computed as a separate call at that probe would be.
-    """
-    ndim = max(getattr(v, "ndim", 0) for v in fields)
-    return probes.reshape((len(probes),) + (1,) * ndim)
-
-
 #: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
 #: component of (rho_L, rho_Hn, rho_Ha).
 _GAP_PROBES = np.eye(4)[1:]
@@ -325,17 +394,16 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     With the other types' splits held fixed, each type's route-cost gap
     (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
     rho_Ha), so its values at the origin and at the three unit profiles fix
-    it exactly. One ``_type_gap`` call per type evaluates all four, stacked
-    on a leading probe axis.
+    it exactly. One ``_type_gaps`` call evaluates all three types at all
+    four, stacked on a probe axis ahead of the fields' dimensions; each
+    element equals a separate call at that probe.
     """
-    fields = (*vars(params).values(), *vars(env).values())
-    probes = StrategyProfile(*(_probe_axis(row, fields) for row in _GAP_PROBES))
-    gaps = [
-        _type_gap(params, env, belief_uninformative(env, t), probes)
-        for t in EQUILIBRIUM_TYPES
-    ]
+    ndim = 1 + max(np.ndim(v) for v in (*vars(params).values(), *vars(env).values()))
+    probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
+    weights = _gap_weights(env, ndim)
+    gaps = _type_gaps(params, _population_demands(params, env), weights, probes)
     # (..., profile, type)
-    at = np.moveaxis(np.stack(np.broadcast_arrays(*gaps), axis=-1), 0, -2)
+    at = np.moveaxis(gaps, (0, 1), (-1, -2))
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
 
 

@@ -13,11 +13,14 @@ closed-form equilibrium is genuine two-sided evidence:
 - ``brute_force_socopt``: direct scan of the one-dimensional social-cost
   objective per state.
 
-The equilibrium condition itself comes from ``equilibrium``: each type's
-route-cost gap, its defect and the type masses are defined there once and
-shared with ``wardrop_residual``. The gap is affine in the type's own split
-fraction, which the fixed point exploits: one stacked evaluation, at own split
-0 and 1, pins down the whole best-response line.
+The equilibrium condition itself comes from ``equilibrium``: every type's
+route-cost gap (one evaluator, ``_type_gaps``, for all three types), its
+defect and the type masses are defined there once and shared with
+``wardrop_residual``. Each gap is affine in its type's own split fraction,
+which the fixed point exploits: one evaluation of all three types, each at
+its own split 0 and 1, pins down every best-response line of a sweep. What
+does not depend on the iterate (the belief weights, the population demands,
+the type masses and the probe array) is built once per working set.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import belief_uninformative
+from .beliefs import _population_demands, _require_equilibrium_type
 from .equilibrium import (
     StrategyProfile,
-    _probe_axis,
+    _gap_ndim,
+    _gap_weights,
+    _stack_leading,
     _type_defect,
-    _type_gap,
+    _type_gaps,
     _type_masses,
     wardrop_residual,
 )
@@ -103,25 +108,50 @@ class OracleConvergenceError(RuntimeError):
         self.residual = residual
 
 
-#: The responder's own splits at which ``_gap_line`` evaluates its gap.
+#: The own splits at which ``_gap_lines`` evaluates each type's gap.
 _OWN_ENDS = np.array([0.0, 1.0])
 
+#: (split field, owner) pairs a type's probe takes from the profile: all
+#: but the owner's own split.
+_OTHER_SPLITS = ~np.eye(len(EQUILIBRIUM_TYPES), dtype=bool)
 
-def _gap_line(params, env, table, profile):
-    """Route-1-minus-route-2 expected cost as a line in the own split.
 
-    Returns (gap at own split 0, slope), exact because the gap is affine in
-    the responder's (``table.owner``'s) split fraction with the opponent
-    profile held fixed. One ``_type_gap`` evaluation gives both ends: the
-    responder's split is (0, 1) on a new leading axis, and the result's two
-    rows are the gaps at own split 0 and 1, each element computed as a
-    separate call would.
+def _probe_splits(shape: tuple) -> np.ndarray:
+    """Probe splits indexed (field, owner, own end) + ``shape``.
+
+    Each owner's own split is set here, to 0 and 1 along the end axis;
+    ``_gap_lines`` writes the other splits of each sweep around it.
     """
+    owners = np.arange(len(EQUILIBRIUM_TYPES))
+    probes = np.empty((len(owners), len(owners), len(_OWN_ENDS)) + shape)
+    probes[owners, owners] = _OWN_ENDS.reshape(_OWN_ENDS.shape + (1,) * len(shape))
+    return probes
+
+
+def _gap_lines(params, demands, weights, probes, rho):
+    """Every type's route-1-minus-route-2 cost as a line in its own split.
+
+    Returns (gap at own split 0, slope), owner axis first, exact because
+    each gap is affine in its owner's split with the other splits held at
+    ``rho`` (stacked in EQUILIBRIUM_TYPES order). ``rho`` is written into
+    ``probes`` from ``_probe_splits``, and one ``_type_gaps`` call evaluates
+    each type at its own probes; each element equals a separate call at that
+    type's own split 0 or 1.
+    """
+    where = _OTHER_SPLITS.reshape(_OTHER_SPLITS.shape + (1,) * (probes.ndim - 2))
+    np.copyto(probes, rho[:, None, None], where=where)
+    gaps = _type_gaps(params, demands, weights, StrategyProfile(*probes))
+    return gaps[:, 0], gaps[:, 1] - gaps[:, 0]
+
+
+def _gap_lines_at(params, env, profile):
+    """``_gap_lines`` at ``profile``, whose fields broadcast with the others."""
+    ndim = _gap_ndim(params, env, profile)
     splits = [profile.split(t) for t in EQUILIBRIUM_TYPES]
-    fields = (*splits, *vars(params).values(), *vars(env).values())
-    splits[EQUILIBRIUM_TYPES.index(table.owner)] = _probe_axis(_OWN_ENDS, fields)
-    g0, g1 = _type_gap(params, env, table, StrategyProfile(*splits))
-    return g0, g1 - g0
+    rho = _stack_leading(splits, (len(splits),), ndim)
+    weights = _gap_weights(env, ndim + 1)  # (own end, ...)
+    demands = _population_demands(params, env)
+    return _gap_lines(params, demands, weights, _probe_splits(rho.shape[1:]), rho)
 
 
 def _br_from_line(g0, slope):
@@ -182,9 +212,11 @@ def best_response(
     preferred corner is returned (0 when route 1 is dearer, 1 when cheaper,
     0.5 at exact indifference).
     """
-    table = belief_uninformative(env, responder)
-    g0, slope = _gap_line(params, env, table, profile)
-    br = _br_from_line(g0, slope)
+    _require_uninformative(env)
+    _require_equilibrium_type(responder)
+    g0, slope = _gap_lines_at(params, env, profile)
+    row = EQUILIBRIUM_TYPES.index(responder)
+    br = _br_from_line(g0[row], slope[row])
     if np.ndim(br) == 0:
         return float(br)
     return br
@@ -247,19 +279,22 @@ def solve_fixed_point(
     # in EQUILIBRIUM_TYPES order.
     live = np.arange(int(np.prod(shape)))
 
-    def type_masses(env):
-        masses = _type_masses(env)
-        return np.stack([np.broadcast_to(masses[t], live.shape) for t in EQUILIBRIUM_TYPES])
+    def working_set():
+        """What the sweeps read but do not change, for the live instances."""
+        masses = _type_masses(live_env)
+        return (
+            _population_demands(live_params, live_env),
+            _gap_weights(live_env, 2),  # (own end, instance)
+            np.stack([np.broadcast_to(masses[t], live.shape) for t in EQUILIBRIUM_TYPES]),
+            _probe_splits(live.shape),
+        )
 
     rho = np.full((len(EQUILIBRIUM_TYPES),) + live.shape, 0.5)
     final = np.empty_like(rho)
-    tables = [belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES]
-    masses = type_masses(live_env)
+    demands, weights, masses, probes = working_set()
 
     for _ in range(config.max_iters):
-        probe = StrategyProfile(*rho)
-        lines = [_gap_line(live_params, live_env, table, probe) for table in tables]
-        g0, slope = (np.stack(v) for v in zip(*lines))
+        g0, slope = _gap_lines(live_params, demands, weights, probes, rho)
         defect = _type_defect(g0 + slope * rho, rho, masses).max(axis=0)
         done = defect < config.tolerance
         if done.all():
@@ -272,8 +307,7 @@ def solve_fixed_point(
             live, defect = live[keep], defect[keep]
             live_params = _map_array_fields(live_params, lambda v: v[keep])
             live_env = _map_array_fields(live_env, lambda v: v[keep])
-            tables = [belief_uninformative(live_env, t) for t in EQUILIBRIUM_TYPES]
-            masses = type_masses(live_env)
+            demands, weights, masses, probes = working_set()
         boost = _drift_multiplier(live_env.frac_informed, rho, delta)
         rho = np.clip(rho + boost * delta, 0.0, 1.0)
 

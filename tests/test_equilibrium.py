@@ -23,7 +23,8 @@ from routeinfo import (
     solve_bwe,
     wardrop_residual,
 )
-from routeinfo.equilibrium import UTILIZED_SHARE_EPS, _type_gap
+from routeinfo.beliefs import _population_demands
+from routeinfo.equilibrium import UTILIZED_SHARE_EPS, _gap_weights, _type_gaps
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -151,8 +152,10 @@ def test_exact_inputs_give_exact_gaps():
     params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
     env = InfoEnvironment(Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(1, 2))
     origin = StrategyProfile(Fraction(0), Fraction(0), Fraction(0))
-    for t in EQUILIBRIUM_TYPES:
-        gap = _type_gap(params, env, belief_uninformative(env, t), origin)
+    weights = _gap_weights(env, 0)
+    gaps = _type_gaps(params, _population_demands(params, env), weights, origin)
+    assert len(gaps) == len(EQUILIBRIUM_TYPES)
+    for t, gap in zip(EQUILIBRIUM_TYPES, gaps):
         assert isinstance(gap, Fraction), f"{t}: {gap!r}"
         assert gap == -12, f"{t}: {gap!r}"
 

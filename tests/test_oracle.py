@@ -1,6 +1,7 @@
 """The definition-level numerical solvers and their agreement with closed forms."""
 
 import itertools
+import sys
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -22,13 +23,16 @@ from routeinfo import (
     belief_uninformative,
     best_response,
     brute_force_socopt,
+    expected_route_cost,
     grid_scan,
     solve_bwe,
     solve_fixed_point,
     wardrop_residual,
 )
-from routeinfo.equilibrium import _type_gap
-from routeinfo.oracle import DAMPING, _count_clusters, _gap_line
+import routeinfo.beliefs
+import routeinfo.model
+import routeinfo.oracle
+from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines_at
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -128,6 +132,21 @@ def test_best_response_for_empty_population_uses_sign_convention():
     assert best_response(PARAMS, env, StrategyProfile(0.0, 1.0, 1.0), PlayerType.L) == 0.0
 
 
+def test_best_response_rejects_types_outside_the_treatment():
+    profile = StrategyProfile(0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="owner must be L, Hn, or Ha"):
+        best_response(PARAMS, _env(), profile, PlayerType.LN)
+
+
+@pytest.mark.parametrize("responder", [PlayerType.L, PlayerType.LN])
+def test_best_response_rejects_an_informative_low_service(responder):
+    """The treatment is checked before the responder's type."""
+    env = InfoEnvironment(0.2, 0.5, 1.0, accuracy_low=0.6)
+    with pytest.raises(ValidationError) as exc:
+        best_response(PARAMS, env, StrategyProfile(0.5, 0.5, 0.5), responder)
+    assert exc.value.code == "unsupported_treatment"
+
+
 def test_best_response_stays_in_unit_interval():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -157,25 +176,31 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 def test_gap_line_equals_two_scalar_split_evaluations(
     params, p, lam, eta, probes, array_probe
 ):
-    """The one stacked evaluation in _gap_line returns exactly (==) the gap at
-    own split 0 and the gap at own split 1 minus it, each computed by its own
-    _type_gap call with the responder's split a plain float. An array probe
-    is a column, so with an array lambda the call broadcasts two ways."""
+    """The one stacked evaluation of every type's gap line returns exactly
+    (==) each type's gap at own split 0 and its gap at own split 1 minus it,
+    each gap computed as expected_route_cost at route 1 minus route 2 with
+    the type's own split a plain float. An array probe is a column, so with
+    an array lambda the call broadcasts two ways."""
     env = _env(p=p, lam=np.array(lam) if isinstance(lam, list) else lam, eta_h=eta)
     splits = np.array(probes).T[..., None] if array_probe else probes[0]
     probe = StrategyProfile(*splits)
-    for t in EQUILIBRIUM_TYPES:
+    g0, slope = _gap_lines_at(params, env, probe)
+    assert len(g0) == len(slope) == len(EQUILIBRIUM_TYPES)
+    for row, t in enumerate(EQUILIBRIUM_TYPES):
         table = belief_uninformative(env, t)
 
         def gap_at(own):
-            at = [own if u == t else probe.split(u) for u in EQUILIBRIUM_TYPES]
-            return _type_gap(params, env, table, StrategyProfile(*at))
+            at = StrategyProfile(
+                *(own if u == t else probe.split(u) for u in EQUILIBRIUM_TYPES)
+            )
+            c1 = expected_route_cost(params, env, table, 1, at)
+            return c1 - expected_route_cost(params, env, table, 2, at)
 
-        g0, slope = _gap_line(params, env, table, probe)
         want = gap_at(0.0)
-        assert np.shape(g0) == np.shape(slope) == np.broadcast(want, *splits).shape
-        assert np.array_equal(g0, want), t
-        assert np.array_equal(slope, gap_at(1.0) - want), t
+        shape = np.broadcast(want, *splits).shape
+        assert np.shape(g0[row]) == np.shape(slope[row]) == shape
+        assert np.array_equal(g0[row], want), t
+        assert np.array_equal(slope[row], gap_at(1.0) - want), t
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +292,71 @@ def test_starved_array_call_reports_every_instance():
         messages.append(str(point.value))
     # lambda = 0.5 has the larger of the two unconverged defects.
     assert str(err) == messages[0] != messages[1]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name``; for a definition-layer function,
+    through every routeinfo module that holds it."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    holders = [module] + [
+        m
+        for key, m in list(sys.modules.items())
+        if key.startswith("routeinfo") and vars(m).get(name) is fn
+    ]
+    for holder in holders:
+        monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+#: Instances of (p, lambda, eta_h) that stop at different sweeps.
+_STAGGERED = dict(
+    p=np.array([0.2, 0.95])[:, None],
+    lam=np.array([0.0, 0.1, 0.5, 0.9, 1.0]),
+    eta_h=np.array([1.0, 0.75])[:, None],
+)
+
+
+@pytest.mark.parametrize("env", [_env(), _env(**_STAGGERED)], ids=["scalar", "array"])
+def test_fixed_point_sweep_evaluates_eight_latencies(monkeypatch, env):
+    """One latency per (route, state, informed type) a sweep, however many
+    types and instances share it; each sweep tests its defects once."""
+    latencies = _count_calls(monkeypatch, routeinfo.model, "latency")
+    sweeps = _count_calls(monkeypatch, routeinfo.oracle, "_type_defect")
+    solve_fixed_point(PARAMS, env)
+    assert len(sweeps) > 1
+    assert len(latencies) == 8 * len(sweeps)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, np.array([0.0, 0.3, 1.0])])
+def test_residual_evaluates_eight_latencies(monkeypatch, lam):
+    latencies = _count_calls(monkeypatch, routeinfo.model, "latency")
+    wardrop_residual(PARAMS, _env(lam=lam), StrategyProfile(0.3, 0.9, 0.1))
+    assert len(latencies) == 8
+
+
+def test_fixed_point_builds_belief_weights_once_per_working_set(monkeypatch):
+    """The working set shrinks after each sweep at which some, but not all,
+    live instances converge, so it takes as many forms as there are distinct
+    stopping sweeps; each form builds the three belief tables once."""
+    stops = []
+    for p, lam, eta in zip(*(v.ravel() for v in np.broadcast_arrays(*_STAGGERED.values()))):
+        with monkeypatch.context() as patch:
+            sweeps = _count_calls(patch, routeinfo.oracle, "_type_defect")
+            solve_fixed_point(PARAMS, _env(p=p, lam=lam, eta_h=eta))
+        stops.append(len(sweeps))
+    assert len(set(stops)) > 2
+
+    builds = _count_calls(monkeypatch, routeinfo.oracle, "_gap_weights")
+    tables = _count_calls(monkeypatch, routeinfo.beliefs, "belief_uninformative")
+    solve_fixed_point(PARAMS, _env(**_STAGGERED))
+    assert len(builds) == len(set(stops))
+    assert len(tables) == 3 * len(builds)
 
 
 # ---------------------------------------------------------------------------
