@@ -105,12 +105,10 @@ def _state_costs(params, env, profile, state: State) -> tuple:
 
 @dataclass(frozen=True)
 class SocOptSolution:
-    """Socially optimal loads, split fractions, and average costs per state."""
+    """Socially optimal loads and average costs per state."""
 
     loads_normal: tuple
     loads_incident: tuple
-    rho_normal: float
-    rho_incident: float
     cost_normal: float
     cost_incident: float
     cost_exp: float
@@ -129,19 +127,15 @@ def _state_optimum(params: NetworkParams, state: State) -> tuple:
 
 def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolution:
     """Per-state optimal loads and costs, in closed form (fields broadcast)."""
-    d = params.demand
     qn1, qn2, cost_n = _state_optimum(params, State.NORMAL)
     qa1, qa2, cost_a = _state_optimum(params, State.INCIDENT)
     p = env.p_incident
-    qn1, qn2, qa1, qa2, rho_n, rho_a, cost_n, cost_a, cost_exp = _as_results(
-        qn1, qn2, qa1, qa2, qn1 / d, qa1 / d, cost_n, cost_a,
-        (1 - p) * cost_n + p * cost_a,
+    qn1, qn2, qa1, qa2, cost_n, cost_a, cost_exp = _as_results(
+        qn1, qn2, qa1, qa2, cost_n, cost_a, (1 - p) * cost_n + p * cost_a
     )
     return SocOptSolution(
         loads_normal=(qn1, qn2),
         loads_incident=(qa1, qa2),
-        rho_normal=rho_n,
-        rho_incident=rho_a,
         cost_normal=cost_n,
         cost_incident=cost_a,
         cost_exp=cost_exp,

@@ -26,9 +26,11 @@ the four closed-form patterns survive. ``_type_gaps`` evaluates all three
 types' route-cost gaps in one pass, owner axis first, from four loads and
 eight latencies; the residual, ``_affine_gaps`` and the fixed-point oracle
 each call it once per evaluation. Each type's gap is affine in the profile,
-and ``_affine_gaps`` is the one home of that model's ``(g0, C)``; the table
-solves each pattern as a box-constrained linear system in it and broadcasts
-like the closed forms, one element per point.
+and ``_affine_gaps`` is the one home of that model's ``(g0, C)``, sized like
+the residual by the fields the gaps read. The table solves each pattern as
+a box-constrained linear system in it, and ``oracle.best_response`` reads
+the responder's line from it; both broadcast like the closed forms, one
+element per point. The fixed-point iteration builds its own lines.
 """
 
 from __future__ import annotations
@@ -246,40 +248,31 @@ _GAP_ENTRIES = tuple(
 )
 
 
-def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile) -> int:
-    """Dimensions of the gaps at ``profile``: the most of any field they read."""
+def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile=None) -> int:
+    """Dimensions of the gaps at ``profile`` (or of their coefficients, with
+    no profile): the most of any field they read."""
     env_read = (env.p_incident, env.frac_informed, env.accuracy_high)
-    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    splits = () if profile is None else (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
-
-
-def _stack_leading(values, lead: tuple, ndim: int):
-    """``values`` stacked on leading axes of shape ``lead``, then ``ndim``
-    dimensions.
-
-    The values broadcast against each other; their common dimensions come
-    last, so that the result broadcasts against arrays of ``ndim``
-    dimensions after the leading axes. Scalars skip the broadcast, which
-    costs more than the rest of a scalar residual's weights.
-    """
-    if any(getattr(v, "ndim", 0) for v in values):
-        stacked = np.stack(np.broadcast_arrays(*values))
-    else:
-        stacked = np.array(values)
-    pad = (1,) * (ndim + 1 - stacked.ndim)
-    return stacked.reshape(lead + pad + stacked.shape[1:])
 
 
 def _gap_weights(env: InfoEnvironment, ndim: int) -> np.ndarray:
     """Each type's belief weight on each entry of ``_GAP_ENTRIES``.
 
     Indexed (entry, owner in EQUILIBRIUM_TYPES order), then ``ndim``
-    dimensions that broadcast against the gaps. An entry the owner's belief
-    lacks weighs the int 0, so ``Fraction`` fields stay exact.
+    dimensions that broadcast against the gaps: the weights' common
+    dimensions come last. An entry the owner's belief lacks weighs the int
+    0, so ``Fraction`` fields stay exact. Scalar weights skip the broadcast,
+    which costs more than the rest of a scalar residual's weights.
     """
     tables = [_informed_weights(belief_uninformative(env, t)) for t in EQUILIBRIUM_TYPES]
     weights = [table.get(entry, 0) for entry in _GAP_ENTRIES for table in tables]
-    return _stack_leading(weights, (len(_GAP_ENTRIES), len(tables)), ndim)
+    if any(getattr(w, "ndim", 0) for w in weights):
+        stacked = np.stack(np.broadcast_arrays(*weights))
+    else:
+        stacked = np.array(weights)
+    pad = (1,) * (ndim + 1 - stacked.ndim)
+    return stacked.reshape((len(_GAP_ENTRIES), len(tables)) + pad + stacked.shape[1:])
 
 
 def _type_gaps(params: NetworkParams, demands: tuple, weights: np.ndarray, profile):
@@ -398,7 +391,7 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     four, stacked on a probe axis ahead of the fields' dimensions; each
     element equals a separate call at that probe.
     """
-    ndim = 1 + max(np.ndim(v) for v in (*vars(params).values(), *vars(env).values()))
+    ndim = 1 + _gap_ndim(params, env)
     probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
     weights = _gap_weights(env, ndim)
     gaps = _type_gaps(params, _population_demands(params, env), weights, probes)

@@ -336,11 +336,8 @@ def latency(params: NetworkParams, route: int, state: State, load):
     """Travel time on a route carrying ``load``: slope(state) * load + intercept."""
     if (np.asarray(load) < 0).any():
         raise ValidationError("negative_load", f"route load must be >= 0, got {load}")
-    if route == 1:
-        return route_slope(params, 1, state) * load + params.intercept1
-    if route == 2:
-        return params.slope2 * load + params.intercept2
-    raise ValueError(f"route must be 1 or 2, got {route}")
+    intercept = params.intercept1 if route == 1 else params.intercept2
+    return route_slope(params, route, state) * load + intercept
 
 
 def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedConstants:

@@ -5,6 +5,7 @@ K constants. Everything is built from the definition layer only — interim
 beliefs and latency functions — so agreement between these solvers and the
 closed-form equilibrium is genuine two-sided evidence:
 
+- ``best_response``: one type's clamped equalizer against a fixed profile.
 - ``solve_fixed_point``: damped simultaneous best-response iteration over the
   three split fractions.
 - ``grid_scan``: exhaustive epsilon-equilibrium scan of the unit cube of
@@ -16,11 +17,14 @@ closed-form equilibrium is genuine two-sided evidence:
 The equilibrium condition itself comes from ``equilibrium``: every type's
 route-cost gap (one evaluator, ``_type_gaps``, for all three types), its
 defect and the type masses are defined there once and shared with
-``wardrop_residual``. Each gap is affine in its type's own split fraction,
-which the fixed point exploits: one evaluation of all three types, each at
-its own split 0 and 1, pins down every best-response line of a sweep. What
-does not depend on the iterate (the belief weights, the population demands,
-the type masses and the probe array) is built once per working set.
+``wardrop_residual``. Each gap is affine in the profile. ``best_response``
+reads the responder's line from that affine model's ``(g0, C)``
+(``equilibrium._affine_gaps``), which the pattern table solves too. The fixed
+point keeps its own lines: one evaluation of all three types, each at its own
+split 0 and 1 with the other splits at the iterate, pins down every
+best-response line of a sweep. What does not depend on the iterate (the
+belief weights, the population demands, the type masses and the probe array)
+is built once per working set.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ import numpy as np
 from .beliefs import _population_demands, _require_equilibrium_type
 from .equilibrium import (
     StrategyProfile,
-    _gap_ndim,
+    _affine_gaps,
     _gap_weights,
-    _stack_leading,
     _type_defect,
     _type_gaps,
     _type_masses,
@@ -144,16 +147,6 @@ def _gap_lines(params, demands, weights, probes, rho):
     return gaps[:, 0], gaps[:, 1] - gaps[:, 0]
 
 
-def _gap_lines_at(params, env, profile):
-    """``_gap_lines`` at ``profile``, whose fields broadcast with the others."""
-    ndim = _gap_ndim(params, env, profile)
-    splits = [profile.split(t) for t in EQUILIBRIUM_TYPES]
-    rho = _stack_leading(splits, (len(splits),), ndim)
-    weights = _gap_weights(env, ndim + 1)  # (own end, ...)
-    demands = _population_demands(params, env)
-    return _gap_lines(params, demands, weights, _probe_splits(rho.shape[1:]), rho)
-
-
 def _br_from_line(g0, slope):
     """Clamped equalizer of an affine cost gap, with the degenerate fallback."""
     g0 = np.asarray(g0, dtype=float)
@@ -207,18 +200,23 @@ def best_response(
     """Cost-minimizing split for ``responder`` against a fixed profile.
 
     Solves expected_cost_route1(rho) = expected_cost_route2(rho) for the
-    responder's own split and clamps to [0, 1]. If the responder's population
-    is empty its costs do not depend on rho at all; by convention the
-    preferred corner is returned (0 when route 1 is dearer, 1 when cheaper,
-    0.5 at exact indifference).
+    responder's own split and clamps to [0, 1]. The responder's gap is read
+    off ``_affine_gaps``: intercept ``g0[t] + sum over j != t of C[t, j] *
+    rho_j``, slope ``C[t, t]``. If the responder's population is empty its
+    costs do not depend on rho at all; by convention the preferred corner is
+    returned (0 when route 1 is dearer, 1 when cheaper, 0.5 at exact
+    indifference). Fields broadcast; scalar inputs give a Python float.
     """
     _require_uninformative(env)
     _require_equilibrium_type(responder)
-    g0, slope = _gap_lines_at(params, env, profile)
-    row = EQUILIBRIUM_TYPES.index(responder)
-    br = _br_from_line(g0[row], slope[row])
-    if np.ndim(br) == 0:
-        return float(br)
+    g0, coef = _affine_gaps(params, env)
+    t = EQUILIBRIUM_TYPES.index(responder)
+    others = [
+        coef[..., t, j] * profile.split(u)
+        for j, u in enumerate(EQUILIBRIUM_TYPES)
+        if u != responder
+    ]
+    (br,) = _as_results(_br_from_line(sum(others, g0[..., t]), coef[..., t, t]))
     return br
 
 

@@ -66,6 +66,19 @@ def lambda_tilde(params: NetworkParams) -> float:
     )
 
 
+#: The third regime's social-value shape, by the ``_tilde_case`` index.
+_R3_SHAPES = ("decreasing", "peaked", "increasing")
+
+
+def _tilde_case(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """(case, lambda_tilde, boundaries): case 0 when lambda_tilde <=
+    lambda_bar_2, else 1 when lambda_tilde < lambda_bar_3, else 2."""
+    bounds = regime_boundaries(params, env)
+    tilde = lambda_tilde(params)
+    case = np.where(tilde <= bounds[1], 0, np.where(tilde < bounds[2], 1, 2))
+    return case, tilde, bounds
+
+
 def lambda_min(params: NetworkParams, env: InfoEnvironment) -> float:
     """Smallest informed fraction achieving minimal expected social cost.
 
@@ -78,11 +91,8 @@ def lambda_min(params: NetworkParams, env: InfoEnvironment) -> float:
     """
     _require_uninformative(env)
     _require_perfect_accuracy(env)
-    lb1, lb2, lb3 = regime_boundaries(params, env)
-    tilde = lambda_tilde(params)
-    (lam_min,) = _as_results(
-        np.where(tilde <= lb2, lb1, np.where(tilde < lb3, tilde, lb3))
-    )
+    case, tilde, (lb1, _, lb3) = _tilde_case(params, env)
+    (lam_min,) = _as_results(np.choose(case, (lb1, tilde, lb3)))
     return lam_min
 
 
@@ -216,14 +226,8 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
     labels = classify(params, env).label.tolist()
     tol = _cost_tol(params)
 
-    lb1, lb2, lb3 = regime_boundaries(params, env)
-    tilde = lambda_tilde(params)
-    if tilde <= lb2:
-        r3_case = "decreasing"
-    elif tilde < lb3:
-        r3_case = "peaked"
-    else:
-        r3_case = "increasing"
+    case, tilde, _ = _tilde_case(params, env)
+    r3_case = _R3_SHAPES[case]
     cases = {"R1": "increasing", "R2": "constant", "R3": r3_case, "R4": "constant"}
 
     failures = []

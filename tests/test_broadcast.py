@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 
 from routeinfo import (
+    EQUILIBRIUM_TYPES,
     CostReport,
     InfoEnvironment,
     NetworkParams,
     ValidationError,
     ValueReport,
+    best_response,
     classify,
     cost_report,
     enumerate_profiles,
@@ -21,6 +23,7 @@ from routeinfo import (
     social_optimum,
     solve_bwe,
     value_report,
+    wardrop_residual,
 )
 from strategies import rescaled_networks
 
@@ -122,7 +125,24 @@ def test_scalar_inputs_give_python_scalars(lam):
     assert type(lambda_min(PARAMS, env)) is float
     opt = social_optimum(PARAMS, env)
     assert all(type(q) is float for q in (*opt.loads_normal, *opt.loads_incident))
-    assert type(opt.rho_normal) is float and type(opt.cost_exp) is float
+    assert type(opt.cost_exp) is float
+
+
+def test_a_field_the_gaps_do_not_read_leaves_results_scalar():
+    """An array accuracy_low (all 0.5) with every other field scalar: the
+    gaps never read it, so the pattern table and best responses answer in
+    Python scalars, as wardrop_residual and solve_bwe do."""
+    env = InfoEnvironment(0.2, 0.5, 1.0, np.full(3, 0.5))
+    profile = solve_bwe(PARAMS, env)
+    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    assert all(type(r) is float for r in splits)
+    assert type(wardrop_residual(PARAMS, env, profile)) is float
+    for verdict in enumerate_profiles(PARAMS, env):
+        assert type(verdict.is_equilibrium) is bool and type(verdict.note) is str
+        if verdict.profile is not None:
+            assert type(verdict.profile.rho_Ha) is float, verdict.pattern
+    for t in EQUILIBRIUM_TYPES:
+        assert type(best_response(PARAMS, env, profile, t)) is float, t
 
 
 def test_array_inputs_give_arrays_of_the_common_shape():

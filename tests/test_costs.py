@@ -248,7 +248,7 @@ def test_social_optimum_pinned():
     assert abs(opt.loads_normal[1] - 4 / 3) < 1e-9
     assert abs(opt.loads_incident[0] - 2.2) < 1e-9
     assert abs(opt.loads_incident[1] - 2.8) < 1e-9
-    assert abs(opt.rho_normal - 11 / 15) < 1e-9
+    assert abs(opt.loads_normal[0] / PARAMS.demand - 11 / 15) < 1e-9
     assert abs(opt.cost_normal - 344 / 15) < 1e-9
     assert abs(opt.cost_incident - 26.16) < 1e-9
     assert abs(opt.cost_exp - (0.8 * 344 / 15 + 0.2 * 26.16)) < 1e-12

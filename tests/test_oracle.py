@@ -32,7 +32,9 @@ from routeinfo import (
 import routeinfo.beliefs
 import routeinfo.model
 import routeinfo.oracle
-from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines_at
+from routeinfo.beliefs import _population_demands
+from routeinfo.equilibrium import _gap_weights
+from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _probe_splits
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -167,6 +169,46 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 @given(
     params=rescaled_networks(),
     p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.sampled_from([0.0, 1.0]) | _UNIT,
+    eta=st.just(1.0) | st.floats(min_value=0.55, max_value=1.0),
+    splits=st.tuples(_UNIT, _UNIT, _UNIT),
+    responder=st.sampled_from(EQUILIBRIUM_TYPES),
+)
+@settings(max_examples=200, deadline=None)
+def test_best_response_is_the_clamped_equalizer_of_the_route_costs(
+    params, p, lam, eta, splits, responder
+):
+    """best_response, read off the affine gap model, lies within 1e-9 of the
+    clamped equalizer of the responder's gap line, the line through its
+    gaps at own split 0 and 1, each expected_route_cost at route 1 minus
+    route 2; at a clamped corner it is that corner exactly (==)."""
+    env = _env(p=p, lam=lam, eta_h=eta)
+    profile = StrategyProfile(*splits)
+    table = belief_uninformative(env, responder)
+
+    def gap_at(own):
+        at = StrategyProfile(
+            *(own if u == responder else profile.split(u) for u in EQUILIBRIUM_TYPES)
+        )
+        c1 = expected_route_cost(params, env, table, 1, at)
+        return c1 - expected_route_cost(params, env, table, 2, at)
+
+    g0 = gap_at(0.0)
+    slope = gap_at(1.0) - g0
+    if abs(slope) < routeinfo.oracle.DEGENERATE_SLOPE_EPS:
+        want = 0.0 if g0 > 0 else 1.0 if g0 < 0 else 0.5
+    else:
+        want = min(max(-g0 / slope, 0.0), 1.0)
+    br = best_response(params, env, profile, responder)
+    if want in (0.0, 1.0):
+        assert br == want
+    else:
+        assert abs(br - want) <= 1e-9
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
     lam=st.sampled_from([0.0, 1.0]) | _UNIT | st.lists(_UNIT, min_size=1, max_size=4),
     eta=st.just(1.0) | st.floats(min_value=0.55, max_value=1.0),
     probes=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=4),
@@ -176,15 +218,25 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
 def test_gap_line_equals_two_scalar_split_evaluations(
     params, p, lam, eta, probes, array_probe
 ):
-    """The one stacked evaluation of every type's gap line returns exactly
-    (==) each type's gap at own split 0 and its gap at own split 1 minus it,
-    each gap computed as expected_route_cost at route 1 minus route 2 with
-    the type's own split a plain float. An array probe is a column, so with
-    an array lambda the call broadcasts two ways."""
+    """The fixed point's one stacked evaluation of every type's gap line
+    returns exactly (==) each type's gap at own split 0 and its gap at own
+    split 1 minus it, each gap computed as expected_route_cost at route 1
+    minus route 2 with the type's own split a plain float. The weights,
+    demands, probes and stacked splits are built as the fixed point builds
+    them, over the broadcast shape of lambda and the probe; an array probe
+    is a column, so with an array lambda that shape is two-dimensional."""
     env = _env(p=p, lam=np.array(lam) if isinstance(lam, list) else lam, eta_h=eta)
     splits = np.array(probes).T[..., None] if array_probe else probes[0]
     probe = StrategyProfile(*splits)
-    g0, slope = _gap_lines_at(params, env, probe)
+    shape = np.broadcast(env.frac_informed, *splits).shape
+    rho = np.stack([np.broadcast_to(probe.split(t), shape) for t in EQUILIBRIUM_TYPES])
+    g0, slope = _gap_lines(
+        params,
+        _population_demands(params, env),
+        _gap_weights(env, len(shape) + 1),  # (own end, ...)
+        _probe_splits(shape),
+        rho,
+    )
     assert len(g0) == len(slope) == len(EQUILIBRIUM_TYPES)
     for row, t in enumerate(EQUILIBRIUM_TYPES):
         table = belief_uninformative(env, t)

@@ -41,9 +41,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def read_names(tree: ast.Module) -> set:
+    """Names a module reads: as a loaded name, as an attribute, or as an
+    import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {a.name for a in node.names}
+    return read
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """Module-level ``_names`` of ``sources`` (module name -> source) that no
-    module reads: as a loaded name, as an attribute, or as an import."""
+    module reads."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -58,13 +72,7 @@ def unreferenced_private_names(sources: dict) -> list:
                 names = []
             private = [n for n in names if n.startswith("_") and not n.startswith("__")]
             defined += [(module, n) for n in private]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read |= {a.name for a in node.names}
+        read |= read_names(tree)
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
 
@@ -80,6 +88,28 @@ def test_no_unreferenced_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert sources
     assert unreferenced_private_names(sources) == []
+
+
+#: Helpers that only the fixed-point iteration uses.
+FIXED_POINT_ONLY = (
+    "_gap_lines",
+    "_probe_splits",
+    "_OWN_ENDS",
+    "_OTHER_SPLITS",
+    "_drift_multiplier",
+    "_map_array_fields",
+)
+
+
+def test_fixed_point_machinery_is_read_only_by_the_oracle():
+    """No module of ``src/`` but ``oracle`` reads the fixed point's own
+    helpers, so deleting the fixed point deletes them as one block."""
+    read = {
+        p.stem: read_names(ast.parse(p.read_text(encoding="utf-8")))
+        for p in SRC.glob("*.py")
+    }
+    for name in FIXED_POINT_ONLY:
+        assert sorted(m for m in read if name in read[m]) == ["oracle"], name
 
 
 def test_cli_import_loads_no_scipy():
