@@ -115,11 +115,13 @@ class SocOptSolution:
 
 
 def _state_optimum(params: NetworkParams, state: State) -> tuple:
-    """(q1, q2, average cost) minimizing state social cost, closed form."""
+    """(q1, q2, average cost) minimizing state social cost, closed form.
+
+    No clamp: intercept2 >= intercept1 puts q1 >= 0, and validation's
+    intercept2 - intercept1 < slope1_normal * d puts q1 <= d."""
     a1 = route_slope(params, 1, state)
     a2, b1, b2, d = params.slope2, params.intercept1, params.intercept2, params.demand
     q1 = (2 * a2 * d - b1 + b2) / (2 * (a1 + a2))
-    q1 = np.clip(q1, 0.0, d)
     q2 = d - q1
     total = q1 * latency(params, 1, state, q1) + q2 * latency(params, 2, state, q2)
     return q1, q2, total / d
@@ -306,9 +308,9 @@ def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
 
     (c_l_n, c_h_n), (c_l_a, c_h_a) = state_costs(env)
     (base_n, _), (base_a, _) = state_costs(InfoEnvironment(p, 0.0, env.accuracy_high))
+    # An empty population's placeholder cost is finite: its term is +0.0.
     soc_n, soc_a = (
-        np.where(lam == 0, c_l, np.where(lam == 1, c_h, lam * c_h + (1 - lam) * c_l))
-        for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
+        lam * c_h + (1 - lam) * c_l for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
     )
     # NaN marks an empty population's costs, and so its expected cost.
     c_l_n, c_l_a = (np.where(lam == 1, np.nan, c) for c in (c_l_n, c_l_a))

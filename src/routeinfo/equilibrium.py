@@ -323,7 +323,6 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     profile is an epsilon-equilibrium exactly when the residual is <=
     epsilon.
     """
-    _require_uninformative(env)
     weights = _gap_weights(env, _gap_ndim(params, env, profile))
     gaps = _type_gaps(params, _population_demands(params, env), weights, profile)
     masses = _type_masses(env)
@@ -414,7 +413,6 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
     solved splits, NaN where the pattern is rejected (None in a scalar call).
     """
-    _require_uninformative(env)
     g0, coef = _affine_gaps(params, env)
     # (..., 1, 1), against gaps of shape (..., pattern, component).
     gap_tol = np.asarray(_cost_tol(params))[..., None, None]

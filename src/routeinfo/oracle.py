@@ -58,11 +58,6 @@ from .model import (
     latency,
 )
 
-#: Below this own-split sensitivity the responder's costs do not depend on its
-#: own choice (an empty population); the best response falls back to the sign
-#: convention documented on ``best_response``.
-DEGENERATE_SLOPE_EPS = 1e-15
-
 #: Step fraction of the fixed-point iteration toward the best response.
 DAMPING = 0.5
 
@@ -148,10 +143,11 @@ def _gap_lines(params, demands, weights, probes, rho):
 
 
 def _br_from_line(g0, slope):
-    """Clamped equalizer of an affine cost gap, with the degenerate fallback."""
-    g0 = np.asarray(g0, dtype=float)
-    slope = np.asarray(slope, dtype=float)
-    degenerate = np.abs(slope) < DEGENERATE_SLOPE_EPS
+    """Clamped equalizer of an affine cost gap; the preferred corner at a
+    slope of exactly 0, an empty responder population whose split moves no
+    load. Any other slope is at least about an ulp of the gaps, so ``-g0 /
+    slope`` cannot overflow, whatever the time unit."""
+    degenerate = slope == 0
     interior = -g0 / np.where(degenerate, 1.0, slope)
     br = np.clip(interior, 0.0, 1.0)
     preferred = np.where(g0 > 0, 0.0, np.where(g0 < 0, 1.0, 0.5))

@@ -58,6 +58,11 @@ def test_posterior_state_worked_points():
     assert abs(posterior_state(env, "L", State.INCIDENT) - 3 / 11) < 1e-12
 
 
+def test_posterior_state_names_an_unknown_service():
+    with pytest.raises(ValueError, match="service must be 'H' or 'L', got 'X'"):
+        posterior_state(_env(), "X", State.INCIDENT)
+
+
 def test_posterior_state_coin_flip_returns_prior():
     env = _env(eta_h=1.0, eta_l=0.5)
     assert abs(posterior_state(env, "L", State.INCIDENT) - 0.2) < 1e-15

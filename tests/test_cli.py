@@ -7,10 +7,13 @@ exit code plus captured stdout/stderr, the same surface a shell user sees.
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import routeinfo.cli
+from routeinfo import OracleConvergenceError, StrategyProfile, solve_bwe
 from routeinfo.cli import DEFAULTS, main
 
 # ---------------------------------------------------------------------------
@@ -307,6 +310,48 @@ def test_oracle_reports_deviation(capsys):
     assert all(float(r["deviation"]) <= 1e-6 for r in rows)
 
 
+def _oracle_shifting(monkeypatch, field, delta):
+    """Make ``routeinfo oracle``'s solver return the closed form with
+    ``field`` lowered by ``delta``."""
+
+    def shifted(params, env, config):
+        closed = solve_bwe(params, env)
+        return replace(closed, **{field: getattr(closed, field) - delta})
+
+    monkeypatch.setattr(routeinfo.cli, "solve_fixed_point", shifted)
+
+
+@pytest.mark.parametrize("delta,code", [(2.0**-20, 0), (2.0**-19, 2)])
+def test_oracle_deviation_is_the_largest_split_shift(capsys, monkeypatch, delta, code):
+    """rho_Hn is 1 at the running example, so lowering it by a power of two
+    deviates by exactly that; above ORACLE_DEVIATION_LIMIT (1e-6) it fails."""
+    _oracle_shifting(monkeypatch, "rho_Hn", delta)
+    got, out, err = _run(capsys, ["oracle", "--format", "json"])
+    assert got == code
+    assert json.loads(out)[0]["deviation"] == delta
+    assert err == f"max |closed-form - fixed-point| deviation: {delta:.3e}\n"
+
+
+def test_oracle_ignores_a_zero_mass_type(capsys, monkeypatch):
+    """At lambda = 1 the uninformed population is empty: its split is free."""
+    _oracle_shifting(monkeypatch, "rho_L", 0.5)
+    code, out, err = _run(capsys, ["oracle", "--lambda", "1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["deviation"] == 0.0
+    assert err == "max |closed-form - fixed-point| deviation: 0.000e+00\n"
+
+
+def test_oracle_without_a_fixed_point_exits_two(capsys, monkeypatch):
+    message = "no fixed point within 3 iterations (worst residual 1.000e+00)"
+
+    def stuck(params, env, config):
+        raise OracleConvergenceError(message, StrategyProfile(0.5, 0.5, 0.5), 1.0)
+
+    monkeypatch.setattr(routeinfo.cli, "solve_fixed_point", stuck)
+    code, out, err = _run(capsys, ["oracle"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
     """A sweep is one array call; its rows and its stderr summary are those of
@@ -416,6 +461,28 @@ def test_invalid_inputs_exit_one(capsys, argv):
             ["equilibrium", "--sweep", "lambda:nan:1:3"],
             "malformed_sweep: sweep needs finite bounds, got nan..1.0",
         ),
+        (
+            ["equilibrium", "--sweep", "lambda:low:1:3"],
+            "malformed_sweep: bad sweep 'lambda:low:1:3': "
+            "could not convert string to float: 'low'",
+        ),
+        (
+            ["equilibrium", "--sweep", "lambda:0.1:0.9:1"],
+            "malformed_sweep: sweep needs >= 2 points, got 1",
+        ),
+        (
+            ["equilibrium", "--sweep", "demand:6:7:3"],
+            "malformed_sweep: sweep axis must be one of ('lambda', 'p', 'eta_h'), "
+            "got 'demand'",
+        ),
+        (
+            ["regimes", "--config", "p = 0.3\nlambda 0.4\n"],
+            "malformed_config: {config}:2: expected key = value",
+        ),
+        (
+            ["regimes", "--config", "# running example\np = high\n"],
+            "malformed_config: {config}:2: 'high' is not a number",
+        ),
     ],
     ids=[
         "value_eta_h_sweep",
@@ -427,10 +494,25 @@ def test_invalid_inputs_exit_one(capsys, argv):
         "infinite_demand",
         "infinite_sweep_stop",
         "nan_sweep_start",
+        "non_numeric_sweep_bound",
+        "one_sweep_point",
+        "unknown_sweep_axis",
+        "config_line_without_equals",
+        "non_numeric_config_value",
     ],
 )
-def test_invalid_input_names_the_first_offending_value(capsys, argv, message):
-    """A sweep fails with the message of its first bad point, not the array."""
+def test_invalid_input_names_the_first_offending_value(
+    capsys, tmp_path, argv, message
+):
+    """A sweep fails with the message of its first bad point, not the array.
+    A ``--config`` argument here is the file's text: it is written to a file,
+    whose path replaces it and ``{config}`` in the message."""
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        config = tmp_path / "bad.cfg"
+        config.write_text(argv[at], encoding="utf-8")
+        argv = [*argv[:at], str(config), *argv[at + 1 :]]
+        message = message.format(config=config)
     code, out, err = _run(capsys, argv)
     assert code == 1
     assert out == ""

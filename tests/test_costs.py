@@ -327,6 +327,7 @@ def test_crosscheck_clean_regimes_all_match(lam):
     assert _statuses(rows) == {q: "match" for q in _statuses(rows)}
     for row in rows:
         assert row.deviation <= 1e-9
+        assert row.deviation == abs(row.printed - row.computed)
 
 
 def test_crosscheck_third_regime_reports_slope_defect():
@@ -435,6 +436,12 @@ def test_empty_population_errors():
             PARAMS, _env(lam=1.0), profile, "L", State.INCIDENT
         )
     assert exc.value.code == "empty_population"
+
+
+def test_realized_cost_names_a_population_outside_l_and_h():
+    profile = solve_bwe(PARAMS, _env())
+    with pytest.raises(ValueError, match="population must be 'L' or 'H', got 'X'"):
+        realized_population_state_cost(PARAMS, _env(), profile, "X", State.NORMAL)
 
 
 def test_cost_report_everyone_informed():

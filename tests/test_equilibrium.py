@@ -91,6 +91,11 @@ def test_lambda_zero_is_the_first_regime_next_to_a_vanishing_boundary(lam):
     assert rho_l == pytest.approx(12 / 17, abs=1e-12)
 
 
+def test_split_names_a_type_without_one():
+    with pytest.raises(ValueError, match="no split fraction for type X"):
+        StrategyProfile(0.5, 0.5, 0.5).split("X")
+
+
 def test_rejects_informative_low_accuracy_signal():
     env = InfoEnvironment(0.2, 0.5, accuracy_high=1.0, accuracy_low=0.6)
     for op in (regime_boundaries, classify, solve_bwe):

@@ -11,11 +11,18 @@ from hypothesis import given, settings
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
+    OracleConfig,
     State,
+    StrategyProfile,
     ValidationError,
+    analytic_cost_crosscheck,
     derived_constants,
+    grid_scan,
+    lambda_min,
     latency,
+    realized_population_state_cost,
     route_slope,
+    theorem2_grid,
     validate,
 )
 
@@ -231,6 +238,35 @@ def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda env: lambda_min(PARAMS, env),
+        lambda env: theorem2_grid(PARAMS, env),
+        lambda env: analytic_cost_crosscheck(PARAMS, env),
+        lambda env: realized_population_state_cost(
+            PARAMS, env, StrategyProfile(0.5, 0.5, 0.5), "L", State.NORMAL
+        ),
+        lambda env: grid_scan(PARAMS, env, OracleConfig(grid_resolution=401)),
+    ],
+    ids=[
+        "lambda_min",
+        "theorem2_grid",
+        "analytic_cost_crosscheck",
+        "realized_population_state_cost",
+        "grid_scan",
+    ],
+)
+def test_the_coin_flip_rule_comes_first(call):
+    """An informative uninformed service is named before the value
+    analysis's accuracy_high = 1 and the grid scan's resolution cap, which
+    this environment and resolution 401 break too."""
+    env = InfoEnvironment(0.2, 0.5, accuracy_high=0.9, accuracy_low=0.6)
+    with pytest.raises(ValidationError) as exc:
+        call(env)
+    assert exc.value.code == "unsupported_treatment"
+
+
 def test_latency_examples():
     assert latency(PARAMS, 1, State.NORMAL, 0.0) == 19.0
     assert abs(latency(PARAMS, 1, State.INCIDENT, 2.4) - 26.2) < 1e-12
@@ -252,6 +288,8 @@ def test_route_slope():
     assert route_slope(PARAMS, 1, State.INCIDENT) == 3.0
     assert route_slope(PARAMS, 2, State.NORMAL) == 2.0
     assert route_slope(PARAMS, 2, State.INCIDENT) == 2.0
+    with pytest.raises(ValueError, match="route must be 1 or 2, got 3"):
+        route_slope(PARAMS, 3, State.NORMAL)
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,128 @@ def test_theorem2_catches_a_misplaced_lambda_min(monkeypatch):
 
 def test_theorem2_rejects_unsorted_grid():
     grid = _grid(0.2, points=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frac_informed must be sorted"):
         verify_theorem2(PARAMS, replace(grid, frac_informed=grid.frac_informed[::-1]))
+
+
+@pytest.mark.parametrize("lams", [0.5, np.array([0.5])], ids=["scalar", "one_point"])
+def test_theorem2_needs_two_informed_fractions(lams):
+    with pytest.raises(ValueError, match="need at least two informed fractions"):
+        verify_theorem2(PARAMS, _env(lam=lams))
+
+
+def _doctor(monkeypatch, field, edit):
+    """Make ``value_report`` return ``field`` of the grid call through
+    ``edit(lams, values)``; scalar calls stay true."""
+    true_report = value_module.value_report
+
+    def doctored(params, env):
+        report = true_report(params, env)
+        if np.ndim(env.frac_informed) == 0:
+            return report
+        values = getattr(report, field).copy()
+        edit(env.frac_informed, values)
+        return replace(report, **{field: values})
+
+    monkeypatch.setattr(value_module, "value_report", doctored)
+
+
+def test_theorem1_reports_each_failing_point(monkeypatch):
+    """A non-positive value in R1 and a value beyond the tolerance in R4
+    fail; a positive R1 value and an R4 value within it pass."""
+    doctored = {0.1: 0.0, 0.9: 1e-6, 0.95: 1e-12}
+
+    def edit(lams, values):
+        for i, lam in enumerate(lams):
+            values[i] = doctored.get(lam, values[i])
+
+    _doctor(monkeypatch, "v_rel_exp", edit)
+    report = verify_theorem1(PARAMS, _env(lam=np.array([0.0, 0.1, 0.2, 0.9, 0.95])))
+    assert report.passed is False
+    assert report.n_checked == 4
+    assert report.failures == [
+        (0.1, 0.0, "expected > 0 in R1"),
+        (0.9, 1e-6, "expected ~0 in R4"),
+    ]
+
+
+def _lower(*lams_to_lower):
+    """An edit lowering the social value at the grid points nearest to each
+    of ``lams_to_lower`` by 1."""
+
+    def edit(lams, values):
+        for lam in lams_to_lower:
+            values[np.argmin(np.abs(lams - lam))] -= 1.0
+
+    return edit
+
+
+def test_theorem2_names_each_broken_shape(monkeypatch):
+    """At p = 0.2: R1 falls, R2 is not flat and the decreasing R3 rises."""
+    _doctor(monkeypatch, "w_exp", _lower(0.1, 0.5, 0.78))
+    report = verify_theorem2(PARAMS, _grid(0.2))
+    assert report.passed is False
+    assert report.failures == [
+        "R1: expected increasing social value",
+        "R2: expected constant social value",
+        "R3: expected decreasing social value",
+    ]
+
+
+def test_theorem2_checks_both_sides_of_a_peak(monkeypatch):
+    """At p = 0.6 the third regime peaks at lambda_tilde = 11/15: a dip on
+    each side breaks that side's shape, not the peak."""
+    _doctor(monkeypatch, "w_exp", _lower(0.72, 0.78))
+    report = verify_theorem2(PARAMS, _grid(0.6))
+    assert report.passed is False
+    assert report.failures == [
+        "R3: expected increasing social value",
+        "R3: expected decreasing social value",
+    ]
+
+
+def test_theorem2_places_the_third_regime_peak(monkeypatch):
+    """A peak raised far from lambda_tilde is reported by location, and
+    then lambda_min no longer reaches the grid maximum."""
+    grid = _grid(0.6)
+    lams = grid.frac_informed
+    at = int(np.argmin(np.abs(lams - 0.78)))
+
+    def raise_one(lams, values):
+        values[at] += 1.0
+
+    _doctor(monkeypatch, "w_exp", raise_one)
+    report = verify_theorem2(PARAMS, grid)
+    w_max = value_report(PARAMS, grid).w_exp[at] + 1.0
+    w_min = value_report(PARAMS, _env(p=0.6, lam=22 / 30)).w_exp
+    assert report.failures == [
+        "R3: expected decreasing social value",
+        f"R3: peak at {lams[at]:.6f}, expected near {22 / 30:.6f}",
+        f"grid argmax of social value at {lams[at]:.6f}, "
+        f"lambda_min predicts {22 / 30:.6f}",
+        f"social value {w_min:.9g} at lambda_min {22 / 30:.6f} "
+        f"below the grid maximum {w_max:.9g}",
+    ]
+
+
+def test_theorem2_skips_a_regime_with_one_grid_point():
+    """A one-point regime has no shape to check (here R1 holds only 0)."""
+    grid = _grid(0.2)
+    lb1 = regime_boundaries(PARAMS, grid)[0]
+    lams = grid.frac_informed
+    report = verify_theorem2(PARAMS, replace(grid, frac_informed=lams[(lams == 0) | (lams >= lb1)]))
+    assert report.passed, report.failures
+
+
+def test_theorem2_peaked_case_with_no_third_regime_point():
+    """Without a third-regime grid point the peak has no place to check."""
+    grid = _grid(0.6)
+    _, lb2, lb3 = regime_boundaries(PARAMS, grid)
+    lams = grid.frac_informed
+    report = verify_theorem2(PARAMS, replace(grid, frac_informed=lams[(lams <= lb2) | (lams >= lb3)]))
+    assert report.regime_cases["R3"] == "peaked"
+    assert report.peak_lambda == pytest.approx(22 / 30, abs=1e-12)
+    assert report.passed, report.failures
 
 
 # ---------------------------------------------------------------------------
