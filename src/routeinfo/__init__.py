@@ -2,122 +2,82 @@
 route and heterogeneously informed travelers: belief construction, regime
 classification, closed-form equilibria, equilibrium/baseline/optimum costs,
 the value of information, and independent numerical oracles.
+
+Importing the package loads none of its modules, nor numpy: each public name
+is imported from its module on first use and then kept here (PEP 562), so a
+program pays at start-up only for the modules it reads.
 """
 
-from .beliefs import (
-    BeliefTable,
-    MarginalTypeDist,
-    belief_conditional_ck,
-    belief_marginal_ck,
-    belief_uninformative,
-    expected_route_cost,
-    marginal_type_dist,
-    posterior_state,
-)
-from .costs import (
-    CostReport,
-    CrosscheckRow,
-    SocOptSolution,
-    analytic_cost_crosscheck,
-    cost_report,
-    realized_population_state_cost,
-    social_optimum,
-)
-from .equilibrium import (
-    ProfileVerdict,
-    Regime,
-    StrategyProfile,
-    classify,
-    enumerate_profiles,
-    regime_boundaries,
-    solve_bwe,
-    wardrop_residual,
-)
-from .model import (
-    EQUILIBRIUM_TYPES,
-    DerivedConstants,
-    InfoEnvironment,
-    NetworkParams,
-    PlayerType,
-    State,
-    ValidationError,
-    derived_constants,
-    latency,
-    route_slope,
-    validate,
-)
-from .oracle import (
-    GridScanResult,
-    OracleConfig,
-    OracleConvergenceError,
-    best_response,
-    brute_force_socopt,
-    grid_scan,
-    solve_fixed_point,
-)
-from .value import (
-    Theorem1Report,
-    Theorem2Report,
-    ValueReport,
-    lambda_min,
-    lambda_tilde,
-    theorem2_grid,
-    value_report,
-    verify_theorem1,
-    verify_theorem2,
-)
+import importlib
 
-__all__ = [
-    "EQUILIBRIUM_TYPES",
-    "BeliefTable",
-    "CostReport",
-    "CrosscheckRow",
-    "DerivedConstants",
-    "GridScanResult",
-    "InfoEnvironment",
-    "MarginalTypeDist",
-    "NetworkParams",
-    "OracleConfig",
-    "OracleConvergenceError",
-    "PlayerType",
-    "ProfileVerdict",
-    "Regime",
-    "SocOptSolution",
-    "State",
-    "StrategyProfile",
-    "Theorem1Report",
-    "Theorem2Report",
-    "ValidationError",
-    "ValueReport",
-    "analytic_cost_crosscheck",
-    "belief_conditional_ck",
-    "belief_marginal_ck",
-    "belief_uninformative",
-    "best_response",
-    "brute_force_socopt",
-    "classify",
-    "cost_report",
-    "derived_constants",
-    "enumerate_profiles",
-    "expected_route_cost",
-    "grid_scan",
-    "lambda_min",
-    "lambda_tilde",
-    "latency",
-    "marginal_type_dist",
-    "posterior_state",
-    "realized_population_state_cost",
-    "regime_boundaries",
-    "route_slope",
-    "social_optimum",
-    "solve_bwe",
-    "solve_fixed_point",
-    "theorem2_grid",
-    "validate",
-    "value_report",
-    "verify_theorem1",
-    "verify_theorem2",
-    "wardrop_residual",
-]
+#: Each public name -> the module that defines it, in ``__all__`` order.
+_ORIGIN = {
+    "EQUILIBRIUM_TYPES": "model",
+    "BeliefTable": "beliefs",
+    "CostReport": "costs",
+    "CrosscheckRow": "costs",
+    "DerivedConstants": "model",
+    "GridScanResult": "oracle",
+    "InfoEnvironment": "model",
+    "MarginalTypeDist": "beliefs",
+    "NetworkParams": "model",
+    "OracleConfig": "oracle",
+    "OracleConvergenceError": "model",
+    "PlayerType": "model",
+    "ProfileVerdict": "equilibrium",
+    "Regime": "equilibrium",
+    "SocOptSolution": "costs",
+    "State": "model",
+    "StrategyProfile": "equilibrium",
+    "Theorem1Report": "value",
+    "Theorem2Report": "value",
+    "ValidationError": "model",
+    "ValueReport": "value",
+    "analytic_cost_crosscheck": "costs",
+    "belief_conditional_ck": "beliefs",
+    "belief_marginal_ck": "beliefs",
+    "belief_uninformative": "beliefs",
+    "best_response": "oracle",
+    "brute_force_socopt": "oracle",
+    "classify": "equilibrium",
+    "cost_report": "costs",
+    "derived_constants": "model",
+    "enumerate_profiles": "equilibrium",
+    "expected_route_cost": "beliefs",
+    "grid_scan": "oracle",
+    "lambda_min": "value",
+    "lambda_tilde": "value",
+    "latency": "model",
+    "marginal_type_dist": "beliefs",
+    "posterior_state": "beliefs",
+    "realized_population_state_cost": "costs",
+    "regime_boundaries": "equilibrium",
+    "route_slope": "model",
+    "social_optimum": "costs",
+    "solve_bwe": "equilibrium",
+    "solve_fixed_point": "oracle",
+    "theorem2_grid": "value",
+    "validate": "model",
+    "value_report": "value",
+    "verify_theorem1": "value",
+    "verify_theorem2": "value",
+    "wardrop_residual": "equilibrium",
+}
+
+__all__ = list(_ORIGIN)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _ORIGIN.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

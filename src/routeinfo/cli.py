@@ -7,35 +7,27 @@ deterministic: identical inputs produce byte-identical files.
 
 Exit codes: 0 success; 1 validation or input problems; 2 verification
 failure (the verify and oracle subcommands).
+
+Each interpreter runs one subcommand, so this module loads only ``model`` at
+import; each row builder imports the solver modules it calls when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields
 
 import numpy as np
 
-from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
-from .costs import CostReport, cost_report
-from .equilibrium import StrategyProfile, _type_masses, classify, solve_bwe
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
+    OracleConvergenceError,
     PlayerType,
     ValidationError,
-)
-from .oracle import OracleConfig, OracleConvergenceError, solve_fixed_point
-from .value import (
-    ValueReport,
-    theorem2_grid,
-    value_report,
-    verify_theorem1,
-    verify_theorem2,
 )
 
 #: The ten parameters in flag order: key -> (default, help). The defaults are
@@ -172,12 +164,16 @@ def _table(columns: dict) -> list:
 
 
 def _rows_regimes(params, env) -> list:
+    from .equilibrium import classify
+
     regime = classify(params, env)
     bounds = {k: v for k, v in vars(regime).items() if k != "label"}
     return _table({**_echo(env), **bounds, "regime": regime.label})
 
 
 def _rows_equilibrium(params, env) -> list:
+    from .equilibrium import classify, solve_bwe
+
     regime = classify(params, env)
     return _table(
         {**_echo(env), "regime": regime.label, **vars(solve_bwe(params, env))}
@@ -185,6 +181,8 @@ def _rows_equilibrium(params, env) -> list:
 
 
 def _rows_costs(params, env) -> list:
+    from .costs import cost_report
+
     report = vars(cost_report(params, env))
     # Each equilibrium cost c_* over the social optimum of its state (the
     # suffix _n, _a or _exp).
@@ -197,6 +195,8 @@ def _rows_costs(params, env) -> list:
 
 
 def _rows_value(params, env) -> list:
+    from .value import value_report
+
     return _table({**_echo(env), **vars(value_report(params, env))})
 
 
@@ -205,6 +205,8 @@ _GENERAL_OWNERS = (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA)
 
 
 def _rows_beliefs(params, env, treatment: str) -> list:
+    from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
+
     build, owners = {
         "uninformative": (belief_uninformative, EQUILIBRIUM_TYPES),
         "conditional": (belief_conditional_ck, _GENERAL_OWNERS),
@@ -231,6 +233,9 @@ def _rows_beliefs(params, env, treatment: str) -> list:
 
 
 def _rows_oracle(params, env) -> list:
+    from .equilibrium import _type_masses, classify, solve_bwe
+    from .oracle import OracleConfig, solve_fixed_point
+
     closed = solve_bwe(params, env)
     numeric = solve_fixed_point(params, env, OracleConfig())
     masses = _type_masses(env)
@@ -279,6 +284,8 @@ def _jsonable(value):
 
 
 def _emit_json(payload) -> str:
+    import json
+
     return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
@@ -296,6 +303,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _run_verify(config: dict) -> tuple:
+    from .value import theorem2_grid, verify_theorem1, verify_theorem2
+
     params, env = _build_instance(config)
     grid = theorem2_grid(params, env, points_per_regime=_VERIFY_POINTS)
     t1 = verify_theorem1(params, grid)
@@ -360,13 +369,12 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fields(cls) -> str:
-    return ",".join(f.name for f in fields(cls))
-
-
 _ECHO = ",".join(_ENV_FIELDS)
 
 #: Subcommand -> (help, output columns), in the order ``--help`` lists them.
+#: The columns are written out, not read from the report dataclasses, so that
+#: building the parser loads no solver module; a test checks them against
+#: what each subcommand prints.
 _SUBCOMMANDS = {
     "beliefs": (
         "interim belief tables (one row per table entry)",
@@ -378,16 +386,19 @@ _SUBCOMMANDS = {
     ),
     "equilibrium": (
         "equilibrium split fractions",
-        f"{_ECHO},regime,{_fields(StrategyProfile)}",
+        f"{_ECHO},regime,rho_L,rho_Hn,rho_Ha,l_population_empty",
     ),
     "costs": (
         "equilibrium, baseline, and social-optimum costs",
-        f"{_ECHO} followed by {_fields(CostReport)} and *_norm variants (each "
-        "cost divided by its social-optimum counterpart)",
+        f"{_ECHO} followed by c_L_n,c_L_a,c_H_n,c_H_a,c_L_exp,c_H_exp,c_soc_n,"
+        "c_soc_a,c_soc_exp,baseline_n,baseline_a,baseline_exp,socopt_n,socopt_a,"
+        "socopt_exp and *_norm variants (each cost divided by its "
+        "social-optimum counterpart)",
     ),
     "value": (
         "individual and social value of information",
-        f"{_ECHO},{_fields(ValueReport)}",
+        f"{_ECHO},v_L_n,v_L_a,v_H_n,v_H_a,v_L_exp,v_H_exp,v_rel_n,v_rel_a,"
+        "v_rel_exp,w_n,w_a,w_exp,lambda_min",
     ),
     "verify": (
         "run the theorem checks and emit a pass/fail summary",

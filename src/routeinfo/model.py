@@ -65,6 +65,16 @@ class ValidationError(ValueError):
         self.code = code
 
 
+class OracleConvergenceError(RuntimeError):
+    """Fixed-point iteration hit max_iters; carries the last iterate (a
+    ``StrategyProfile``) and its Wardrop residual."""
+
+    def __init__(self, message: str, last_profile, residual):
+        super().__init__(message)
+        self.last_profile = last_profile
+        self.residual = residual
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Two-route network: per-state slopes, intercepts, and total demand.
@@ -136,6 +146,14 @@ class DerivedConstants:
     k4: float
 
 
+def _largest_latency_is_finite(a1a, b2, d, **_):
+    """Whether route 1's incident latency at full demand, the largest latency
+    of the network, is finite. Python floats overflow to inf silently;
+    numpy's would warn."""
+    with np.errstate(over="ignore"):
+        return abs(b2 + a1a * d) < np.inf
+
+
 #: The model's rules in checking order: (code, holds, message), where
 #: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
 #: tests finiteness for ``Fraction`` fields too, where ``np.isfinite`` raises.
@@ -149,6 +167,14 @@ _NETWORK_RULES = (
         lambda a1n, a1a, a2, b1, b2, d: (
             f"need finite slope1_normal, slope1_incident, slope2, intercept1, "
             f"intercept2 and demand, got ({a1n}, {a1a}, {a2}, {b1}, {b2}, {d})"
+        ),
+    ),
+    (
+        "not_finite",
+        _largest_latency_is_finite,
+        lambda a1a, b2, d, **_: (
+            f"need a finite largest latency intercept2 + slope1_incident * demand, "
+            f"got {b2} + {a1a} * {d}"
         ),
     ),
     (

@@ -49,6 +49,7 @@ from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
+    OracleConvergenceError,
     PlayerType,
     State,
     ValidationError,
@@ -95,15 +96,6 @@ class OracleConfig:
                 "config_out_of_range",
                 f"tolerance must be positive, got {self.tolerance}",
             )
-
-
-class OracleConvergenceError(RuntimeError):
-    """Fixed-point iteration hit max_iters; carries the last iterate."""
-
-    def __init__(self, message: str, last_profile: StrategyProfile, residual):
-        super().__init__(message)
-        self.last_profile = last_profile
-        self.residual = residual
 
 
 #: The own splits at which ``_gap_lines`` evaluates each type's gap.

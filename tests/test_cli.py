@@ -7,12 +7,13 @@ exit code plus captured stdout/stderr, the same surface a shell user sees.
 import csv
 import io
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import routeinfo.cli
+import routeinfo.oracle
 from routeinfo import OracleConvergenceError, StrategyProfile, solve_bwe
 from routeinfo.cli import DEFAULTS, main
 
@@ -318,7 +319,7 @@ def _oracle_shifting(monkeypatch, field, delta):
         closed = solve_bwe(params, env)
         return replace(closed, **{field: getattr(closed, field) - delta})
 
-    monkeypatch.setattr(routeinfo.cli, "solve_fixed_point", shifted)
+    monkeypatch.setattr(routeinfo.oracle, "solve_fixed_point", shifted)
 
 
 @pytest.mark.parametrize("delta,code", [(2.0**-20, 0), (2.0**-19, 2)])
@@ -347,7 +348,7 @@ def test_oracle_without_a_fixed_point_exits_two(capsys, monkeypatch):
     def stuck(params, env, config):
         raise OracleConvergenceError(message, StrategyProfile(0.5, 0.5, 0.5), 1.0)
 
-    monkeypatch.setattr(routeinfo.cli, "solve_fixed_point", stuck)
+    monkeypatch.setattr(routeinfo.oracle, "solve_fixed_point", stuck)
     code, out, err = _run(capsys, ["oracle"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -454,6 +455,11 @@ def test_invalid_inputs_exit_one(capsys, argv):
             "intercept1, intercept2 and demand, got (1.0, 3.0, 2.0, 19.0, 21.0, inf)",
         ),
         (
+            ["regimes", "--slope1-incident", "3e200", "--demand", "1e200"],
+            "not_finite: need a finite largest latency intercept2 + "
+            "slope1_incident * demand, got 21.0 + 3e+200 * 1e+200",
+        ),
+        (
             ["equilibrium", "--sweep", "lambda:0:inf:3"],
             "malformed_sweep: sweep needs finite bounds, got 0.0..inf",
         ),
@@ -492,6 +498,7 @@ def test_invalid_inputs_exit_one(capsys, argv):
         "verify_sweep",
         "infinite_slope",
         "infinite_demand",
+        "overflowing_latency",
         "infinite_sweep_stop",
         "nan_sweep_start",
         "non_numeric_sweep_bound",
@@ -536,22 +543,40 @@ def test_help_exits_zero(capsys):
     assert "equilibrium" in out
 
 
+def _help_columns(sub: str, out: str) -> str:
+    """What ``sub``'s help must name, whitespace removed, given its output."""
+    if sub == "verify":
+        return "/".join(key for key in json.loads(out) if key.startswith("theorem"))
+    header = out.splitlines()[0].split(",")
+    if sub == "costs":
+        # The help lists every printed cost and names the *_norm ones.
+        reported = [c for c in header[4:] if not c.endswith("_norm")]
+        norms = [c for c in header[4:] if c.endswith("_norm")]
+        assert norms == [f"{c}_norm" for c in reported if c.startswith("c_")]
+        return f"{','.join(header[:4])}followedby{','.join(reported)}and*_normvariants"
+    if sub == "oracle":
+        # One rho_*_closed and one rho_*_oracle stand for the three types.
+        header = list(dict.fromkeys(re.sub(r"^rho_[^_]+_", "rho_*_", c) for c in header))
+    return ",".join(header)
+
+
 @pytest.mark.parametrize(
     "sub", ["regimes", "equilibrium", "beliefs", "costs", "value", "verify", "oracle"]
 )
 def test_help_lists_the_parameters_and_printed_columns(capsys, sub):
     """Each subcommand's help names the ten parameter flags in DEFAULTS order
-    and, for the fully listed ones, the CSV header the subcommand prints."""
+    and what the subcommand prints: its CSV header, or for ``verify`` the
+    JSON summary's theorem keys. The help's column lists are written out, so
+    this test is what keeps them in step with the output."""
     assert main([sub, "--help"]) == 0
     text = capsys.readouterr().out
     assert len(DEFAULTS) == 10
     positions = [text.index(f"  --{key.replace('_', '-')} ") for key in DEFAULTS]
     assert positions == sorted(positions)
-    if sub in ("regimes", "equilibrium", "beliefs", "value"):
-        code, out, _ = _run(capsys, [sub])
-        assert code == 0
-        header = out.splitlines()[0]
-        assert header in "".join(text.split())
+    code, out, _ = _run(capsys, [sub])
+    assert code == 0
+    # argparse wraps the description at spaces.
+    assert _help_columns(sub, out) in "".join(text.split())
 
 
 #: The running example's slopes and intercepts, each scaled by a change of

@@ -123,6 +123,33 @@ def test_non_finite_array_field_names_its_first_bad_element():
     assert message.endswith("got (1.0, 3.0, 2.0, 19.0, 21.0, inf)")
 
 
+#: Finite fields whose largest latency, intercept2 + slope1_incident * demand,
+#: overflows: every latency and cost gap of the network would be inf or NaN.
+_OVERFLOWING = dict(slope1_normal=1e200, slope1_incident=3e200, slope2=2e200, demand=1e200)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "numpy"])
+def test_an_overflowing_largest_latency_is_not_finite(as_array):
+    """numpy fields overflow with a warning, which pytest turns into an
+    error: validation must reject them without one."""
+    fields = {k: np.float64(v) if as_array else v for k, v in _OVERFLOWING.items()}
+    assert _error(_params, **fields) == (
+        "not_finite: need a finite largest latency intercept2 + "
+        "slope1_incident * demand, got 21.0 + 3e+200 * 1e+200"
+    )
+    assert _code(validate, _unchecked(PARAMS, **fields), ENV) == "not_finite"
+
+
+def test_the_largest_finite_latency_is_valid():
+    """The rule rejects only overflow: a largest latency of three quarters
+    of the float maximum is valid, and an array names its first overflowing
+    element."""
+    top = np.finfo(float).max
+    assert _params(demand=top / 4).demand == top / 4
+    message = _error(_params, demand=np.array([5.0, top, 1e308]))
+    assert message.endswith("got 21.0 + 3.0 * 1.7976931348623157e+308")
+
+
 def test_fraction_fields_that_break_a_rule_raise_validation_error():
     """Fraction fields become object arrays on the error path; the error
     names their values instead of failing to read them."""

@@ -1,6 +1,7 @@
 """Static checks of the package source (no linter is a dependency)."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import routeinfo
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "routeinfo"
 
@@ -23,8 +26,10 @@ def unused_imports(source: str) -> list:
             imported += [a.asname or a.name for a in node.names]
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
         ):
             used |= {e.value for e in node.value.elts}
     return sorted(set(imported) - used)
@@ -34,6 +39,7 @@ def test_unused_import_detection():
     source = "import os\nimport numpy as np\nfrom a import b, c\nprint(np, c)\n"
     assert unused_imports(source) == ["b", "os"]
     assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+    assert unused_imports("from x import y\n__all__ = list(_NAMES)\n") == ["y"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -112,19 +118,109 @@ def test_fixed_point_machinery_is_read_only_by_the_oracle():
         assert sorted(m for m in read if name in read[m]) == ["oracle"], name
 
 
-def test_cli_import_loads_no_scipy():
+def _python(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` in a new interpreter that imports from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
     )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+def _fresh(code: str) -> str:
+    """Stripped stdout of ``python -c code``, which must succeed."""
+    out = _python(code)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
     code = (
         "import sys, routeinfo.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh(code) == "[]"
+
+
+#: Prints the sorted package modules and whether numpy and json are loaded.
+_LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'routeinfo'), "
+    "'numpy' in sys.modules, 'json' in sys.modules)"
+)
+
+
+def test_package_import_loads_no_module_and_no_numpy():
+    assert _fresh(f"import sys, routeinfo; {_LOADED}") == "['routeinfo'] False False"
+
+
+#: Subcommand -> the package modules besides ``cli`` and ``model`` that a run
+#: at the default point loads.
+_SUBCOMMAND_MODULES = {
+    "--help": [],
+    "beliefs": ["beliefs"],
+    "regimes": ["beliefs", "equilibrium"],
+    "equilibrium": ["beliefs", "equilibrium"],
+    "costs": ["beliefs", "costs", "equilibrium"],
+    "value": ["beliefs", "costs", "equilibrium", "value"],
+    "verify": ["beliefs", "costs", "equilibrium", "value"],
+    "oracle": ["beliefs", "equilibrium", "oracle"],
+}
+
+
+@pytest.mark.parametrize("sub", list(_SUBCOMMAND_MODULES))
+def test_each_subcommand_loads_only_its_modules(sub):
+    """The console script's start-up: ``routeinfo SUB`` loads ``cli`` and
+    ``model`` and, when it runs, only the modules its rows need; json only
+    when it prints JSON."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from routeinfo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    main([{sub!r}])\n"
+        f"{_LOADED}\n"
     )
-    assert out.stdout.strip() == "[]"
+    modules = ["cli", "model", *_SUBCOMMAND_MODULES[sub]]
+    expected = sorted(["routeinfo", *(f"routeinfo.{m}" for m in modules)])
+    assert _fresh(code) == f"{expected} True {sub == 'verify'}"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    """Each name of ``__all__`` is found by parsing the modules, not by asking
+    the package: the one module that defines it at top level. The package's
+    attribute is that object, kept in the package after first use."""
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                defined.setdefault(name, []).append(path.stem)
+    for name in routeinfo.__all__:
+        assert len(defined[name]) == 1, (name, defined[name])
+        module = importlib.import_module(f"routeinfo.{defined[name][0]}")
+        assert getattr(routeinfo, name) is getattr(module, name), name
+        assert vars(routeinfo)[name] is getattr(module, name), name
+    assert set(routeinfo.__all__) <= set(dir(routeinfo))
+
+
+def test_package_submodules_are_attributes_and_unknown_names_are_not():
+    out = _python(
+        "import routeinfo; print(routeinfo.costs.__name__); "
+        "print(hasattr(routeinfo, 'solve_bwe_fast')); routeinfo.solve_bwe_fast"
+    )
+    assert out.stdout == "routeinfo.costs\nFalse\n"
+    assert out.stderr.endswith(
+        "AttributeError: module 'routeinfo' has no attribute 'solve_bwe_fast'\n"
+    )
 
 
 def error_codes(source: str) -> set:

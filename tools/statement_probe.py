@@ -57,8 +57,10 @@ ALLOWLIST = {
         "enumerate_profiles",
         "a = np.where(ok[..., None, None], a, eye)",
     ): (
-        "non-finite screen: reachable only on valid networks whose latencies "
-        "overflow, where the gaps are NaN and the verdicts are wrong either way"
+        "non-finite screen: reachable only on valid networks whose gap "
+        "coefficients overflow though their largest latency is finite (demand "
+        "5e307 on the running example at p 0.9, lambda 0), where the verdicts "
+        "rest on NaN gaps either way"
     ),
 }
 
