@@ -149,10 +149,13 @@ def _echo(env: InfoEnvironment) -> dict:
     return {key: getattr(env, name) for key, name in _ENV_FIELDS.items()}
 
 
-def _table(columns: dict) -> list:
-    """One row per point from columns of scalars and equal-length arrays."""
-    cells = [np.atleast_1d(c).tolist() for c in np.broadcast_arrays(*columns.values())]
-    return [dict(zip(columns, row)) for row in zip(*cells)]
+def _table(columns: dict) -> dict:
+    """Scalars and equal-length arrays as 1-D columns, one element per point.
+
+    A scalar becomes a read-only broadcast view, so it costs no memory.
+    """
+    cells = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns.values()))
+    return dict(zip(columns, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ def _table(columns: dict) -> list:
 # one library call for all points.
 
 
-def _rows_regimes(params, env) -> list:
+def _rows_regimes(params, env) -> dict:
     from .equilibrium import classify
 
     regime = classify(params, env)
@@ -171,7 +174,7 @@ def _rows_regimes(params, env) -> list:
     return _table({**_echo(env), **bounds, "regime": regime.label})
 
 
-def _rows_equilibrium(params, env) -> list:
+def _rows_equilibrium(params, env) -> dict:
     from .equilibrium import classify, solve_bwe
 
     regime = classify(params, env)
@@ -180,7 +183,7 @@ def _rows_equilibrium(params, env) -> list:
     )
 
 
-def _rows_costs(params, env) -> list:
+def _rows_costs(params, env) -> dict:
     from .costs import cost_report
 
     report = vars(cost_report(params, env))
@@ -194,7 +197,7 @@ def _rows_costs(params, env) -> list:
     return _table({**_echo(env), **report, **norms})
 
 
-def _rows_value(params, env) -> list:
+def _rows_value(params, env) -> dict:
     from .value import value_report
 
     return _table({**_echo(env), **vars(value_report(params, env))})
@@ -204,7 +207,7 @@ def _rows_value(params, env) -> list:
 _GENERAL_OWNERS = (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA)
 
 
-def _rows_beliefs(params, env, treatment: str) -> list:
+def _rows_beliefs(params, env, treatment: str) -> dict:
     from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
 
     build, owners = {
@@ -229,10 +232,13 @@ def _rows_beliefs(params, env, treatment: str) -> list:
                 )
             )
     # One row per point and entry, point-major as a run per point prints them.
-    return [row for point in zip(*entries) for row in point]
+    return {
+        name: np.stack([entry[name] for entry in entries], axis=1).ravel()
+        for name in entries[0]
+    }
 
 
-def _rows_oracle(params, env) -> list:
+def _rows_oracle(params, env) -> dict:
     from .equilibrium import _type_masses, classify, solve_bwe
     from .oracle import OracleConfig, solve_fixed_point
 
@@ -257,20 +263,23 @@ def _rows_oracle(params, env) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+#: Rows converted to Python objects and formatted per write of a CSV table.
+_BLOCK_ROWS = 1024
 
 
-def _emit_csv(rows: list) -> str:
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _emit_csv(table: dict, fh) -> None:
+    """Write ``table`` to ``fh`` as CSV, a block of ``_BLOCK_ROWS`` rows at a
+    time: floats as ``%.9g``, bools as true/false, anything else as ``str``."""
+    columns = list(table.values())
+    line = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    fh.write(",".join(table) + "\n")
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start : start + _BLOCK_ROWS] for c in columns]
+        cells = [
+            np.where(c, "true", "false").tolist() if c.dtype.kind == "b" else c.tolist()
+            for c in block
+        ]
+        fh.write("".join(line % row for row in zip(*cells)))
 
 
 def _jsonable(value):
@@ -283,18 +292,25 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(payload) -> str:
+def _emit_json(payload, fh) -> None:
     import json
 
-    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
-def _write(text: str, out: str | None) -> None:
+def _records(table: dict) -> list:
+    """``table`` as one dict of Python objects per row."""
+    cells = [c.tolist() for c in table.values()]
+    return [dict(zip(table, row)) for row in zip(*cells)]
+
+
+def _write(emit, out: str | None) -> None:
+    """Call ``emit(fh)`` with the file ``out`` open for writing, or stdout."""
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            emit(fh)
     else:
-        sys.stdout.write(text)
+        emit(sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +351,7 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
                 "malformed_sweep", "verify checks one point and takes no --sweep"
             )
         payload, code = _run_verify(config)
-        _write(_emit_json(payload), out)
+        _write(lambda fh: _emit_json(payload, fh), out)
         return code
 
     treatment = config.get("treatment", "uninformative")
@@ -349,12 +365,15 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     }
     if subcommand not in builders:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
-    rows = builders[subcommand](*_build_instance(config, sweep))
+    table = builders[subcommand](*_build_instance(config, sweep))
 
-    _write(_emit_csv(rows) if fmt == "csv" else _emit_json(rows), out)
+    if fmt == "csv":
+        _write(lambda fh: _emit_csv(table, fh), out)
+    else:
+        _write(lambda fh: _emit_json(_records(table), fh), out)
 
     if subcommand == "oracle":
-        worst = max(row["deviation"] for row in rows)
+        worst = max(table["deviation"].tolist())
         print(
             f"max |closed-form - fixed-point| deviation: {worst:.3e}",
             file=sys.stderr,
@@ -420,24 +439,27 @@ def _parser() -> argparse.ArgumentParser:
             "two-route congestion game with an incident-prone route."
         ),
     )
+    # The options every subcommand shares, built once.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value parameter file")
+    for key, (_, param_help) in _PARAMS.items():
+        common.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=float, help=param_help
+        )
+    common.add_argument(
+        "--sweep",
+        help="axis:start:stop:points with axis in {lambda, p, eta_h}",
+    )
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, columns) in _SUBCOMMANDS.items():
         sp = sub.add_parser(
             name,
             help=help_text,
             description=f"{help_text}. Output columns: {columns}.",
+            parents=[common],
         )
-        sp.add_argument("--config", help="flat key=value parameter file")
-        for key, (_, param_help) in _PARAMS.items():
-            sp.add_argument(
-                "--" + key.replace("_", "-"), dest=key, type=float, help=param_help
-            )
-        sp.add_argument(
-            "--sweep",
-            help="axis:start:stop:points with axis in {lambda, p, eta_h}",
-        )
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", help="output path (default: stdout)")
         if name == "beliefs":
             sp.add_argument(
                 "--treatment",

@@ -442,17 +442,21 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
         ok &= ~(np.linalg.cond(a) > _MAX_SYSTEM_COND)
         x = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])
         solvable[..., n] = ok & np.isfinite(x).all(axis=(-2, -1))
-        rho[..., n[:, None], unknowns] = x[..., 0]
+        # A screened-out system's "solution" is b itself, which at large cost
+        # scales overflows the gap product below; its splits are never
+        # reported, so zero them.
+        rho[..., n[:, None], unknowns] = np.where(solvable[..., n, None], x[..., 0], 0.0)
 
     # All components of all patterns at once; the sums run in a fixed order,
     # so each element equals the scalar call's.
     gap = g0[..., None, :] + sum(
         coef[..., None, :, i] * rho[..., i, None] for i in range(3)
     )
+    # Written as "not holds", so a NaN gap (an overflow) holds no inequality.
     bad = np.where(
         symbols == "int",
         ~((rho >= 0.0) & (rho <= 1.0)),
-        np.where(symbols == "0", gap < -gap_tol, gap > gap_tol),
+        ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
     )
     rejected = bad.any(axis=-1)
     first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]

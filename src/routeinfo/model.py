@@ -146,14 +146,6 @@ class DerivedConstants:
     k4: float
 
 
-def _largest_latency_is_finite(a1a, b2, d, **_):
-    """Whether route 1's incident latency at full demand, the largest latency
-    of the network, is finite. Python floats overflow to inf silently;
-    numpy's would warn."""
-    with np.errstate(over="ignore"):
-        return abs(b2 + a1a * d) < np.inf
-
-
 #: The model's rules in checking order: (code, holds, message), where
 #: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
 #: tests finiteness for ``Fraction`` fields too, where ``np.isfinite`` raises.
@@ -170,8 +162,9 @@ _NETWORK_RULES = (
         ),
     ),
     (
+        # Route 1's incident latency at full demand, the network's largest.
         "not_finite",
-        _largest_latency_is_finite,
+        lambda a1a, b2, d, **_: abs(b2 + a1a * d) < np.inf,
         lambda a1a, b2, d, **_: (
             f"need a finite largest latency intercept2 + slope1_incident * demand, "
             f"got {b2} + {a1a} * {d}"
@@ -232,11 +225,13 @@ def _enforce(rules, **fields) -> None:
     any rule, at the first rule it breaks, with that element's values: the
     error a loop checking one element at a time would raise.
     """
-    if all(np.asarray(holds(**fields)).all() for _, holds, _ in rules):
-        return
-    shape = np.broadcast_shapes(*(np.shape(v) for v in fields.values()))
-    flat = {k: np.broadcast_to(v, shape).ravel() for k, v in fields.items()}
+    # A rule's arithmetic may overflow on the very values it rejects (numpy
+    # scalars warn where Python floats do not); the verdict is the same.
     with np.errstate(all="ignore"):
+        if all(np.asarray(holds(**fields)).all() for _, holds, _ in rules):
+            return
+        shape = np.broadcast_shapes(*(np.shape(v) for v in fields.values()))
+        flat = {k: np.broadcast_to(v, shape).ravel() for k, v in fields.items()}
         broken = np.stack([~holds(**flat) for _, holds, _ in rules])
     i = int(np.flatnonzero(broken.any(axis=0))[0])
     code, _, message = rules[int(np.flatnonzero(broken[:, i])[0])]

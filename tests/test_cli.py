@@ -9,13 +9,14 @@ import io
 import json
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import routeinfo.oracle
 from routeinfo import OracleConvergenceError, StrategyProfile, solve_bwe
-from routeinfo.cli import DEFAULTS, main
+from routeinfo.cli import _BLOCK_ROWS, DEFAULTS, main
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -32,6 +33,24 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _point_runs(capsys, base, flag, values, fmt):
+    """What a sweep of ``base`` along ``flag`` must print, from one run per
+    value: (stdout of the rows in value order, the runs' stderr)."""
+    header, rows, errs = None, [], []
+    for value in values:
+        code, out, err = _run(capsys, [*base, "--format", fmt, flag, repr(float(value))])
+        assert code == 0
+        if fmt == "csv":
+            header, *point_rows = out.splitlines()
+            rows.extend(point_rows)
+        else:
+            rows.append(out[len("[\n"):-len("\n]\n")])
+        errs.append(err)
+    if fmt == "csv":
+        return "\n".join([header, *rows]) + "\n", errs
+    return "[\n" + ",\n".join(rows) + "\n]\n", errs
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +232,13 @@ def test_beliefs_sweep_prints_the_rows_of_single_points(
 ):
     """A beliefs sweep is one array call; entries that do not depend on the
     swept axis are repeated per point, as a run per point prints them."""
-    base = ["beliefs", "--treatment", treatment, *extra, "--format", fmt]
-    code, out, _ = _run(capsys, [*base, "--sweep", f"{axis}:{start}:{stop}:4"])
+    base = ["beliefs", "--treatment", treatment, *extra]
+    code, out, _ = _run(
+        capsys, [*base, "--format", fmt, "--sweep", f"{axis}:{start}:{stop}:4"]
+    )
     assert code == 0
     flag = {"lambda": "--lambda", "p": "--p", "eta_h": "--eta-h"}[axis]
-    header, rows = None, []
-    for value in np.linspace(start, stop, 4):
-        point_code, point_out, _ = _run(capsys, [*base, flag, repr(float(value))])
-        assert point_code == 0
-        if fmt == "csv":
-            header, *point_rows = point_out.splitlines()
-            rows.extend(point_rows)
-        else:
-            rows.append(point_out[len("[\n"):-len("\n]\n")])
-    if fmt == "csv":
-        assert out == "\n".join([header, *rows]) + "\n"
-    else:
-        assert out == "[\n" + ",\n".join(rows) + "\n]\n"
+    assert out == _point_runs(capsys, base, flag, np.linspace(start, stop, 4), fmt)[0]
 
 
 def test_beliefs_uninformative_needs_coin_flip_low_type(capsys):
@@ -356,28 +365,41 @@ def test_oracle_without_a_fixed_point_exits_two(capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
     """A sweep is one array call; its rows and its stderr summary are those of
-    a run per point, byte for byte."""
+    a run per point, byte for byte. So are the rows of an equilibrium sweep
+    whose lambda = 1 row, the one with l_population_empty true, falls in the
+    second block of CSV rows."""
     code, out, err = _run(
         capsys, ["oracle", "--sweep", "lambda:0:1:11", "--format", fmt]
     )
     assert code == 0
-    rows, summaries = [], []
-    for lam in np.linspace(0.0, 1.0, 11):
-        point_code, point_out, point_err = _run(
-            capsys, ["oracle", "--lambda", repr(float(lam)), "--format", fmt]
-        )
-        assert point_code == 0
-        if fmt == "csv":
-            header, row = point_out.splitlines()
-        else:
-            row = point_out[len("[\n"):-len("\n]\n")]
-        rows.append(row)
-        summaries.append(point_err)
-    if fmt == "csv":
-        assert out == "\n".join([header, *rows]) + "\n"
-    else:
-        assert out == "[\n" + ",\n".join(rows) + "\n]\n"
+    rows, summaries = _point_runs(
+        capsys, ["oracle"], "--lambda", np.linspace(0.0, 1.0, 11), fmt
+    )
+    assert out == rows
     assert err == max(summaries, key=lambda line: float(line.rsplit(" ", 1)[1]))
+
+    points = _BLOCK_ROWS + 2
+    code, out, err = _run(
+        capsys, ["equilibrium", "--sweep", f"lambda:0:1:{points}", "--format", fmt]
+    )
+    assert (code, err) == (0, "")
+    rows, _ = _point_runs(
+        capsys, ["equilibrium"], "--lambda", np.linspace(0.0, 1.0, points), fmt
+    )
+    assert out == rows
+    # Only the last row, lambda = 1, has an empty L population.
+    assert out.count("true") == 1 and out.rstrip("\n ]}").endswith("true")
+
+
+def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
+    """No single write to the output carries more than _BLOCK_ROWS rows, so
+    the formatted text held at once stays bounded however long the sweep."""
+    writes = []
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append))
+    points = 2 * _BLOCK_ROWS + 5
+    assert main(["regimes", "--sweep", f"lambda:0:1:{points}"]) == 0
+    assert max(text.count("\n") for text in writes) <= _BLOCK_ROWS
+    assert len(_rows("".join(writes))) == points
 
 
 # ---------------------------------------------------------------------------

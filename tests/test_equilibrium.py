@@ -329,3 +329,24 @@ def test_rejected_patterns_name_the_deviator():
     row = next(v for v in verdicts if v.pattern == ("int", "1", "1"))
     assert not row.is_equilibrium
     assert "Ha" in row.note
+
+
+def test_pattern_table_at_a_large_cost_scale_does_not_overflow():
+    """With demand 1e155 a screened-out system's placeholder splits are of
+    the cost scale's size; they must not reach the gap product, where they
+    would overflow (pytest turns the warning into an error)."""
+    params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 1e155)
+    env = _env(p=0.9, lam=0.5)
+    marked = [v.pattern for v in enumerate_profiles(params, env) if v.is_equilibrium]
+    assert marked == [EXPECTED_PATTERN[classify(params, env).label]]
+    _assert_table_routes_the_closed_form(params, env, solve_bwe(params, env))
+
+
+def test_pattern_table_rejects_a_nan_gap():
+    """With demand 5e307 the uninformed type's gap slope overflows to inf,
+    and inf * 0 is a NaN gap, which holds no inequality: no pattern that
+    fixes the uninformed split at 0 or 1 is accepted on it."""
+    params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdicts = enumerate_profiles(params, _env(p=0.9, lam=0.0))
+    assert [v.pattern for v in verdicts if v.is_equilibrium and v.pattern[0] != "int"] == []

@@ -165,11 +165,23 @@ def test_fraction_fields_that_break_a_rule_raise_validation_error():
     )
 
 
-def test_demand_floor_is_strict():
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "numpy"])
+def test_demand_floor_is_strict(as_array):
     # (intercept2 - intercept1) / slope1_normal = 2: route 2 must ever be used.
-    assert _code(_params, demand=2.0) == "demand_too_small"
-    assert _code(validate, _unchecked(PARAMS, demand=2.0), ENV) == "demand_too_small"
-    validate(_params(demand=2.0 + 1e-9), ENV)
+    num = np.float64 if as_array else float
+    assert _code(_params, demand=num(2.0)) == "demand_too_small"
+    assert _code(validate, _unchecked(PARAMS, demand=num(2.0)), ENV) == "demand_too_small"
+    validate(_params(demand=num(2.0 + 1e-9)), ENV)
+    # On the smallest slope the floor overflows to inf, which numpy fields
+    # would warn about; validation rejects it without a warning.
+    tiny = num(5e-324)
+    assert _error(_params, slope1_normal=tiny) == (
+        "demand_too_small: demand 5.0 must exceed "
+        "(intercept2 - intercept1)/slope1_normal = inf"
+    )
+    assert _code(validate, _unchecked(PARAMS, slope1_normal=tiny), ENV) == (
+        "demand_too_small"
+    )
 
 
 @pytest.mark.parametrize(

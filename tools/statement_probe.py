@@ -59,8 +59,9 @@ ALLOWLIST = {
     ): (
         "non-finite screen: reachable only on valid networks whose gap "
         "coefficients overflow though their largest latency is finite (demand "
-        "5e307 on the running example at p 0.9, lambda 0), where the verdicts "
-        "rest on NaN gaps either way"
+        "5e307 on the running example at p 0.9, lambda 0), where the condition "
+        "screen rejects the same systems without it; LAPACK is then handed inf "
+        "and prints an illegal-value notice, which no test reads"
     ),
 }
 
