@@ -445,7 +445,8 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
         # A screened-out system's "solution" is b itself, which at large cost
         # scales overflows the gap product below; its splits are never
         # reported, so zero them.
-        rho[..., n[:, None], unknowns] = np.where(solvable[..., n, None], x[..., 0], 0.0)
+        x = np.where(solvable[..., n, None], x[..., 0], 0.0)
+        rho[..., n[:, None], unknowns] = x
 
     # All components of all patterns at once; the sums run in a fixed order,
     # so each element equals the scalar call's.

@@ -40,7 +40,8 @@ def _point_runs(capsys, base, flag, values, fmt):
     value: (stdout of the rows in value order, the runs' stderr)."""
     header, rows, errs = None, [], []
     for value in values:
-        code, out, err = _run(capsys, [*base, "--format", fmt, flag, repr(float(value))])
+        argv = [*base, "--format", fmt, flag, repr(float(value))]
+        code, out, err = _run(capsys, argv)
         assert code == 0
         if fmt == "csv":
             header, *point_rows = out.splitlines()

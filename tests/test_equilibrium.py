@@ -349,4 +349,5 @@ def test_pattern_table_rejects_a_nan_gap():
     params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5e307)
     with np.errstate(over="ignore", invalid="ignore"):
         verdicts = enumerate_profiles(params, _env(p=0.9, lam=0.0))
-    assert [v.pattern for v in verdicts if v.is_equilibrium and v.pattern[0] != "int"] == []
+    accepted = [v.pattern for v in verdicts if v.is_equilibrium]
+    assert [pattern for pattern in accepted if pattern[0] != "int"] == []

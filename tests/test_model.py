@@ -170,7 +170,8 @@ def test_demand_floor_is_strict(as_array):
     # (intercept2 - intercept1) / slope1_normal = 2: route 2 must ever be used.
     num = np.float64 if as_array else float
     assert _code(_params, demand=num(2.0)) == "demand_too_small"
-    assert _code(validate, _unchecked(PARAMS, demand=num(2.0)), ENV) == "demand_too_small"
+    unchecked = _unchecked(PARAMS, demand=num(2.0))
+    assert _code(validate, unchecked, ENV) == "demand_too_small"
     validate(_params(demand=num(2.0 + 1e-9)), ENV)
     # On the smallest slope the floor overflows to inf, which numpy fields
     # would warn about; validation rejects it without a warning.
