@@ -215,27 +215,26 @@ def _rows_beliefs(params, env, treatment: str) -> dict:
         "conditional": (belief_conditional_ck, _GENERAL_OWNERS),
         "marginal": (belief_marginal_ck, _GENERAL_OWNERS),
     }[treatment]
-    entries = []
-    for owner in owners:
-        table = build(env, owner)
-        for (state, opponent), prob in table.entries.items():
-            entries.append(
-                _table(
-                    {
-                        **_echo(env),
-                        "treatment": treatment,
-                        "owner": owner.value,
-                        "state": state.value,
-                        "opponent": opponent.value,
-                        "probability": prob,
-                    }
-                )
-            )
-    # One row per point and entry, point-major as a run per point prints them.
-    return {
-        name: np.stack([entry[name] for entry in entries], axis=1).ravel()
-        for name in entries[0]
+    cells = [
+        (owner.value, state.value, opponent.value, prob)
+        for owner in owners
+        for (state, opponent), prob in build(env, owner).entries.items()
+    ]
+    owner, state, opponent, probability = zip(*cells)
+    per_point = {**_echo(env), "treatment": treatment}
+    points = np.broadcast(*per_point.values()).size
+    rows = points * len(cells)
+    # One row per point and entry, point-major as a run per point prints
+    # them. A value that is the same at every point stays a broadcast view.
+    table = {
+        name: np.repeat(v, len(cells)) if np.ndim(v) else np.broadcast_to(v, rows)
+        for name, v in per_point.items()
     }
+    for name, column in (("owner", owner), ("state", state), ("opponent", opponent)):
+        table[name] = np.tile(column, points)
+    by_point = [np.broadcast_to(p, points) for p in probability]
+    table["probability"] = np.stack(by_point, axis=1).ravel()
+    return table
 
 
 def _rows_oracle(params, env) -> dict:

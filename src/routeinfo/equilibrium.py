@@ -27,16 +27,19 @@ types' route-cost gaps in one pass, owner axis first, from four loads and
 eight latencies; the residual, ``_affine_gaps`` and the fixed-point oracle
 each call it once per evaluation. Each type's gap is affine in the profile,
 and ``_affine_gaps`` is the one home of that model's ``(g0, C)``, sized like
-the residual by the fields the gaps read. The table solves each pattern as
-a box-constrained linear system in it, and ``oracle.best_response`` reads
-the responder's line from it; both broadcast like the closed forms, one
-element per point. The fixed-point iteration builds its own lines.
+the residual by the fields the gaps read and expressed in the network's cost
+unit (``model._cost_unit``), so that its entries are free of the time unit
+and never overflow. The table poses every pattern as one 3 x 3 linear system
+in it, and ``oracle.best_response`` reads the responder's line from it; both
+broadcast like the closed forms, one element per point. The fixed-point
+iteration builds its own lines.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .model import (
     State,
     _as_results,
     _cost_tol,
+    _cost_unit,
     _require_uninformative,
     derived_constants,
     latency,
@@ -352,26 +356,9 @@ _FAILURE_NOTES = np.array(
 )
 
 
-def _pattern_group(k: int) -> tuple:
-    """The patterns with ``k`` interior components, as index arrays.
-
-    Returns the pattern numbers (g,), their interior components (g, k), their
-    fixed components (g, 3 - k) in ascending order, and the fixed values.
-    """
-    numbers = [n for n, p in enumerate(_PATTERNS) if p.count("int") == k]
-    interior = [[j for j, s in enumerate(_PATTERNS[n]) if s == "int"] for n in numbers]
-    fixed = [[j for j, s in enumerate(_PATTERNS[n]) if s != "int"] for n in numbers]
-    value = [[float(_PATTERNS[n][j] == "1") for j in row] for n, row in zip(numbers, fixed)]
-    return tuple(map(np.array, (numbers, interior, fixed, value)))
-
-
-#: The patterns with interior components grouped by their number (12 with
-#: one, 6 with two, 1 with three), so that each group solves in one call.
-_PATTERN_GROUPS = tuple(_pattern_group(k) for k in (1, 2, 3))
-
-#: Condition-number ceiling above which a pattern's equalization system is
-#: treated as degenerate rather than solved. Genuine systems stay many orders
-#: of magnitude below this; rank-deficient ones sit at 1e15 or worse.
+#: Condition-number ceiling above which a pattern's 3 x 3 system is treated
+#: as degenerate rather than solved. Genuine systems stay many orders of
+#: magnitude below this; rank-deficient ones sit at 1e15 or worse.
 _MAX_SYSTEM_COND = 1e12
 
 
@@ -381,19 +368,28 @@ _GAP_PROBES = np.eye(4)[1:]
 
 
 def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
+    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``, in
+    units of ``model._cost_unit``.
 
     With the other types' splits held fixed, each type's route-cost gap
     (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
     rho_Ha), so its values at the origin and at the three unit profiles fix
     it exactly. One ``_type_gaps`` call evaluates all three types at all
     four, stacked on a probe axis ahead of the fields' dimensions; each
-    element equals a separate call at that probe.
+    element equals a separate call at that probe. Every slope and intercept
+    is divided by the cost unit first, a power of two, so the result is the
+    network's own divided by it, bit for bit, with every entry below 4.
     """
+    unit = _cost_unit(params)
+    # Not a NetworkParams: validation rejects a slope below about 1e-308 of
+    # the cost scale, which rounds to 0 here and moves no gap by more.
+    in_units = SimpleNamespace(
+        **{k: v if k == "demand" else v / unit for k, v in vars(params).items()}
+    )
     ndim = 1 + _gap_ndim(params, env)
     probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
     weights = _gap_weights(env, ndim)
-    gaps = _type_gaps(params, _population_demands(params, env), weights, probes)
+    gaps = _type_gaps(in_units, _population_demands(params, env), weights, probes)
     # (..., profile, type)
     at = np.moveaxis(gaps, (0, 1), (-1, -2))
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
@@ -402,12 +398,13 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
 def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     """Feasibility verdicts for all 27 qualitative patterns {0, int, 1}^3.
 
-    In the affine gaps of ``_affine_gaps`` a pattern is a linear system:
-    interior components must equalize their owner's two routes, components
-    fixed at 0 (resp. 1) must make route 2 (resp. 1) weakly cheapest for
-    their owner. The pattern is an equilibrium only if the system solves
-    with every interior component in [0, 1] and every fixed component's
-    inequality holds within the cost slack of ``model._cost_tol``.
+    In the affine gaps of ``_affine_gaps`` a pattern is a 3 x 3 linear
+    system: an interior component must equalize its owner's two routes, a
+    component fixed at 0 or 1 takes that value. The pattern is an
+    equilibrium only if the system solves with every interior component in
+    [0, 1] and every fixed component's owner weakly preferring its route
+    (route 2 at 0, route 1 at 1) within the cost slack of
+    ``model._cost_tol``.
 
     Array-valued fields give each element the scalar call's verdict:
     ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
@@ -415,49 +412,39 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     """
     g0, coef = _affine_gaps(params, env)
     # (..., 1, 1), against gaps of shape (..., pattern, component).
-    gap_tol = np.asarray(_cost_tol(params))[..., None, None]
-    shape = g0.shape[:-1]
-
-    # Splits as (..., pattern, component), solvability as (..., pattern).
+    gap_tol = np.asarray(_cost_tol(params) / _cost_unit(params))[..., None, None]
     symbols = np.array(_PATTERNS)
-    rho = np.where(symbols == "1", 1.0, np.zeros(shape + (1, 1)))
-    solvable = np.ones(shape + (len(_PATTERNS),), dtype=bool)
-    for n, unknowns, fixed, value in _PATTERN_GROUPS:
-        # Each group's systems are (..., pattern, k, k): the interior rows
-        # and columns of C, with the fixed components moved to b.
-        a = coef[..., unknowns[:, :, None], unknowns[:, None, :]]
-        b = -g0[..., unknowns] - sum(
-            coef[..., unknowns, fixed[:, i, None]] * value[:, i, None]
-            for i in range(fixed.shape[1])
-        )
-        # np.linalg.solve returns rounding noise, not an error, for a system
-        # that is singular up to float dust (the all-interior pattern always
-        # is), so screen conditioning first. Screened-out systems become the
-        # identity, and one stacked call solves the rest; LAPACK solves each
-        # matrix of the stack on its own. b is (..., pattern, k, 1) because
-        # NumPy 2 broadcasts a (..., k) right-hand side differently.
-        eye = np.eye(unknowns.shape[1])
-        ok = np.isfinite(a).all(axis=(-2, -1))
-        a = np.where(ok[..., None, None], a, eye)
-        ok &= ~(np.linalg.cond(a) > _MAX_SYSTEM_COND)
-        x = np.linalg.solve(np.where(ok[..., None, None], a, eye), b[..., None])
-        solvable[..., n] = ok & np.isfinite(x).all(axis=(-2, -1))
-        # A screened-out system's "solution" is b itself, which at large cost
-        # scales overflows the gap product below; its splits are never
-        # reported, so zero them.
-        x = np.where(solvable[..., n, None], x[..., 0], 0.0)
-        rho[..., n[:, None], unknowns] = x
+    interior = symbols == "int"
+    # Each pattern's profile with its interior components at 0.
+    corner = (symbols == "1").astype(float)
 
-    # All components of all patterns at once; the sums run in a fixed order,
-    # so each element equals the scalar call's.
-    gap = g0[..., None, :] + sum(
-        coef[..., None, :, i] * rho[..., i, None] for i in range(3)
-    )
-    # Written as "not holds", so a NaN gap (an overflow) holds no inequality.
+    # Every pattern's gaps at its splits, both (..., pattern, component). The
+    # sums run in a fixed order, so each element equals the scalar call's.
+    def gaps(rho):
+        terms = (coef[..., None, :, i] * rho[..., i, None] for i in range(3))
+        return g0[..., None, :] + sum(terms)
+
+    # One system per pattern, (..., pattern, 3, 3). An interior component's
+    # row holds its owner's row of C over the interior columns, equal to
+    # minus the gap at the corner; a fixed component's row is the identity's,
+    # equal to its value. In cost units both kinds of row are on one scale.
+    eye = np.eye(3)
+    coupled = interior[:, :, None] & interior[:, None, :]
+    a = np.where(coupled, coef[..., None, :, :], eye)
+    b = np.where(interior, -gaps(corner), corner)
+    # np.linalg.solve returns rounding noise, not an error, for a system
+    # that is singular up to float dust (the all-interior pattern always
+    # is), so screen conditioning first; screened-out systems become the
+    # identity. b is (..., pattern, 3, 1) because NumPy 2 broadcasts a
+    # (..., 3) right-hand side differently.
+    solvable = np.linalg.cond(a) <= _MAX_SYSTEM_COND
+    x = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])
+    rho = x[..., 0]
+    gap = gaps(rho)
     bad = np.where(
-        symbols == "int",
-        ~((rho >= 0.0) & (rho <= 1.0)),
-        ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
+        interior,
+        (rho < 0.0) | (rho > 1.0),
+        np.where(symbols == "0", gap < -gap_tol, gap > gap_tol),
     )
     rejected = bad.any(axis=-1)
     first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]

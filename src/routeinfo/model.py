@@ -329,6 +329,15 @@ def _cost_tol(params: NetworkParams):
     return _COST_RTOL * (params.intercept2 + params.slope1_incident * params.demand)
 
 
+def _cost_unit(params: NetworkParams):
+    """The power of two at or below the cost scale of ``_cost_tol``: dividing
+    by it is exact and brings every latency below 2. ``ldexp(1.0, ...)``
+    would overflow near the float maximum; ``frexp`` takes no ``Fraction``.
+    """
+    scale = params.intercept2 + params.slope1_incident * params.demand
+    return np.ldexp(0.5, np.frexp(np.asarray(scale, dtype=float))[1])
+
+
 def _as_results(*values) -> list:
     """``values`` broadcast to one shape; Python scalars when that shape is ().
 

@@ -15,8 +15,14 @@ import numpy as np
 import pytest
 
 import routeinfo.oracle
-from routeinfo import OracleConvergenceError, StrategyProfile, solve_bwe
-from routeinfo.cli import _BLOCK_ROWS, DEFAULTS, main
+from routeinfo import (
+    InfoEnvironment,
+    NetworkParams,
+    OracleConvergenceError,
+    StrategyProfile,
+    solve_bwe,
+)
+from routeinfo.cli import _BLOCK_ROWS, DEFAULTS, _rows_beliefs, main
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -240,6 +246,19 @@ def test_beliefs_sweep_prints_the_rows_of_single_points(
     assert code == 0
     flag = {"lambda": "--lambda", "p": "--p", "eta_h": "--eta-h"}[axis]
     assert out == _point_runs(capsys, base, flag, np.linspace(start, stop, 4), fmt)[0]
+
+
+@pytest.mark.parametrize("treatment", ["uninformative", "conditional", "marginal"])
+def test_beliefs_sweep_keeps_constant_columns_as_views(treatment):
+    """Along a lambda sweep the treatment and every echo column but lambda
+    are the same at each point, so they cost no memory per row."""
+    eta_l = 0.5 if treatment == "uninformative" else 0.55
+    env = InfoEnvironment(0.2, np.linspace(0.0, 1.0, 5), 1.0, eta_l)
+    params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
+    table = _rows_beliefs(params, env, treatment)
+    assert [name for name, c in table.items() if c.strides == (0,)] == [
+        "p", "eta_h", "eta_l", "treatment"
+    ]
 
 
 def test_beliefs_uninformative_needs_coin_flip_low_type(capsys):

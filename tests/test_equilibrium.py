@@ -15,6 +15,7 @@ from routeinfo import (
     StrategyProfile,
     ValidationError,
     belief_uninformative,
+    best_response,
     classify,
     enumerate_profiles,
     expected_route_cost,
@@ -24,7 +25,12 @@ from routeinfo import (
     wardrop_residual,
 )
 from routeinfo.beliefs import _population_demands
-from routeinfo.equilibrium import UTILIZED_SHARE_EPS, _gap_weights, _type_gaps
+from routeinfo.equilibrium import (
+    UTILIZED_SHARE_EPS,
+    _affine_gaps,
+    _gap_weights,
+    _type_gaps,
+)
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -342,12 +348,42 @@ def test_pattern_table_at_a_large_cost_scale_does_not_overflow():
     _assert_table_routes_the_closed_form(params, env, solve_bwe(params, env))
 
 
-def test_pattern_table_rejects_a_nan_gap():
-    """With demand 5e307 the uninformed type's gap slope overflows to inf,
-    and inf * 0 is a NaN gap, which holds no inequality: no pattern that
-    fixes the uninformed split at 0 or 1 is accepted on it."""
+def test_pattern_table_and_best_responses_near_the_float_maximum():
+    """With demand 5e307 the largest latency, 1.5e308, is finite, and in
+    cost units no gap coefficient overflows (pytest turns the warning into
+    an error): the table accepts the closed form's pattern alone, and each
+    type's best response to the closed form is its own split."""
     params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5e307)
-    with np.errstate(over="ignore", invalid="ignore"):
-        verdicts = enumerate_profiles(params, _env(p=0.9, lam=0.0))
-    accepted = [v.pattern for v in verdicts if v.is_equilibrium]
-    assert [pattern for pattern in accepted if pattern[0] != "int"] == []
+    env = _env(p=0.9, lam=0.0)
+    closed = solve_bwe(params, env)
+    assert abs(closed.rho_L - 5 / 12) < 1e-12
+    marked = [v for v in enumerate_profiles(params, env) if v.is_equilibrium]
+    assert [v.pattern for v in marked] == [("int", "1", "0")]
+    assert abs(marked[0].profile.rho_L - closed.rho_L) <= 1e-9
+    for t in EQUILIBRIUM_TYPES:
+        assert abs(best_response(params, env, closed, t) - closed.split(t)) <= 1e-9, t
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.floats(min_value=0.01, max_value=0.99),
+    eta=st.floats(min_value=0.55, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_affine_gaps_are_in_cost_units_and_of_rank_two(params, p, lam, eta):
+    """``(g0, C)`` keep their bits under any power-of-two time unit. Moving
+    every split along (lam, -(1 - lam), -(1 - lam)) moves no load, so C maps
+    that direction to 0, and C has rank 2. C is in cost units, where its
+    rounding is about 1e-16 whatever its own size (intercepts far above
+    slope * demand shrink it to 1e-5), so the bounds are absolute there."""
+    env = _env(p=p, lam=lam, eta_h=eta)
+    g0, coef = _affine_gaps(params, env)
+    for k in (-900, -30, 0, 30, 900):
+        fields = {f: v if f == "demand" else v * 2.0**k for f, v in vars(params).items()}
+        got = _affine_gaps(NetworkParams(**fields), env)
+        assert [a.tobytes() for a in got] == [g0.tobytes(), coef.tobytes()], k
+    shift = np.array([lam, -(1 - lam), -(1 - lam)])
+    assert np.abs(coef @ shift).max() <= 1e-13
+    sigma = np.linalg.svd(coef, compute_uv=False)
+    assert sigma[2] <= 1e-12 < sigma[1], sigma

@@ -70,3 +70,22 @@ def test_every_mutant_compiles(tmp_path, monkeypatch):
         compile(mutant.source, mutant.path, "exec")
     elif_mutant = run[2].source.splitlines()
     assert elif_mutant[7:10] == ["    else:", "        pass", "    return s"]
+
+
+def test_every_allowlist_entry_names_code_that_exists(monkeypatch):
+    """Each entry names a function of its module, or the first line of a
+    statement in that function, so none outlives the code it excuses. Only
+    the AST is read; no mutant runs."""
+    monkeypatch.syspath_prepend(str(PROBE.parent))
+    probe = importlib.import_module("statement_probe")
+    root = PROBE.parent.parent
+    files = sorted({root / path for path, _, _ in probe.ALLOWLIST})
+    _, allowed = probe.mutants(root, files)
+    for path, qualname, line in probe.ALLOWLIST:
+        named = [
+            m for m in allowed
+            if m.path == path and f"{m.qualname}.".startswith(f"{qualname}.")
+        ]
+        if line is not None:
+            named = [m for m in named if m.qualname == qualname and m.text == line]
+        assert named, (path, qualname, line)

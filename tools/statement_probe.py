@@ -52,17 +52,6 @@ ALLOWLIST = {
     ("src/routeinfo/oracle.py", "_drift_multiplier", None): _FROZEN,
     ("src/routeinfo/oracle.py", "_count_clusters", None): _FROZEN,
     ("src/routeinfo/oracle.py", "_forward_edges", None): _FROZEN,
-    (
-        "src/routeinfo/equilibrium.py",
-        "enumerate_profiles",
-        "a = np.where(ok[..., None, None], a, eye)",
-    ): (
-        "non-finite screen: reachable only on valid networks whose gap "
-        "coefficients overflow though their largest latency is finite (demand "
-        "5e307 on the running example at p 0.9, lambda 0), where the condition "
-        "screen rejects the same systems without it; LAPACK is then handed inf "
-        "and prints an illegal-value notice, which no test reads"
-    ),
 }
 
 #: Tier-1 with the first failure ending the run; a fixed Hypothesis seed
