@@ -27,12 +27,11 @@ types' route-cost gaps in one pass, owner axis first, from four loads and
 eight latencies; the residual, ``_affine_gaps`` and the fixed-point oracle
 each call it once per evaluation. Each type's gap is affine in the profile,
 and ``_affine_gaps`` is the one home of that model's ``(g0, C)``, sized like
-the residual by the fields the gaps read and expressed in the network's cost
-unit (``model._cost_unit``), so that its entries are free of the time unit
-and never overflow. The table poses every pattern as one 3 x 3 linear system
-in it, and ``oracle.best_response`` reads the responder's line from it; both
-broadcast like the closed forms, one element per point. The fixed-point
-iteration builds its own lines.
+the residual by the fields the gaps read and free of the time and flow units
+(``model._cost_unit``). The table poses every pattern as one 3 x 3 linear
+system in it, and ``oracle.best_response`` reads the responder's line from
+it; both broadcast like the closed forms, one element per point. The
+fixed-point iteration builds its own lines.
 """
 
 from __future__ import annotations
@@ -368,28 +367,33 @@ _GAP_PROBES = np.eye(4)[1:]
 
 
 def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``, in
-    units of ``model._cost_unit``.
+    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
 
     With the other types' splits held fixed, each type's route-cost gap
     (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
     rho_Ha), so its values at the origin and at the three unit profiles fix
     it exactly. One ``_type_gaps`` call evaluates all three types at all
     four, stacked on a probe axis ahead of the fields' dimensions; each
-    element equals a separate call at that probe. Every slope and intercept
-    is divided by the cost unit first, a power of two, so the result is the
-    network's own divided by it, bit for bit, with every entry below 4.
+    element equals a separate call at that probe. Both are the network's own
+    divided by ``model._cost_unit``, bit for bit, with every entry below 4.
     """
     unit = _cost_unit(params)
-    # Not a NetworkParams: validation rejects a slope below about 1e-308 of
-    # the cost scale, which rounds to 0 here and moves no gap by more.
+    # Exact steps to cost units: intercepts over the unit, demand over its
+    # own power of two, slopes over their ratio, so no factor exceeds 4. Not
+    # a NetworkParams, whose validation rejects a slope rounded to 0 here.
+    demand, exponent = np.frexp(np.asarray(params.demand, dtype=float))
+    exponent = exponent + 1 - np.frexp(unit)[1]
+    slopes = ("slope1_normal", "slope1_incident", "slope2")
     in_units = SimpleNamespace(
-        **{k: v if k == "demand" else v / unit for k, v in vars(params).items()}
+        **{k: np.ldexp(np.asarray(getattr(params, k), dtype=float), exponent) for k in slopes},
+        intercept1=params.intercept1 / unit,
+        intercept2=params.intercept2 / unit,
+        demand=demand,
     )
     ndim = 1 + _gap_ndim(params, env)
     probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
     weights = _gap_weights(env, ndim)
-    gaps = _type_gaps(in_units, _population_demands(params, env), weights, probes)
+    gaps = _type_gaps(in_units, _population_demands(in_units, env), weights, probes)
     # (..., profile, type)
     at = np.moveaxis(gaps, (0, 1), (-1, -2))
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
@@ -399,12 +403,11 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     """Feasibility verdicts for all 27 qualitative patterns {0, int, 1}^3.
 
     In the affine gaps of ``_affine_gaps`` a pattern is a 3 x 3 linear
-    system: an interior component must equalize its owner's two routes, a
-    component fixed at 0 or 1 takes that value. The pattern is an
-    equilibrium only if the system solves with every interior component in
-    [0, 1] and every fixed component's owner weakly preferring its route
-    (route 2 at 0, route 1 at 1) within the cost slack of
-    ``model._cost_tol``.
+    system: an interior component equalizes its owner's two routes, a fixed
+    one takes its value. The pattern is an equilibrium only if the system
+    solves with every interior component in [0, 1] and every fixed one's
+    owner weakly preferring its route (route 2 at 0, route 1 at 1) within
+    the cost slack of ``model._cost_tol``.
 
     Array-valued fields give each element the scalar call's verdict:
     ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
@@ -424,27 +427,26 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
         terms = (coef[..., None, :, i] * rho[..., i, None] for i in range(3))
         return g0[..., None, :] + sum(terms)
 
-    # One system per pattern, (..., pattern, 3, 3). An interior component's
-    # row holds its owner's row of C over the interior columns, equal to
-    # minus the gap at the corner; a fixed component's row is the identity's,
-    # equal to its value. In cost units both kinds of row are on one scale.
+    # One system per pattern, (..., pattern, 3, 3): an interior component's
+    # row is its owner's row of C over the interior columns, equal to minus
+    # the gap at the corner; a fixed component's is the identity's, equal to
+    # its value. In cost units both kinds of row are on one scale.
     eye = np.eye(3)
     coupled = interior[:, :, None] & interior[:, None, :]
     a = np.where(coupled, coef[..., None, :, :], eye)
     b = np.where(interior, -gaps(corner), corner)
     # np.linalg.solve returns rounding noise, not an error, for a system
-    # that is singular up to float dust (the all-interior pattern always
-    # is), so screen conditioning first; screened-out systems become the
-    # identity. b is (..., pattern, 3, 1) because NumPy 2 broadcasts a
-    # (..., 3) right-hand side differently.
+    # singular up to float dust (the all-interior one always is), so screen
+    # conditioning first; screened-out systems become the identity. b is
+    # (..., pattern, 3, 1): NumPy 2 broadcasts a (..., 3) one differently.
     solvable = np.linalg.cond(a) <= _MAX_SYSTEM_COND
-    x = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])
-    rho = x[..., 0]
+    rho = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])[..., 0]
     gap = gaps(rho)
+    # Written as "not holds", so a NaN split or gap holds no inequality.
     bad = np.where(
         interior,
-        (rho < 0.0) | (rho > 1.0),
-        np.where(symbols == "0", gap < -gap_tol, gap > gap_tol),
+        ~((rho >= 0.0) & (rho <= 1.0)),
+        ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
     )
     rejected = bad.any(axis=-1)
     first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]

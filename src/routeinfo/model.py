@@ -324,18 +324,20 @@ def _require_scalar(caller: str, *objs) -> None:
 _COST_RTOL = 1e-11
 
 
+def _cost_scale(params: NetworkParams):
+    """The network's largest latency, intercept2 + slope1_incident * demand."""
+    return params.intercept2 + params.slope1_incident * params.demand
+
+
 def _cost_tol(params: NetworkParams):
     """Absolute slack for comparing two costs on ``params``'s network."""
-    return _COST_RTOL * (params.intercept2 + params.slope1_incident * params.demand)
+    return _COST_RTOL * _cost_scale(params)
 
 
 def _cost_unit(params: NetworkParams):
-    """The power of two at or below the cost scale of ``_cost_tol``: dividing
-    by it is exact and brings every latency below 2. ``ldexp(1.0, ...)``
-    would overflow near the float maximum; ``frexp`` takes no ``Fraction``.
-    """
-    scale = params.intercept2 + params.slope1_incident * params.demand
-    return np.ldexp(0.5, np.frexp(np.asarray(scale, dtype=float))[1])
+    """The power of two at or below ``_cost_scale`` (``ldexp(1.0, ...)``
+    overflows near the float maximum; ``frexp`` takes no ``Fraction``)."""
+    return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
 
 
 def _as_results(*values) -> list:

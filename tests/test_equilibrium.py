@@ -364,6 +364,24 @@ def test_pattern_table_and_best_responses_near_the_float_maximum():
         assert abs(best_response(params, env, closed, t) - closed.split(t)) <= 1e-9, t
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.8, 1.0])
+def test_pattern_table_and_best_responses_at_a_subnormal_demand(lam):
+    """With demand 1e-310 and slopes near 1e300 the cost unit is 2**-32.
+    Slopes divided by it alone would overflow; taken to cost units together
+    with the demand, every coefficient stays finite (pytest turns the
+    warning into an error). The table accepts the closed form's pattern
+    alone, at its splits, and each type's best response to the closed form
+    is its own split."""
+    params = NetworkParams(1e300, 3e300, 2e300, 0.0, 0.0, 1e-310)
+    env = _env(p=0.5, lam=lam)
+    closed = solve_bwe(params, env)
+    marked = [v for v in enumerate_profiles(params, env) if v.is_equilibrium]
+    assert [v.pattern for v in marked] == [EXPECTED_PATTERN[classify(params, env).label]]
+    for t in EQUILIBRIUM_TYPES:
+        assert abs(marked[0].profile.split(t) - closed.split(t)) <= 1e-9, t
+        assert abs(best_response(params, env, closed, t) - closed.split(t)) <= 1e-9, t
+
+
 @given(
     params=rescaled_networks(),
     p=st.floats(min_value=0.02, max_value=0.98),
@@ -372,17 +390,21 @@ def test_pattern_table_and_best_responses_near_the_float_maximum():
 )
 @settings(max_examples=200, deadline=None)
 def test_affine_gaps_are_in_cost_units_and_of_rank_two(params, p, lam, eta):
-    """``(g0, C)`` keep their bits under any power-of-two time unit. Moving
-    every split along (lam, -(1 - lam), -(1 - lam)) moves no load, so C maps
-    that direction to 0, and C has rank 2. C is in cost units, where its
-    rounding is about 1e-16 whatever its own size (intercepts far above
-    slope * demand shrink it to 1e-5), so the bounds are absolute there."""
+    """``(g0, C)`` keep their bits under any power-of-two time and flow
+    units. Moving every split along (lam, -(1 - lam), -(1 - lam)) moves no
+    load, so C maps that direction to 0, and C has rank 2. C is in cost
+    units, where its rounding is about 1e-16 whatever its own size
+    (intercepts far above slope * demand shrink it to 1e-5), so the bounds
+    are absolute there."""
     env = _env(p=p, lam=lam, eta_h=eta)
     g0, coef = _affine_gaps(params, env)
-    for k in (-900, -30, 0, 30, 900):
-        fields = {f: v if f == "demand" else v * 2.0**k for f, v in vars(params).items()}
+    # 2**time multiplies costs and 2**flow multiplies demand.
+    units = [*itertools.product((-900, -30, 0, 30, 900), (-30, 0, 30)), (0, -900), (0, 900)]
+    for time, flow in units:
+        scale = {"demand": 2.0**flow, "intercept1": 2.0**time, "intercept2": 2.0**time}
+        fields = {f: v * scale.get(f, 2.0 ** (time - flow)) for f, v in vars(params).items()}
         got = _affine_gaps(NetworkParams(**fields), env)
-        assert [a.tobytes() for a in got] == [g0.tobytes(), coef.tobytes()], k
+        assert [a.tobytes() for a in got] == [g0.tobytes(), coef.tobytes()], (time, flow)
     shift = np.array([lam, -(1 - lam), -(1 - lam)])
     assert np.abs(coef @ shift).max() <= 1e-13
     sigma = np.linalg.svd(coef, compute_uv=False)
