@@ -262,7 +262,7 @@ def _rows_oracle(params, env) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: Rows converted to Python objects and formatted per write of a CSV table.
+#: Rows converted to Python objects and formatted per write of a table.
 _BLOCK_ROWS = 1024
 
 
@@ -297,10 +297,19 @@ def _emit_json(payload, fh) -> None:
     fh.write(json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n")
 
 
-def _records(table: dict) -> list:
-    """``table`` as one dict of Python objects per row."""
-    cells = [c.tolist() for c in table.values()]
-    return [dict(zip(table, row)) for row in zip(*cells)]
+def _emit_json_rows(table: dict, fh) -> None:
+    """Write ``table`` to ``fh`` as the JSON array of one object per row that
+    ``_emit_json`` writes, a block of ``_BLOCK_ROWS`` rows at a time."""
+    import json
+
+    columns = list(table.values())
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
+        rows = _jsonable([dict(zip(table, row)) for row in zip(*cells)])
+        # The block's rows without the dump's own "[\n" and "\n]".
+        text = json.dumps(rows, indent=2, allow_nan=False)[2:-2]
+        fh.write(("[\n" if start == 0 else ",\n") + text)
+    fh.write("\n]\n")
 
 
 def _write(emit, out: str | None) -> None:
@@ -369,7 +378,7 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     if fmt == "csv":
         _write(lambda fh: _emit_csv(table, fh), out)
     else:
-        _write(lambda fh: _emit_json(_records(table), fh), out)
+        _write(lambda fh: _emit_json_rows(table, fh), out)
 
     if subcommand == "oracle":
         worst = max(table["deviation"].tolist())

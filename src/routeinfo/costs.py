@@ -307,7 +307,8 @@ def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
         return (1 - p) * c_n + p * c_a
 
     (c_l_n, c_h_n), (c_l_a, c_h_a) = state_costs(env)
-    (base_n, _), (base_a, _) = state_costs(InfoEnvironment(p, 0.0, env.accuracy_high))
+    # An int 0 keeps Fraction fields' baseline exact.
+    (base_n, _), (base_a, _) = state_costs(InfoEnvironment(p, 0, env.accuracy_high))
     # An empty population's placeholder cost is finite: its term is +0.0.
     soc_n, soc_a = (
         lam * c_h + (1 - lam) * c_l for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))

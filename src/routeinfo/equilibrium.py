@@ -17,7 +17,10 @@ lambda_bar_2 <= lambda_bar_3. Qualitatively:
 regime is an index computed from the three boundaries, and ``solve_bwe``
 evaluates every regime's closed form and keeps the classified one, so a
 sweep is one call and each element equals the scalar call at that point.
-``solve_bwe`` returns the closed form for the classified regime;
+The same code takes ``Fraction`` fields: ``regime_boundaries``, ``classify``
+and ``solve_bwe`` then answer in exact fractions, while ``enumerate_profiles``
+and ``oracle.best_response``, which solve in float cost units, answer in
+floats. ``solve_bwe`` returns the closed form for the classified regime;
 ``wardrop_residual`` checks any profile against the equilibrium definition
 (equal costs across co-utilized routes, no cheaper unused route, each type
 judged under its own belief); ``enumerate_profiles`` rebuilds the full
@@ -192,42 +195,40 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     """Closed-form Bayesian Wardrop equilibrium for the classified regime.
 
     Each regime's closed form is evaluated at every point and the classified
-    one is kept, so array-valued fields solve a whole sweep in one call. At
-    lambda = 1 the uninformed population is empty; rho_L is reported as 0.0
+    one is kept, so array-valued fields solve a whole sweep in one call, and
+    ``Fraction`` fields give exact fractions through the same code. At
+    lambda = 1 the uninformed population is empty; rho_L is reported as 0
     with ``l_population_empty`` set, so downstream cost formulas never
     silently multiply an undefined fraction by zero demand.
     """
     _require_uninformative(env)
     k = derived_constants(params, env)
     dist = marginal_type_dist(env)
-    # Numpy floats, also for Fraction fields, so that the divisions below
-    # follow np.errstate.
-    lam, d, p_hn, p_ha, k1, k2, k3 = (
-        np.asarray(v, dtype=float)[()]
-        for v in (env.frac_informed, params.demand, dist.p_Hn, dist.p_Ha, k.k1, k.k2, k.k3)
-    )
+    lam, d, p_hn, p_ha = env.frac_informed, params.demand, dist.p_Hn, dist.p_Ha
     regime = _regime_index(lam, _boundaries(params, k, dist))
-
     # Every regime's closed form at every point, as a regime x (rho_L,
-    # rho_Hn, rho_Ha) table. Branches not taken at a point may divide by
-    # zero or overflow there; they are discarded.
+    # rho_Hn, rho_Ha) table. The denominator bases 1 - lambda (read in R1 and
+    # R2) and lambda (from R2 on) are 1 where unread, so no kept branch
+    # divides by zero; one may still overflow at extreme floats.
+    uninformed = np.where(regime <= 1, 1 - lam, 1)[()]
+    informed = np.where(regime >= 1, lam, 1)[()]
     with np.errstate(all="ignore"):
-        r34_rho_ha = k2 / (lam * d)
+        r34_rho_ha = k.k2 / (informed * d)
         zero = np.zeros_like(r34_rho_ha)
-        one = zero + 1.0
+        one = zero + 1
         table = np.array(
             [
-                [k1 / ((1 - lam) * d) - p_hn * lam / (1 - lam), one, zero],
+                [k.k1 / (uninformed * d) - p_hn * lam / uninformed, one, zero],
                 [
-                    (k1 - lam * d * p_hn - p_ha * k2) / ((1 - lam) * d * p_hn),
+                    (k.k1 - lam * d * p_hn - p_ha * k.k2) / (uninformed * d * p_hn),
                     one,
-                    (lam * d * p_hn + k2 - k1) / (lam * d * p_hn),
+                    (lam * d * p_hn + k.k2 - k.k1) / (informed * d * p_hn),
                 ],
                 [zero, one, r34_rho_ha],
-                [zero, k3 / (lam * d), r34_rho_ha],
+                [zero, k.k3 / (informed * d), r34_rho_ha],
             ]
         )
-    rho_l, rho_hn, rho_ha = np.clip(np.choose(regime, table), 0.0, 1.0)
+    rho_l, rho_hn, rho_ha = np.clip(np.choose(regime, table), 0, 1)
     empty = (regime == 3) & (lam == 1)
     return StrategyProfile(*_as_results(rho_l, rho_hn, rho_ha, empty))
 
@@ -394,8 +395,9 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
     weights = _gap_weights(env, ndim)
     gaps = _type_gaps(in_units, _population_demands(in_units, env), weights, probes)
-    # (..., profile, type)
-    at = np.moveaxis(gaps, (0, 1), (-1, -2))
+    # (..., profile, type); Fraction weights leave the float gaps in an
+    # object array, which np.linalg does not take.
+    at = np.moveaxis(np.asarray(gaps, dtype=float), (0, 1), (-1, -2))
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
 
 

@@ -10,6 +10,7 @@ import functools
 import numpy as np
 import pytest
 
+from exact import EXPECTED_PATTERN
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
@@ -278,13 +279,6 @@ def test_belief_tables_normalize_and_reduce_on_random_environments():
 # ---------------------------------------------------------------------------
 # 8. Qualitative pattern table on random instances
 # ---------------------------------------------------------------------------
-
-EXPECTED_PATTERN = {
-    "R1": ("int", "1", "0"),
-    "R2": ("int", "1", "int"),
-    "R3": ("0", "1", "int"),
-    "R4": ("0", "int", "int"),
-}
 
 ALL_INTERIOR = ("int", "int", "int")
 

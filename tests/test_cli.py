@@ -412,14 +412,24 @@ def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
 
 
 def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
-    """No single write to the output carries more than _BLOCK_ROWS rows, so
-    the formatted text held at once stays bounded however long the sweep."""
+    """No single write to the output carries more than _BLOCK_ROWS rows, in
+    CSV or in JSON, so the formatted text held at once stays bounded however
+    long the sweep. The JSON is the bytes of one indented dump of all rows."""
     writes = []
     monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append))
     points = 2 * _BLOCK_ROWS + 5
-    assert main(["regimes", "--sweep", f"lambda:0:1:{points}"]) == 0
+    sweep = ["regimes", "--sweep", f"lambda:0:1:{points}"]
+    assert main(sweep) == 0
     assert max(text.count("\n") for text in writes) <= _BLOCK_ROWS
     assert len(_rows("".join(writes))) == points
+
+    writes.clear()
+    assert main([*sweep, "--format", "json"]) == 0
+    assert max(text.count("{") for text in writes) <= _BLOCK_ROWS
+    text = "".join(writes)
+    rows = json.loads(text)
+    assert len(rows) == points
+    assert text == json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -183,15 +183,17 @@ def test_realized_cost_of_a_certain_type_is_its_interim_cost(params, p, lam, rho
 
 @pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(1, 2), Fraction(77, 100)])
 def test_reports_accept_rational_fields(lam):
-    """Fraction fields give the float network's report and crosscheck rows:
-    the closed-form splits are floats, and solving the lambda = 0 baseline
-    divides by zero only in branches it discards."""
+    """Fraction fields give the float network's report and crosscheck rows,
+    and every cost and value is an exact fraction: the closed forms, the
+    lambda = 0 baseline included, divide by zero in no branch they keep."""
     params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
     env = InfoEnvironment(Fraction(1, 5), lam, Fraction(1), Fraction(1, 2))
     float_env = _env(lam=float(lam))
-    assert vars(cost_report(params, env)) == pytest.approx(
-        vars(cost_report(PARAMS, float_env)), rel=1e-12
-    )
+    report = vars(cost_report(params, env))
+    assert report == pytest.approx(vars(cost_report(PARAMS, float_env)), rel=1e-12)
+    values = vars(value_report(params, env))
+    for name, value in (*report.items(), *values.items()):
+        assert isinstance(value, Fraction), (name, value)
     rows = analytic_cost_crosscheck(params, env)
     assert _statuses(rows) == _statuses(analytic_cost_crosscheck(PARAMS, float_env))
 

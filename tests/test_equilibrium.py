@@ -6,8 +6,10 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
+import exact
+from exact import EXPECTED_PATTERN, PATTERNS
 from routeinfo import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -19,6 +21,7 @@ from routeinfo import (
     classify,
     enumerate_profiles,
     expected_route_cost,
+    lambda_min,
     marginal_type_dist,
     regime_boundaries,
     solve_bwe,
@@ -26,14 +29,16 @@ from routeinfo import (
 )
 from routeinfo.beliefs import _population_demands
 from routeinfo.equilibrium import (
+    BOUNDARY_TOL,
     UTILIZED_SHARE_EPS,
     _affine_gaps,
     _gap_weights,
     _type_gaps,
 )
-from strategies import rescaled_networks
+from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
+RATIONAL_PARAMS = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
 
 # Boundaries at p = 0.2 / 0.6, perfectly accurate service.
 LB_02 = (24 / 85, 324 / 425, 4 / 5)
@@ -171,6 +176,20 @@ def test_exact_inputs_give_exact_gaps():
         assert gap == -12, f"{t}: {gap!r}"
 
 
+def test_readme_example_is_exact_on_rational_fields():
+    """The README point with Fraction fields takes the code path of floats
+    and arrays, and gives exact fractions."""
+    env = InfoEnvironment(Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(1, 2))
+    bounds = regime_boundaries(RATIONAL_PARAMS, env)
+    assert bounds == (Fraction(24, 85), Fraction(324, 425), Fraction(4, 5))
+    got = solve_bwe(RATIONAL_PARAMS, env)
+    want = (Fraction(223, 425), 1, Fraction(37, 85))
+    assert (got.rho_L, got.rho_Hn, got.rho_Ha) == want
+    assert isinstance(got.rho_L, Fraction) and isinstance(got.rho_Ha, Fraction)
+    assert lambda_min(RATIONAL_PARAMS, env) == Fraction(24, 85)
+    assert all(isinstance(b, Fraction) for b in bounds)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_residual_is_the_definition(lam):
     """Per positive-mass type, the excess of each utilized route's expected
@@ -287,15 +306,90 @@ def test_pattern_table_next_to_each_boundary(boundary, offset):
 
 
 # ---------------------------------------------------------------------------
-# Pattern enumeration
+# The exact rational pattern table
 # ---------------------------------------------------------------------------
 
-EXPECTED_PATTERN = {
-    "R1": ("int", "1", "0"),
-    "R2": ("int", "1", "int"),
-    "R3": ("0", "1", "int"),
-    "R4": ("0", "int", "int"),
-}
+_RATIONAL_P = st.one_of(
+    st.sampled_from([Fraction(1, 10**12), 1 - Fraction(1, 10**12)]),
+    st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=1000),
+)
+_RATIONAL_ETA = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(1, 2) + Fraction(1, 10**7)]),
+    st.fractions(Fraction(51, 100), Fraction(1), max_denominator=100),
+)
+
+#: How far inside its regime a drawn lambda lies: ``classify`` hands points
+#: up to BOUNDARY_TOL past lambda_bar_2 to R2's closed form.
+_INSIDE = Fraction(1, 10**9)
+
+
+def _assert_one_set_of_loads(params, env, verdicts):
+    """Every accepted solution, singular faces' segment ends included,
+    routes the same loads."""
+    loads = {exact.route1_loads(params, env, end) for v in verdicts for end in v.ends}
+    assert len(loads) == 1, loads
+
+
+def test_exact_elimination_on_singular_systems():
+    """A consistent singular system gives a particular solution and its null
+    space; an inconsistent one gives none."""
+    x, null = exact.solve([[1, 2], [2, 4]], [3, 6])
+    assert x == [3, 0] and null == [[-2, 1]]
+    assert exact.solve([[1, 2], [2, 4]], [3, 7]) == (None, [[-2, 1]])
+    assert exact.solve([[0, 1], [1, 0]], [2, 5]) == ([5, 2], [])
+
+
+@pytest.mark.parametrize("regime", [0, 1, 2, 3])
+@given(
+    params=rational_networks(),
+    p=_RATIONAL_P,
+    eta_h=_RATIONAL_ETA,
+    at=st.fractions(0, 1, max_denominator=1000),
+)
+@settings(max_examples=25, deadline=None)
+def test_closed_form_is_the_exact_tables_one_equilibrium(regime, params, p, eta_h, at):
+    """Inside each regime the exact table accepts exactly one non-singular
+    pattern, the regime's, at solve_bwe's profile with no tolerance."""
+    bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
+    lo, hi = [0, *bounds, 1][regime : regime + 2]
+    lo, hi = max(lo, 0) + _INSIDE, min(hi, 1) - _INSIDE
+    assume(lo < hi)
+    env = InfoEnvironment(p, lo + at * (hi - lo), eta_h)
+    label = classify(params, env).label
+    assert label == f"R{regime + 1}"
+    verdicts = exact.table(params, env)
+    regular = [v.pattern for v in verdicts if v.accepted and not v.singular]
+    assert regular == [EXPECTED_PATTERN[label]]
+    closed = solve_bwe(params, env)
+    (end,) = verdicts[PATTERNS.index(EXPECTED_PATTERN[label])].ends
+    assert (closed.rho_L, closed.rho_Hn, closed.rho_Ha) == end
+    _assert_one_set_of_loads(params, env, verdicts)
+
+
+@given(params=rational_networks(), p=_RATIONAL_P, eta_h=_RATIONAL_ETA)
+@settings(max_examples=40, deadline=None)
+def test_both_neighbouring_patterns_hold_on_each_boundary(params, p, eta_h):
+    """On each boundary in (0, 1) more than BOUNDARY_TOL from the others, the
+    exact table accepts both neighbouring regimes' patterns at solve_bwe's
+    profile. Closer boundaries are left out: there the tie rule hands
+    lambda_bar_3 to R2's closed form, which is not exact at that point."""
+    bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
+    apart = [b - a > BOUNDARY_TOL for a, b in zip(bounds, bounds[1:])]
+    for i, lam in enumerate(bounds):
+        if not (0 < lam < 1 and all(apart[max(i - 1, 0) : i + 1])):
+            continue
+        env = InfoEnvironment(p, lam, eta_h)
+        closed = solve_bwe(params, env)
+        verdicts = exact.table(params, env)
+        for label in (f"R{i + 1}", f"R{i + 2}"):
+            ends = verdicts[PATTERNS.index(EXPECTED_PATTERN[label])].ends
+            assert ends == ((closed.rho_L, closed.rho_Hn, closed.rho_Ha),), (lam, label)
+        _assert_one_set_of_loads(params, env, verdicts)
+
+
+# ---------------------------------------------------------------------------
+# Pattern enumeration
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.77, 0.9])
@@ -316,6 +410,23 @@ def test_enumerate_profiles_marks_exactly_the_closed_form(lam):
         (got.rho_L, got.rho_Hn, got.rho_Ha), (want.rho_L, want.rho_Hn, want.rho_Ha)
     ):
         assert abs(g - w) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "lam", [Fraction(n, 100) for n in (0, 10, 50, 77, 90, 100)], ids=str
+)
+def test_enumerate_profiles_on_rational_fields(lam):
+    """Fraction fields give the float network's verdicts, and its accepted
+    profiles to 1e-12."""
+    env = InfoEnvironment(Fraction(1, 5), lam, Fraction(1), Fraction(1, 2))
+    rational = enumerate_profiles(RATIONAL_PARAMS, env)
+    floats = enumerate_profiles(PARAMS, _env(lam=float(lam)))
+    assert [v.is_equilibrium for v in rational] == [v.is_equilibrium for v in floats]
+    for got, want in zip(rational, floats):
+        if want.is_equilibrium:
+            for field in ("rho_L", "rho_Hn", "rho_Ha"):
+                deviation = getattr(got.profile, field) - getattr(want.profile, field)
+                assert abs(deviation) <= 1e-12, (got.pattern, field)
 
 
 def test_all_interior_pattern_is_degenerate():
