@@ -9,8 +9,10 @@ closed-form equilibrium is genuine two-sided evidence:
 - ``solve_fixed_point``: damped simultaneous best-response iteration over the
   three split fractions.
 - ``grid_scan``: exhaustive epsilon-equilibrium scan of the unit cube of
-  profiles, with a count of the accepted cells' 26-connected clusters as
-  uniqueness evidence (a numpy union-find).
+  profiles, one rho_L slab at a time, with a count of the accepted cells'
+  26-connected clusters as uniqueness evidence (a raster-order numpy
+  union-find that holds two slabs of cell numbers). It keeps only the
+  accepted cells, never a volume of the cube.
 - ``brute_force_socopt``: direct scan of the one-dimensional social-cost
   objective per state.
 
@@ -62,9 +64,12 @@ from .model import (
 #: Step fraction of the fixed-point iteration toward the best response.
 DAMPING = 0.5
 
-#: Grid scans allocate resolution**3 volumes of residuals (8 bytes a cell)
-#: and of cell numbers for the cluster count (4 bytes); this cap keeps a
-#: single scan under ~1 GB and a few minutes of residual evaluations.
+#: A grid scan holds one resolution**2 slab of residuals at a time, and
+#: keeps 36 bytes per accepted cell: its int64 (i, j, k) row, its float64
+#: residual and its int32 union-find parent. At the end the rows and
+#: residuals are joined, and the copy briefly takes another 32 bytes per
+#: cell. The cap bounds a scan to a few minutes of residual evaluations
+#: (400**3 cells) and to about 4.6 GB should it accept every cell.
 MAX_SCAN_RESOLUTION = 400
 
 
@@ -341,8 +346,7 @@ class GridScanResult:
 
     def contains(self, profile: StrategyProfile) -> bool:
         """Whether the accepted set covers the cell nearest to ``profile``."""
-        target = self.nearest_cell(profile)
-        return any(tuple(row) == target for row in self.cell_indices)
+        return bool((self.cell_indices == self.nearest_cell(profile)).all(axis=1).any())
 
 
 def grid_scan(
@@ -354,7 +358,10 @@ def grid_scan(
 
     epsilon = 10 * (cell diagonal) * (max latency slope) * demand, so the
     accepted set scales with the grid and always covers the cells around a
-    true equilibrium. Scalar parameters and environment only: an
+    true equilibrium. The cube is scanned one rho_L slab at a time: each
+    slab's residuals come from one ``wardrop_residual`` call, and only its
+    accepted rows and their residuals are kept, while ``_count_clusters``
+    labels the slab. Scalar parameters and environment only: an
     array-valued field raises ``scalar_only``.
     """
     _require_scalar("grid_scan", params, env)
@@ -363,90 +370,93 @@ def grid_scan(
     if res > MAX_SCAN_RESOLUTION:
         raise ValidationError(
             "config_out_of_range",
-            f"grid_scan allocates resolution**3 cells; keep grid_resolution "
-            f"<= {MAX_SCAN_RESOLUTION}, got {res}",
+            f"grid_scan keeps up to resolution**3 accepted cells; keep "
+            f"grid_resolution <= {MAX_SCAN_RESOLUTION}, got {res}",
         )
     axis = np.linspace(0.0, 1.0, res)
     h = 1.0 / (res - 1)
     max_slope = max(params.slope1_incident, params.slope1_normal, params.slope2)
     epsilon = 10.0 * (h * np.sqrt(3.0)) * max_slope * params.demand
 
-    accepted = np.empty((res, res, res), dtype=bool)
-    residuals = np.empty((res, res, res))
     grid_hn, grid_ha = np.meshgrid(axis, axis, indexing="ij")
-    for i, rho_l in enumerate(axis):
-        slab = StrategyProfile(rho_l, grid_hn, grid_ha)
-        r = wardrop_residual(params, env, slab)
-        residuals[i] = r
-        accepted[i] = r <= epsilon
+    cells, residuals = [], []
 
-    idx = np.argwhere(accepted)
+    def accepted_slabs():
+        for i, rho_l in enumerate(axis):
+            r = wardrop_residual(params, env, StrategyProfile(rho_l, grid_hn, grid_ha))
+            accepted = r <= epsilon
+            cells.append(np.insert(np.argwhere(accepted), 0, i, axis=1))
+            residuals.append(r[accepted])
+            yield accepted
+
+    n_clusters = _count_clusters(accepted_slabs())
     return GridScanResult(
         resolution=res,
         epsilon=float(epsilon),
         axis_values=axis,
-        cell_indices=idx,
-        cell_residuals=residuals[accepted],
-        n_clusters=_count_clusters(accepted),
+        cell_indices=np.concatenate(cells),
+        cell_residuals=np.concatenate(residuals),
+        n_clusters=n_clusters,
     )
 
 
-#: The 13 neighbour offsets that follow a cell in C order; with their
-#: negatives they make up its 26 neighbours.
-_FORWARD_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+#: Neighbour offsets (slab, row, column) of a cell that precede it in C
+#: order: the 4 inside its slab and the 9 in the slab before. They are the
+#: negatives of the 13 that follow it; together they make up its 26
+#: neighbours.
+_BACKWARD_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d < (0, 0, 0)]
 
 
-def _forward_edges(accepted: np.ndarray, n: int) -> list:
-    """(cell, neighbour) number arrays of the accepted pairs, one per offset.
+def _count_clusters(slabs) -> int:
+    """Number of 26-connected clusters of True cells in a 3-D volume, given
+    slab by slab (an iterable of 2-D bool arrays; a 3-D array is one).
 
-    A function of its own so that the index volume is freed before the
-    union-find rounds run.
+    Raster-order union-find (Hoshen & Kopelman 1976) over one ``parent``
+    array: cells are numbered in C order, and only the numbers of the
+    current and the previous slab are held, in two int32 windows padded by
+    one cell (-1 outside the set). Each slab joins its cells to the cells
+    before them in rounds. Every round hooks the larger root of each edge
+    onto the smaller one (roots as they stood when the round began), then
+    pointer-jumps until every cell of the two windows points at its root;
+    the slab is done when no edge joins two roots. Union-find never splits
+    a root, so hooking the edges a slab at a time gives the components that
+    hooking them all at once gives.
     """
-    shape = accepted.shape
-    index = np.full(tuple(s + 2 for s in shape), -1, dtype=np.int32)
-    core = index[1:-1, 1:-1, 1:-1]
-    core[accepted] = np.arange(n, dtype=np.int32)
-    edges = []
-    for offset in _FORWARD_OFFSETS:
-        neighbour = index[tuple(slice(1 + o, 1 + o + s) for o, s in zip(offset, shape))]
-        both = accepted & (neighbour >= 0)
-        edges.append((core[both], neighbour[both]))
-    return edges
-
-
-def _count_clusters(accepted: np.ndarray) -> int:
-    """Number of 26-connected clusters of True cells in a 3-D volume.
-
-    Vectorized union-find (Hoshen & Kopelman 1976): cells are numbered in an
-    int32 volume padded by one cell (-1 outside the set), and each of the
-    13 forward offsets keeps its own pair of edge arrays. Every round hooks
-    the larger root of each edge that joins two roots onto the smaller one
-    (roots as they stood when the round began, so a hook cannot cut a link
-    made earlier in the round), then pointer-jumps until every cell points
-    at its root; it ends when no edge joins two roots.
-    """
-    n = int(np.count_nonzero(accepted))
-    if n == 0:
-        return 0
-    edges = _forward_edges(accepted, n)
-    parent = np.arange(n, dtype=np.int32)
-    while True:
-        root = parent.copy()
-        hooked = False
-        for a, b in edges:
-            ra, rb = root[a], root[b]
-            apart = ra != rb
-            if apart.any():
-                hooked = True
-                ra, rb = ra[apart], rb[apart]
-                np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        if not hooked:
-            return int(np.count_nonzero(parent == np.arange(n, dtype=np.int32)))
+    parent = np.empty(0, dtype=np.int32)
+    first = n = 0  # the previous slab's first cell; cells numbered so far
+    windows = None
+    for slab in slabs:
+        if windows is None:
+            windows = np.full((2, slab.shape[0] + 2, slab.shape[1] + 2), -1, dtype=np.int32)
+            flat = windows.reshape(-1)
+            # The offsets as steps between flat positions of ``windows``.
+            steps = np.array(_BACKWARD_OFFSETS) @ (np.array(windows.strides) // windows.itemsize)
+        m = int(np.count_nonzero(slab))
+        end = n + m
+        ids = np.arange(n, end)
+        windows[0] = windows[1]
+        windows[1] = -1
+        windows[1, 1:-1, 1:-1][slab] = ids
+        if end > parent.size:
+            parent = np.concatenate([parent[:n], np.empty(max(n, m), dtype=np.int32)])
+        parent[n:end] = ids
+        cells = windows[1].size + np.flatnonzero(windows[1] >= 0)  # flat positions
+        neighbours = flat[cells[:, None] + steps]
+        linked = neighbours >= 0
+        a = np.broadcast_to(ids[:, None], linked.shape)[linked]
+        b = neighbours[linked].astype(np.intp)  # numpy gathers fastest at intp
         while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            ra, rb = parent[a], parent[b]
+            if np.array_equal(ra, rb):
                 break
-            parent = jumped
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            while True:
+                jumped = parent[parent[first:end]]
+                if np.array_equal(jumped, parent[first:end]):
+                    break
+                parent[first:end] = jumped
+        first, n = n, end
+    return int(np.count_nonzero(parent[:n] == np.arange(n)))
 
 
 def brute_force_socopt(

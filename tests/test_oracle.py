@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -425,9 +426,14 @@ def test_fixed_point_builds_belief_weights_once_per_working_set(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_grid_scan_single_cluster_around_equilibrium():
+@pytest.fixture(scope="module")
+def running_example_scan():
+    return grid_scan(PARAMS, _env(lam=0.5), OracleConfig(grid_resolution=101))
+
+
+def test_grid_scan_single_cluster_around_equilibrium(running_example_scan):
     env = _env(lam=0.5)
-    result = grid_scan(PARAMS, env, OracleConfig(grid_resolution=101))
+    result = running_example_scan
     assert isinstance(result, GridScanResult)
     assert result.resolution == 101
     assert abs(result.cell_width - 0.01) < 1e-15
@@ -455,6 +461,93 @@ def test_grid_scan_final_regime_pins_uninformed_off_route_one():
     assert result.contains(solve_bwe(PARAMS, env))
     best = result.cell_indices[int(np.argmin(result.cell_residuals))]
     assert best[0] in (0, 1), f"argmin cell {best}"
+
+
+@pytest.mark.parametrize("row", [-1, 0], ids=["last_accepted", "first_accepted"])
+def test_grid_scan_contains_an_accepted_row(running_example_scan, row):
+    result = running_example_scan
+    cell = result.cell_indices[row]
+    assert result.contains(StrategyProfile(*result.axis_values[cell])) is True
+
+
+def test_grid_scan_does_not_contain_a_rejected_cell(running_example_scan):
+    result = running_example_scan
+    # Rows come in C order, so a cell whose first index is below the first
+    # row's is rejected; this one differs from the first row there alone.
+    cell = result.cell_indices[0].copy()
+    assert cell[0] > 0
+    cell[0] = 0
+    assert result.contains(StrategyProfile(*result.axis_values[cell])) is False
+
+
+def _reference_scan(params, env, res):
+    """grid_scan by its definition: one wardrop_residual call on the whole
+    cube, then np.argwhere and a flood fill."""
+    axis = np.linspace(0.0, 1.0, res)
+    residuals = wardrop_residual(
+        params, env, StrategyProfile(*np.meshgrid(axis, axis, axis, indexing="ij"))
+    )
+    max_slope = max(params.slope1_incident, params.slope1_normal, params.slope2)
+    epsilon = 10.0 * (1.0 / (res - 1) * np.sqrt(3.0)) * max_slope * params.demand
+    accepted = residuals <= epsilon
+    return np.argwhere(accepted), residuals[accepted], _flood_fill_clusters(accepted), epsilon
+
+
+def _assert_scan_equals_reference(params, env, res):
+    result = grid_scan(params, env, OracleConfig(grid_resolution=res))
+    cells, residuals, n_clusters, epsilon = _reference_scan(params, env, res)
+    assert np.array_equal(result.cell_indices, cells)
+    assert np.array_equal(result.cell_residuals, residuals)
+    assert result.n_clusters == n_clusters
+    assert result.epsilon == epsilon
+    return result
+
+
+#: A drawn network whose resolution-101 scan accepts two clusters: the one
+#: around its one equilibrium, and a lone cell whose residual falls just
+#: under epsilon.
+_TWO_CLUSTERS = (
+    NetworkParams(3735.13, 19101.9, 10686.1, 1291.48, 1444.63, 1.6404),
+    _env(p=0.0611, lam=0.2114),
+)
+
+
+@pytest.mark.parametrize(
+    "params,env,n_clusters",
+    [(PARAMS, _env(lam=0.5), 1), (*_TWO_CLUSTERS, 2)],
+    ids=["running_example", "two_clusters"],
+)
+def test_grid_scan_equals_the_whole_cube_reference(params, env, n_clusters):
+    """Slab by slab, the scan keeps the reference's rows, residual bits,
+    cluster count and epsilon exactly."""
+    assert _assert_scan_equals_reference(params, env, 101).n_clusters == n_clusters
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.sampled_from([0.0, 1.0]) | _UNIT,
+    eta=st.just(1.0) | st.floats(min_value=0.55, max_value=1.0),
+    res=st.sampled_from([3, 11, 31]),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_scan_equals_the_whole_cube_reference_on_drawn_networks(
+    params, p, lam, eta, res
+):
+    _assert_scan_equals_reference(params, _env(p=p, lam=lam, eta_h=eta), res)
+
+
+def test_grid_scan_holds_no_cube_of_cells():
+    """A resolution-101 scan at the running example keeps 95,389 accepted
+    cells and one slab at a time. Held whole, the cube's float64 residuals
+    alone would take 8.2 MB, and its padded int32 cell numbers 4.4 MB."""
+    tracemalloc.start()
+    try:
+        grid_scan(PARAMS, _env(lam=0.5), OracleConfig(grid_resolution=101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_grid_scan_rejects_huge_resolutions():
@@ -503,7 +596,8 @@ def _flood_fill_clusters(volume):
 )
 @settings(max_examples=300, deadline=None)
 def test_cluster_count_matches_a_flood_fill(volume):
-    assert _count_clusters(volume) == _flood_fill_clusters(volume)
+    """Driven, as grid_scan drives it, by a one-pass iterator of slabs."""
+    assert _count_clusters(iter(volume)) == _flood_fill_clusters(volume)
 
 
 def _volume(shape, *cells):

@@ -39,9 +39,9 @@ from pathlib import Path
 #: Statement kinds a mutant replaces by ``pass``.
 KINDS = (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Expr, ast.If, ast.For, ast.Raise)
 
-#: The fixed-point iteration and the union-find: ROADMAP items 2 and 7
-#: replace or delete them, so they take no new tests before then.
-_FROZEN = "frozen until ROADMAP items 2 and 7"
+#: The fixed-point iteration: ROADMAP item 2 replaces it, so it takes no
+#: new tests before then.
+_FROZEN = "frozen until ROADMAP item 2"
 
 #: (module path under the root, function qualname, statement's first source
 #: line or None for the whole function) -> reason.
@@ -50,8 +50,6 @@ ALLOWLIST = {
     ("src/routeinfo/oracle.py", "_gap_lines", None): _FROZEN,
     ("src/routeinfo/oracle.py", "_probe_splits", None): _FROZEN,
     ("src/routeinfo/oracle.py", "_drift_multiplier", None): _FROZEN,
-    ("src/routeinfo/oracle.py", "_count_clusters", None): _FROZEN,
-    ("src/routeinfo/oracle.py", "_forward_edges", None): _FROZEN,
 }
 
 #: Tier-1 with the first failure ending the run; a fixed Hypothesis seed
