@@ -67,7 +67,8 @@ from .model import (
 )
 
 #: Ties against a regime boundary within this tolerance resolve to the
-#: lower-indexed closed regime (R2 at both of its ends, R4 at lambda_bar_3).
+#: closed regime there: R2 at both of its ends, R4 at lambda_bar_3, also
+#: where lambda_bar_2 lies within this tolerance of it.
 BOUNDARY_TOL = 1e-12
 
 #: A route carrying less than this share of a type's demand is treated as
@@ -167,11 +168,13 @@ def _regime_index(lam, bounds):
     cumulative ``|`` reads the flags in order, as an ``if``/``elif`` chain
     over the three boundaries would. lambda = 0 is R1 even when
     lambda_bar_1 lies within BOUNDARY_TOL of 0: no other closed form is
-    defined there.
+    defined there. Where lambda_bar_2 and lambda_bar_3 lie within
+    BOUNDARY_TOL of each other, R4's closed start wins over R2's tolerance:
+    R2's closed form is exact only up to lambda_bar_2.
     """
     lb1, lb2, lb3 = bounds
     below_r2 = (lam < lb1 - BOUNDARY_TOL) | (lam == 0)
-    below_r3 = below_r2 | (lam <= lb2 + BOUNDARY_TOL)
+    below_r3 = below_r2 | ((lam <= lb2 + BOUNDARY_TOL) & (lam < lb3 - BOUNDARY_TOL))
     below_r4 = below_r3 | (lam < lb3 - BOUNDARY_TOL)
     return 3 - below_r2 - below_r3 - below_r4
 
@@ -181,10 +184,11 @@ def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
 
     Membership follows the half-open set definitions (R2 closed on both
     ends, R3 open, R4 closed at lambda_bar_3); ties within BOUNDARY_TOL go
-    to the lower-indexed closed regime so the choice is deterministic. The
-    split fractions are continuous across the boundaries, so the tie rule is
-    cost-free, and lambda = 0 is always R1. Array-valued fields give arrays
-    of labels and boundaries.
+    to the closed regime there (R2 at lambda_bar_1 and lambda_bar_2, R4 at
+    lambda_bar_3, which wins where lambda_bar_2 lies within BOUNDARY_TOL of
+    it), so the choice is deterministic. The split fractions are continuous
+    across the boundaries, so the tie rule is cost-free, and lambda = 0 is
+    always R1. Array-valued fields give arrays of labels and boundaries.
     """
     bounds = regime_boundaries(params, env)
     label = _LABELS[_regime_index(env.frac_informed, bounds)]
@@ -356,12 +360,6 @@ _FAILURE_NOTES = np.array(
 )
 
 
-#: Condition-number ceiling above which a pattern's 3 x 3 system is treated
-#: as degenerate rather than solved. Genuine systems stay many orders of
-#: magnitude below this; rank-deficient ones sit at 1e15 or worse.
-_MAX_SYSTEM_COND = 1e12
-
-
 #: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
 #: component of (rho_L, rho_Hn, rho_Ha).
 _GAP_PROBES = np.eye(4)[1:]
@@ -406,10 +404,29 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
 
     In the affine gaps of ``_affine_gaps`` a pattern is a 3 x 3 linear
     system: an interior component equalizes its owner's two routes, a fixed
-    one takes its value. The pattern is an equilibrium only if the system
-    solves with every interior component in [0, 1] and every fixed one's
-    owner weakly preferring its route (route 2 at 0, route 1 at 1) within
-    the cost slack of ``model._cost_tol``.
+    one takes its value. Which systems solve follows from the structure of
+    C. The gaps read the profile only through route 1's loads under the two
+    signals, which do not move along (lambda, -(1 - lambda), -(1 - lambda)):
+    C maps that direction to 0, so the all-interior system is singular.
+    Each informed type's gap reads only its own signal's load, so C's (Hn,
+    Ha) and (Ha, Hn) entries are exactly 0, and each 1 x 1 and 2 x 2
+    principal minor is a product of positive factors (population masses,
+    type probabilities, latency slopes): C is a P0 matrix (Cottle, Pang &
+    Stone 1992). So a smaller interior block is singular only where one of
+    those factors is 0, as for the splits of an empty population, and there
+    its determinant is exactly 0 (in floats often also where a factor is
+    too small to move the gaps). ``det`` factors each system by the LU with
+    partial pivoting that ``solve`` uses, so no zero pivot reaches
+    ``solve``. That LU is backward stable (Higham 2002): a solved split is
+    within about cond * eps of the exact one, where cond grows like
+    4 / (1 - p) for R2's block as p -> 1.
+
+    The solved splits are clipped to [0, 1], and every component is judged
+    by its owner's gap at the clipped profile with the one cost slack of
+    ``model._cost_tol``: an interior split's owner must be indifferent, a
+    fixed one's weakly prefer its route (route 2 at 0, route 1 at 1). A
+    split that leaves [0, 1] by more than rounding moves its owners' gaps
+    past that slack.
 
     Array-valued fields give each element the scalar call's verdict:
     ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
@@ -437,17 +454,16 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     coupled = interior[:, :, None] & interior[:, None, :]
     a = np.where(coupled, coef[..., None, :, :], eye)
     b = np.where(interior, -gaps(corner), corner)
-    # np.linalg.solve returns rounding noise, not an error, for a system
-    # singular up to float dust (the all-interior one always is), so screen
-    # conditioning first; screened-out systems become the identity. b is
-    # (..., pattern, 3, 1): NumPy 2 broadcasts a (..., 3) one differently.
-    solvable = np.linalg.cond(a) <= _MAX_SYSTEM_COND
+    # Unsolvable systems become the identity. b is (..., pattern, 3, 1):
+    # NumPy 2 broadcasts a (..., 3) one differently.
+    solvable = (interior.sum(-1) < 3) & (np.linalg.det(a) != 0)
     rho = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])[..., 0]
+    rho = np.clip(rho, 0, 1)
     gap = gaps(rho)
     # Written as "not holds", so a NaN split or gap holds no inequality.
     bad = np.where(
         interior,
-        ~((rho >= 0.0) & (rho <= 1.0)),
+        ~(np.abs(gap) <= gap_tol),
         ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
     )
     rejected = bad.any(axis=-1)

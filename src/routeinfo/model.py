@@ -372,8 +372,26 @@ def latency(params: NetworkParams, route: int, state: State, load):
     return route_slope(params, route, state) * load + intercept
 
 
+#: K2 and K3 divide by these sums, which validation cannot see: at a
+#: subnormal p_incident with slopes near 1e-9 one underflows to 0.
+_DENOMINATOR_RULE = (
+    (
+        "not_finite",
+        lambda hat, tilde, **_: (hat != 0) & (tilde != 0),
+        lambda hat, tilde, p, eta_h: (
+            f"need nonzero a1_hat + P(Ha) * slope2 and a1_tilde + P(Hn) * slope2, "
+            f"the denominators of K2 and K3, got {hat} and {tilde} at "
+            f"p_incident {p}, accuracy_high {eta_h}"
+        ),
+    ),
+)
+
+
 def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedConstants:
-    """Averaged route-1 slopes and the equalizing loads K0..K4."""
+    """Averaged route-1 slopes and the equalizing loads K0..K4.
+
+    Raises ``not_finite`` where a denominator of K2 or K3 underflows to 0.
+    """
     p, eta = env.p_incident, env.accuracy_high
     a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
     d = params.demand
@@ -387,7 +405,9 @@ def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedCon
 
     k0 = a2 * d - params.intercept1 + params.intercept2
     k1 = k0 / (a1_bar + a2)
-    k2 = k0 * p_ha / (a1_hat + p_ha * a2)
-    k3 = k0 * p_hn / (a1_tilde + p_hn * a2)
+    hat, tilde = a1_hat + p_ha * a2, a1_tilde + p_hn * a2
+    _enforce(_DENOMINATOR_RULE, hat=hat, tilde=tilde, p=p, eta_h=eta)
+    k2 = k0 * p_ha / hat
+    k3 = k0 * p_hn / tilde
     k4 = k2 * (1 + (a1a - a1n) / (a1_bar + a2))
     return DerivedConstants(a1_bar, a1_hat, a1_tilde, k0, k1, k2, k3, k4)

@@ -473,6 +473,22 @@ def test_invalid_inputs_exit_one(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command", ["regimes", "equilibrium", "costs", "value", "oracle", "verify", "beliefs"]
+)
+def test_a_vanishing_denominator_of_k2_exits_one(capsys, command):
+    """At p 5e-324 with slopes near 1e-9, a1_hat + P(Ha) * slope2 underflows
+    to 0: every subcommand that reads K2 exits 1 with ``not_finite``, and
+    ``beliefs``, which does not, answers."""
+    argv = [command, "--p", "5e-324", "--slope1-normal", "1e-9", "--slope1-incident"]
+    argv += ["3e-9", "--slope2", "2e-9", "--intercept1", "0", "--intercept2", "0"]
+    code, _, err = _run(capsys, argv)
+    if command == "beliefs":
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1 and err.startswith("error: not_finite: need nonzero a1_hat"), err
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (

@@ -35,6 +35,7 @@ from routeinfo.equilibrium import (
     _gap_weights,
     _type_gaps,
 )
+from routeinfo.model import _cost_tol, _cost_unit
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -347,9 +348,16 @@ def test_exact_elimination_on_singular_systems():
     at=st.fractions(0, 1, max_denominator=1000),
 )
 @settings(max_examples=25, deadline=None)
+# R2's interior block has condition number about 4 / (1 - p) here; a
+# ceiling on it rejected the pattern.
+@example(
+    params=RATIONAL_PARAMS, p=1 - Fraction(1, 10**12), eta_h=Fraction(1), at=Fraction(1, 2)
+)
 def test_closed_form_is_the_exact_tables_one_equilibrium(regime, params, p, eta_h, at):
     """Inside each regime the exact table accepts exactly one non-singular
-    pattern, the regime's, at solve_bwe's profile with no tolerance."""
+    pattern, the regime's, at solve_bwe's profile with no tolerance. The
+    float table accepts it too wherever rounding cannot undo that, at splits
+    within a few eps times its interior block's condition number."""
     bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
     lo, hi = [0, *bounds, 1][regime : regime + 2]
     lo, hi = max(lo, 0) + _INSIDE, min(hi, 1) - _INSIDE
@@ -364,19 +372,54 @@ def test_closed_form_is_the_exact_tables_one_equilibrium(regime, params, p, eta_
     (end,) = verdicts[PATTERNS.index(EXPECTED_PATTERN[label])].ends
     assert (closed.rho_L, closed.rho_Hn, closed.rho_Ha) == end
     _assert_one_set_of_loads(params, env, verdicts)
+    _assert_float_table_accepts(params, env, EXPECTED_PATTERN[label], end)
+
+
+def _assert_float_table_accepts(params, env, pattern, end):
+    """``enumerate_profiles`` accepts ``pattern`` at splits within 8 eps (1 +
+    kappa) of the exact ``end``, where kappa = ||A^-1|| for the pattern's
+    interior block A of C in cost units: the splits' condition number under
+    roundings of the gaps' data, which are of the cost scale. Acceptance is
+    required where that error cannot undo it: where it moves no owner's gap
+    past the cost slack, except that an interior owner's gap stays put
+    unless the clip to [0, 1] moves a split."""
+    g0, coef = exact.affine_gaps(params, env)
+    unit = _cost_unit(params)
+    c = np.array([[float(v / unit) for v in row] for row in coef])
+    inner = [j for j, s in enumerate(pattern) if s == "int"]
+    kappa = np.linalg.norm(np.linalg.inv(c[np.ix_(inner, inner)]), 2)
+    error = 8 * np.finfo(float).eps * (1 + kappa)
+    clipped = not all(error < end[j] < 1 - error for j in inner)
+    slack = _cost_tol(params) / unit
+    decided = True
+    for t, s in enumerate(pattern):
+        # How far that error can move the owner's gap in cost units.
+        move = error * (1 + np.abs(c[t]).sum())
+        if s == "int":
+            decided &= not clipped or move <= slack
+        else:
+            gap = float(g0[t] + sum(cj * r for cj, r in zip(coef[t], end))) / unit
+            decided &= (gap if s == "0" else -gap) + slack > move
+    verdict = enumerate_profiles(params, env)[PATTERNS.index(pattern)]
+    assert verdict.is_equilibrium or not decided, (verdict.note, error)
+    if verdict.is_equilibrium:
+        got = (verdict.profile.rho_L, verdict.profile.rho_Hn, verdict.profile.rho_Ha)
+        deviation = max(abs(g - float(w)) for g, w in zip(got, end))
+        assert deviation <= error, (deviation, kappa)
 
 
 @given(params=rational_networks(), p=_RATIONAL_P, eta_h=_RATIONAL_ETA)
 @settings(max_examples=40, deadline=None)
+# lambda_bar_3 - lambda_bar_2 is 2.1e-13 here: R2's closed form at
+# lambda_bar_3 = 4/5 put rho_Ha 2.7e-13 above the exact 3/5.
+@example(params=RATIONAL_PARAMS, p=Fraction(1, 10**12), eta_h=Fraction(1))
 def test_both_neighbouring_patterns_hold_on_each_boundary(params, p, eta_h):
-    """On each boundary in (0, 1) more than BOUNDARY_TOL from the others, the
+    """On each boundary in (0, 1), also within BOUNDARY_TOL of another, the
     exact table accepts both neighbouring regimes' patterns at solve_bwe's
-    profile. Closer boundaries are left out: there the tie rule hands
-    lambda_bar_3 to R2's closed form, which is not exact at that point."""
+    profile."""
     bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
-    apart = [b - a > BOUNDARY_TOL for a, b in zip(bounds, bounds[1:])]
     for i, lam in enumerate(bounds):
-        if not (0 < lam < 1 and all(apart[max(i - 1, 0) : i + 1])):
+        if not 0 < lam < 1:
             continue
         env = InfoEnvironment(p, lam, eta_h)
         closed = solve_bwe(params, env)
@@ -437,6 +480,21 @@ def test_all_interior_pattern_is_degenerate():
         row = next(v for v in verdicts if v.pattern == ("int", "int", "int"))
         assert not row.is_equilibrium
         assert row.note == "degenerate equalization system"
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0])
+@pytest.mark.parametrize("p", [1e-12, 0.2, 1 - 1e-12])
+def test_pattern_table_at_the_ends_of_lambda(p, lam):
+    """Here one population's share (the informed one up to 1e-300, the
+    uninformed from 1 - 2**-53) is below the rounding of the gaps in cost
+    units, so its splits move no gap. Exactly the systems that equalize one
+    of them, and the all-interior one, are degenerate, with no LinAlgError
+    and no warning (pytest turns warnings into errors)."""
+    empty = (1, 2) if lam <= 1e-300 else (0,)
+    for verdict in enumerate_profiles(PARAMS, _env(p=p, lam=lam)):
+        interior = [j for j, s in enumerate(verdict.pattern) if s == "int"]
+        degenerate = len(interior) == 3 or any(j in empty for j in interior)
+        assert (verdict.note == "degenerate equalization system") == degenerate, verdict
 
 
 def test_rejected_patterns_name_the_deviator():
@@ -503,7 +561,9 @@ def test_pattern_table_and_best_responses_at_a_subnormal_demand(lam):
 def test_affine_gaps_are_in_cost_units_and_of_rank_two(params, p, lam, eta):
     """``(g0, C)`` keep their bits under any power-of-two time and flow
     units. Moving every split along (lam, -(1 - lam), -(1 - lam)) moves no
-    load, so C maps that direction to 0, and C has rank 2. C is in cost
+    load, so C maps that direction to 0, and C has rank 2. Each informed
+    type's gap reads only its own signal's load, so C's (Hn, Ha) and (Ha,
+    Hn) entries are exactly 0. C is in cost
     units, where its rounding is about 1e-16 whatever its own size
     (intercepts far above slope * demand shrink it to 1e-5), so the bounds
     are absolute there."""
@@ -516,6 +576,7 @@ def test_affine_gaps_are_in_cost_units_and_of_rank_two(params, p, lam, eta):
         fields = {f: v * scale.get(f, 2.0 ** (time - flow)) for f, v in vars(params).items()}
         got = _affine_gaps(NetworkParams(**fields), env)
         assert [a.tobytes() for a in got] == [g0.tobytes(), coef.tobytes()], (time, flow)
+    assert coef[1, 2] == 0 and coef[2, 1] == 0
     shift = np.array([lam, -(1 - lam), -(1 - lam)])
     assert np.abs(coef @ shift).max() <= 1e-13
     sigma = np.linalg.svd(coef, compute_uv=False)

@@ -357,6 +357,29 @@ def test_derived_constants_imperfect_accuracy():
     assert abs(k.k3 - 156 / 41) < 1e-12  # 12 * 0.65 / (0.75 + 0.65 * 2)
 
 
+#: Valid slopes near 1e-9 at which, with p_incident 5e-324 and a perfect
+#: service, a1_hat + P(Ha) * slope2 underflows to 0.
+_TINY_SLOPES = dict(
+    slope1_normal=1e-9, slope1_incident=3e-9, slope2=2e-9, intercept1=0.0, intercept2=0.0
+)
+
+
+def test_a_vanishing_denominator_of_k2_is_not_finite():
+    """A point that validation accepts but whose K2 would divide by 0 raises
+    ``not_finite``, not ZeroDivisionError; an array names its first such
+    point."""
+    params = _params(**_TINY_SLOPES)
+    message = _error(derived_constants, params=params, env=_env(p_incident=5e-324))
+    assert message == (
+        "not_finite: need nonzero a1_hat + P(Ha) * slope2 and a1_tilde + P(Hn) * slope2, "
+        "the denominators of K2 and K3, got 0.0 and 3.0000000000000004e-09 at "
+        "p_incident 5e-324, accuracy_high 1.0"
+    )
+    sweep = _env(p_incident=np.array([0.2, 5e-324, 5e-324]))
+    assert _error(derived_constants, params=params, env=sweep) == message
+    assert derived_constants(params, _env(p_incident=1e-300)).k2 > 0
+
+
 @given(
     p=st.floats(min_value=0.02, max_value=0.98),
     eta=st.floats(min_value=0.51, max_value=1.0),

@@ -8,10 +8,10 @@ from pathlib import Path
 PROBE = Path(__file__).resolve().parent.parent / "tools" / "statement_probe.py"
 
 
-def test_probe_reports_the_statement_no_test_pins(tmp_path):
-    """Two functions, one tested: its statement's mutant is killed, the
-    other function's survives and is printed."""
-    package = tmp_path / "src" / "pkg"
+def _package(root, test_body):
+    """The probe's run on a package of two functions under ``root``, whose
+    one test, of ``double``, is ``test_body``."""
+    package = root / "src" / "pkg"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(
@@ -23,22 +23,39 @@ def test_probe_reports_the_statement_no_test_pins(tmp_path):
         "def show(x):\n"
         "    print(x)\n"
     )
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text(
+    (root / "tests").mkdir()
+    (root / "tests" / "test_mod.py").write_text(
         "from pkg.mod import double\n"
         "\n"
         "\n"
         "def test_double():\n"
-        "    assert double(2) == 4\n"
+        f"    {test_body}\n"
     )
-    result = subprocess.run(
-        [sys.executable, str(PROBE), "--root", str(tmp_path), str(package / "mod.py")],
+    return subprocess.run(
+        [sys.executable, str(PROBE), "--root", str(root), str(package / "mod.py")],
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_probe_reports_the_statement_no_test_pins(tmp_path):
+    """Two functions, one tested: its statement's mutant is killed, the
+    other function's survives and is printed. The unmutated run is quick,
+    so a mutant's timeout is the floor."""
+    result = _package(tmp_path, "assert double(2) == 4")
     lines = result.stdout.splitlines()
     assert result.returncode == 1, result.stderr
     assert lines[0] == "survivor src/pkg/mod.py:7 [show] print(x)"
     assert lines[1].startswith("mutants 2, killed 1, allowlisted 0, survivors 1, wall ")
+    assert lines[1].endswith(", timeout 60 s")
+
+
+def test_probe_refuses_a_failing_baseline(tmp_path):
+    """If the unmutated tests fail, every mutant would count as killed: the
+    probe judges none and exits 2."""
+    result = _package(tmp_path, "assert double(2) == 5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "the unmutated tests fail, so no mutant can be judged\n"
 
 
 def test_every_mutant_compiles(tmp_path, monkeypatch):

@@ -17,8 +17,10 @@ Usage (stdlib only; the tests need what Tier-1 needs):
 
 The root defaults to this repository and the modules to those of
 ``src/routeinfo``; FILE limits the run to the named modules under the
-root. The exit code is 0 when no mutant outside the allowlist survives,
-1 otherwise.
+root. The unmutated tests run first: if they fail, no mutant can be judged
+and the probe exits 2; their wall time sets each mutant's timeout. The exit
+code is otherwise 0 when no mutant outside the allowlist survives, 1 if one
+does.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ PACKAGE = "src/routeinfo"
 #: Mutants tested at a time, each in its own copy of the repository.
 JOBS = 2
 
-#: Seconds after which a mutant's test run counts as killed (a mutant can
-#: turn a loop into one that never ends).
-TIMEOUT = 900
+#: A mutant's test run counts as killed after this many times the unmutated
+#: run's wall time, and at least MIN_TIMEOUT seconds (a mutant can turn a
+#: loop into one that never ends).
+TIMEOUT_FACTOR = 4
+MIN_TIMEOUT = 60
 
 
 @dataclass(frozen=True)
@@ -151,22 +155,29 @@ def _copy(root: Path, into: Path) -> Path:
     return into
 
 
-def _survives(mutant: Mutant, copy: Path, env: dict) -> bool:
-    """Run the tests on ``copy`` with ``mutant`` in place; True if they pass."""
-    target = copy / mutant.path
-    original = target.read_text(encoding="utf-8")
-    target.write_text(mutant.source, encoding="utf-8")
+def _passes(copy: Path, env: dict, timeout=None) -> bool:
+    """Run the tests on ``copy``; True if they pass within ``timeout``."""
     try:
         result = subprocess.run(
             TEST_COMMAND, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT,
+            stderr=subprocess.DEVNULL, timeout=timeout,
         )
         return result.returncode == 0
     except subprocess.TimeoutExpired:
         return False
     finally:
-        target.write_text(original, encoding="utf-8")
         shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
+
+
+def _survives(mutant: Mutant, copy: Path, env: dict, timeout: float) -> bool:
+    """Run the tests on ``copy`` with ``mutant`` in place; True if they pass."""
+    target = copy / mutant.path
+    original = target.read_text(encoding="utf-8")
+    target.write_text(mutant.source, encoding="utf-8")
+    try:
+        return _passes(copy, env, timeout)
+    finally:
+        target.write_text(original, encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -187,11 +198,17 @@ def main(argv=None) -> int:
         copies = queue.Queue()
         for i in range(JOBS):
             copies.put(_copy(root, Path(scratch) / f"copy{i}"))
+        # A failing baseline would count every mutant as killed.
+        baseline = time.monotonic()
+        if not _passes(Path(scratch) / "copy0", env):
+            print("the unmutated tests fail, so no mutant can be judged", file=sys.stderr)
+            return 2
+        timeout = max(MIN_TIMEOUT, TIMEOUT_FACTOR * (time.monotonic() - baseline))
 
         def probe(mutant):
             copy = copies.get()
             try:
-                return _survives(mutant, copy, env)
+                return _survives(mutant, copy, env, timeout)
             finally:
                 copies.put(copy)
 
@@ -205,7 +222,8 @@ def main(argv=None) -> int:
     total = len(run) + len(allowed)
     print(
         f"mutants {total}, killed {len(run) - len(survivors)}, "
-        f"allowlisted {len(allowed)}, survivors {len(survivors)}, wall {wall:.0f} s"
+        f"allowlisted {len(allowed)}, survivors {len(survivors)}, wall {wall:.0f} s, "
+        f"timeout {timeout:.0f} s"
     )
     return 1 if survivors else 0
 
