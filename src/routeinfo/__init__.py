@@ -38,7 +38,6 @@ _ORIGIN = {
     "belief_marginal_ck": "beliefs",
     "belief_uninformative": "beliefs",
     "best_response": "oracle",
-    "brute_force_socopt": "oracle",
     "classify": "equilibrium",
     "cost_report": "costs",
     "derived_constants": "model",

@@ -13,8 +13,6 @@ closed-form equilibrium is genuine two-sided evidence:
   26-connected clusters as uniqueness evidence (a raster-order numpy
   union-find that holds two slabs of cell numbers). It keeps only the
   accepted cells, never a volume of the cube.
-- ``brute_force_socopt``: direct scan of the one-dimensional social-cost
-  objective per state.
 
 The equilibrium condition itself comes from ``equilibrium``: every type's
 route-cost gap (one evaluator, ``_type_gaps``, for all three types), its
@@ -33,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,10 @@ from .model import (
     NetworkParams,
     OracleConvergenceError,
     PlayerType,
-    State,
     ValidationError,
     _as_results,
     _require_scalar,
     _require_uninformative,
-    latency,
 )
 
 #: Step fraction of the fixed-point iteration toward the best response.
@@ -75,27 +72,31 @@ MAX_SCAN_RESOLUTION = 400
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs shared by the numerical solvers.
+    """Knobs of the numerical solvers.
 
-    ``grid_resolution`` is points per scanned axis, ``tolerance`` the
-    residual (minutes) at which the fixed-point iteration stops.
+    ``grid_resolution`` is ``grid_scan``'s points per scanned axis.
+    ``max_iters`` and ``tolerance`` belong to the fixed point: its sweep
+    budget, and the residual (minutes) at which it stops. Both counts must
+    be integers (``int`` or a numpy integer).
     """
 
-    grid_resolution: int = 2001
+    grid_resolution: int = 101
     max_iters: int = 10_000
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.grid_resolution < 3:
-            raise ValidationError(
-                "config_out_of_range",
-                f"grid_resolution must be >= 3, got {self.grid_resolution}",
-            )
-        if self.max_iters < 1:
-            raise ValidationError(
-                "config_out_of_range",
-                f"max_iters must be >= 1, got {self.max_iters}",
-            )
+        for name, least in (("grid_resolution", 3), ("max_iters", 1)):
+            count = getattr(self, name)
+            try:
+                operator.index(count)
+            except TypeError:
+                raise ValidationError(
+                    "config_out_of_range", f"{name} must be an integer, got {count!r}"
+                ) from None
+            if count < least:
+                raise ValidationError(
+                    "config_out_of_range", f"{name} must be >= {least}, got {count}"
+                )
         if not self.tolerance > 0:
             raise ValidationError(
                 "config_out_of_range",
@@ -457,31 +458,3 @@ def _count_clusters(slabs) -> int:
                 parent[first:end] = jumped
         first, n = n, end
     return int(np.count_nonzero(parent[:n] == np.arange(n)))
-
-
-def brute_force_socopt(
-    params: NetworkParams,
-    state: State,
-    config: OracleConfig,
-) -> np.ndarray:
-    """Load vector minimizing total travel cost in ``state`` by direct scan.
-
-    Scans route-1 load over [0, D] at ``grid_resolution`` points, then
-    refines once at 10x resolution inside the winning cell's neighborhood.
-    Scalar parameters only: an array-valued field raises ``scalar_only``.
-    """
-    _require_scalar("brute_force_socopt", params)
-    d = params.demand
-
-    def total_cost(q1):
-        q2 = d - q1
-        return q1 * latency(params, 1, state, q1) + q2 * latency(params, 2, state, q2)
-
-    coarse = np.linspace(0.0, d, config.grid_resolution)
-    best = int(np.argmin(total_cost(coarse)))
-    step = d / (config.grid_resolution - 1)
-    lo = max(0.0, coarse[best] - step)
-    hi = min(d, coarse[best] + step)
-    fine = np.linspace(lo, hi, 21)
-    q1 = float(fine[int(np.argmin(total_cost(fine)))])
-    return np.array([q1, d - q1])

@@ -6,6 +6,7 @@ sections draw fresh valid instances from fixed seeds so failures reproduce.
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +15,11 @@ from exact import EXPECTED_PATTERN
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
-    OracleConfig,
     PlayerType,
     State,
     belief_conditional_ck,
     belief_marginal_ck,
     belief_uninformative,
-    brute_force_socopt,
     cost_report,
     enumerate_profiles,
     lambda_min,
@@ -217,11 +216,10 @@ def test_social_optimum_loads_three_ways():
     ):
         assert abs((2 * a1 * q1 + b1) - (2 * a2 * q2 + b2)) <= 1e-12
 
-    config = OracleConfig(grid_resolution=500_001)
-    scanned_normal = brute_force_socopt(PARAMS, State.NORMAL, config)
-    scanned_incident = brute_force_socopt(PARAMS, State.INCIDENT, config)
-    assert abs(scanned_normal[0] - 3.666667) <= 1e-6
-    assert abs(scanned_incident[0] - 2.2) <= 1e-6
+    # The same network in exact rationals gives the loads exactly.
+    exact = social_optimum(NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5))), _env())
+    assert exact.loads_normal == (Fraction(11, 3), Fraction(4, 3))
+    assert exact.loads_incident == (Fraction(11, 5), Fraction(14, 5))
 
 
 def test_equilibrium_never_beats_social_optimum():

@@ -13,27 +13,26 @@ from hypothesis import given, settings
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
-    OracleConfig,
     PlayerType,
     State,
     StrategyProfile,
     ValidationError,
     analytic_cost_crosscheck,
     belief_uninformative,
-    brute_force_socopt,
     classify,
     cost_report,
     derived_constants,
     expected_route_cost,
     latency,
     realized_population_state_cost,
+    route_slope,
     social_optimum,
     solve_bwe,
     value_report,
 )
 import routeinfo.model
 from routeinfo.costs import _DEVIATES, _EXCLUDED, _printed_branches
-from strategies import rescaled_networks
+from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -261,11 +260,12 @@ def test_social_optimum_at_a_large_intercept_to_slope_ratio():
     # an absolute step fails here; the closed form needs no iteration.
     params = NetworkParams(0.0093, 0.0497, 0.0446, 955.41, 956.46, 725.2)
     opt = social_optimum(params, _env())
-    assert opt.loads_normal[0] == pytest.approx(609.8130, abs=1e-4)
-    config = OracleConfig()
-    scanned = brute_force_socopt(params, State.NORMAL, config)
-    cell = params.demand / (config.grid_resolution - 1)
-    assert abs(scanned[0] - opt.loads_normal[0]) <= cell
+    q1, q2 = opt.loads_normal
+    assert q1 == pytest.approx(609.8130, abs=1e-4)
+    gap = (2 * params.slope1_normal * q1 + params.intercept1) - (
+        2 * params.slope2 * q2 + params.intercept2
+    )
+    assert abs(gap) <= 1e-12 * params.intercept2
 
 
 @given(params=rescaled_networks())
@@ -275,28 +275,54 @@ def test_social_optimum_equalizes_marginal_costs(params):
     d, a2 = params.demand, params.slope2
     b1, b2 = params.intercept1, params.intercept2
     scale = b2 + 2 * max(params.slope1_incident, a2) * d
-    config = OracleConfig()
-    cell = d / (config.grid_resolution - 1)
     for state, a1, (q1, q2) in (
         (State.NORMAL, params.slope1_normal, opt.loads_normal),
         (State.INCIDENT, params.slope1_incident, opt.loads_incident),
     ):
         gap = (2 * a1 * q1 + b1) - (2 * a2 * q2 + b2)
         assert abs(gap) <= 1e-12 * scale, f"{state.value}: marginal cost gap {gap}"
-        scanned = brute_force_socopt(params, state, config)
-        assert abs(scanned[0] - q1) <= cell, f"{state.value}: scan {scanned} vs {q1}"
 
 
-@given(frac=st.floats(min_value=0.0, max_value=1.0))
-@settings(max_examples=300)
-def test_no_feasible_split_beats_the_optimum(frac):
-    d = PARAMS.demand
-    q1 = frac * d
-    cost = q1 * latency(PARAMS, 1, State.NORMAL, q1) + (d - q1) * latency(
-        PARAMS, 2, State.NORMAL, d - q1
-    )
-    opt = social_optimum(PARAMS, _env())
-    assert cost / d >= opt.cost_normal - 1e-9
+def _state_total(params, state, q1):
+    """Total travel cost in ``state`` with ``q1`` of the demand on route 1,
+    from the latencies alone."""
+    q2 = params.demand - q1
+    return q1 * latency(params, 1, state, q1) + q2 * latency(params, 2, state, q2)
+
+
+@given(params=rational_networks())
+@settings(max_examples=100, deadline=None)
+def test_social_optimum_is_exact_on_rational_networks(params):
+    """With ``Fraction`` fields each state's optimal loads are exact: they
+    meet the equal-marginal-cost condition (Beckmann, McGuire & Winsten
+    1956) with ``==``, split the demand strictly, and every feasible load
+    near them, or a third of a unit away, costs strictly more."""
+    d, a2 = params.demand, params.slope2
+    b1, b2 = params.intercept1, params.intercept2
+    opt = social_optimum(params, _env())
+    for state, (q1, q2) in (
+        (State.NORMAL, opt.loads_normal),
+        (State.INCIDENT, opt.loads_incident),
+    ):
+        assert isinstance(q1, Fraction) and isinstance(q2, Fraction), (q1, q2)
+        assert 2 * route_slope(params, 1, state) * q1 + b1 == 2 * a2 * q2 + b2
+        assert q1 + q2 == d
+        assert 0 < q1 < d
+        least = _state_total(params, state, q1)
+        for delta in (Fraction(1, 10**6), Fraction(1, 3)):
+            for moved in (q1 - delta, q1 + delta):
+                if 0 <= moved <= d:
+                    assert _state_total(params, state, moved) > least, (state, moved)
+
+
+@given(params=rescaled_networks(), frac=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_no_feasible_split_beats_the_optimum(params, frac):
+    opt = social_optimum(params, _env())
+    d = params.demand
+    tol = routeinfo.model._cost_tol(params)
+    for state, cost in ((State.NORMAL, opt.cost_normal), (State.INCIDENT, opt.cost_incident)):
+        assert _state_total(params, state, frac * d) / d >= cost - tol, state.value
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,10 @@ from routeinfo import (
     OracleConfig,
     OracleConvergenceError,
     PlayerType,
-    State,
     StrategyProfile,
     ValidationError,
     belief_uninformative,
     best_response,
-    brute_force_socopt,
     expected_route_cost,
     grid_scan,
     solve_bwe,
@@ -52,7 +50,7 @@ def _env(p=0.2, lam=0.5, eta_h=1.0):
 
 def test_config_defaults_construct():
     config = OracleConfig()
-    assert config.grid_resolution == 2001
+    assert config.grid_resolution == 101
     assert DAMPING == 0.5
     assert config.max_iters == 10_000
     assert config.tolerance == 1e-10
@@ -67,6 +65,8 @@ def test_config_defaults_construct():
         dict(max_iters=0),
         dict(tolerance=0.0),
         dict(tolerance=-1e-9),
+        dict(grid_resolution=101.0),
+        dict(max_iters=2.5),
     ],
 )
 def test_config_rejects_out_of_range(bad):
@@ -428,7 +428,8 @@ def test_fixed_point_builds_belief_weights_once_per_working_set(monkeypatch):
 
 @pytest.fixture(scope="module")
 def running_example_scan():
-    return grid_scan(PARAMS, _env(lam=0.5), OracleConfig(grid_resolution=101))
+    # The default config scans at resolution 101.
+    return grid_scan(PARAMS, _env(lam=0.5), OracleConfig())
 
 
 def test_grid_scan_single_cluster_around_equilibrium(running_example_scan):
@@ -620,31 +621,3 @@ def _volume(shape, *cells):
 )
 def test_cluster_count_by_hand(volume, want):
     assert _count_clusters(volume) == want
-
-
-# ---------------------------------------------------------------------------
-# Social-optimum scan
-# ---------------------------------------------------------------------------
-
-
-def test_brute_force_socopt_near_closed_form():
-    loads = brute_force_socopt(PARAMS, State.NORMAL, OracleConfig())
-    assert abs(loads[0] - 11 / 3) < 2.5e-4
-    assert abs(loads.sum() - 5.0) < 1e-12
-    loads = brute_force_socopt(PARAMS, State.INCIDENT, OracleConfig())
-    assert abs(loads[0] - 2.2) < 2.5e-4
-
-
-def test_brute_force_socopt_symmetric_network():
-    params = NetworkParams(1.0, 3.0, 1.0, 19.0, 19.0, 4.0)
-    loads = brute_force_socopt(params, State.NORMAL, OracleConfig())
-    assert abs(loads[0] - 2.0) < 2.5e-4
-    assert abs(loads[1] - 2.0) < 2.5e-4
-
-
-def test_brute_force_socopt_rejects_array_fields():
-    params = NetworkParams(np.array([1.0, 1.5]), 3.0, 2.0, 19.0, 21.0, 5.0)
-    with pytest.raises(ValidationError) as exc:
-        brute_force_socopt(params, State.NORMAL, OracleConfig())
-    assert exc.value.code == "scalar_only"
-    assert "slope1_normal is an array" in str(exc.value)
