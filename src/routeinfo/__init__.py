@@ -19,12 +19,12 @@ _ORIGIN = {
     "DerivedConstants": "model",
     "GridScanResult": "oracle",
     "InfoEnvironment": "model",
-    "MarginalTypeDist": "beliefs",
+    "MarginalTypeDist": "model",
     "NetworkParams": "model",
     "OracleConfig": "oracle",
     "OracleConvergenceError": "model",
     "PlayerType": "model",
-    "ProfileVerdict": "equilibrium",
+    "ProfileVerdict": "oracle",
     "Regime": "equilibrium",
     "SocOptSolution": "costs",
     "State": "model",
@@ -41,13 +41,13 @@ _ORIGIN = {
     "classify": "equilibrium",
     "cost_report": "costs",
     "derived_constants": "model",
-    "enumerate_profiles": "equilibrium",
+    "enumerate_profiles": "oracle",
     "expected_route_cost": "beliefs",
     "grid_scan": "oracle",
     "lambda_min": "value",
     "lambda_tilde": "value",
     "latency": "model",
-    "marginal_type_dist": "beliefs",
+    "marginal_type_dist": "model",
     "posterior_state": "beliefs",
     "realized_population_state_cost": "costs",
     "regime_boundaries": "equilibrium",
@@ -60,7 +60,7 @@ _ORIGIN = {
     "value_report": "value",
     "verify_theorem1": "value",
     "verify_theorem2": "value",
-    "wardrop_residual": "equilibrium",
+    "wardrop_residual": "oracle",
 }
 
 __all__ = list(_ORIGIN)

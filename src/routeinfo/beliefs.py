@@ -18,16 +18,16 @@ service's signal technology:
 All three are one construction: entry (state, t_opp) is P(state | own
 type) times the treatment's opponent-type factor. The first two keep all
 four signal-conditioned types (Ln, La, Hn, Ha); no equilibrium is computed
-from them — they exist for completeness and testing. Everything downstream
-(equilibrium, costs, value) runs on the third, and the coin-flip
-precondition it shares with them is checked here.
+from them — they exist for completeness and testing. The equilibrium
+analysis is that of the third, and the coin-flip precondition it shares
+with them is checked here.
 
 ``_route_load`` is the one load rule, fed the population demands of
 ``_population_demands``. ``expected_route_cost`` is the public definition
-of one type's interim cost on one route; the solvers read every type's cost
-gap from ``equilibrium._type_gaps``, which weighs the same loads and
-latencies by the same belief entries (``_informed_weights``) in the same
-order, so both give the same bits.
+of one type's interim cost on one route; the oracles read every type's cost
+gap from ``oracle._type_gaps``, which weighs the same loads and latencies
+by the same belief entries (``_informed_weights``) in the same order, so
+both give the same bits.
 
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
@@ -47,6 +47,7 @@ from .model import (
     State,
     _require_uninformative,
     latency,
+    marginal_type_dist,
 )
 
 
@@ -59,16 +60,6 @@ class BeliefTable:
 
     owner: PlayerType
     entries: dict
-
-
-@dataclass(frozen=True)
-class MarginalTypeDist:
-    """Marginal probabilities of the four signal-conditioned types."""
-
-    p_Ha: float
-    p_Hn: float
-    p_La: float
-    p_Ln: float
 
 
 _H_TYPES = (PlayerType.HN, PlayerType.HA)
@@ -98,14 +89,6 @@ def _type_given_state(env: InfoEnvironment, t: PlayerType, state: State):
     service, signal = _signal_of(t)
     eta = _accuracy(env, service)
     return eta if signal == state else 1 - eta
-
-
-def marginal_type_dist(env: InfoEnvironment) -> MarginalTypeDist:
-    """Marginal type probabilities, e.g. P(Ha) = p*eta_H + (1-p)*(1-eta_H)."""
-    p = env.p_incident
-    p_ha = p * env.accuracy_high + (1 - p) * (1 - env.accuracy_high)
-    p_la = p * env.accuracy_low + (1 - p) * (1 - env.accuracy_low)
-    return MarginalTypeDist(p_Ha=p_ha, p_Hn=1 - p_ha, p_La=p_la, p_Ln=1 - p_la)
 
 
 def posterior_state(env: InfoEnvironment, service: str, signal: State):

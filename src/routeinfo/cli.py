@@ -238,8 +238,8 @@ def _rows_beliefs(params, env, treatment: str) -> dict:
 
 
 def _rows_oracle(params, env) -> dict:
-    from .equilibrium import _type_masses, classify, solve_bwe
-    from .oracle import OracleConfig, solve_fixed_point
+    from .equilibrium import classify, solve_bwe
+    from .oracle import OracleConfig, _type_masses, solve_fixed_point
 
     closed = solve_bwe(params, env)
     numeric = solve_fixed_point(params, env, OracleConfig())

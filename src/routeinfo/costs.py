@@ -16,7 +16,7 @@ costs from it). In each state the route loads depend only on the informed
 type's signal, so one ``beliefs._route_load`` and one latency per (informed
 type, route) serve both populations' realized costs; the same load rule
 gives the interim costs of ``beliefs.expected_route_cost`` and every
-type's cost gap in ``equilibrium._type_gaps``. ``cost_report``
+type's cost gap in ``oracle._type_gaps``. ``cost_report``
 broadcasts over array-valued environment fields; an empty population's
 terms are masked per point (NaN in the report, dropped from the social
 cost), so a sweep across lambda = 0 or 1 is one call.

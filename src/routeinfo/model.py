@@ -1,4 +1,5 @@
-"""Domain types, parameter validation, latencies, and derived scalar constants.
+"""Domain types, parameter validation, latencies, type marginals, and derived
+scalar constants.
 
 The physical model is a two-route network where route 1 is incident-prone:
 its latency slope jumps from ``slope1_normal`` to ``slope1_incident`` when an
@@ -144,6 +145,16 @@ class DerivedConstants:
     k2: float
     k3: float
     k4: float
+
+
+@dataclass(frozen=True)
+class MarginalTypeDist:
+    """Marginal probabilities of the four signal-conditioned types."""
+
+    p_Ha: float
+    p_Hn: float
+    p_La: float
+    p_Ln: float
 
 
 #: The model's rules in checking order: (code, holds, message), where
@@ -387,6 +398,14 @@ _DENOMINATOR_RULE = (
 )
 
 
+def marginal_type_dist(env: InfoEnvironment) -> MarginalTypeDist:
+    """Marginal type probabilities, e.g. P(Ha) = p*eta_H + (1-p)*(1-eta_H)."""
+    p = env.p_incident
+    p_ha = p * env.accuracy_high + (1 - p) * (1 - env.accuracy_high)
+    p_la = p * env.accuracy_low + (1 - p) * (1 - env.accuracy_low)
+    return MarginalTypeDist(p_Ha=p_ha, p_Hn=1 - p_ha, p_La=p_la, p_Ln=1 - p_la)
+
+
 def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedConstants:
     """Averaged route-1 slopes and the equalizing loads K0..K4.
 
@@ -400,8 +419,8 @@ def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedCon
     a1_hat = (1 - p) * (1 - eta) * a1n + p * eta * a1a
     a1_tilde = (1 - p) * eta * a1n + p * (1 - eta) * a1a
 
-    p_ha = p * eta + (1 - p) * (1 - eta)
-    p_hn = 1 - p_ha
+    dist = marginal_type_dist(env)
+    p_ha, p_hn = dist.p_Ha, dist.p_Hn
 
     k0 = a2 * d - params.intercept1 + params.intercept2
     k1 = k0 / (a1_bar + a2)

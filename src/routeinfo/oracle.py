@@ -1,10 +1,16 @@
-"""Independent numerical solvers used to validate the closed forms.
+"""Definition-level checks of the closed forms.
 
 Nothing in this module knows about regimes, boundary formulas, or the derived
 K constants. Everything is built from the definition layer only — interim
-beliefs and latency functions — so agreement between these solvers and the
+beliefs and latency functions — so agreement between these checks and the
 closed-form equilibrium is genuine two-sided evidence:
 
+- ``wardrop_residual``: the worst equilibrium violation of any profile (equal
+  costs across co-utilized routes, no cheaper unused route, each type judged
+  under its own belief).
+- ``enumerate_profiles``: the full 27-pattern feasibility table, rebuilt from
+  scratch as structural evidence that only the four closed-form patterns
+  survive.
 - ``best_response``: one type's clamped equalizer against a fixed profile.
 - ``solve_fixed_point``: damped simultaneous best-response iteration over the
   three split fractions.
@@ -14,17 +20,21 @@ closed-form equilibrium is genuine two-sided evidence:
   union-find that holds two slabs of cell numbers). It keeps only the
   accepted cells, never a volume of the cube.
 
-The equilibrium condition itself comes from ``equilibrium``: every type's
-route-cost gap (one evaluator, ``_type_gaps``, for all three types), its
-defect and the type masses are defined there once and shared with
-``wardrop_residual``. Each gap is affine in the profile. ``best_response``
-reads the responder's line from that affine model's ``(g0, C)``
-(``equilibrium._affine_gaps``), which the pattern table solves too. The fixed
-point keeps its own lines: one evaluation of all three types, each at its own
-split 0 and 1 with the other splits at the iterate, pins down every
-best-response line of a sweep. What does not depend on the iterate (the
-belief weights, the population demands, the type masses and the probe array)
-is built once per working set.
+The equilibrium condition is written once here: ``_type_gaps`` evaluates all
+three types' route-cost gaps in one pass, owner axis first, from four loads
+and eight latencies, and the residual adds each type's defect
+(``_type_defect``) weighed by its mass (``_type_masses``). Each gap is affine
+in the profile, and ``_affine_gaps`` is the one home of that model's ``(g0,
+C)``, sized like the residual by the fields the gaps read and free of the
+time and flow units (``model._cost_unit``). The pattern table poses every
+pattern as one 3 x 3 linear system in it, and ``best_response`` reads the
+responder's line from it; both broadcast like the closed forms, one element
+per point, and answer in floats on ``Fraction`` fields. The fixed point keeps
+its own lines: one evaluation of all three types, each at its own split 0
+and 1 with the other splits at the iterate, pins down every best-response
+line of a sweep. What does not depend on the iterate (the belief weights,
+the population demands, the type masses and the probe array) is built once
+per working set.
 """
 
 from __future__ import annotations
@@ -33,29 +43,33 @@ import dataclasses
 import itertools
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .beliefs import _population_demands, _require_equilibrium_type
-from .equilibrium import (
-    StrategyProfile,
-    _affine_gaps,
-    _gap_weights,
-    _type_defect,
-    _type_gaps,
-    _type_masses,
-    wardrop_residual,
+from .beliefs import (
+    _informed_weights,
+    _population_demands,
+    _require_equilibrium_type,
+    _route_load,
+    belief_uninformative,
 )
+from .equilibrium import StrategyProfile
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     OracleConvergenceError,
     PlayerType,
+    State,
     ValidationError,
     _as_results,
+    _cost_tol,
+    _cost_unit,
     _require_scalar,
     _require_uninformative,
+    latency,
+    marginal_type_dist,
 )
 
 #: Step fraction of the fixed-point iteration toward the best response.
@@ -102,6 +116,275 @@ class OracleConfig:
                 "config_out_of_range",
                 f"tolerance must be positive, got {self.tolerance}",
             )
+
+
+#: A route carrying less than this share of a type's demand is treated as
+#: unutilized by the residual check. Numerically converged iterates approach
+#: corners geometrically and may hold ~1e-9 of residual mass on a route whose
+#: cost is far from minimal; that mass is an artifact, not a utilization.
+UTILIZED_SHARE_EPS = 1e-8
+
+
+def _type_masses(env: InfoEnvironment) -> dict:
+    """Demand share of each equilibrium type: 1-lam, lam*P(Hn), lam*P(Ha)."""
+    lam = env.frac_informed
+    dist = marginal_type_dist(env)
+    return {
+        PlayerType.L: 1 - lam,
+        PlayerType.HN: lam * dist.p_Hn,
+        PlayerType.HA: lam * dist.p_Ha,
+    }
+
+
+#: The (state, informed type) entries of a type's expected route cost, in
+#: the order of the L belief's entries. The informed population's type sets
+#: the loads, so four loads and eight latencies serve every owner.
+_GAP_ENTRIES = tuple(
+    itertools.product((State.INCIDENT, State.NORMAL), (PlayerType.HA, PlayerType.HN))
+)
+
+
+def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile=None) -> int:
+    """Dimensions of the gaps at ``profile`` (or of their coefficients, with
+    no profile): the most of any field they read."""
+    env_read = (env.p_incident, env.frac_informed, env.accuracy_high)
+    splits = () if profile is None else (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
+
+
+def _gap_weights(env: InfoEnvironment, ndim: int) -> np.ndarray:
+    """Each type's belief weight on each entry of ``_GAP_ENTRIES``.
+
+    Indexed (entry, owner in EQUILIBRIUM_TYPES order), then ``ndim``
+    dimensions that broadcast against the gaps: the weights' common
+    dimensions come last. An entry the owner's belief lacks weighs the int
+    0, so ``Fraction`` fields stay exact. Scalar weights skip the broadcast,
+    which costs more than the rest of a scalar residual's weights.
+    """
+    tables = [_informed_weights(belief_uninformative(env, t)) for t in EQUILIBRIUM_TYPES]
+    weights = [table.get(entry, 0) for entry in _GAP_ENTRIES for table in tables]
+    if any(getattr(w, "ndim", 0) for w in weights):
+        stacked = np.stack(np.broadcast_arrays(*weights))
+    else:
+        stacked = np.array(weights)
+    pad = (1,) * (ndim + 1 - stacked.ndim)
+    return stacked.reshape((len(_GAP_ENTRIES), len(tables)) + pad + stacked.shape[1:])
+
+
+def _type_gaps(params: NetworkParams, demands: tuple, weights: np.ndarray, profile):
+    """Every type's route-1 minus route-2 expected cost, owner axis first.
+
+    ``demands`` come from ``beliefs._population_demands`` and ``weights``
+    from ``_gap_weights``. The profile's fields may carry the owner axis
+    too, so that each type is evaluated at a profile of its own. Each of the
+    four loads (route x informed type) and eight latencies is computed once,
+    and each owner's route cost is the left-to-right sum of its weighted
+    latencies over ``_GAP_ENTRIES``. An entry outside the owner's belief
+    adds +0.0, so each gap keeps the bits of ``expected_route_cost`` at
+    route 1 minus route 2 under that owner's belief.
+    """
+    rho_l = profile.rho_L
+    costs = []
+    for route in (1, 2):
+        loads = {
+            t: _route_load(demands, rho_l, profile.split(t), route)
+            for t in (PlayerType.HA, PlayerType.HN)
+        }
+        total = 0
+        for w, (state, t) in zip(weights, _GAP_ENTRIES):
+            total = total + w * latency(params, route, state, loads[t])
+        costs.append(total)
+    return costs[0] - costs[1]
+
+
+def _type_defect(gap, rho, mass):
+    """One type's equilibrium violation, given its route cost gap.
+
+    A route counts as utilized only when it carries more than
+    UTILIZED_SHARE_EPS of the type's demand; the defect is the excess cost
+    of a utilized route over the cheaper one, and zero-mass types contribute
+    nothing.
+    """
+    gap1 = np.where(rho > UTILIZED_SHARE_EPS, np.maximum(gap, 0.0), 0.0)
+    gap2 = np.where(1 - rho > UTILIZED_SHARE_EPS, np.maximum(-gap, 0.0), 0.0)
+    return np.where(mass > 0, np.maximum(gap1, gap2), 0.0)
+
+
+def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
+    """Worst equilibrium violation of a profile, in cost units (minutes).
+
+    For each positive-mass type: the gap between the costliest route it
+    actually uses (share above UTILIZED_SHARE_EPS) and the cheapest route
+    available, with costs taken in expectation under that type's belief. A
+    profile is an epsilon-equilibrium exactly when the residual is <=
+    epsilon.
+    """
+    weights = _gap_weights(env, _gap_ndim(params, env, profile))
+    gaps = _type_gaps(params, _population_demands(params, env), weights, profile)
+    masses = _type_masses(env)
+    residual = 0.0
+    for t, gap in zip(EQUILIBRIUM_TYPES, gaps):
+        defect = _type_defect(gap, profile.split(t), masses[t])
+        residual = np.maximum(residual, defect)
+    if np.ndim(residual) == 0:
+        return float(residual)
+    return residual
+
+
+@dataclass(frozen=True)
+class ProfileVerdict:
+    """One qualitative pattern from the 27-cell table with its verdict.
+
+    ``pattern`` gives each component of (rho_L, rho_Hn, rho_Ha) as one of
+    "0", "int", "1". For equilibrium patterns ``profile`` carries the solved
+    split fractions; array-valued fields make every other field an array.
+    """
+
+    pattern: tuple
+    is_equilibrium: bool
+    profile: StrategyProfile | None = None
+    note: str = ""
+
+
+
+#: The 27 qualitative patterns {0, int, 1}^3 over the components (rho_L,
+#: rho_Hn, rho_Ha) of EQUILIBRIUM_TYPES, and for each component of each
+#: the note that names its failure.
+_PATTERNS = tuple(itertools.product(("0", "int", "1"), repeat=3))
+_FAILURES = {
+    "0": "strictly prefers route 1",
+    "int": "split leaves [0, 1]",
+    "1": "strictly prefers route 2",
+}
+_FAILURE_NOTES = np.array(
+    [
+        [f"{t.value} {_FAILURES[s]}" for t, s in zip(EQUILIBRIUM_TYPES, p)]
+        for p in _PATTERNS
+    ]
+)
+
+
+#: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
+#: component of (rho_L, rho_Hn, rho_Ha).
+_GAP_PROBES = np.eye(4)[1:]
+
+
+def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
+
+    With the other types' splits held fixed, each type's route-cost gap
+    (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
+    rho_Ha), so its values at the origin and at the three unit profiles fix
+    it exactly. One ``_type_gaps`` call evaluates all three types at all
+    four, stacked on a probe axis ahead of the fields' dimensions; each
+    element equals a separate call at that probe. Both are the network's own
+    divided by ``model._cost_unit``, bit for bit, with every entry below 4.
+    """
+    unit = _cost_unit(params)
+    # Exact steps to cost units: intercepts over the unit, demand over its
+    # own power of two, slopes over their ratio, so no factor exceeds 4. Not
+    # a NetworkParams, whose validation rejects a slope rounded to 0 here.
+    demand, exponent = np.frexp(np.asarray(params.demand, dtype=float))
+    exponent = exponent + 1 - np.frexp(unit)[1]
+    slopes = ("slope1_normal", "slope1_incident", "slope2")
+    in_units = SimpleNamespace(
+        **{k: np.ldexp(np.asarray(getattr(params, k), dtype=float), exponent) for k in slopes},
+        intercept1=params.intercept1 / unit,
+        intercept2=params.intercept2 / unit,
+        demand=demand,
+    )
+    ndim = 1 + _gap_ndim(params, env)
+    probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
+    weights = _gap_weights(env, ndim)
+    gaps = _type_gaps(in_units, _population_demands(in_units, env), weights, probes)
+    # (..., profile, type); Fraction weights leave the float gaps in an
+    # object array, which np.linalg does not take.
+    at = np.moveaxis(np.asarray(gaps, dtype=float), (0, 1), (-1, -2))
+    return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
+
+
+def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
+    """Feasibility verdicts for all 27 qualitative patterns {0, int, 1}^3.
+
+    In the affine gaps of ``_affine_gaps`` a pattern is a 3 x 3 linear
+    system: an interior component equalizes its owner's two routes, a fixed
+    one takes its value. Which systems solve follows from the structure of
+    C. The gaps read the profile only through route 1's loads under the two
+    signals, which do not move along (lambda, -(1 - lambda), -(1 - lambda)):
+    C maps that direction to 0, so the all-interior system is singular.
+    Each informed type's gap reads only its own signal's load, so C's (Hn,
+    Ha) and (Ha, Hn) entries are exactly 0, and each 1 x 1 and 2 x 2
+    principal minor is a product of positive factors (population masses,
+    type probabilities, latency slopes): C is a P0 matrix (Cottle, Pang &
+    Stone 1992). So a smaller interior block is singular only where one of
+    those factors is 0, as for the splits of an empty population, and there
+    its determinant is exactly 0 (in floats often also where a factor is
+    too small to move the gaps). ``det`` factors each system by the LU with
+    partial pivoting that ``solve`` uses, so no zero pivot reaches
+    ``solve``. That LU is backward stable (Higham 2002): a solved split is
+    within about cond * eps of the exact one, where cond grows like
+    4 / (1 - p) for R2's block as p -> 1.
+
+    The solved splits are clipped to [0, 1], and every component is judged
+    by its owner's gap at the clipped profile with the one cost slack of
+    ``model._cost_tol``: an interior split's owner must be indifferent, a
+    fixed one's weakly prefer its route (route 2 at 0, route 1 at 1). A
+    split that leaves [0, 1] by more than rounding moves its owners' gaps
+    past that slack.
+
+    Array-valued fields give each element the scalar call's verdict:
+    ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
+    solved splits, NaN where the pattern is rejected (None in a scalar call).
+    """
+    g0, coef = _affine_gaps(params, env)
+    # (..., 1, 1), against gaps of shape (..., pattern, component).
+    gap_tol = np.asarray(_cost_tol(params) / _cost_unit(params))[..., None, None]
+    symbols = np.array(_PATTERNS)
+    interior = symbols == "int"
+    # Each pattern's profile with its interior components at 0.
+    corner = (symbols == "1").astype(float)
+
+    # Every pattern's gaps at its splits, both (..., pattern, component). The
+    # sums run in a fixed order, so each element equals the scalar call's.
+    def gaps(rho):
+        terms = (coef[..., None, :, i] * rho[..., i, None] for i in range(3))
+        return g0[..., None, :] + sum(terms)
+
+    # One system per pattern, (..., pattern, 3, 3): an interior component's
+    # row is its owner's row of C over the interior columns, equal to minus
+    # the gap at the corner; a fixed component's is the identity's, equal to
+    # its value. In cost units both kinds of row are on one scale.
+    eye = np.eye(3)
+    coupled = interior[:, :, None] & interior[:, None, :]
+    a = np.where(coupled, coef[..., None, :, :], eye)
+    b = np.where(interior, -gaps(corner), corner)
+    # Unsolvable systems become the identity. b is (..., pattern, 3, 1):
+    # NumPy 2 broadcasts a (..., 3) one differently.
+    solvable = (interior.sum(-1) < 3) & (np.linalg.det(a) != 0)
+    rho = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])[..., 0]
+    rho = np.clip(rho, 0, 1)
+    gap = gaps(rho)
+    # Written as "not holds", so a NaN split or gap holds no inequality.
+    bad = np.where(
+        interior,
+        ~(np.abs(gap) <= gap_tol),
+        ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
+    )
+    rejected = bad.any(axis=-1)
+    first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]
+    note = np.where(rejected, first_failure, "")
+    note = np.where(solvable, note, "degenerate equalization system")
+    is_equilibrium = solvable & ~rejected
+    rho = np.where(is_equilibrium[..., None], rho, np.nan)
+
+    verdicts = []
+    for n, pattern in enumerate(_PATTERNS):
+        ok, text, *split = _as_results(
+            is_equilibrium[..., n], note[..., n], *(rho[..., n, j] for j in range(3))
+        )
+        profile = None if ok is False else StrategyProfile(*split)
+        verdicts.append(ProfileVerdict(pattern, ok, profile=profile, note=text))
+    return verdicts
 
 
 #: The own splits at which ``_gap_lines`` evaluates each type's gap.

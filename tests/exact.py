@@ -1,10 +1,10 @@
 """An exact rational reference for the 27-pattern equilibrium table.
 
-With ``Fraction`` fields, ``equilibrium._type_gaps`` gives each type's
+With ``Fraction`` fields, ``oracle._type_gaps`` gives each type's
 route-cost gap exactly. It is affine in the profile, so its values at the
 integer probe profiles (the origin and the three unit profiles) fix its
 coefficients ``(g0, C)`` exactly. The reference reads them that way, not
-through ``equilibrium._affine_gaps``, which works in float cost units.
+through ``oracle._affine_gaps``, which works in float cost units.
 
 Each pattern in {0, int, 1}^3 fixes some splits and asks the owners of the
 others to be indifferent: a linear system of at most 3 x 3, solved here by
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from routeinfo import InfoEnvironment, NetworkParams, StrategyProfile
 from routeinfo.beliefs import _population_demands, _route_load
-from routeinfo.equilibrium import _gap_weights, _type_gaps
+from routeinfo.oracle import _gap_weights, _type_gaps
 
 #: The 27 patterns over (rho_L, rho_Hn, rho_Ha), in ``enumerate_profiles``'
 #: order.

@@ -28,14 +28,9 @@ from routeinfo import (
     wardrop_residual,
 )
 from routeinfo.beliefs import _population_demands
-from routeinfo.equilibrium import (
-    BOUNDARY_TOL,
-    UTILIZED_SHARE_EPS,
-    _affine_gaps,
-    _gap_weights,
-    _type_gaps,
-)
+from routeinfo.equilibrium import BOUNDARY_TOL
 from routeinfo.model import _cost_tol, _cost_unit
+from routeinfo.oracle import UTILIZED_SHARE_EPS, _affine_gaps, _gap_weights, _type_gaps
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)

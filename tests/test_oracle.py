@@ -32,8 +32,7 @@ import routeinfo.beliefs
 import routeinfo.model
 import routeinfo.oracle
 from routeinfo.beliefs import _population_demands
-from routeinfo.equilibrium import _gap_weights
-from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _probe_splits
+from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _gap_weights, _probe_splits
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)

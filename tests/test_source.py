@@ -118,6 +118,36 @@ def test_fixed_point_machinery_is_read_only_by_the_oracle():
         assert sorted(m for m in read if name in read[m]) == ["oracle"], name
 
 
+def package_imports(source: str) -> set:
+    """The package modules a module imports: relative imports by their
+    module (``from . import x`` by ``x``), absolute ones under
+    ``routeinfo``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "routeinfo":
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.split(".")[0] == "routeinfo"}
+    return found
+
+
+def test_package_import_detection():
+    source = (
+        "import numpy\nimport routeinfo.oracle\nfrom . import beliefs\n"
+        "from .model import x\nfrom routeinfo.costs import y\nfrom os import path\n"
+    )
+    assert package_imports(source) == {"routeinfo.oracle", "beliefs", "model", "routeinfo.costs"}
+
+
+def test_closed_forms_import_only_the_model():
+    """The closed forms need nothing of the belief layer or the oracles:
+    ``equilibrium`` imports no package module but ``model``."""
+    source = (SRC / "equilibrium.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"model"}
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     """``python -c code`` in a new interpreter that imports from ``src``."""
     env = dict(os.environ)
@@ -160,8 +190,8 @@ def test_package_import_loads_no_module_and_no_numpy():
 _SUBCOMMAND_MODULES = {
     "--help": [],
     "beliefs": ["beliefs"],
-    "regimes": ["beliefs", "equilibrium"],
-    "equilibrium": ["beliefs", "equilibrium"],
+    "regimes": ["equilibrium"],
+    "equilibrium": ["equilibrium"],
     "costs": ["beliefs", "costs", "equilibrium"],
     "value": ["beliefs", "costs", "equilibrium", "value"],
     "verify": ["beliefs", "costs", "equilibrium", "value"],
