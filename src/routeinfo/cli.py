@@ -9,7 +9,10 @@ Exit codes: 0 success; 1 validation or input problems; 2 verification
 failure (the verify and oracle subcommands).
 
 Each interpreter runs one subcommand, so this module loads only ``model`` at
-import; each row builder imports the solver modules it calls when it runs.
+import, and not numpy; each row builder imports the solver modules it calls
+when it runs. numpy loads on the first array operand: a ``--sweep`` (whose
+axis is an array), ``oracle`` or ``verify``. A single point of the other
+subcommands is computed, tabulated and printed in plain Python.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -28,6 +29,7 @@ from .model import (
     OracleConvergenceError,
     PlayerType,
     ValidationError,
+    _numpy,
 )
 
 #: The ten parameters in flag order: key -> (default, help). The defaults are
@@ -99,6 +101,8 @@ def parse_sweep(text: str) -> tuple:
         raise ValidationError(
             "malformed_sweep", f"sweep needs >= 2 points, got {points}"
         )
+    import numpy as np
+
     return axis, np.linspace(start, stop, points)
 
 
@@ -152,8 +156,13 @@ def _echo(env: InfoEnvironment) -> dict:
 def _table(columns: dict) -> dict:
     """Scalars and equal-length arrays as 1-D columns, one element per point.
 
-    A scalar becomes a read-only broadcast view, so it costs no memory.
+    With an array among them every column is a 1-D numpy array, a scalar a
+    read-only broadcast view that costs no memory; with none, each column is
+    a one-element list.
     """
+    np = _numpy(*columns.values())
+    if np is None:
+        return {name: [value] for name, value in columns.items()}
     cells = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns.values()))
     return dict(zip(columns, cells))
 
@@ -222,6 +231,11 @@ def _rows_beliefs(params, env, treatment: str) -> dict:
     ]
     owner, state, opponent, probability = zip(*cells)
     per_point = {**_echo(env), "treatment": treatment}
+    columns = {"owner": owner, "state": state, "opponent": opponent}
+    np = _numpy(*per_point.values())
+    if np is None:
+        table = {name: [v] * len(cells) for name, v in per_point.items()}
+        return {**table, **columns, "probability": probability}
     points = np.broadcast(*per_point.values()).size
     rows = points * len(cells)
     # One row per point and entry, point-major as a run per point prints
@@ -230,7 +244,7 @@ def _rows_beliefs(params, env, treatment: str) -> dict:
         name: np.repeat(v, len(cells)) if np.ndim(v) else np.broadcast_to(v, rows)
         for name, v in per_point.items()
     }
-    for name, column in (("owner", owner), ("state", state), ("opponent", opponent)):
+    for name, column in columns.items():
         table[name] = np.tile(column, points)
     by_point = [np.broadcast_to(p, points) for p in probability]
     table["probability"] = np.stack(by_point, axis=1).ravel()
@@ -238,6 +252,8 @@ def _rows_beliefs(params, env, treatment: str) -> dict:
 
 
 def _rows_oracle(params, env) -> dict:
+    import numpy as np
+
     from .equilibrium import classify, solve_bwe
     from .oracle import OracleConfig, _type_masses, solve_fixed_point
 
@@ -266,17 +282,25 @@ def _rows_oracle(params, env) -> dict:
 _BLOCK_ROWS = 1024
 
 
+def _blocks(table: dict):
+    """The rows of ``table``, ``_BLOCK_ROWS`` at a time, each block as its
+    columns' Python values (numpy columns through ``tolist``)."""
+    columns = list(table.values())
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start : start + _BLOCK_ROWS] for c in columns]
+        yield [c.tolist() if hasattr(c, "tolist") else c for c in block]
+
+
 def _emit_csv(table: dict, fh) -> None:
     """Write ``table`` to ``fh`` as CSV, a block of ``_BLOCK_ROWS`` rows at a
     time: floats as ``%.9g``, bools as true/false, anything else as ``str``."""
-    columns = list(table.values())
-    line = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     fh.write(",".join(table) + "\n")
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[start : start + _BLOCK_ROWS] for c in columns]
+    for cells in _blocks(table):
+        kinds = [type(c[0]) for c in cells]
+        line = ",".join("%.9g" if k is float else "%s" for k in kinds) + "\n"
         cells = [
-            np.where(c, "true", "false").tolist() if c.dtype.kind == "b" else c.tolist()
-            for c in block
+            ["true" if v else "false" for v in c] if k is bool else c
+            for k, c in zip(kinds, cells)
         ]
         fh.write("".join(line % row for row in zip(*cells)))
 
@@ -302,13 +326,11 @@ def _emit_json_rows(table: dict, fh) -> None:
     ``_emit_json`` writes, a block of ``_BLOCK_ROWS`` rows at a time."""
     import json
 
-    columns = list(table.values())
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        cells = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
+    for n, cells in enumerate(_blocks(table)):
         rows = _jsonable([dict(zip(table, row)) for row in zip(*cells)])
         # The block's rows without the dump's own "[\n" and "\n]".
         text = json.dumps(rows, indent=2, allow_nan=False)[2:-2]
-        fh.write(("[\n" if start == 0 else ",\n") + text)
+        fh.write(("[\n" if n == 0 else ",\n") + text)
     fh.write("\n]\n")
 
 

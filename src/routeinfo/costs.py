@@ -27,9 +27,8 @@ empty population.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .beliefs import _population_demands, _route_load, _type_given_state
 from .equilibrium import StrategyProfile, classify, solve_bwe
@@ -44,6 +43,7 @@ from .model import (
     _require_perfect_accuracy,
     _require_scalar,
     _require_uninformative,
+    _where,
     derived_constants,
     latency,
     route_slope,
@@ -314,8 +314,8 @@ def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
         lam * c_h + (1 - lam) * c_l for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))
     )
     # NaN marks an empty population's costs, and so its expected cost.
-    c_l_n, c_l_a = (np.where(lam == 1, np.nan, c) for c in (c_l_n, c_l_a))
-    c_h_n, c_h_a = (np.where(lam == 0, np.nan, c) for c in (c_h_n, c_h_a))
+    c_l_n, c_l_a = (_where(lam == 1, math.nan, c) for c in (c_l_n, c_l_a))
+    c_h_n, c_h_a = (_where(lam == 0, math.nan, c) for c in (c_h_n, c_h_a))
     opt = social_optimum(params, env)
     return CostReport(
         *_as_results(

@@ -18,7 +18,8 @@ regime is an index computed from the three boundaries, and ``solve_bwe``
 evaluates every regime's closed form and keeps the classified one, so a
 sweep is one call and each element equals the scalar call at that point.
 The same code takes ``Fraction`` fields, and ``regime_boundaries``,
-``classify`` and ``solve_bwe`` then answer in exact fractions.
+``classify`` and ``solve_bwe`` then answer in exact fractions. Scalar
+fields run in plain Python, without numpy (see ``model``).
 
 The closed forms read only ``model``: the derived constants K0..K4 and the
 type marginals P(Hn) and P(Ha). The checks of a profile against the
@@ -30,14 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     InfoEnvironment,
     NetworkParams,
     PlayerType,
     _as_results,
+    _choose,
+    _clip,
+    _ieee,
     _require_uninformative,
+    _where,
+    _zeros_like,
     derived_constants,
     marginal_type_dist,
 )
@@ -113,7 +117,7 @@ def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
     return _boundaries(params, derived_constants(params, env), marginal_type_dist(env))
 
 
-_LABELS = np.array(["R1", "R2", "R3", "R4"])
+_LABELS = ("R1", "R2", "R3", "R4")
 
 
 def _regime_index(lam, bounds):
@@ -146,7 +150,7 @@ def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     always R1. Array-valued fields give arrays of labels and boundaries.
     """
     bounds = regime_boundaries(params, env)
-    label = _LABELS[_regime_index(env.frac_informed, bounds)]
+    label = _choose(_regime_index(env.frac_informed, bounds), _LABELS)
     return Regime(*_as_results(label, *bounds))
 
 
@@ -165,28 +169,31 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     dist = marginal_type_dist(env)
     lam, d, p_hn, p_ha = env.frac_informed, params.demand, dist.p_Hn, dist.p_Ha
     regime = _regime_index(lam, _boundaries(params, k, dist))
-    # Every regime's closed form at every point, as a regime x (rho_L,
-    # rho_Hn, rho_Ha) table. The denominator bases 1 - lambda (read in R1 and
-    # R2) and lambda (from R2 on) are 1 where unread, so no kept branch
-    # divides by zero; one may still overflow at extreme floats.
-    uninformed = np.where(regime <= 1, 1 - lam, 1)[()]
-    informed = np.where(regime >= 1, lam, 1)[()]
-    with np.errstate(all="ignore"):
+
+    def table(uninformed, informed):
+        """Every regime's closed form at every point, as a regime x (rho_L,
+        rho_Hn, rho_Ha) table."""
         r34_rho_ha = k.k2 / (informed * d)
-        zero = np.zeros_like(r34_rho_ha)
+        zero = _zeros_like(r34_rho_ha)
         one = zero + 1
-        table = np.array(
+        return [
+            [k.k1 / (uninformed * d) - p_hn * lam / uninformed, one, zero],
             [
-                [k.k1 / (uninformed * d) - p_hn * lam / uninformed, one, zero],
-                [
-                    (k.k1 - lam * d * p_hn - p_ha * k.k2) / (uninformed * d * p_hn),
-                    one,
-                    (lam * d * p_hn + k.k2 - k.k1) / (informed * d * p_hn),
-                ],
-                [zero, one, r34_rho_ha],
-                [zero, k.k3 / (informed * d), r34_rho_ha],
-            ]
-        )
-    rho_l, rho_hn, rho_ha = np.clip(np.choose(regime, table), 0, 1)
+                (k.k1 - lam * d * p_hn - p_ha * k.k2) / (uninformed * d * p_hn),
+                one,
+                (lam * d * p_hn + k.k2 - k.k1) / (informed * d * p_hn),
+            ],
+            [zero, one, r34_rho_ha],
+            [zero, k.k3 / (informed * d), r34_rho_ha],
+        ]
+
+    # The denominator bases 1 - lambda (read in R1 and R2) and lambda (from
+    # R2 on) are 1 where unread, so no unread branch divides by zero. A read
+    # one may still overflow, or divide by a product that underflows to 0,
+    # at extreme floats; ``_ieee`` gives numpy's inf or NaN there, clamped.
+    uninformed = _where(regime <= 1, 1 - lam, 1)
+    informed = _where(regime >= 1, lam, 1)
+    rows = _ieee(table, uninformed, informed)
+    rho_l, rho_hn, rho_ha = (_clip(r, 0, 1) for r in _choose(regime, rows))
     empty = (regime == 3) & (lam == 1)
     return StrategyProfile(*_as_results(rho_l, rho_hn, rho_ha, empty))

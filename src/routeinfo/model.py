@@ -19,14 +19,20 @@ solves many environments at once, each stopping when it converges.
 Construction then requires every element to satisfy the rules, and an
 error names the first element that does not. Broadcasting functions return
 Python scalars for scalar inputs and arrays of the common shape otherwise.
+
+numpy is loaded on the first array operand, not at import. The closed forms
+are written once, in plain arithmetic; the few array primitives they need
+(``_where``, ``_choose``, ``_clip``, ``_ieee``, ``_as_results``, ...) take a
+plain-Python branch when no operand has ``__array__``, so a call whose
+fields are all Python scalars (``float``, ``int``, ``bool``, ``Fraction``)
+never imports numpy, and give the same bits as numpy where one does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
-
-import numpy as np
 
 
 class State(str, Enum):
@@ -159,13 +165,14 @@ class MarginalTypeDist:
 
 #: The model's rules in checking order: (code, holds, message), where
 #: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
-#: tests finiteness for ``Fraction`` fields too, where ``np.isfinite`` raises.
+#: tests finiteness for ``Fraction`` fields and arrays alike.
 _NETWORK_RULES = (
     (
         "not_finite",
         lambda a1n, a1a, a2, b1, b2, d: (
-            (abs(a1n) < np.inf) & (abs(a1a) < np.inf) & (abs(a2) < np.inf)
-            & (abs(b1) < np.inf) & (abs(b2) < np.inf) & (abs(d) < np.inf)
+            (abs(a1n) < math.inf) & (abs(a1a) < math.inf)
+            & (abs(a2) < math.inf) & (abs(b1) < math.inf)
+            & (abs(b2) < math.inf) & (abs(d) < math.inf)
         ),
         lambda a1n, a1a, a2, b1, b2, d: (
             f"need finite slope1_normal, slope1_incident, slope2, intercept1, "
@@ -175,7 +182,7 @@ _NETWORK_RULES = (
     (
         # Route 1's incident latency at full demand, the network's largest.
         "not_finite",
-        lambda a1a, b2, d, **_: abs(b2 + a1a * d) < np.inf,
+        lambda a1a, b2, d, **_: abs(b2 + a1a * d) < math.inf,
         lambda a1a, b2, d, **_: (
             f"need a finite largest latency intercept2 + slope1_incident * demand, "
             f"got {b2} + {a1a} * {d}"
@@ -234,8 +241,15 @@ def _enforce(rules, **fields) -> None:
     ``rules`` holds (code, holds, message) triples in checking order. With
     array fields the error names the first element (in C order) that breaks
     any rule, at the first rule it breaks, with that element's values: the
-    error a loop checking one element at a time would raise.
+    error a loop checking one element at a time would raise. Scalar fields
+    are that loop; a rule is evaluated only once the rules before it hold.
     """
+    np = _numpy(*fields.values())
+    if np is None:
+        for code, holds, message in rules:
+            if not holds(**fields):
+                raise ValidationError(code, message(**fields))
+        return
     # A rule's arithmetic may overflow on the very values it rejects (numpy
     # scalars warn where Python floats do not); the verdict is the same.
     with np.errstate(all="ignore"):
@@ -313,7 +327,7 @@ def _require_perfect_accuracy(env: InfoEnvironment) -> None:
 def _require_nonempty(env: InfoEnvironment, *populations) -> None:
     """Reject ``env`` if a named population ("L", "H") is empty at any point."""
     for population, empty_at in (("L", 1), ("H", 0)):
-        if population in populations and np.any(env.frac_informed == empty_at):
+        if population in populations and _any(env.frac_informed == empty_at):
             message = f"population {population} is empty at frac_informed = {empty_at}"
             raise ValidationError("empty_population", message)
 
@@ -321,7 +335,7 @@ def _require_nonempty(env: InfoEnvironment, *populations) -> None:
 def _require_scalar(caller: str, *objs) -> None:
     """Reject array-valued fields of ``objs``, naming the first."""
     arrays = [
-        f.name for obj in objs for f in fields(obj) if np.ndim(getattr(obj, f.name))
+        f.name for obj in objs for f in fields(obj) if _ndim(getattr(obj, f.name))
     ]
     if arrays:
         message = f"{caller} takes scalar fields only, {arrays[0]} is an array"
@@ -347,8 +361,32 @@ def _cost_tol(params: NetworkParams):
 
 def _cost_unit(params: NetworkParams):
     """The power of two at or below ``_cost_scale`` (``ldexp(1.0, ...)``
-    overflows near the float maximum; ``frexp`` takes no ``Fraction``)."""
+    overflows near the float maximum; ``frexp`` takes no ``Fraction``).
+    Only the oracles' pattern table reads it, and it always loads numpy."""
+    import numpy as np
+
     return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
+
+
+# ---------------------------------------------------------------------------
+# Array primitives: numpy for array operands, plain Python otherwise
+# ---------------------------------------------------------------------------
+
+
+def _numpy(*values):
+    """The numpy module if any of ``values`` is an array, else None.
+
+    An operand is an array if it has ``__array__`` (numpy scalars do). numpy
+    is imported here, on the first array operand, so a computation on Python
+    scalars alone never loads it. Each primitive below takes its plain-Python
+    branch on None and otherwise calls numpy as the closed forms always did.
+    """
+    for v in values:
+        if hasattr(v, "__array__"):
+            import numpy
+
+            return numpy
+    return None
 
 
 def _as_results(*values) -> list:
@@ -358,10 +396,89 @@ def _as_results(*values) -> list:
     Python ``float``/``str``/``bool`` results and array inputs give arrays
     of their common shape.
     """
+    np = _numpy(*values)
+    if np is None:
+        return list(values)
     shape = np.broadcast(*values).shape
     if shape == ():
         return [np.asarray(v).item() for v in values]
     return [np.broadcast_to(v, shape) for v in values]
+
+
+def _where(cond, a, b):
+    """``np.where(cond, a, b)``. An int picked against a float becomes a
+    float, as numpy promotes the pair; a ``Fraction`` stays as it is."""
+    np = _numpy(cond, a, b)
+    if np is not None:
+        return np.where(cond, a, b)
+    picked, other = (a, b) if cond else (b, a)
+    if isinstance(other, float) and isinstance(picked, int):
+        return float(picked)
+    return picked
+
+
+def _choose(index, choices):
+    """``np.choose(index, choices)``: ``choices[index]`` at each point."""
+    np = _numpy(index, *choices)
+    if np is None:
+        return choices[index]
+    return np.choose(index, choices)
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)``, whose rules the scalar branch follows: NaN
+    stays NaN; a float at or beyond a bound becomes that bound as a float
+    (so -0.0 becomes 0.0); other numbers (``Fraction``, whose arrays hold
+    objects) keep a value equal to a bound and become the bound object only
+    beyond it."""
+    np = _numpy(x)
+    if np is not None:
+        return np.clip(x, lo, hi)
+    if isinstance(x, float):
+        return float(lo) if x <= lo else float(hi) if x >= hi else x
+    return lo if x < lo else hi if x > hi else x
+
+
+def _zeros_like(x):
+    """``np.zeros_like(x)``: a float zero for a float, else the int 0 (an
+    object array's zero, for ``Fraction``)."""
+    np = _numpy(x)
+    if np is not None:
+        return np.zeros_like(x)
+    return 0.0 if isinstance(x, float) else 0
+
+
+def _any(x) -> bool:
+    """``np.any(x)``, by the faster array method."""
+    np = _numpy(x)
+    return bool(x) if np is None else bool(np.asarray(x).any())
+
+
+def _ndim(x) -> int:
+    """``np.ndim(x)``: 0 for a Python scalar."""
+    np = _numpy(x)
+    return 0 if np is None else np.ndim(x)
+
+
+def _ieee(fn, *args):
+    """``fn(*args)`` under numpy's float rules with its warnings silenced:
+    a division by zero gives inf or NaN instead of raising.
+
+    Array arguments run under ``np.errstate(all="ignore")``. Python scalars
+    run in Python, which gives the same bits but raises ZeroDivisionError
+    where numpy would give inf or NaN; only then are they redone as numpy
+    scalars. ``Fraction`` arguments stay exact and raise either way.
+    """
+    np = _numpy(*args)
+    if np is None:
+        try:
+            return fn(*args)
+        except ZeroDivisionError:
+            import numpy as np
+
+            args = [np.asarray(a)[()] for a in args]
+    with np.errstate(all="ignore"):
+        return fn(*args)
 
 
 def route_slope(params: NetworkParams, route: int, state: State) -> float:
@@ -377,7 +494,7 @@ def route_slope(params: NetworkParams, route: int, state: State) -> float:
 
 def latency(params: NetworkParams, route: int, state: State, load):
     """Travel time on a route carrying ``load``: slope(state) * load + intercept."""
-    if (np.asarray(load) < 0).any():
+    if _any(load < 0):
         raise ValidationError("negative_load", f"route load must be >= 0, got {load}")
     intercept = params.intercept1 if route == 1 else params.intercept2
     return route_slope(params, route, state) * load + intercept

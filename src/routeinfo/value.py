@@ -15,14 +15,13 @@ of the quadratic that expected social cost follows in the third regime.
 positivity claims numerically over one environment whose ``frac_informed``
 is a grid of lambda values (``theorem2_grid`` builds one), in one array
 call each: ``lambda_min`` and ``value_report`` broadcast over array-valued
-environment fields.
+environment fields. The checks and the grid are array code and import
+numpy when they run; the reports on scalar fields never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .costs import cost_report
 from .equilibrium import classify, regime_boundaries
@@ -30,9 +29,11 @@ from .model import (
     InfoEnvironment,
     NetworkParams,
     _as_results,
+    _choose,
     _cost_tol,
     _require_perfect_accuracy,
     _require_uninformative,
+    _where,
 )
 
 #: Slack for comparing informed fractions, which carry no time unit. Costs
@@ -75,7 +76,7 @@ def _tilde_case(params: NetworkParams, env: InfoEnvironment) -> tuple:
     lambda_bar_2, else 1 when lambda_tilde < lambda_bar_3, else 2."""
     bounds = regime_boundaries(params, env)
     tilde = lambda_tilde(params)
-    case = np.where(tilde <= bounds[1], 0, np.where(tilde < bounds[2], 1, 2))
+    case = _where(tilde <= bounds[1], 0, _where(tilde < bounds[2], 1, 2))
     return case, tilde, bounds
 
 
@@ -92,7 +93,7 @@ def lambda_min(params: NetworkParams, env: InfoEnvironment) -> float:
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     case, tilde, (lb1, _, lb3) = _tilde_case(params, env)
-    (lam_min,) = _as_results(np.choose(case, (lb1, tilde, lb3)))
+    (lam_min,) = _as_results(_choose(case, (lb1, tilde, lb3)))
     return lam_min
 
 
@@ -112,8 +113,8 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     lam = env.frac_informed
     p = env.p_incident
 
-    c_l_n = np.where(lam == 1, r.c_H_n, r.c_L_n)
-    c_l_a = np.where(lam == 1, r.c_H_a, r.c_L_a)
+    c_l_n = _where(lam == 1, r.c_H_n, r.c_L_n)
+    c_l_a = _where(lam == 1, r.c_H_a, r.c_L_a)
     v_l_n, v_l_a = r.baseline_n - c_l_n, r.baseline_a - c_l_a
     v_h_n, v_h_a = r.baseline_n - r.c_H_n, r.baseline_a - r.c_H_a
     v_l_exp = (1 - p) * v_l_n + p * v_l_a
@@ -125,7 +126,7 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
         r.baseline_exp - r.c_soc_exp,
     )
     return ValueReport(
-        *_as_results(*(np.where(lam == 0, 0.0, v) for v in values), lam_min)
+        *_as_results(*(_where(lam == 0, 0.0, v) for v in values), lam_min)
     )
 
 
@@ -155,6 +156,8 @@ def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Repo
     not exist there. The rest are evaluated in one array call. Failures
     carry (frac_informed, v_rel_exp, expectation).
     """
+    import numpy as np
+
     lams = np.ravel(env.frac_informed)
     lams = lams[lams != 0]
     env = replace(env, frac_informed=lams)
@@ -188,6 +191,8 @@ def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> 
 
     Steps within ``tol`` count as flat.
     """
+    import numpy as np
+
     steps = np.diff(ws)
     rises, falls = np.any(steps > tol), np.any(steps < -tol)
     if expected == "increasing":
@@ -217,6 +222,8 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
     third-regime peak), so its smallest achiever, reported as
     ``grid_argmax_lambda``, is not checked by location.
     """
+    import numpy as np
+
     lams = np.asarray(env.frac_informed, dtype=float)
     if lams.ndim != 1 or lams.size < 2:
         raise ValueError("need at least two informed fractions to difference")
@@ -294,6 +301,8 @@ def theorem2_grid(
     regimes); the third regime, open on both sides, contributes strictly
     interior points. The result feeds verify_theorem1 and verify_theorem2.
     """
+    import numpy as np
+
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     lb1, lb2, lb3 = regime_boundaries(params, env)

@@ -1,6 +1,7 @@
 """One array call over a sweep equals one scalar call per point, bit for bit."""
 
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -126,6 +127,71 @@ def test_scalar_inputs_give_python_scalars(lam):
     opt = social_optimum(PARAMS, env)
     assert all(type(q) is float for q in (*opt.loads_normal, *opt.loads_incident))
     assert type(opt.cost_exp) is float
+
+
+@pytest.mark.parametrize("lam", ["0", "3/10", "1/2", "77/100", "9/10", "1"])
+def test_fraction_inputs_give_exact_python_results(lam):
+    """``Fraction`` fields answer in plain Python, never in a numpy scalar or
+    a 0-d array: exact fractions, the exact integers 0 and 1 where a split
+    is fixed by its regime, bools and strings. Floats appear only where a
+    convention replaces a number: NaN for an empty population's costs and
+    0.0 for every value at lambda = 0."""
+    params = NetworkParams(*(Fraction(x) for x in (1, 3, 2, 19, 21, 5)))
+    env = InfoEnvironment(Fraction(1, 5), Fraction(lam), Fraction(1))
+    regime = classify(params, env)
+    profile = solve_bwe(params, env)
+    opt = social_optimum(params, env)
+    results = [
+        regime.label, *regime.bounds, *vars(profile).values(),
+        *vars(cost_report(params, env)).values(),
+        *vars(value_report(params, env)).values(),
+        lambda_min(params, env), *regime_boundaries(params, env),
+        *opt.loads_normal, *opt.loads_incident, opt.cost_exp,
+    ]
+    for v in results:
+        assert type(v) in (Fraction, int, bool, str, float), (type(v), v)
+        if type(v) is float:
+            assert math.isnan(v) or (v == 0.0 and env.frac_informed == 0), v
+    assert type(regime.label) is str and type(profile.l_population_empty) is bool
+    assert all(type(b) is Fraction for b in regime.bounds)
+    assert type(lambda_min(params, env)) is Fraction
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-310, 0.5])
+def test_a_division_by_an_underflowed_zero_gives_the_array_calls_split(lam):
+    """At demand 5e-324, (1 - lambda) * demand underflows to 0 and the first
+    regime's rho_L divides by it: numpy gives inf, clamped to 1. A scalar
+    call computes in Python, where that division raises; it still answers
+    with the array call's splits."""
+    params = NetworkParams(1.0, 3.0, 2.0, 0.0, 0.0, 5e-324)
+    scalar = solve_bwe(params, InfoEnvironment(0.2, lam, 1.0))
+    array = solve_bwe(params, InfoEnvironment(0.2, np.array([lam]), 1.0))
+    assert vars(scalar) == {name: v[0].item() for name, v in vars(array).items()}
+    assert (scalar.rho_L, scalar.rho_Hn, scalar.rho_Ha) == (1.0, 1.0, 0.0)
+
+
+def test_a_float_field_among_fractions_gives_float_splits():
+    """One float field (lambda) among ``Fraction`` fields makes every split
+    a float, the fixed 0 and 1 included, as numpy promotes them."""
+    params = NetworkParams(*(Fraction(x) for x in (1, 3, 2, 19, 21, 5)))
+    profile = solve_bwe(params, InfoEnvironment(Fraction(1, 5), 0.2, 1))
+    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    assert [type(r) for r in splits] == [float] * 3
+
+
+@pytest.mark.parametrize("offset", [-5e-13, 5e-13])
+@pytest.mark.parametrize("boundary", [0, 1, 2])
+def test_a_split_clamped_at_a_tie_is_the_array_calls_float(boundary, offset):
+    """Within BOUNDARY_TOL of a boundary lambda goes to the closed regime,
+    whose closed form may step just outside [0, 1] there and is clamped. A
+    scalar call clamps to the float the array call gives."""
+    env = InfoEnvironment(0.2, 0.5, 1.0)
+    lam = regime_boundaries(PARAMS, env)[boundary] + offset
+    scalar = solve_bwe(PARAMS, InfoEnvironment(0.2, lam, 1.0))
+    array = solve_bwe(PARAMS, InfoEnvironment(0.2, np.array([lam]), 1.0))
+    for name, column in vars(array).items():
+        got, want = getattr(scalar, name), column[0].item()
+        assert (type(got), got) == (type(want), want), name
 
 
 def test_a_field_the_gaps_do_not_read_leaves_results_scalar():

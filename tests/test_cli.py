@@ -411,6 +411,35 @@ def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
     assert out.count("true") == 1 and out.rstrip("\n ]}").endswith("true")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "sub,axis,start,stop",
+    [
+        ("regimes", "lambda", 0.0, 1.0),
+        ("regimes", "p", 0.05, 0.95),
+        ("costs", "lambda", 0.0, 1.0),
+        ("costs", "eta_h", 0.55, 1.0),
+        ("value", "lambda", 0.0, 1.0),
+        ("value", "p", 0.05, 0.95),
+    ],
+)
+def test_closed_form_sweep_prints_the_rows_of_single_points(
+    capsys, sub, axis, start, stop, fmt
+):
+    """A single point is computed, tabulated and printed in plain Python and
+    a sweep in numpy; their rows are the same bytes. The lambda sweeps hold
+    the lambda = 0 and lambda = 1 rows, where a population is empty and its
+    costs print as nan in CSV and null in JSON."""
+    argv = [sub, "--format", fmt, "--sweep", f"{axis}:{start}:{stop}:11"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    flag = {"lambda": "--lambda", "p": "--p", "eta_h": "--eta-h"}[axis]
+    values = np.linspace(start, stop, 11)
+    assert out == _point_runs(capsys, [sub], flag, values, fmt)[0]
+    if sub == "costs" and axis == "lambda":
+        assert {"csv": ",nan,", "json": ": null,"}[fmt] in out
+
+
 def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
     """No single write to the output carries more than _BLOCK_ROWS rows, in
     CSV or in JSON, so the formatted text held at once stays bounded however

@@ -185,36 +185,44 @@ def test_package_import_loads_no_module_and_no_numpy():
     assert _fresh(f"import sys, routeinfo; {_LOADED}") == "['routeinfo'] False False"
 
 
-#: Subcommand -> the package modules besides ``cli`` and ``model`` that a run
-#: at the default point loads.
-_SUBCOMMAND_MODULES = {
-    "--help": [],
-    "beliefs": ["beliefs"],
-    "regimes": ["equilibrium"],
-    "equilibrium": ["equilibrium"],
-    "costs": ["beliefs", "costs", "equilibrium"],
-    "value": ["beliefs", "costs", "equilibrium", "value"],
-    "verify": ["beliefs", "costs", "equilibrium", "value"],
-    "oracle": ["beliefs", "equilibrium", "oracle"],
+#: Command line -> (exit code, the package modules besides ``cli`` and
+#: ``model`` that the run loads, whether it loads numpy). numpy is a
+#: dependency of arrays: only a sweep, ``oracle`` and ``verify`` load it.
+_RUNS = {
+    "--help": (0, [], False),
+    "beliefs": (0, ["beliefs"], False),
+    "beliefs --treatment conditional --eta-l 0.55": (0, ["beliefs"], False),
+    "beliefs --treatment marginal --eta-l 0.55": (0, ["beliefs"], False),
+    "regimes": (0, ["equilibrium"], False),
+    "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], True),
+    "regimes --p 2": (1, [], False),
+    "equilibrium": (0, ["equilibrium"], False),
+    "costs": (0, ["beliefs", "costs", "equilibrium"], False),
+    "value": (0, ["beliefs", "costs", "equilibrium", "value"], False),
+    "verify": (0, ["beliefs", "costs", "equilibrium", "value"], True),
+    "oracle": (0, ["beliefs", "equilibrium", "oracle"], True),
 }
 
 
-@pytest.mark.parametrize("sub", list(_SUBCOMMAND_MODULES))
+@pytest.mark.parametrize("sub", list(_RUNS))
 def test_each_subcommand_loads_only_its_modules(sub):
     """The console script's start-up: ``routeinfo SUB`` loads ``cli`` and
-    ``model`` and, when it runs, only the modules its rows need; json only
-    when it prints JSON."""
+    ``model`` and, when it runs, only the modules its rows need; numpy only
+    for an array operand (an invalid input is rejected without it); json
+    only when it prints JSON."""
     code = (
         "import contextlib, io, sys\n"
         "from routeinfo.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    main([{sub!r}])\n"
-        f"{_LOADED}\n"
+        f"    code = main({sub.split()!r})\n"
+        f"print(code); {_LOADED}\n"
     )
-    modules = ["cli", "model", *_SUBCOMMAND_MODULES[sub]]
+    exit_code, loaded, numpy = _RUNS[sub]
+    modules = ["cli", "model", *loaded]
     expected = sorted(["routeinfo", *(f"routeinfo.{m}" for m in modules)])
-    assert _fresh(code) == f"{expected} True {sub == 'verify'}"
+    json = sub.split()[0] == "verify"
+    assert _fresh(code) == f"{exit_code}\n{expected} {numpy} {json}"
 
 
 def test_every_public_name_is_its_defining_modules_object():
