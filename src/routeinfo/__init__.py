@@ -28,7 +28,7 @@ _ORIGIN = {
     "Regime": "equilibrium",
     "SocOptSolution": "costs",
     "State": "model",
-    "StrategyProfile": "equilibrium",
+    "StrategyProfile": "model",
     "Theorem1Report": "value",
     "Theorem2Report": "value",
     "ValidationError": "model",

@@ -22,12 +22,11 @@ from them — they exist for completeness and testing. The equilibrium
 analysis is that of the third, and the coin-flip precondition it shares
 with them is checked here.
 
-``_route_load`` is the one load rule, fed the population demands of
-``_population_demands``. ``expected_route_cost`` is the public definition
-of one type's interim cost on one route; the oracles read every type's cost
-gap from ``oracle._type_gaps``, which weighs the same loads and latencies
-by the same belief entries (``_informed_weights``) in the same order, so
-both give the same bits.
+``expected_route_cost`` is the public definition of one type's interim cost
+on one route, from ``model``'s load rule and signal likelihoods; the oracles
+read every type's cost gap from ``oracle._type_gaps``, which weighs the same
+loads and latencies by the same belief entries (``_informed_weights``) in the
+same order, so both give the same bits.
 
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
@@ -40,12 +39,17 @@ from dataclasses import dataclass
 from functools import partial
 
 from .model import (
-    EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     PlayerType,
     State,
+    _accuracy,
+    _population_demands,
+    _require_equilibrium_type,
     _require_uninformative,
+    _route_load,
+    _signal_of,
+    _type_given_state,
     latency,
     marginal_type_dist,
 )
@@ -64,31 +68,6 @@ class BeliefTable:
 
 _H_TYPES = (PlayerType.HN, PlayerType.HA)
 _L_TYPES = (PlayerType.LN, PlayerType.LA)
-
-
-def _accuracy(env: InfoEnvironment, service: str) -> float:
-    if service == "H":
-        return env.accuracy_high
-    if service == "L":
-        return env.accuracy_low
-    raise ValueError(f"service must be 'H' or 'L', got {service!r}")
-
-
-def _signal_of(owner: PlayerType) -> tuple[str, State]:
-    """Map a signal-conditioned type to (service, signal received)."""
-    return {
-        PlayerType.HN: ("H", State.NORMAL),
-        PlayerType.HA: ("H", State.INCIDENT),
-        PlayerType.LN: ("L", State.NORMAL),
-        PlayerType.LA: ("L", State.INCIDENT),
-    }[owner]
-
-
-def _type_given_state(env: InfoEnvironment, t: PlayerType, state: State):
-    """Likelihood P(type | state): accuracy if the signal matches the state."""
-    service, signal = _signal_of(t)
-    eta = _accuracy(env, service)
-    return eta if signal == state else 1 - eta
 
 
 def posterior_state(env: InfoEnvironment, service: str, signal: State):
@@ -170,45 +149,21 @@ def belief_uninformative(env: InfoEnvironment, owner: PlayerType) -> BeliefTable
     return _belief(env, owner, (PlayerType.L,), lambda t, state: 1)
 
 
-def _require_equilibrium_type(owner: PlayerType) -> None:
-    """Reject a type outside the coin-flip treatment's L, Hn and Ha."""
-    if owner not in EQUILIBRIUM_TYPES:
-        raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
-
-
-def _population_demands(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """(uninformed, informed) demand: (1 - lam) * d and lam * d."""
-    lam, d = env.frac_informed, params.demand
-    return (1 - lam) * d, lam * d
-
-
-def _route_load(demands: tuple, rho_l, rho_h, route: int):
-    """Load on ``route`` while the uninformed play ``rho_l`` and the informed
-    population's realized type plays ``rho_h``.
-
-    Each population's demand moves as one type realization, so this is
-    share(rho_L) * (1 - lam) * d + share(rho_informed) * lam * d, where share
-    is the split for route 1 and its complement for route 2, and ``demands``
-    comes from ``_population_demands``. It is the one place a route load is
-    formed, for interim and realized costs alike.
-    """
-    d_l, d_h = demands
-    if route == 1:
-        return rho_l * d_l + rho_h * d_h
-    return (1 - rho_l) * d_l + (1 - rho_h) * d_h
-
-
 def _informed_weights(belief: BeliefTable) -> dict:
-    """``belief``'s entries keyed by (state, informed type), in entry order.
+    """``belief``'s entries summed by (state, informed type), in entry order.
 
     The informed type of an entry is the owner if the owner is informed and
     the opponent otherwise: the type whose split sets the route loads there.
+    An informed owner's four-type belief has one entry per uninformed signal
+    in each state, and both load the routes alike, so they add; no other
+    table has two entries with one key, and its entries keep their bits.
     """
     owner = belief.owner
-    return {
-        (state, owner if owner in _H_TYPES else opp): prob
-        for (state, opp), prob in belief.entries.items()
-    }
+    weights = {}
+    for (state, opp), prob in belief.entries.items():
+        key = (state, owner if owner in _H_TYPES else opp)
+        weights[key] = weights[key] + prob if key in weights else prob
+    return weights
 
 
 def expected_route_cost(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from dataclasses import fields
 
@@ -29,7 +30,9 @@ from .model import (
     OracleConvergenceError,
     PlayerType,
     ValidationError,
+    _ieee,
     _numpy,
+    _type_masses,
 )
 
 #: The ten parameters in flag order: key -> (default, help). The defaults are
@@ -197,9 +200,11 @@ def _rows_costs(params, env) -> dict:
 
     report = vars(cost_report(params, env))
     # Each equilibrium cost c_* over the social optimum of its state (the
-    # suffix _n, _a or _exp).
+    # suffix _n, _a or _exp); an optimum that underflows to 0 gives inf or NaN.
     norms = {
-        f"{name}_norm": cost / report["socopt_" + name.rsplit("_", 1)[1]]
+        f"{name}_norm": _ieee(
+            operator.truediv, cost, report["socopt_" + name.rsplit("_", 1)[1]]
+        )
         for name, cost in report.items()
         if name.startswith("c_")
     }
@@ -255,7 +260,7 @@ def _rows_oracle(params, env) -> dict:
     import numpy as np
 
     from .equilibrium import classify, solve_bwe
-    from .oracle import OracleConfig, _type_masses, solve_fixed_point
+    from .oracle import OracleConfig, solve_fixed_point
 
     closed = solve_bwe(params, env)
     numeric = solve_fixed_point(params, env, OracleConfig())

@@ -13,13 +13,13 @@ This module is the only place equilibrium costs are derived, and
 ``cost_report`` the only place they are assembled: equilibrium, social,
 baseline and expected costs all come from one call (``value`` reads its
 costs from it). In each state the route loads depend only on the informed
-type's signal, so one ``beliefs._route_load`` and one latency per (informed
+type's signal, so one ``model._route_load`` and one latency per (informed
 type, route) serve both populations' realized costs; the same load rule
-gives the interim costs of ``beliefs.expected_route_cost`` and every
-type's cost gap in ``oracle._type_gaps``. ``cost_report``
-broadcasts over array-valued environment fields; an empty population's
-terms are masked per point (NaN in the report, dropped from the social
-cost), so a sweep across lambda = 0 or 1 is one call.
+gives the belief layer's interim costs and the oracle's cost gaps, and this
+module reads only ``model`` and ``equilibrium``. ``cost_report`` broadcasts
+over array-valued environment fields; an empty population's terms are
+masked per point (NaN in the report, dropped from the social cost), so a
+sweep across lambda = 0 or 1 is one call.
 ``realized_population_state_cost`` is the definition-level cost of one
 population at any profile; it raises ``empty_population`` if asked for an
 empty population.
@@ -30,19 +30,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .beliefs import _population_demands, _route_load, _type_given_state
-from .equilibrium import StrategyProfile, classify, solve_bwe
+from .equilibrium import classify, solve_bwe
 from .model import (
     InfoEnvironment,
     NetworkParams,
     PlayerType,
     State,
+    StrategyProfile,
     _as_results,
     _cost_tol,
+    _population_demands,
     _require_nonempty,
     _require_perfect_accuracy,
     _require_scalar,
     _require_uninformative,
+    _route_load,
+    _type_given_state,
     _where,
     derived_constants,
     latency,

@@ -21,10 +21,11 @@ The same code takes ``Fraction`` fields, and ``regime_boundaries``,
 ``classify`` and ``solve_bwe`` then answer in exact fractions. Scalar
 fields run in plain Python, without numpy (see ``model``).
 
-The closed forms read only ``model``: the derived constants K0..K4 and the
-type marginals P(Hn) and P(Ha). The checks of a profile against the
-equilibrium definition (the Wardrop residual and the 27-pattern table) are
-``oracle``'s, built from the beliefs and latencies alone.
+The closed forms read only ``model``: the derived constants K0..K4, the type
+marginals P(Hn) and P(Ha) and the ``StrategyProfile`` they return. The
+checks of a profile against the equilibrium definition (the Wardrop residual
+and the 27-pattern table) are ``oracle``'s, built from the beliefs and
+latencies alone.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from dataclasses import dataclass
 from .model import (
     InfoEnvironment,
     NetworkParams,
-    PlayerType,
+    StrategyProfile,
     _as_results,
     _choose,
     _clip,
+    _enforce,
     _ieee,
     _require_uninformative,
     _where,
@@ -50,39 +52,6 @@ from .model import (
 #: closed regime there: R2 at both of its ends, R4 at lambda_bar_3, also
 #: where lambda_bar_2 lies within this tolerance of it.
 BOUNDARY_TOL = 1e-12
-
-#: The ``StrategyProfile`` field of each type's split; the uninformed signal
-#: types LN and LA play the uninformed split.
-_SPLIT_FIELDS = {
-    PlayerType.L: "rho_L",
-    PlayerType.LN: "rho_L",
-    PlayerType.LA: "rho_L",
-    PlayerType.HN: "rho_Hn",
-    PlayerType.HA: "rho_Ha",
-}
-
-
-@dataclass(frozen=True)
-class StrategyProfile:
-    """Split fractions of each type's demand routed onto route 1.
-
-    ``l_population_empty`` marks profiles produced for lambda = 1, where no
-    uninformed players exist and ``rho_L`` is a 0.0 placeholder rather than
-    an equilibrium quantity.
-    """
-
-    rho_L: float
-    rho_Hn: float
-    rho_Ha: float
-    l_population_empty: bool = False
-
-    def split(self, t: PlayerType):
-        try:
-            field = _SPLIT_FIELDS[t]
-        except KeyError:
-            raise ValueError(f"no split fraction for type {t}") from None
-        return getattr(self, field)
-
 
 @dataclass(frozen=True)
 class Regime:
@@ -98,15 +67,34 @@ class Regime:
         return (self.lambda_bar_1, self.lambda_bar_2, self.lambda_bar_3)
 
 
+#: lambda_bar_1 and lambda_bar_2 divide by these products, which validation
+#: cannot see: at a subnormal demand, or at slopes near 1e-30 with demand
+#: 1e-300, they underflow to 0.
+_BOUNDARY_DENOMINATOR_RULE = (
+    (
+        "not_finite",
+        lambda lb1_den, lb2_den, **_: (lb1_den != 0) & (lb2_den != 0),
+        lambda lb1_den, lb2_den, d: (
+            f"need nonzero demand * P(Hn) * (a1_hat + slope2 * P(Ha)) and "
+            f"demand * P(Hn), the denominators of lambda_bar_1 and lambda_bar_2, "
+            f"got {lb1_den} and {lb2_den} at demand {d}"
+        ),
+    ),
+)
+
+
 def _boundaries(params: NetworkParams, k, dist) -> tuple:
-    """lambda_bar_1..3 from the derived constants and the type marginals."""
+    """lambda_bar_1..3 from the derived constants and the type marginals.
+
+    Raises ``not_finite`` where a denominator of lambda_bar_1 or
+    lambda_bar_2 underflows to 0.
+    """
     d, a2 = params.demand, params.slope2
-    lb1 = (
-        k.k1
-        * (k.a1_hat - k.a1_bar * dist.p_Ha)
-        / (d * dist.p_Hn * (k.a1_hat + a2 * dist.p_Ha))
-    )
-    lb2 = (k.k1 - dist.p_Ha * k.k2) / (d * dist.p_Hn)
+    lb2_den = d * dist.p_Hn
+    lb1_den = lb2_den * (k.a1_hat + a2 * dist.p_Ha)
+    _enforce(_BOUNDARY_DENOMINATOR_RULE, lb1_den=lb1_den, lb2_den=lb2_den, d=d)
+    lb1 = k.k1 * (k.a1_hat - k.a1_bar * dist.p_Ha) / lb1_den
+    lb2 = (k.k1 - dist.p_Ha * k.k2) / lb2_den
     lb3 = k.k3 / d
     return (lb1, lb2, lb3)
 

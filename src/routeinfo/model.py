@@ -1,5 +1,6 @@
-"""Domain types, parameter validation, latencies, type marginals, and derived
-scalar constants.
+"""Domain types, parameter validation, the information structure, latencies,
+the load rule, type marginals and masses, and derived scalar constants: the
+definitions that the closed forms, the belief layer and the oracles share.
 
 The physical model is a two-route network where route 1 is incident-prone:
 its latency slope jumps from ``slope1_normal`` to ``slope1_incident`` when an
@@ -163,6 +164,39 @@ class MarginalTypeDist:
     p_Ln: float
 
 
+#: The ``StrategyProfile`` field of each type's split; the uninformed signal
+#: types LN and LA play the uninformed split.
+_SPLIT_FIELDS = {
+    PlayerType.L: "rho_L",
+    PlayerType.LN: "rho_L",
+    PlayerType.LA: "rho_L",
+    PlayerType.HN: "rho_Hn",
+    PlayerType.HA: "rho_Ha",
+}
+
+
+@dataclass(frozen=True)
+class StrategyProfile:
+    """Split fractions of each type's demand routed onto route 1.
+
+    ``l_population_empty`` marks profiles produced for lambda = 1, where no
+    uninformed players exist and ``rho_L`` is a 0.0 placeholder rather than
+    an equilibrium quantity.
+    """
+
+    rho_L: float
+    rho_Hn: float
+    rho_Ha: float
+    l_population_empty: bool = False
+
+    def split(self, t: PlayerType):
+        try:
+            field = _SPLIT_FIELDS[t]
+        except KeyError:
+            raise ValueError(f"no split fraction for type {t}") from None
+        return getattr(self, field)
+
+
 #: The model's rules in checking order: (code, holds, message), where
 #: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
 #: tests finiteness for ``Fraction`` fields and arrays alike.
@@ -324,6 +358,12 @@ def _require_perfect_accuracy(env: InfoEnvironment) -> None:
     _enforce(_PERFECT_ACCURACY_RULE, eta_h=env.accuracy_high)
 
 
+def _require_equilibrium_type(owner: PlayerType) -> None:
+    """Reject a type outside the coin-flip treatment's L, Hn and Ha."""
+    if owner not in EQUILIBRIUM_TYPES:
+        raise ValueError(f"owner must be L, Hn, or Ha for this treatment, got {owner}")
+
+
 def _require_nonempty(env: InfoEnvironment, *populations) -> None:
     """Reject ``env`` if a named population ("L", "H") is empty at any point."""
     for population, empty_at in (("L", 1), ("H", 0)):
@@ -357,15 +397,6 @@ def _cost_scale(params: NetworkParams):
 def _cost_tol(params: NetworkParams):
     """Absolute slack for comparing two costs on ``params``'s network."""
     return _COST_RTOL * _cost_scale(params)
-
-
-def _cost_unit(params: NetworkParams):
-    """The power of two at or below ``_cost_scale`` (``ldexp(1.0, ...)``
-    overflows near the float maximum; ``frexp`` takes no ``Fraction``).
-    Only the oracles' pattern table reads it, and it always loads numpy."""
-    import numpy as np
-
-    return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +531,28 @@ def latency(params: NetworkParams, route: int, state: State, load):
     return route_slope(params, route, state) * load + intercept
 
 
+def _population_demands(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """(uninformed, informed) demand: (1 - lam) * d and lam * d."""
+    lam, d = env.frac_informed, params.demand
+    return (1 - lam) * d, lam * d
+
+
+def _route_load(demands: tuple, rho_l, rho_h, route: int):
+    """Load on ``route`` while the uninformed play ``rho_l`` and the informed
+    population's realized type plays ``rho_h``.
+
+    Each population's demand moves as one type realization, so this is
+    share(rho_L) * (1 - lam) * d + share(rho_informed) * lam * d, where share
+    is the split for route 1 and its complement for route 2, and ``demands``
+    comes from ``_population_demands``. It is the one place a route load is
+    formed, for interim and realized costs alike.
+    """
+    d_l, d_h = demands
+    if route == 1:
+        return rho_l * d_l + rho_h * d_h
+    return (1 - rho_l) * d_l + (1 - rho_h) * d_h
+
+
 #: K2 and K3 divide by these sums, which validation cannot see: at a
 #: subnormal p_incident with slopes near 1e-9 one underflows to 0.
 _DENOMINATOR_RULE = (
@@ -521,6 +574,42 @@ def marginal_type_dist(env: InfoEnvironment) -> MarginalTypeDist:
     p_ha = p * env.accuracy_high + (1 - p) * (1 - env.accuracy_high)
     p_la = p * env.accuracy_low + (1 - p) * (1 - env.accuracy_low)
     return MarginalTypeDist(p_Ha=p_ha, p_Hn=1 - p_ha, p_La=p_la, p_Ln=1 - p_la)
+
+
+def _type_masses(env: InfoEnvironment) -> dict:
+    """Demand share of each equilibrium type: 1-lam, lam*P(Hn), lam*P(Ha)."""
+    lam = env.frac_informed
+    dist = marginal_type_dist(env)
+    return {
+        PlayerType.L: 1 - lam,
+        PlayerType.HN: lam * dist.p_Hn,
+        PlayerType.HA: lam * dist.p_Ha,
+    }
+
+
+def _accuracy(env: InfoEnvironment, service: str) -> float:
+    if service == "H":
+        return env.accuracy_high
+    if service == "L":
+        return env.accuracy_low
+    raise ValueError(f"service must be 'H' or 'L', got {service!r}")
+
+
+def _signal_of(owner: PlayerType) -> tuple[str, State]:
+    """Map a signal-conditioned type to (service, signal received)."""
+    return {
+        PlayerType.HN: ("H", State.NORMAL),
+        PlayerType.HA: ("H", State.INCIDENT),
+        PlayerType.LN: ("L", State.NORMAL),
+        PlayerType.LA: ("L", State.INCIDENT),
+    }[owner]
+
+
+def _type_given_state(env: InfoEnvironment, t: PlayerType, state: State):
+    """Likelihood P(type | state): accuracy if the signal matches the state."""
+    service, signal = _signal_of(t)
+    eta = _accuracy(env, service)
+    return eta if signal == state else 1 - eta
 
 
 def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedConstants:

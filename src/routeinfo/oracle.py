@@ -1,8 +1,8 @@
 """Definition-level checks of the closed forms.
 
 Nothing in this module knows about regimes, boundary formulas, or the derived
-K constants. Everything is built from the definition layer only — interim
-beliefs and latency functions — so agreement between these checks and the
+K constants: it imports only ``model`` and ``beliefs``, the definitions of
+latencies, loads and interim beliefs, so agreement between these checks and the
 closed-form equilibrium is genuine two-sided evidence:
 
 - ``wardrop_residual``: the worst equilibrium violation of any profile (equal
@@ -23,10 +23,10 @@ closed-form equilibrium is genuine two-sided evidence:
 The equilibrium condition is written once here: ``_type_gaps`` evaluates all
 three types' route-cost gaps in one pass, owner axis first, from four loads
 and eight latencies, and the residual adds each type's defect
-(``_type_defect``) weighed by its mass (``_type_masses``). Each gap is affine
-in the profile, and ``_affine_gaps`` is the one home of that model's ``(g0,
-C)``, sized like the residual by the fields the gaps read and free of the
-time and flow units (``model._cost_unit``). The pattern table poses every
+(``_type_defect``) weighed by its mass (``model._type_masses``). Each gap is
+affine in the profile, and ``_affine_gaps`` is the one home of that model's
+``(g0, C)``, sized like the residual by the fields the gaps read and free of
+the time and flow units (``_cost_unit``). The pattern table poses every
 pattern as one 3 x 3 linear system in it, and ``best_response`` reads the
 responder's line from it; both broadcast like the closed forms, one element
 per point, and answer in floats on ``Fraction`` fields. The fixed point keeps
@@ -47,14 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .beliefs import (
-    _informed_weights,
-    _population_demands,
-    _require_equilibrium_type,
-    _route_load,
-    belief_uninformative,
-)
-from .equilibrium import StrategyProfile
+from .beliefs import _informed_weights, belief_uninformative
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -62,14 +55,18 @@ from .model import (
     OracleConvergenceError,
     PlayerType,
     State,
+    StrategyProfile,
     ValidationError,
     _as_results,
+    _cost_scale,
     _cost_tol,
-    _cost_unit,
+    _population_demands,
+    _require_equilibrium_type,
     _require_scalar,
     _require_uninformative,
+    _route_load,
+    _type_masses,
     latency,
-    marginal_type_dist,
 )
 
 #: Step fraction of the fixed-point iteration toward the best response.
@@ -125,15 +122,10 @@ class OracleConfig:
 UTILIZED_SHARE_EPS = 1e-8
 
 
-def _type_masses(env: InfoEnvironment) -> dict:
-    """Demand share of each equilibrium type: 1-lam, lam*P(Hn), lam*P(Ha)."""
-    lam = env.frac_informed
-    dist = marginal_type_dist(env)
-    return {
-        PlayerType.L: 1 - lam,
-        PlayerType.HN: lam * dist.p_Hn,
-        PlayerType.HA: lam * dist.p_Ha,
-    }
+def _cost_unit(params: NetworkParams):
+    """The power of two at or below ``model._cost_scale`` (``ldexp(1.0, ...)``
+    overflows near the float maximum; ``frexp`` takes no ``Fraction``)."""
+    return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
 
 
 #: The (state, informed type) entries of a type's expected route cost, in
@@ -174,7 +166,7 @@ def _gap_weights(env: InfoEnvironment, ndim: int) -> np.ndarray:
 def _type_gaps(params: NetworkParams, demands: tuple, weights: np.ndarray, profile):
     """Every type's route-1 minus route-2 expected cost, owner axis first.
 
-    ``demands`` come from ``beliefs._population_demands`` and ``weights``
+    ``demands`` come from ``model._population_demands`` and ``weights``
     from ``_gap_weights``. The profile's fields may carry the owner axis
     too, so that each type is evaluated at a profile of its own. Each of the
     four loads (route x informed type) and eight latencies is computed once,
@@ -264,6 +256,11 @@ _FAILURE_NOTES = np.array(
 )
 
 
+#: Bound on the rounding of each affine gap and of each pattern system's
+#: right-hand side, in cost units: every latency is below 2 units, and a
+#: gap sums eight weighted ones.
+_GAP_ROUNDING = 256 * np.finfo(float).eps
+
 #: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
 #: component of (rho_L, rho_Hn, rho_Ha).
 _GAP_PROBES = np.eye(4)[1:]
@@ -325,10 +322,16 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     within about cond * eps of the exact one, where cond grows like
     4 / (1 - p) for R2's block as p -> 1.
 
-    The solved splits are clipped to [0, 1], and every component is judged
-    by its owner's gap at the clipped profile with the one cost slack of
-    ``model._cost_tol``: an interior split's owner must be indifferent, a
-    fixed one's weakly prefer its route (route 2 at 0, route 1 at 1). A
+    Every component is judged by its owner's gap: an interior split's owner
+    must be indifferent, a fixed one's weakly prefer its route (route 2 at
+    0, route 1 at 1), twice. At the solved splits, each within what rounding
+    can move it: the gaps and the system's right-hand side carry errors up
+    to ``_GAP_ROUNDING`` in cost units, and a residual r of the solve moves
+    the splits by A^-1 r, so owner t's gap by its interior columns of C
+    times A^-1 r. The slack of ``model._cost_tol`` alone is far wider than
+    rounding where the intercepts dwarf slope times demand, and accepted a
+    neighbouring pattern whose loads missed the equilibrium's by 1e-8 of the
+    demand. And at the splits clipped to [0, 1], within ``_cost_tol``: a
     split that leaves [0, 1] by more than rounding moves its owners' gaps
     past that slack.
 
@@ -337,8 +340,6 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     solved splits, NaN where the pattern is rejected (None in a scalar call).
     """
     g0, coef = _affine_gaps(params, env)
-    # (..., 1, 1), against gaps of shape (..., pattern, component).
-    gap_tol = np.asarray(_cost_tol(params) / _cost_unit(params))[..., None, None]
     symbols = np.array(_PATTERNS)
     interior = symbols == "int"
     # Each pattern's profile with its interior components at 0.
@@ -361,21 +362,29 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     # Unsolvable systems become the identity. b is (..., pattern, 3, 1):
     # NumPy 2 broadcasts a (..., 3) one differently.
     solvable = (interior.sum(-1) < 3) & (np.linalg.det(a) != 0)
-    rho = np.linalg.solve(np.where(solvable[..., None, None], a, eye), b[..., None])[..., 0]
-    rho = np.clip(rho, 0, 1)
-    gap = gaps(rho)
+    a = np.where(solvable[..., None, None], a, eye)
+    rho = np.linalg.solve(a, b[..., None])[..., 0]
+    # Each owner's interior columns of C times A^-1, (..., pattern, 3, 3).
+    moved = np.where(interior[:, None, :], coef[..., None, :, :], 0) @ np.linalg.inv(a)
+    rounding = _GAP_ROUNDING * (1 + np.abs(moved).sum(-1))
+    cost_tol = np.asarray(_cost_tol(params) / _cost_unit(params))[..., None, None]
+
     # Written as "not holds", so a NaN split or gap holds no inequality.
-    bad = np.where(
-        interior,
-        ~(np.abs(gap) <= gap_tol),
-        ~np.where(symbols == "0", gap >= -gap_tol, gap <= gap_tol),
-    )
+    def violated(gap, tol):
+        return np.where(
+            interior,
+            ~(np.abs(gap) <= tol),
+            ~np.where(symbols == "0", gap >= -tol, gap <= tol),
+        )
+
+    rho_clipped = np.clip(rho, 0, 1)
+    bad = violated(gaps(rho), rounding) | violated(gaps(rho_clipped), cost_tol)
     rejected = bad.any(axis=-1)
     first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]
     note = np.where(rejected, first_failure, "")
     note = np.where(solvable, note, "degenerate equalization system")
     is_equilibrium = solvable & ~rejected
-    rho = np.where(is_equilibrium[..., None], rho, np.nan)
+    rho = np.where(is_equilibrium[..., None], rho_clipped, np.nan)
 
     verdicts = []
     for n, pattern in enumerate(_PATTERNS):

@@ -28,6 +28,7 @@ from .equilibrium import classify, regime_boundaries
 from .model import (
     InfoEnvironment,
     NetworkParams,
+    ValidationError,
     _as_results,
     _choose,
     _cost_tol,
@@ -300,6 +301,8 @@ def theorem2_grid(
     Endpoints land exactly on the boundaries (classified into the closed
     regimes); the third regime, open on both sides, contributes strictly
     interior points. The result feeds verify_theorem1 and verify_theorem2.
+    Raises ``degenerate_grid`` where the boundaries leave no strictly
+    increasing grid, as where they collapse at a subnormal demand.
     """
     import numpy as np
 
@@ -315,4 +318,10 @@ def theorem2_grid(
             np.linspace(lb3, 1.0, n),
         ]
     )
+    if not np.all(np.diff(lams) > 0):
+        raise ValidationError(
+            "degenerate_grid",
+            f"regime boundaries {lb1}, {lb2}, {lb3} leave no strictly increasing "
+            f"grid of {n} points per regime",
+        )
     return replace(env, frac_informed=lams)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from routeinfo import InfoEnvironment, NetworkParams, StrategyProfile
-from routeinfo.beliefs import _population_demands, _route_load
+from routeinfo.model import _population_demands, _route_load
 from routeinfo.oracle import _gap_weights, _type_gaps
 
 #: The 27 patterns over (rho_L, rho_Hn, rho_Ha), in ``enumerate_profiles``'

@@ -16,6 +16,7 @@ from routeinfo import (
     belief_marginal_ck,
     belief_uninformative,
     expected_route_cost,
+    latency,
     marginal_type_dist,
     posterior_state,
 )
@@ -237,3 +238,55 @@ def test_expected_route_cost_mixes_states():
     c1 = expected_route_cost(PARAMS, env, table, 1, profile)
     # Own load 2.5, opponent load 0; certain of the incident at eta_h = 1.
     assert abs(c1 - (3.0 * 2.5 + 19.0)) < 1e-12
+
+
+@pytest.mark.parametrize("eta_h", [0.8, 1.0])
+@pytest.mark.parametrize("p", [0.2, 0.6, 1e-3])
+@pytest.mark.parametrize("owner", [PlayerType.HN, PlayerType.HA])
+def test_marginal_informed_costs_equal_the_coin_flip_game(p, owner, eta_h):
+    """At eta_L = 0.5 the marginal treatment is the three-type game: an
+    informed type's interim cost on either route equals the uninformative
+    table's with ``==``, although its table has two entries per state."""
+    env = _env(p=p, eta_h=eta_h)
+    marginal = belief_marginal_ck(env, owner)
+    coin_flip = belief_uninformative(env, owner)
+    for profile in (StrategyProfile(0.5, 1.0, 0.3), StrategyProfile(0.2, 0.7, 0.9)):
+        for route in (1, 2):
+            got = expected_route_cost(PARAMS, env, marginal, route, profile)
+            assert got == expected_route_cost(PARAMS, env, coin_flip, route, profile)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(
+    valid_envs,
+    st.floats(min_value=0.0, max_value=0.49),
+    st.sampled_from((belief_conditional_ck, belief_marginal_ck, belief_uninformative)),
+    st.builds(StrategyProfile, _unit, _unit, _unit),
+)
+@settings(max_examples=300)
+def test_interim_costs_lie_in_the_route_latency_range(env, eta_l_frac, build, profile):
+    """An interim cost averages a route's latencies over the states and the
+    informed type in play, so it lies between the least and the greatest of
+    them, for every owner and route."""
+    if build is belief_uninformative:
+        owners = (PlayerType.L, PlayerType.HN, PlayerType.HA)
+    else:
+        owners = SIGNAL_TYPES
+        eta_l = 0.5 + eta_l_frac * (env.accuracy_high - 0.5)
+        env = _env(env.p_incident, env.frac_informed, env.accuracy_high, eta_l)
+    d_l, d_h = (1 - env.frac_informed) * PARAMS.demand, env.frac_informed * PARAMS.demand
+    for route in (1, 2):
+        shares = [(profile.rho_L, rho_h) for rho_h in (profile.rho_Hn, profile.rho_Ha)]
+        if route == 2:
+            shares = [(1 - rho_l, 1 - rho_h) for rho_l, rho_h in shares]
+        latencies = [
+            latency(PARAMS, route, state, rho_l * d_l + rho_h * d_h)
+            for rho_l, rho_h in shares
+            for state in State
+        ]
+        lo, hi = min(latencies), max(latencies)
+        for owner in owners:
+            cost = expected_route_cost(PARAMS, env, build(env, owner), route, profile)
+            assert lo - 1e-12 * hi <= cost <= hi * (1 + 1e-12), (owner, route, cost, lo, hi)

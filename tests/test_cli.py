@@ -440,6 +440,18 @@ def test_closed_form_sweep_prints_the_rows_of_single_points(
         assert {"csv": ",nan,", "json": ": null,"}[fmt] in out
 
 
+def test_costs_over_an_optimum_that_underflows_to_zero(capsys):
+    """At intercepts 0 and demand 5e-324 the social optimum's costs underflow
+    to 0. A single point divides by them as a sweep does: it prints the
+    sweep's row, inf and nan included, and writes nothing to stderr."""
+    network = ["--intercept1", "0", "--intercept2", "0", "--demand", "5e-324"]
+    code, out, err = _run(capsys, ["costs", *network, "--sweep", "lambda:0:1:2"])
+    assert (code, err) == (0, "")
+    assert ",inf," in out and ",nan," in out
+    points, errs = _point_runs(capsys, ["costs", *network], "--lambda", [0.0, 1.0], "csv")
+    assert (points, errs) == (out, ["", ""])
+
+
 def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
     """No single write to the output carries more than _BLOCK_ROWS rows, in
     CSV or in JSON, so the formatted text held at once stays bounded however
@@ -515,6 +527,47 @@ def test_a_vanishing_denominator_of_k2_exits_one(capsys, command):
         assert (code, err) == (0, "")
     else:
         assert code == 1 and err.startswith("error: not_finite: need nonzero a1_hat"), err
+
+
+#: Valid networks at which a denominator of lambda_bar_1 underflows to 0.
+_UNDERFLOWING_BOUNDARIES = [
+    ["--slope1-normal", "1e-9", "--slope2", "2e-9", "--slope1-incident", "3e-9",
+     "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324"],
+    ["--slope1-normal", "1e-30", "--slope2", "2e-30", "--slope1-incident", "3e-30",
+     "--intercept1", "0", "--intercept2", "0", "--demand", "1e-300"],
+]
+
+#: The subcommands that take a sweep and read the regime boundaries.
+_READ_BOUNDARIES = ("regimes", "equilibrium", "costs", "value", "oracle")
+
+
+@pytest.mark.parametrize("network", _UNDERFLOWING_BOUNDARIES, ids=["5e-324", "1e-300"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([command] for command in _READ_BOUNDARIES),
+        *([command, "--sweep", "lambda:0:1:3"] for command in _READ_BOUNDARIES),
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_a_vanishing_denominator_of_a_boundary_exits_one(capsys, argv, network):
+    """Where demand * P(Hn) * (a1_hat + slope2 * P(Ha)) underflows to 0, every
+    subcommand that reads the regime boundaries exits 1 with ``not_finite``
+    and no traceback, at a point and in a sweep."""
+    code, _, err = _run(capsys, [*argv, *network])
+    expected = "error: not_finite: need nonzero demand * P(Hn) * (a1_hat"
+    assert code == 1 and err.startswith(expected), err
+
+
+def test_verify_on_collapsed_boundaries_exits_one(capsys):
+    """At intercepts 0 and demand 5e-324 the boundaries collapse to (0, 1, 1),
+    which leave no sorted lambda grid: ``verify`` exits 1 with
+    ``degenerate_grid``."""
+    argv = ["verify", "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: degenerate_grid: regime boundaries 0.0, 1.0, 1.0"), err
 
 
 @pytest.mark.parametrize(

@@ -27,10 +27,15 @@ from routeinfo import (
     solve_bwe,
     wardrop_residual,
 )
-from routeinfo.beliefs import _population_demands
 from routeinfo.equilibrium import BOUNDARY_TOL
-from routeinfo.model import _cost_tol, _cost_unit
-from routeinfo.oracle import UTILIZED_SHARE_EPS, _affine_gaps, _gap_weights, _type_gaps
+from routeinfo.model import _cost_tol, _population_demands
+from routeinfo.oracle import (
+    UTILIZED_SHARE_EPS,
+    _affine_gaps,
+    _cost_unit,
+    _gap_weights,
+    _type_gaps,
+)
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -266,6 +271,21 @@ def _route1_loads(params, env, profile):
     p=0.0234375,
     lam=0.5,
     eta=0.625,
+)
+# Intercepts 8000 times slope x demand: Ha's exact gap in ('int', 'int', '0')
+# is -1.0e-11 cost units, inside a slack of _cost_tol (1.008e-11), and that
+# pattern's loads miss the closed form's by 1.8e-8 of the demand.
+@example(
+    params=NetworkParams(0.125, 0.13125000000000003, 0.125, 129.0, 129.0, 0.125),
+    p=0.03125,
+    lam=0.5,
+    eta=0.5625,
+)
+@example(
+    params=NetworkParams(0.125, 0.1318359375, 0.125, 128.0, 128.0, 0.125),
+    p=0.0234375,
+    lam=0.03125,
+    eta=0.5625,
 )
 def test_closed_form_on_random_networks(params, p, lam, eta):
     """The closed form is an equilibrium in any units, and every pattern the

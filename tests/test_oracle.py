@@ -31,7 +31,7 @@ from routeinfo import (
 import routeinfo.beliefs
 import routeinfo.model
 import routeinfo.oracle
-from routeinfo.beliefs import _population_demands
+from routeinfo.model import _population_demands
 from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _gap_weights, _probe_splits
 from strategies import rescaled_networks
 

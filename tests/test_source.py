@@ -148,6 +148,20 @@ def test_closed_forms_import_only_the_model():
     assert package_imports(source) == {"model"}
 
 
+def test_oracle_imports_no_closed_form():
+    """The oracles know only the definitions: ``oracle`` imports ``model``
+    and ``beliefs``, nothing of ``equilibrium``, ``costs`` or ``value``."""
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"model", "beliefs"}
+
+
+def test_cost_layer_imports_no_belief_layer():
+    """Realized costs read the load rule and the signal likelihoods from
+    ``model`` and the profile from ``equilibrium``, not from ``beliefs``."""
+    source = (SRC / "costs.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"model", "equilibrium"}
+
+
 def _python(code: str) -> subprocess.CompletedProcess:
     """``python -c code`` in a new interpreter that imports from ``src``."""
     env = dict(os.environ)
@@ -185,6 +199,12 @@ def test_package_import_loads_no_module_and_no_numpy():
     assert _fresh(f"import sys, routeinfo; {_LOADED}") == "['routeinfo'] False False"
 
 
+def test_oracle_import_loads_no_closed_form():
+    loaded = _fresh(f"import sys, routeinfo.oracle; {_LOADED}")
+    modules = ["routeinfo", "routeinfo.beliefs", "routeinfo.model", "routeinfo.oracle"]
+    assert loaded == f"{modules} True False"
+
+
 #: Command line -> (exit code, the package modules besides ``cli`` and
 #: ``model`` that the run loads, whether it loads numpy). numpy is a
 #: dependency of arrays: only a sweep, ``oracle`` and ``verify`` load it.
@@ -197,9 +217,9 @@ _RUNS = {
     "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], True),
     "regimes --p 2": (1, [], False),
     "equilibrium": (0, ["equilibrium"], False),
-    "costs": (0, ["beliefs", "costs", "equilibrium"], False),
-    "value": (0, ["beliefs", "costs", "equilibrium", "value"], False),
-    "verify": (0, ["beliefs", "costs", "equilibrium", "value"], True),
+    "costs": (0, ["costs", "equilibrium"], False),
+    "value": (0, ["costs", "equilibrium", "value"], False),
+    "verify": (0, ["costs", "equilibrium", "value"], True),
     "oracle": (0, ["beliefs", "equilibrium", "oracle"], True),
 }
 
