@@ -23,10 +23,9 @@ analysis is that of the third, and the coin-flip precondition it shares
 with them is checked here.
 
 ``expected_route_cost`` is the public definition of one type's interim cost
-on one route, from ``model``'s load rule and signal likelihoods; the oracles
-read every type's cost gap from ``oracle._type_gaps``, which weighs the same
-loads and latencies by the same belief entries (``_informed_weights``) in the
-same order, so both give the same bits.
+on one route, from ``model``'s load rule and signal likelihoods. Its sum is
+written once, in ``_interim_cost``, which ``oracle._type_gaps`` also calls,
+with the three equilibrium types' weights stacked, for every type's cost gap.
 
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
@@ -166,6 +165,24 @@ def _informed_weights(belief: BeliefTable) -> dict:
     return weights
 
 
+def _interim_cost(params: NetworkParams, demands: tuple, weights: dict, profile, route: int):
+    """Sum of weight times the route's latency at the informed type's load,
+    over ``weights``' (state, informed type) entries in their order.
+
+    ``demands`` come from ``model._population_demands``. Each informed
+    type's load is formed once. A weight may stack several owners' weights
+    on a leading axis; the profile's fields may carry that axis too.
+    """
+    loads = {}
+    total = 0
+    for (state, informed), weight in weights.items():
+        if informed not in loads:
+            rho_h = profile.split(informed)
+            loads[informed] = _route_load(demands, profile.rho_L, rho_h, route)
+        total = total + weight * latency(params, route, state, loads[informed])
+    return total
+
+
 def expected_route_cost(
     params: NetworkParams,
     env: InfoEnvironment,
@@ -180,16 +197,8 @@ def expected_route_cost(
     type in that entry: the owner if the owner is informed, the opponent
     otherwise. Within a state each population receives one common signal, so
     its entire demand moves as one type realization. Split fractions come from
-    ``profile.split``, which maps ``LN``/``LA`` to the uninformed split. Each
-    informed type's load is computed once, however many states its entries
-    cover.
+    ``profile.split``, which maps ``LN``/``LA`` to the uninformed split. The
+    sum is ``_interim_cost`` over ``_informed_weights(belief)``.
     """
     demands = _population_demands(params, env)
-    loads = {}
-    total = 0
-    for (state, informed), prob in _informed_weights(belief).items():
-        if informed not in loads:
-            rho_h = profile.split(informed)
-            loads[informed] = _route_load(demands, profile.rho_L, rho_h, route)
-        total = total + prob * latency(params, route, state, loads[informed])
-    return total
+    return _interim_cost(params, demands, _informed_weights(belief), profile, route)

@@ -21,20 +21,21 @@ closed-form equilibrium is genuine two-sided evidence:
   accepted cells, never a volume of the cube.
 
 The equilibrium condition is written once here: ``_type_gaps`` evaluates all
-three types' route-cost gaps in one pass, owner axis first, from four loads
-and eight latencies, and the residual adds each type's defect
-(``_type_defect``) weighed by its mass (``model._type_masses``). Each gap is
-affine in the profile, and ``_affine_gaps`` is the one home of that model's
-``(g0, C)``, sized like the residual by the fields the gaps read and free of
-the time and flow units (``_cost_unit``). The pattern table poses every
-pattern as one 3 x 3 linear system in it, and ``best_response`` reads the
-responder's line from it; both broadcast like the closed forms, one element
-per point, and answer in floats on ``Fraction`` fields. The fixed point keeps
-its own lines: one evaluation of all three types, each at its own split 0
-and 1 with the other splits at the iterate, pins down every best-response
-line of a sweep. What does not depend on the iterate (the belief weights,
-the population demands, the type masses and the probe array) is built once
-per working set.
+three types' route-cost gaps in one pass, owner axis first, as the belief
+layer's one interim-cost sum (``beliefs._interim_cost``, the sum of
+``expected_route_cost``) over every type's stacked weights, and the residual
+adds each type's defect (``_type_defect``) weighed by its mass
+(``model._type_masses``). Each gap is affine in the profile, and
+``_affine_gaps`` is the one home of that model's ``(g0, C)``, sized like the
+residual by the fields the gaps read and free of the time and flow units
+(``_cost_unit``). The pattern table poses every pattern as one 3 x 3 linear
+system in it, and ``best_response`` reads the responder's line from it; both
+broadcast like the closed forms, one element per point, and answer in floats
+on ``Fraction`` fields. The fixed point keeps its own lines: one evaluation
+of all three types, each at its own split 0 and 1 with the other splits at
+the iterate, pins down every best-response line of a sweep. What does not
+depend on the iterate (the belief weights, the population demands, the type
+masses and the probe array) is built once per working set.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .beliefs import _informed_weights, belief_uninformative
+from .beliefs import _informed_weights, _interim_cost, belief_uninformative
 from .model import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
     OracleConvergenceError,
     PlayerType,
-    State,
     StrategyProfile,
     ValidationError,
     _as_results,
@@ -64,9 +64,7 @@ from .model import (
     _require_equilibrium_type,
     _require_scalar,
     _require_uninformative,
-    _route_load,
     _type_masses,
-    latency,
 )
 
 #: Step fraction of the fixed-point iteration toward the best response.
@@ -128,14 +126,6 @@ def _cost_unit(params: NetworkParams):
     return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
 
 
-#: The (state, informed type) entries of a type's expected route cost, in
-#: the order of the L belief's entries. The informed population's type sets
-#: the loads, so four loads and eight latencies serve every owner.
-_GAP_ENTRIES = tuple(
-    itertools.product((State.INCIDENT, State.NORMAL), (PlayerType.HA, PlayerType.HN))
-)
-
-
 def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile=None) -> int:
     """Dimensions of the gaps at ``profile`` (or of their coefficients, with
     no profile): the most of any field they read."""
@@ -144,49 +134,41 @@ def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile=None) -> int:
     return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
 
 
-def _gap_weights(env: InfoEnvironment, ndim: int) -> np.ndarray:
-    """Each type's belief weight on each entry of ``_GAP_ENTRIES``.
+def _gap_weights(env: InfoEnvironment, ndim: int) -> dict:
+    """Every type's belief weight on each (state, informed type) entry.
 
-    Indexed (entry, owner in EQUILIBRIUM_TYPES order), then ``ndim``
-    dimensions that broadcast against the gaps: the weights' common
+    Maps each entry, in the order of L's table (L comes first, and its table
+    has every entry), to the weights stacked by owner in EQUILIBRIUM_TYPES
+    order, then ``ndim`` dimensions that broadcast against the gaps: the weights' common
     dimensions come last. An entry the owner's belief lacks weighs the int
     0, so ``Fraction`` fields stay exact. Scalar weights skip the broadcast,
     which costs more than the rest of a scalar residual's weights.
     """
     tables = [_informed_weights(belief_uninformative(env, t)) for t in EQUILIBRIUM_TYPES]
-    weights = [table.get(entry, 0) for entry in _GAP_ENTRIES for table in tables]
+    entries = tables[0]
+    weights = [table.get(entry, 0) for entry in entries for table in tables]
     if any(getattr(w, "ndim", 0) for w in weights):
         stacked = np.stack(np.broadcast_arrays(*weights))
     else:
         stacked = np.array(weights)
     pad = (1,) * (ndim + 1 - stacked.ndim)
-    return stacked.reshape((len(_GAP_ENTRIES), len(tables)) + pad + stacked.shape[1:])
+    shape = (len(entries), len(tables)) + pad + stacked.shape[1:]
+    return dict(zip(entries, stacked.reshape(shape)))
 
 
-def _type_gaps(params: NetworkParams, demands: tuple, weights: np.ndarray, profile):
+def _type_gaps(params: NetworkParams, demands: tuple, weights: dict, profile):
     """Every type's route-1 minus route-2 expected cost, owner axis first.
 
     ``demands`` come from ``model._population_demands`` and ``weights``
     from ``_gap_weights``. The profile's fields may carry the owner axis
-    too, so that each type is evaluated at a profile of its own. Each of the
-    four loads (route x informed type) and eight latencies is computed once,
-    and each owner's route cost is the left-to-right sum of its weighted
-    latencies over ``_GAP_ENTRIES``. An entry outside the owner's belief
-    adds +0.0, so each gap keeps the bits of ``expected_route_cost`` at
-    route 1 minus route 2 under that owner's belief.
+    too, so that each type is evaluated at a profile of its own. Each route
+    cost is ``beliefs._interim_cost``, the sum of ``expected_route_cost``,
+    over the stacked weights; an entry outside the owner's belief adds
+    +0.0, so each gap keeps the bits of ``expected_route_cost`` at route 1
+    minus route 2 under that owner's belief.
     """
-    rho_l = profile.rho_L
-    costs = []
-    for route in (1, 2):
-        loads = {
-            t: _route_load(demands, rho_l, profile.split(t), route)
-            for t in (PlayerType.HA, PlayerType.HN)
-        }
-        total = 0
-        for w, (state, t) in zip(weights, _GAP_ENTRIES):
-            total = total + w * latency(params, route, state, loads[t])
-        costs.append(total)
-    return costs[0] - costs[1]
+    cost1 = _interim_cost(params, demands, weights, profile, 1)
+    return cost1 - _interim_cost(params, demands, weights, profile, 2)
 
 
 def _type_defect(gap, rho, mass):

@@ -452,6 +452,38 @@ def test_costs_over_an_optimum_that_underflows_to_zero(capsys):
     assert (points, errs) == (out, ["", ""])
 
 
+@pytest.mark.parametrize("where", [["--lambda", "0"], ["--sweep", "lambda:0:1:3"]])
+def test_json_prints_non_finite_costs_as_null(capsys, where):
+    """JSON has no inf: where CSV prints inf or nan, JSON prints null."""
+    argv = ["costs", "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324", *where]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    csv_rows = _rows(out)
+    assert any(v == "inf" for row in csv_rows for v in row.values())
+    code, out, err = _run(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (0, "")
+    json_rows = json.loads(out)
+    assert [list(r) for r in json_rows] == [list(r) for r in csv_rows]
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        for name, text in csv_row.items():
+            if text in ("inf", "-inf", "nan"):
+                assert json_row[name] is None, name
+            else:
+                assert json_row[name] is not None, name
+
+
+@pytest.mark.parametrize("where", [["--eta-h", "0.6"], ["--sweep", "eta_h:0.6:1:3"]])
+def test_oracle_fails_on_a_nan_deviation(capsys, where):
+    """At intercepts 0 and demand 5e-324 the closed form has NaN splits at
+    eta_h 0.6 and 0.8. A NaN deviation fails the check, wherever it falls
+    in the sweep, and the summary names it."""
+    argv = ["oracle", "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324", *where]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert _rows(out)[0]["deviation"] == "nan"
+    assert err == "max |closed-form - fixed-point| deviation: nan\n"
+
+
 def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
     """No single write to the output carries more than _BLOCK_ROWS rows, in
     CSV or in JSON, so the formatted text held at once stays bounded however

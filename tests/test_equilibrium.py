@@ -445,6 +445,52 @@ def test_both_neighbouring_patterns_hold_on_each_boundary(params, p, eta_h):
         _assert_one_set_of_loads(params, env, verdicts)
 
 
+@given(
+    params=rational_networks(),
+    p=_RATIONAL_P,
+    lam=st.one_of(
+        st.sampled_from([Fraction(1, 10**9), 1 - Fraction(1, 10**9)]),
+        st.fractions(0, 1, max_denominator=1000).filter(lambda v: 0 < v < 1),
+    ),
+    eta_h=_RATIONAL_ETA,
+)
+@settings(max_examples=100, deadline=None)
+@example(params=RATIONAL_PARAMS, p=Fraction(1, 10**12), lam=Fraction(1, 2), eta_h=Fraction(1))
+@example(
+    params=RATIONAL_PARAMS,
+    p=1 - Fraction(1, 10**12),
+    lam=Fraction(1, 2),
+    eta_h=Fraction(1, 2) + Fraction(1, 10**7),
+)
+def test_gap_matrix_certifies_unique_loads(params, p, lam, eta_h):
+    """For 0 < lambda < 1 the exact gap matrix C (types and splits in L,
+    Hn, Ha order) is a weighted potential game's: D = diag(1, C[L,Hn] /
+    C[Hn,L], C[L,Ha] / C[Ha,L]) is positive and D C is symmetric, with
+    positive diagonal and 2 x 2 principal minors and determinant 0, so it is
+    positive semidefinite. C maps (lambda, -(1 - lambda), -(1 - lambda)),
+    which moves no load, to 0, and the informed types' gaps ignore each
+    other's splits. So any two equilibria differ only along that direction
+    and route the same loads. Every check is exact (==)."""
+    env = InfoEnvironment(p, lam, eta_h)
+    pairs = list(itertools.combinations(range(3), 2))
+    _, c = exact.affine_gaps(params, env)
+    assert c[1][2] == c[2][1] == 0
+    d = (1, c[0][1] / c[1][0], c[0][2] / c[2][0])
+    assert all(v > 0 for v in d)
+    dc = [[d[i] * c[i][j] for j in range(3)] for i in range(3)]
+    assert all(dc[i][j] == dc[j][i] for i, j in pairs)
+    assert all(dc[i][i] > 0 for i in range(3))
+    assert all(dc[i][i] * dc[j][j] - dc[i][j] * dc[j][i] > 0 for i, j in pairs)
+    # The determinant by the first row, with cyclically indexed cofactors.
+    det = sum(
+        dc[0][j] * (dc[1][(j + 1) % 3] * dc[2][(j + 2) % 3] - dc[1][(j + 2) % 3] * dc[2][(j + 1) % 3])
+        for j in range(3)
+    )
+    assert det == 0
+    null = (lam, -(1 - lam), -(1 - lam))
+    assert all(sum(cij * v for cij, v in zip(row, null)) == 0 for row in c)
+
+
 # ---------------------------------------------------------------------------
 # Pattern enumeration
 # ---------------------------------------------------------------------------

@@ -118,6 +118,23 @@ def test_fixed_point_machinery_is_read_only_by_the_oracle():
         assert sorted(m for m in read if name in read[m]) == ["oracle"], name
 
 
+def test_interim_cost_is_summed_once():
+    """The weighted-latency sum of an interim cost is written once, in
+    ``beliefs._interim_cost``: ``oracle`` calls it and reads no latency or
+    load of its own."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    defining = sorted(
+        m
+        for m, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_interim_cost"
+    )
+    assert defining == ["beliefs"]
+    read = read_names(trees["oracle"])
+    assert "_interim_cost" in read
+    assert not {"latency", "_route_load"} & read
+
+
 def package_imports(source: str) -> set:
     """The package modules a module imports: relative imports by their
     module (``from . import x`` by ``x``), absolute ones under
