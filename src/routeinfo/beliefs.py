@@ -34,7 +34,6 @@ arrays, or ``fractions.Fraction`` values, in which case they come back exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .model import (
@@ -44,6 +43,7 @@ from .model import (
     State,
     _accuracy,
     _population_demands,
+    _Record,
     _require_equilibrium_type,
     _require_uninformative,
     _route_load,
@@ -54,8 +54,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class BeliefTable:
+class BeliefTable(_Record):
     """One type's interim belief: owner plus P(state, opponent type) entries.
 
     Entries are keyed by (State, opponent PlayerType) and sum to 1.

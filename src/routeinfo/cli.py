@@ -21,7 +21,6 @@ import argparse
 import math
 import operator
 import sys
-from dataclasses import fields
 
 from .model import (
     EQUILIBRIUM_TYPES,
@@ -33,6 +32,7 @@ from .model import (
     _ieee,
     _numpy,
     _type_masses,
+    fields,
 )
 
 #: The ten parameters in flag order: key -> (default, help). The defaults are
@@ -147,7 +147,7 @@ def _build_instance(config: dict, sweep: tuple | None = None) -> tuple:
     if sweep is not None:
         axis, values = sweep
         config = {**config, axis: values}
-    params = NetworkParams(**{f.name: config[f.name] for f in fields(NetworkParams)})
+    params = NetworkParams(**{name: config[name] for name in fields(NetworkParams)})
     env = InfoEnvironment(**{name: config[key] for key, name in _ENV_FIELDS.items()})
     return params, env
 
@@ -373,9 +373,9 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     """Execute one subcommand; returns the process exit code.
 
     ``config`` holds the ten parameter keys plus optional ``format``
-    (csv|json, default csv), ``out`` (path, default stdout), and
-    ``treatment`` (beliefs subcommand only). ``sweep`` is an (axis, values)
-    pair from ``parse_sweep``.
+    (csv|json, default csv; ``verify`` prints JSON and rejects csv), ``out``
+    (path, default stdout), and ``treatment`` (beliefs subcommand only).
+    ``sweep`` is an (axis, values) pair from ``parse_sweep``.
     """
     fmt = config.get("format", "csv")
     out = config.get("out")
@@ -384,6 +384,10 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
         if sweep is not None:
             raise ValidationError(
                 "malformed_sweep", "verify checks one point and takes no --sweep"
+            )
+        if config.get("format", "json") != "json":
+            raise ValidationError(
+                "unsupported_format", f"verify prints JSON only, got --format {fmt}"
             )
         payload, code = _run_verify(config)
         _write(lambda fh: _emit_json(payload, fh), out)
@@ -427,7 +431,7 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
 _ECHO = ",".join(_ENV_FIELDS)
 
 #: Subcommand -> (help, output columns), in the order ``--help`` lists them.
-#: The columns are written out, not read from the report dataclasses, so that
+#: The columns are written out, not read from the report records, so that
 #: building the parser loads no solver module; a test checks them against
 #: what each subcommand prints.
 _SUBCOMMANDS = {
@@ -486,7 +490,7 @@ def _parser() -> argparse.ArgumentParser:
         "--sweep",
         help="axis:start:stop:points with axis in {lambda, p, eta_h}",
     )
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument("--format", choices=("csv", "json"))
     common.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, columns) in _SUBCOMMANDS.items():
@@ -515,7 +519,8 @@ def _assemble(args: argparse.Namespace) -> tuple:
         value = vars(args)[key]
         if value is not None:
             config[key] = value
-    config["format"] = args.format
+    if args.format:
+        config["format"] = args.format
     config["out"] = args.out
     if getattr(args, "treatment", None):
         config["treatment"] = args.treatment

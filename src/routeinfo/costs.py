@@ -28,7 +28,6 @@ empty population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .equilibrium import classify, solve_bwe
 from .model import (
@@ -40,6 +39,7 @@ from .model import (
     _as_results,
     _cost_tol,
     _population_demands,
+    _Record,
     _require_nonempty,
     _require_perfect_accuracy,
     _require_scalar,
@@ -106,8 +106,7 @@ def _state_costs(params, env, profile, state: State) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SocOptSolution:
+class SocOptSolution(_Record):
     """Socially optimal loads and average costs per state."""
 
     loads_normal: tuple
@@ -152,8 +151,7 @@ def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolutio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrosscheckRow:
+class CrosscheckRow(_Record):
     """One printed closed-form branch compared against first principles.
 
     ``status`` is "match" (|deviation| within 1e-11 of the cost scale
@@ -269,8 +267,7 @@ def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> lis
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(_Record):
     """Every cost quantity for one environment; NaN marks an empty population."""
 
     c_L_n: float

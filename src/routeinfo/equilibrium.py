@@ -30,8 +30,6 @@ latencies alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import (
     InfoEnvironment,
     NetworkParams,
@@ -41,6 +39,7 @@ from .model import (
     _clip,
     _enforce,
     _ieee,
+    _Record,
     _require_uninformative,
     _where,
     _zeros_like,
@@ -53,8 +52,8 @@ from .model import (
 #: where lambda_bar_2 lies within this tolerance of it.
 BOUNDARY_TOL = 1e-12
 
-@dataclass(frozen=True)
-class Regime:
+
+class Regime(_Record):
     """Regime label (R1..R4) with the boundaries it was classified against."""
 
     label: str

@@ -8,12 +8,17 @@ incident occurs. Route 2 is state-independent. Both latencies are affine in
 the route load. Demand is carried in thousands of vehicles per hour, so the
 default network reads ``demand=5`` with slopes in minutes per 10^3 veh/hr.
 
-``NetworkParams`` and ``InfoEnvironment`` check the model's orderings when
-they are constructed and raise ``ValidationError`` on any violation, so an
-invalid network or environment never exists and no function downstream
-re-checks one. All values are immutable after construction and every
-operation is a pure function, so everything here is safe for unrestricted
-concurrent use. Any field may be a numpy array, the fields broadcasting
+Every value type of the package is a record: a subclass of ``_Record``
+that lists its fields as class annotations. A record is built from its
+fields by position or keyword, compares and hashes as the tuple of its
+fields, and cannot be changed after construction; ``fields`` names a
+record's fields in order and ``replace(record, **changes)`` builds a copy
+with some of them changed. ``NetworkParams`` and ``InfoEnvironment`` check
+the model's orderings whenever one is built, ``replace`` included, and raise
+``ValidationError`` on any violation, so an invalid network or environment
+never exists and no function downstream re-checks one. Every operation is
+a pure function, so everything here is safe for unrestricted concurrent
+use. Any field may be a numpy array, the fields broadcasting
 against each other: the closed forms of ``equilibrium``, ``costs`` and
 ``value`` then answer a whole sweep in one call, and the numerical oracle
 solves many environments at once, each stopping when it converges.
@@ -32,7 +37,6 @@ never imports numpy, and give the same bits as numpy where one does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
 
@@ -83,8 +87,118 @@ class OracleConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class NetworkParams:
+class _Factory:
+    """A record field's default made anew for each record, as ``_Factory(list)``
+    gives each record its own empty list."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+class _Record:
+    """Base of the value types: an immutable record of named fields.
+
+    A subclass lists its fields as class annotations, in order, each with an
+    optional default (a ``_Factory`` for a mutable one). They are read once,
+    when the subclass is defined. Each instance keeps its fields as instance
+    attributes, set in field order, so ``vars(record)`` maps every field
+    name to its value. The base gives what ``@dataclass(frozen=True)`` gives:
+
+    - ``__init__`` takes the fields by position, then by keyword, and raises
+      the interpreter's ``TypeError`` on a missing, unknown or repeated one;
+    - ``__repr__`` is ``Name(field=value, ...)``, and ``__eq__`` (records of
+      the same class only) and ``__hash__`` act on the tuple of the fields;
+    - assigning or deleting an attribute raises ``AttributeError``.
+
+    A subclass that overrides ``_validate`` has it called at the end of
+    every construction, ``replace`` included.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        defaults = {}
+        for name in names:
+            if name in cls.__dict__:
+                defaults[name] = cls.__dict__[name]
+                if isinstance(defaults[name], _Factory):
+                    delattr(cls, name)
+            elif defaults:
+                raise TypeError(f"non-default argument {name!r} follows default argument")
+        cls._fields = names
+        cls.__init__ = _record_init(cls, names, defaults)
+
+    def _validate(self) -> None:
+        """Check the fields of a new record; no rule by default."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _record_init(cls, names: tuple, defaults: dict):
+    """``cls.__init__``, with one parameter per field, as ``collections.namedtuple``
+    and ``dataclasses`` write theirs: the interpreter then binds the
+    arguments and raises its own ``TypeError`` for a bad call. The fields
+    are set one at a time, in field order, so that the records of a class
+    share one attribute layout and a field reads fast."""
+    scope = {"_set": object.__setattr__}
+    params, body = ["self"], []
+    for i, name in enumerate(names):
+        value = name
+        if name in defaults:
+            scope[f"_d{i}"] = defaults[name]
+            params.append(f"{name}=_d{i}")
+            if isinstance(defaults[name], _Factory):
+                value = f"_d{i}.make() if {name} is _d{i} else {name}"
+        else:
+            params.append(name)
+        body.append(f"    _set(self, {name!r}, {value})\n")
+    if cls._validate is not _Record._validate:
+        body.append("    self._validate()\n")
+    exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}", scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def fields(record) -> tuple:
+    """The field names of a record or record class, in order."""
+    cls = record if isinstance(record, type) else type(record)
+    if not issubclass(cls, _Record):
+        raise TypeError(f"fields() takes a record or record class, not {cls.__name__}")
+    return cls._fields
+
+
+def replace(record, **changes):
+    """A new record of ``record``'s class: its fields with ``changes`` applied.
+
+    It is built through the class's ``__init__``, so a changed
+    ``NetworkParams`` or ``InfoEnvironment`` is validated again, and a name
+    that is no field raises ``TypeError``.
+    """
+    return record.__class__(**{**vars(record), **changes})
+
+
+class NetworkParams(_Record):
     """Two-route network: per-state slopes, intercepts, and total demand.
 
     Required orderings: slope1_incident > slope2 >= slope1_normal > 0 and
@@ -102,12 +216,11 @@ class NetworkParams:
     intercept2: float
     demand: float
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         validate(self, None)
 
 
-@dataclass(frozen=True)
-class InfoEnvironment:
+class InfoEnvironment(_Record):
     """Information side of the game: (p, lambda, eta_H, eta_L).
 
     p_incident: prior incident probability, strictly inside (0, 1).
@@ -127,12 +240,11 @@ class InfoEnvironment:
     accuracy_high: float
     accuracy_low: float = 0.5
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         validate(None, self)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(_Record):
     """Averaged route-1 slopes and the load constants K0..K4.
 
     a1_bar is the prior-averaged route-1 slope; a1_hat and a1_tilde are the
@@ -154,8 +266,7 @@ class DerivedConstants:
     k4: float
 
 
-@dataclass(frozen=True)
-class MarginalTypeDist:
+class MarginalTypeDist(_Record):
     """Marginal probabilities of the four signal-conditioned types."""
 
     p_Ha: float
@@ -175,8 +286,7 @@ _SPLIT_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """Split fractions of each type's demand routed onto route 1.
 
     ``l_population_empty`` marks profiles produced for lambda = 1, where no
@@ -374,9 +484,7 @@ def _require_nonempty(env: InfoEnvironment, *populations) -> None:
 
 def _require_scalar(caller: str, *objs) -> None:
     """Reject array-valued fields of ``objs``, naming the first."""
-    arrays = [
-        f.name for obj in objs for f in fields(obj) if _ndim(getattr(obj, f.name))
-    ]
+    arrays = [name for obj in objs for name in fields(obj) if _ndim(getattr(obj, name))]
     if arrays:
         message = f"{caller} takes scalar fields only, {arrays[0]} is an array"
         raise ValidationError("scalar_only", message)

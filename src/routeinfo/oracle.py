@@ -40,10 +40,8 @@ masses and the probe array) is built once per working set.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,10 +59,13 @@ from .model import (
     _cost_scale,
     _cost_tol,
     _population_demands,
+    _Record,
     _require_equilibrium_type,
     _require_scalar,
     _require_uninformative,
     _type_masses,
+    fields,
+    replace,
 )
 
 #: Step fraction of the fixed-point iteration toward the best response.
@@ -79,8 +80,7 @@ DAMPING = 0.5
 MAX_SCAN_RESOLUTION = 400
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Record):
     """Knobs of the numerical solvers.
 
     ``grid_resolution`` is ``grid_scan``'s points per scanned axis.
@@ -93,7 +93,7 @@ class OracleConfig:
     max_iters: int = 10_000
     tolerance: float = 1e-10
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         for name, least in (("grid_resolution", 3), ("max_iters", 1)):
             count = getattr(self, name)
             try:
@@ -205,8 +205,7 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     return residual
 
 
-@dataclass(frozen=True)
-class ProfileVerdict:
+class ProfileVerdict(_Record):
     """One qualitative pattern from the 27-cell table with its verdict.
 
     ``pattern`` gives each component of (rho_L, rho_Hn, rho_Ha) as one of
@@ -303,6 +302,14 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     ``solve``. That LU is backward stable (Higham 2002): a solved split is
     within about cond * eps of the exact one, where cond grows like
     4 / (1 - p) for R2's block as p -> 1.
+
+    More than one pattern may be accepted, but all give the same route
+    loads. For 0 < lambda < 1, D = diag(1, C[L,Hn] / C[Hn,L], C[L,Ha] /
+    C[Ha,L]) is positive and D C is symmetric PSD, so two equilibria x and
+    y satisfy (x - y)' D C (x - y) <= 0: they differ along null(D C) =
+    span(lambda, -(1 - lambda), -(1 - lambda)), which moves no load.
+    ``tests/test_equilibrium.py::test_gap_matrix_certifies_unique_loads``
+    checks this certificate exactly.
 
     Every component is judged by its owner's gap: an interior split's owner
     must be indifferent, a fixed one's weakly prefer its route (route 2 at
@@ -491,11 +498,9 @@ def best_response(
 def _map_array_fields(obj, fn):
     """``obj`` with ``fn`` applied to each array-valued field; scalars stay."""
     changes = {
-        f.name: fn(value)
-        for f in dataclasses.fields(obj)
-        if np.ndim(value := getattr(obj, f.name))
+        name: fn(value) for name in fields(obj) if np.ndim(value := getattr(obj, name))
     }
-    return dataclasses.replace(obj, **changes) if changes else obj
+    return replace(obj, **changes) if changes else obj
 
 
 def solve_fixed_point(
@@ -529,9 +534,9 @@ def solve_fixed_point(
     _require_uninformative(env)
     shape = np.broadcast_shapes(
         *(
-            np.shape(getattr(x, f.name))
+            np.shape(getattr(x, name))
             for x in (params, env)
-            for f in dataclasses.fields(x)
+            for name in fields(x)
         )
     )
 
@@ -591,8 +596,7 @@ def solve_fixed_point(
     )
 
 
-@dataclass(frozen=True)
-class GridScanResult:
+class GridScanResult(_Record):
     """Cells of the profile cube whose Wardrop residual is below epsilon.
 
     ``cell_indices`` holds one (i, j, k) row per accepted cell, indexing

@@ -21,8 +21,6 @@ numpy when they run; the reports on scalar fields never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .costs import cost_report
 from .equilibrium import classify, regime_boundaries
 from .model import (
@@ -32,9 +30,12 @@ from .model import (
     _as_results,
     _choose,
     _cost_tol,
+    _Factory,
+    _Record,
     _require_perfect_accuracy,
     _require_uninformative,
     _where,
+    replace,
 )
 
 #: Slack for comparing informed fractions, which carry no time unit. Costs
@@ -42,8 +43,7 @@ from .model import (
 _LAMBDA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ValueReport:
+class ValueReport(_Record):
     """Per-state and expected values of information for one environment."""
 
     v_L_n: float
@@ -136,13 +136,12 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(_Record):
     """Positivity of the relative expected value below the third boundary."""
 
     passed: bool
     n_checked: int
-    failures: list = field(default_factory=list)
+    failures: list = _Factory(list)
 
 
 def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Report:
@@ -175,8 +174,7 @@ def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Repo
     return Theorem1Report(passed=not failures, n_checked=lams.size, failures=failures)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(_Record):
     """Per-regime shape of expected social value over a lambda grid."""
 
     passed: bool
@@ -184,7 +182,7 @@ class Theorem2Report:
     grid_argmax_lambda: float
     lambda_min: float
     peak_lambda: float | None
-    failures: list = field(default_factory=list)
+    failures: list = _Factory(list)
 
 
 def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> None:

@@ -26,6 +26,7 @@ from routeinfo import (
     value_report,
     wardrop_residual,
 )
+from routeinfo.model import fields
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -34,8 +35,8 @@ PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 CALLS = {
     "regimes": (classify, ("label", "lambda_bar_1", "lambda_bar_2", "lambda_bar_3")),
     "equilibrium": (solve_bwe, ("rho_L", "rho_Hn", "rho_Ha", "l_population_empty")),
-    "costs": (cost_report, tuple(CostReport.__dataclass_fields__)),
-    "value": (value_report, tuple(ValueReport.__dataclass_fields__)),
+    "costs": (cost_report, fields(CostReport)),
+    "value": (value_report, fields(ValueReport)),
 }
 
 _FIELD = {"lambda": "frac_informed", "p": "p_incident", "eta_h": "accuracy_high"}
@@ -121,7 +122,7 @@ def test_scalar_inputs_give_python_scalars(lam):
     assert all(type(r) is float for r in (profile.rho_L, profile.rho_Hn, profile.rho_Ha))
     assert type(profile.l_population_empty) is bool
     for report in (cost_report(PARAMS, env), value_report(PARAMS, env)):
-        for name in type(report).__dataclass_fields__:
+        for name in fields(report):
             assert type(getattr(report, name)) is float, name
     assert type(lambda_min(PARAMS, env)) is float
     opt = social_optimum(PARAMS, env)
@@ -214,7 +215,7 @@ def test_a_field_the_gaps_do_not_read_leaves_results_scalar():
 def test_array_inputs_give_arrays_of_the_common_shape():
     lam = np.linspace(0.0, 1.0, 7)
     report = cost_report(PARAMS, InfoEnvironment(0.2, lam, 1.0))
-    for name in CostReport.__dataclass_fields__:
+    for name in fields(CostReport):
         assert getattr(report, name).shape == lam.shape, name
     assert np.isnan(report.c_L_n[-1]) and np.isnan(report.c_H_n[0])
 

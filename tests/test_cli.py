@@ -8,7 +8,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +22,7 @@ from routeinfo import (
     solve_bwe,
 )
 from routeinfo.cli import _BLOCK_ROWS, DEFAULTS, _rows_beliefs, main
+from routeinfo.model import replace
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -331,6 +331,14 @@ def test_verify_passes_on_default_instance(capsys):
     assert payload["theorem2"]["lambda_min"] == pytest.approx(24 / 85)
 
 
+def test_verify_prints_json_with_or_without_the_flag(capsys):
+    """``verify`` prints its JSON summary, and ``--format json`` asks for
+    that same output byte for byte."""
+    plain = _run(capsys, ["verify"])
+    assert plain[0] == 0 and plain[1].startswith("{")
+    assert _run(capsys, ["verify", "--format", "json"]) == plain
+
+
 def test_oracle_reports_deviation(capsys):
     code, out, err = _run(capsys, ["oracle", "--sweep", "lambda:0.1:0.9:5"])
     assert code == 0
@@ -627,6 +635,10 @@ def test_verify_on_collapsed_boundaries_exits_one(capsys):
             "malformed_sweep: verify checks one point and takes no --sweep",
         ),
         (
+            ["verify", "--format", "csv"],
+            "unsupported_format: verify prints JSON only, got --format csv",
+        ),
+        (
             ["equilibrium", "--slope1-incident", "inf"],
             "not_finite: need finite slope1_normal, slope1_incident, slope2, "
             "intercept1, intercept2 and demand, got (1.0, inf, 2.0, 19.0, 21.0, 5.0)",
@@ -678,6 +690,7 @@ def test_verify_on_collapsed_boundaries_exits_one(capsys):
         "single_point",
         "sweep_range",
         "verify_sweep",
+        "verify_csv",
         "infinite_slope",
         "infinite_demand",
         "overflowing_latency",

@@ -1,5 +1,10 @@
-"""Parameter validation, latencies, and the derived load constants."""
+"""Parameter validation, latencies, the derived load constants, and the
+record base of the value types."""
 
+import ast
+import dataclasses
+import inspect
+import textwrap
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import routeinfo
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
@@ -25,6 +31,7 @@ from routeinfo import (
     theorem2_grid,
     validate,
 )
+from routeinfo.model import _Record, fields, replace
 
 PARAMS = NetworkParams(
     slope1_normal=1.0,
@@ -415,3 +422,177 @@ def test_derived_constants_scale_with_network(scale, p):
         assert abs(got - want) < 1e-9 * max(1.0, abs(want)), (
             f"{name}: {got} != {want} after scaling by {scale}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Records: the semantics of a frozen dataclass
+# ---------------------------------------------------------------------------
+
+#: The public value types, every one a ``model._Record``.
+RECORDS = sorted(
+    name
+    for name in routeinfo.__all__
+    if isinstance(obj := getattr(routeinfo, name), type) and issubclass(obj, _Record)
+)
+
+
+def test_every_value_type_is_a_record():
+    assert RECORDS == [
+        "BeliefTable", "CostReport", "CrosscheckRow", "DerivedConstants",
+        "GridScanResult", "InfoEnvironment", "MarginalTypeDist", "NetworkParams",
+        "OracleConfig", "ProfileVerdict", "Regime", "SocOptSolution",
+        "StrategyProfile", "Theorem1Report", "Theorem2Report", "ValueReport",
+    ]
+
+
+def _twin(cls):
+    """The ``@dataclass(frozen=True)`` that ``cls``'s own declaration makes:
+    its annotated fields, in order, with its literal defaults, and
+    ``_Factory(list)`` read as ``field(default_factory=list)``."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+    spec = []
+    for node in body:
+        if not isinstance(node, ast.AnnAssign):
+            continue
+        name = node.target.id
+        if node.value is None:
+            spec.append((name, object))
+        elif isinstance(node.value, ast.Call) and node.value.func.id == "_Factory":
+            assert ast.unparse(node.value) == "_Factory(list)"
+            spec.append((name, object, dataclasses.field(default_factory=list)))
+        else:
+            spec.append((name, object, ast.literal_eval(node.value)))
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+#: Valid values of each validated record's required fields, as floats.
+_VALID = {
+    "NetworkParams": (1.0, 3.0, 2.0, 19.0, 21.0, 5.0),
+    "InfoEnvironment": (0.2, 0.5, 1.0),
+    "OracleConfig": (),
+}
+
+
+def _values(name: str, kind: str) -> tuple:
+    """Values for the required fields of record ``name``: floats, Fractions,
+    or arrays, a two-element one per field."""
+    n = len([f for f in fields(getattr(routeinfo, name)) if f not in _defaults(name)])
+    floats = _VALID.get(name, tuple(1.5 + i for i in range(n)))
+    if kind == "float":
+        return floats
+    if kind == "fraction":
+        return tuple(Fraction(v) for v in floats)
+    return tuple(np.array([v, v]) for v in floats)
+
+
+def _defaults(name: str) -> dict:
+    return {
+        f.name: f
+        for f in dataclasses.fields(_twin(getattr(routeinfo, name)))
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    }
+
+
+def _outcome(fn):
+    """``fn()``'s result, or the type and message of what it raised; a
+    dataclass's ``FrozenInstanceError`` counts as the ``AttributeError`` it
+    subclasses."""
+    try:
+        return ("ok", fn())
+    except dataclasses.FrozenInstanceError as exc:
+        return ("err", AttributeError, str(exc))
+    except Exception as exc:  # an error is an outcome too
+        return ("err", type(exc), str(exc))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_and_defaults_match_the_dataclass(name):
+    cls, twin = getattr(routeinfo, name), _twin(getattr(routeinfo, name))
+    # Built from the required fields alone, the defaults fill the rest.
+    args = _values(name, "float")
+    record, copy = cls(*args), twin(*args)
+    assert fields(cls) == fields(record) == tuple(f.name for f in dataclasses.fields(twin))
+    assert list(vars(record).items()) == list(vars(copy).items())
+    assert list(vars(cls(**dict(zip(fields(cls), args))))) == list(fields(cls))
+    for field in fields(cls):
+        # A default is a class attribute, unless a factory makes it, anew
+        # for every record.
+        assert hasattr(cls, field) == hasattr(twin, field), field
+        if field in _defaults(name) and not hasattr(twin, field):
+            assert getattr(cls(*args), field) is not getattr(record, field)
+
+
+def test_a_required_field_after_a_default_is_rejected():
+    with pytest.raises(TypeError, match="non-default argument 'b' follows default"):
+
+        class Bad(_Record):
+            a: int = 1
+            b: int
+
+
+@pytest.mark.parametrize("kind", ["float", "fraction", "array"])
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_repr_eq_and_hash_match_the_dataclass(name, kind):
+    cls, twin = getattr(routeinfo, name), _twin(getattr(routeinfo, name))
+    args = _values(name, kind)
+    # Equal values in distinct objects, as two computations return them.
+    again = tuple(np.copy(v) if kind == "array" else v for v in args)
+    record, copy = cls(*args), twin(*args)
+    assert repr(record) == repr(copy)
+    assert _outcome(lambda: record == cls(*again)) == _outcome(lambda: copy == twin(*again))
+    assert _outcome(lambda: record != cls(*again)) == _outcome(lambda: copy != twin(*again))
+    assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(copy))
+    assert record != copy and copy != record
+    if name not in _VALID:
+        other = (args[0] + 1, *args[1:])
+        assert _outcome(lambda: record == cls(*other)) == _outcome(lambda: copy == twin(*other))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_frozen_as_the_dataclass(name):
+    cls, twin = getattr(routeinfo, name), _twin(getattr(routeinfo, name))
+    args = _values(name, "float")
+    record, copy = cls(*args), twin(*args)
+    for attr in (*fields(cls), "extra"):
+        for change in (
+            lambda obj: setattr(obj, attr, 0.25),
+            lambda obj: delattr(obj, attr),
+        ):
+            got, want = _outcome(lambda: change(record)), _outcome(lambda: change(copy))
+            assert got[0] == "err" and issubclass(got[1], AttributeError)
+            assert got == want
+    assert list(vars(record).items()) == list(vars(copy).items())
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_rejects_bad_arguments_as_the_dataclass(name):
+    cls, twin = getattr(routeinfo, name), _twin(getattr(routeinfo, name))
+    args = _values(name, "float")
+    first = fields(cls)[0]
+    calls = [
+        ((*args, *(0.5 for _ in range(len(fields(cls)) + 1 - len(args)))), {}),
+        (args, {"no_such_field": 1}),
+        (args, {first: 1}) if args else ((0.5,), {first: 1}),
+        ((), {}),
+        (args[:-2], {}),
+        (args[1:], {}),
+    ]
+    for call_args, kwargs in calls:
+        got = _outcome(lambda: cls(*call_args, **kwargs))
+        want = _outcome(lambda: twin(*call_args, **kwargs))
+        if want[0] == "ok":
+            assert got[0] == "ok" and vars(got[1]) == vars(want[1])
+        else:
+            assert got == want, (call_args, kwargs)
+
+
+def test_replace_builds_anew_and_validates_again():
+    env = replace(ENV, frac_informed=0.25)
+    assert vars(env) == {**vars(ENV), "frac_informed": 0.25}
+    assert replace(ENV) == ENV and replace(ENV) is not ENV
+    bad = dict(slope1_incident=1.5)
+    assert _code(replace, PARAMS, **bad) == _code(_params, **bad) == "slope_ordering"
+    with pytest.raises(TypeError, match="unexpected keyword argument 'slope'"):
+        replace(PARAMS, slope=1.0)
+    with pytest.raises(TypeError, match="takes a record or record class, not dict"):
+        fields({})

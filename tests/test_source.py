@@ -237,6 +237,7 @@ _RUNS = {
     "costs": (0, ["costs", "equilibrium"], False),
     "value": (0, ["costs", "equilibrium", "value"], False),
     "verify": (0, ["costs", "equilibrium", "value"], True),
+    "verify --format csv": (1, [], False),
     "oracle": (0, ["beliefs", "equilibrium", "oracle"], True),
 }
 
@@ -246,7 +247,8 @@ def test_each_subcommand_loads_only_its_modules(sub):
     """The console script's start-up: ``routeinfo SUB`` loads ``cli`` and
     ``model`` and, when it runs, only the modules its rows need; numpy only
     for an array operand (an invalid input is rejected without it); json
-    only when it prints JSON."""
+    only when it prints JSON. A run without numpy loads neither
+    ``dataclasses`` nor the ``inspect`` it imports."""
     code = (
         "import contextlib, io, sys\n"
         "from routeinfo.cli import main\n"
@@ -254,12 +256,30 @@ def test_each_subcommand_loads_only_its_modules(sub):
         "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    code = main({sub.split()!r})\n"
         f"print(code); {_LOADED}\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     exit_code, loaded, numpy = _RUNS[sub]
     modules = ["cli", "model", *loaded]
     expected = sorted(["routeinfo", *(f"routeinfo.{m}" for m in modules)])
-    json = sub.split()[0] == "verify"
-    assert _fresh(code) == f"{exit_code}\n{expected} {numpy} {json}"
+    json = sub.split()[0] == "verify" and exit_code == 0
+    out = _fresh(code).split("\n")
+    assert out[:2] == [str(exit_code), f"{expected} {numpy} {json}"]
+    if not numpy:
+        assert out[2] == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    """The value types are ``model._Record`` subclasses, so no module of
+    ``src/`` imports ``dataclasses``, which would load ``inspect`` with it."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {n.split(".")[0] for n in names}, path.name
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -1,7 +1,5 @@
 """Value of information: definitions, pinned points, and the two theorem checks."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,7 @@ from routeinfo import (
     verify_theorem1,
     verify_theorem2,
 )
+from routeinfo.model import replace
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
