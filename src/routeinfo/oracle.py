@@ -9,8 +9,8 @@ closed-form equilibrium is genuine two-sided evidence:
   costs across co-utilized routes, no cheaper unused route, each type judged
   under its own belief).
 - ``enumerate_profiles``: the full 27-pattern feasibility table, rebuilt from
-  scratch as structural evidence that only the four closed-form patterns
-  survive.
+  scratch and decided exactly, in ``Fraction``s, as structural evidence that
+  only the four closed-form patterns survive.
 - ``best_response``: one type's clamped equalizer against a fixed profile.
 - ``solve_fixed_point``: damped simultaneous best-response iteration over the
   three split fractions.
@@ -25,17 +25,19 @@ three types' route-cost gaps in one pass, owner axis first, as the belief
 layer's one interim-cost sum (``beliefs._interim_cost``, the sum of
 ``expected_route_cost``) over every type's stacked weights, and the residual
 adds each type's defect (``_type_defect``) weighed by its mass
-(``model._type_masses``). Each gap is affine in the profile, and
-``_affine_gaps`` is the one home of that model's ``(g0, C)``, sized like the
+(``model._type_masses``). Each gap is affine in the profile, so its values
+at four integer probe profiles give its coefficients ``(g0, C)``.
+``_exact_gaps`` reads them at one point with ``Fraction`` fields, and the
+pattern table solves every pattern in them by exact elimination, one
+element at a time. ``_affine_gaps`` reads them in floats, sized like the
 residual by the fields the gaps read and free of the time and flow units
-(``_cost_unit``). The pattern table poses every pattern as one 3 x 3 linear
-system in it, and ``best_response`` reads the responder's line from it; both
-broadcast like the closed forms, one element per point, and answer in floats
-on ``Fraction`` fields. The fixed point keeps its own lines: one evaluation
-of all three types, each at its own split 0 and 1 with the other splits at
-the iterate, pins down every best-response line of a sweep. What does not
-depend on the iterate (the belief weights, the population demands, the type
-masses and the probe array) is built once per working set.
+(``_cost_unit``), and ``best_response`` reads the responder's line from
+them: it broadcasts like the closed forms and, unlike the table, answers in
+floats on ``Fraction`` fields. The fixed point keeps its own lines: one
+evaluation of all three types, each at its own split 0 and 1 with the other
+splits at the iterate, pins down every best-response line of a sweep. What
+does not depend on the iterate (the belief weights, the population demands,
+the type masses and the probe array) is built once per working set.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .model import (
     ValidationError,
     _as_results,
     _cost_scale,
-    _cost_tol,
     _population_demands,
     _Record,
     _require_equilibrium_type,
@@ -219,32 +220,20 @@ class ProfileVerdict(_Record):
     note: str = ""
 
 
-
 #: The 27 qualitative patterns {0, int, 1}^3 over the components (rho_L,
-#: rho_Hn, rho_Ha) of EQUILIBRIUM_TYPES, and for each component of each
-#: the note that names its failure.
+#: rho_Hn, rho_Ha) of EQUILIBRIUM_TYPES, and for each kind of component the
+#: note that names its owner's failure.
 _PATTERNS = tuple(itertools.product(("0", "int", "1"), repeat=3))
 _FAILURES = {
     "0": "strictly prefers route 1",
     "int": "split leaves [0, 1]",
     "1": "strictly prefers route 2",
 }
-_FAILURE_NOTES = np.array(
-    [
-        [f"{t.value} {_FAILURES[s]}" for t, s in zip(EQUILIBRIUM_TYPES, p)]
-        for p in _PATTERNS
-    ]
-)
-
-
-#: Bound on the rounding of each affine gap and of each pattern system's
-#: right-hand side, in cost units: every latency is below 2 units, and a
-#: gap sums eight weighted ones.
-_GAP_ROUNDING = 256 * np.finfo(float).eps
 
 #: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
-#: component of (rho_L, rho_Hn, rho_Ha).
-_GAP_PROBES = np.eye(4)[1:]
+#: component of (rho_L, rho_Hn, rho_Ha). Integers, so that ``Fraction``
+#: gaps stay exact.
+_GAP_PROBES = np.eye(4, dtype=int)[1:]
 
 
 def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
@@ -276,32 +265,169 @@ def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
     weights = _gap_weights(env, ndim)
     gaps = _type_gaps(in_units, _population_demands(in_units, env), weights, probes)
     # (..., profile, type); Fraction weights leave the float gaps in an
-    # object array, which np.linalg does not take.
+    # object array.
     at = np.moveaxis(np.asarray(gaps, dtype=float), (0, 1), (-1, -2))
     return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
+
+
+def _exact_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """``(g0, C)`` as lists, gap_t(rho) = g0[t] + sum_j C[t][j] * rho_j.
+
+    Types and splits in (L, Hn, Ha) order. One ``_type_gaps`` call gives
+    every type's gap at the four integer probe profiles, so on scalar
+    ``Fraction`` fields every coefficient is exact: no unit, no rounding.
+    """
+    demands = _population_demands(params, env)
+    probes = StrategyProfile(*_GAP_PROBES)
+    gaps = _type_gaps(params, demands, _gap_weights(env, 1), probes).tolist()
+    return [g[0] for g in gaps], [[g[j] - g[0] for j in (1, 2, 3)] for g in gaps]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _eliminate(a: list, b: list) -> tuple:
+    """``(x, null)`` for ``a x = b`` by Gauss-Jordan elimination.
+
+    Exact on ``Fraction`` entries, and ``x`` and ``null`` hold
+    ``Fraction``s. ``x`` is a particular solution, 0 at each free column,
+    and None if the system is inconsistent. ``null`` is a basis of the null
+    space of ``a``: one vector per free column (a column that depends on the
+    columns before it), 1 there and 0 at the other free columns.
+    """
+    from fractions import Fraction
+
+    n = len(a)
+    rows = [[*row, rhs] for row, rhs in zip(a, b)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        head = rows[r][col]
+        rows[r] = [v / head for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    null = []
+    for free in (col for col in range(n) if col not in pivots):
+        v = [Fraction(col == free) for col in range(n)]
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][free]
+        null.append(v)
+    if any(row[n] != 0 for row in rows[len(pivots) :]):
+        return None, null
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = rows[i][n]
+    return x, null
+
+
+def _lowest(needs: list, k: int):
+    """The lowest ``s`` in Q^k, first component first, with ``c0 + c . s >=
+    0`` for every ``(c0, c)`` of ``needs``; None if there is none.
+
+    Fourier-Motzkin elimination of the last component: the needs that raise
+    it bound it below, those that lower it bound it above, and each such
+    pair holds for some value of it exactly when their combination free of
+    it holds. A component that no need bounds below takes the highest value
+    its upper bounds allow, 0 if none does.
+    """
+    if k == 0:
+        return [] if all(c0 >= 0 for c0, _ in needs) else None
+    lower = [(c0, c) for c0, c in needs if c[-1] > 0]
+    upper = [(c0, c) for c0, c in needs if c[-1] < 0]
+    rest = [(c0, c[:-1]) for c0, c in needs if c[-1] == 0]
+    for c0, c in lower:
+        for d0, d in upper:
+            u, v = -d[-1], c[-1]
+            rest.append((u * c0 + v * d0, [u * ci + v * di for ci, di in zip(c, d[:-1])]))
+    head = _lowest(rest, k - 1)
+    if head is None:
+        return None
+    lows = [-(c0 + _dot(c, head)) / c[-1] for c0, c in lower]
+    highs = [-(c0 + _dot(c, head)) / c[-1] for c0, c in upper]
+    return head + [max(lows, default=min(highs, default=0))]
+
+
+def _verdict(g0: list, coef: list, pattern: tuple) -> tuple:
+    """``(note, splits)`` of ``pattern`` in the exact gaps ``(g0, coef)``:
+    the note is empty and the splits a list where it is accepted, the note
+    names the failure and the splits are None where it is rejected."""
+    interior = [j for j, s in enumerate(pattern) if s == "int"]
+    ones = [j for j, s in enumerate(pattern) if s == "1"]
+    # Each owner's gap at the pattern's corner: its interior splits at 0.
+    gap = [sum((row[j] for j in ones), g) for g, row in zip(g0, coef)]
+    block = [[coef[i][j] for j in interior] for i in interior]
+    x, null = _eliminate(block, [-gap[i] for i in interior])
+    if x is None:
+        return "degenerate equalization system", None
+    rho = [int(s == "1") for s in pattern]
+    for j, v in zip(interior, x):
+        rho[j] = v
+    # The solutions are rho + sum over k of s[k] * steps[k].
+    steps = [[0] * 3 for _ in null]
+    for step, v in zip(steps, null):
+        for j, vj in zip(interior, v):
+            step[j] = vj
+    # Each owner's requirements as needs c0 + c . s >= 0, in owner order.
+    needs = []
+    for t, s in enumerate(pattern):
+        if s == "int":
+            needs.append((rho[t], [step[t] for step in steps]))
+            needs.append((1 - rho[t], [-step[t] for step in steps]))
+        else:
+            sign = 1 if s == "0" else -1
+            at = gap[t] + sum(coef[t][j] * rho[j] for j in interior)
+            moves = [sum(coef[t][j] * step[j] for j in interior) for step in steps]
+            needs.append((sign * at, [sign * m for m in moves]))
+        low = _lowest(needs, len(steps))
+        if low is None:
+            return f"{EQUILIBRIUM_TYPES[t].value} {_FAILURES[s]}", None
+    return "", [r + _dot(low, [step[j] for step in steps]) for j, r in enumerate(rho)]
 
 
 def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     """Feasibility verdicts for all 27 qualitative patterns {0, int, 1}^3.
 
-    In the affine gaps of ``_affine_gaps`` a pattern is a 3 x 3 linear
-    system: an interior component equalizes its owner's two routes, a fixed
-    one takes its value. Which systems solve follows from the structure of
-    C. The gaps read the profile only through route 1's loads under the two
-    signals, which do not move along (lambda, -(1 - lambda), -(1 - lambda)):
-    C maps that direction to 0, so the all-interior system is singular.
-    Each informed type's gap reads only its own signal's load, so C's (Hn,
-    Ha) and (Ha, Hn) entries are exactly 0, and each 1 x 1 and 2 x 2
-    principal minor is a product of positive factors (population masses,
-    type probabilities, latency slopes): C is a P0 matrix (Cottle, Pang &
-    Stone 1992). So a smaller interior block is singular only where one of
-    those factors is 0, as for the splits of an empty population, and there
-    its determinant is exactly 0 (in floats often also where a factor is
-    too small to move the gaps). ``det`` factors each system by the LU with
-    partial pivoting that ``solve`` uses, so no zero pivot reaches
-    ``solve``. That LU is backward stable (Higham 2002): a solved split is
-    within about cond * eps of the exact one, where cond grows like
-    4 / (1 - p) for R2's block as p -> 1.
+    The table is exact. Each field is read as its exact value, a float
+    ``x`` as ``Fraction(x)``, and ``_exact_gaps`` gives the affine gaps
+    ``(g0, C)`` in ``Fraction``s. In them a pattern is a linear system: an
+    interior component equalizes its owner's two routes, with the fixed
+    components' terms on the right. Gauss-Jordan elimination solves it in
+    ``Fraction``s. A singular system with no solution is a "degenerate
+    equalization system"; a consistent one has a particular solution plus
+    the null space of its interior block. A pattern is accepted by exact
+    inequalities, with no tolerance: every interior split in [0, 1], each
+    split fixed at 0 with its owner weakly preferring route 2 (gap >= 0),
+    each fixed at 1 with its owner weakly preferring route 1 (gap <= 0).
+    Along the null space, Fourier-Motzkin elimination decides whether some
+    solution meets them. A rejected pattern's note names the first owner,
+    in (L, Hn, Ha) order, whose requirements no solution meets together
+    with those of the owners before it; for a non-singular pattern, the
+    first that fails at its one solution.
+
+    Which systems are singular follows from the structure of C. The gaps
+    read the profile only through route 1's loads under the two signals,
+    which do not move along (lambda, -(1 - lambda), -(1 - lambda)): C maps
+    that direction to 0, so the all-interior system is singular. Each
+    informed type's gap reads only its own signal's load, so C's (Hn, Ha)
+    and (Ha, Hn) entries are 0, and each 1 x 1 and 2 x 2 principal minor is
+    a product of positive factors (population masses, type probabilities,
+    latency slopes): C is a P0 matrix (Cottle, Pang & Stone 1992). So a
+    smaller interior block is singular only where one of those factors is
+    0: at lambda exactly 0 or 1, where an empty population's splits move no
+    load and C's column for each of them is 0. A system that equalizes an
+    empty population's owner then has a solution only if that owner is
+    indifferent at the other splits' solution, and its null space holds the
+    empty population's splits, two of them for the informed one at lambda
+    = 0. Every null direction moves no gap, so only the box bounds the
+    split along it.
 
     More than one pattern may be accepted, but all give the same route
     loads. For 0 < lambda < 1, D = diag(1, C[L,Hn] / C[Hn,L], C[L,Ha] /
@@ -309,79 +435,50 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     y satisfy (x - y)' D C (x - y) <= 0: they differ along null(D C) =
     span(lambda, -(1 - lambda), -(1 - lambda)), which moves no load.
     ``tests/test_equilibrium.py::test_gap_matrix_certifies_unique_loads``
-    checks this certificate exactly.
+    checks this certificate exactly. So an accepted singular pattern, whose
+    solutions form a segment or a square, reports one of them: the one at
+    which its free splits are lowest, the first free split first. That is
+    the end with the lowest rho_Ha on the all-interior segment, and 0 for
+    an empty population's splits.
 
-    Every component is judged by its owner's gap: an interior split's owner
-    must be indifferent, a fixed one's weakly prefer its route (route 2 at
-    0, route 1 at 1), twice. At the solved splits, each within what rounding
-    can move it: the gaps and the system's right-hand side carry errors up
-    to ``_GAP_ROUNDING`` in cost units, and a residual r of the solve moves
-    the splits by A^-1 r, so owner t's gap by its interior columns of C
-    times A^-1 r. The slack of ``model._cost_tol`` alone is far wider than
-    rounding where the intercepts dwarf slope times demand, and accepted a
-    neighbouring pattern whose loads missed the equilibrium's by 1e-8 of the
-    demand. And at the splits clipped to [0, 1], within ``_cost_tol``: a
-    split that leaves [0, 1] by more than rounding moves its owners' gaps
-    past that slack.
-
-    Array-valued fields give each element the scalar call's verdict:
-    ``is_equilibrium`` and ``note`` are arrays, and ``profile`` holds the
-    solved splits, NaN where the pattern is rejected (None in a scalar call).
+    The splits are the exact ones: ``Fraction``s where no field the gaps
+    read is a float, else the floats nearest to them. Array-valued fields
+    are solved one element at a time and give each element the scalar
+    call's verdict: ``is_equilibrium`` and ``note`` are arrays, and
+    ``profile`` holds the splits, NaN where the pattern is rejected (None
+    in a scalar call). A field the gaps do not read (``accuracy_low``)
+    leaves the results scalar. Of the gap solvers, only ``best_response``
+    still answers in floats, from the float ``(g0, C)`` of ``_affine_gaps``.
     """
-    g0, coef = _affine_gaps(params, env)
-    symbols = np.array(_PATTERNS)
-    interior = symbols == "int"
-    # Each pattern's profile with its interior components at 0.
-    corner = (symbols == "1").astype(float)
+    from fractions import Fraction
 
-    # Every pattern's gaps at its splits, both (..., pattern, component). The
-    # sums run in a fixed order, so each element equals the scalar call's.
-    def gaps(rho):
-        terms = (coef[..., None, :, i] * rho[..., i, None] for i in range(3))
-        return g0[..., None, :] + sum(terms)
-
-    # One system per pattern, (..., pattern, 3, 3): an interior component's
-    # row is its owner's row of C over the interior columns, equal to minus
-    # the gap at the corner; a fixed component's is the identity's, equal to
-    # its value. In cost units both kinds of row are on one scale.
-    eye = np.eye(3)
-    coupled = interior[:, :, None] & interior[:, None, :]
-    a = np.where(coupled, coef[..., None, :, :], eye)
-    b = np.where(interior, -gaps(corner), corner)
-    # Unsolvable systems become the identity. b is (..., pattern, 3, 1):
-    # NumPy 2 broadcasts a (..., 3) one differently.
-    solvable = (interior.sum(-1) < 3) & (np.linalg.det(a) != 0)
-    a = np.where(solvable[..., None, None], a, eye)
-    rho = np.linalg.solve(a, b[..., None])[..., 0]
-    # Each owner's interior columns of C times A^-1, (..., pattern, 3, 3).
-    moved = np.where(interior[:, None, :], coef[..., None, :, :], 0) @ np.linalg.inv(a)
-    rounding = _GAP_ROUNDING * (1 + np.abs(moved).sum(-1))
-    cost_tol = np.asarray(_cost_tol(params) / _cost_unit(params))[..., None, None]
-
-    # Written as "not holds", so a NaN split or gap holds no inequality.
-    def violated(gap, tol):
-        return np.where(
-            interior,
-            ~(np.abs(gap) <= tol),
-            ~np.where(symbols == "0", gap >= -tol, gap <= tol),
-        )
-
-    rho_clipped = np.clip(rho, 0, 1)
-    bad = violated(gaps(rho), rounding) | violated(gaps(rho_clipped), cost_tol)
-    rejected = bad.any(axis=-1)
-    first_failure = _FAILURE_NOTES[np.arange(len(_PATTERNS)), bad.argmax(axis=-1)]
-    note = np.where(rejected, first_failure, "")
-    note = np.where(solvable, note, "degenerate equalization system")
-    is_equilibrium = solvable & ~rejected
-    rho = np.where(is_equilibrium[..., None], rho_clipped, np.nan)
+    _require_uninformative(env)
+    read = (*vars(params).values(), env.p_incident, env.frac_informed, env.accuracy_high)
+    shape = np.broadcast_shapes(*map(np.shape, read))
+    points = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in read)))
+    exact = not any(isinstance(v, float) for point in points for v in point)
+    number = Fraction if exact else float
+    tables = []
+    for point in points:
+        fractions = [Fraction(v) for v in point]
+        network = NetworkParams(*fractions[:6])
+        g0, coef = _exact_gaps(network, InfoEnvironment(*fractions[6:]))
+        tables.append([_verdict(g0, coef, pattern) for pattern in _PATTERNS])
 
     verdicts = []
-    for n, pattern in enumerate(_PATTERNS):
-        ok, text, *split = _as_results(
-            is_equilibrium[..., n], note[..., n], *(rho[..., n, j] for j in range(3))
+    for pattern, column in zip(_PATTERNS, zip(*tables)):
+        notes, splits = zip(*column)
+        if shape == ():
+            profile = StrategyProfile(*map(number, splits[0])) if splits[0] else None
+            verdicts.append(ProfileVerdict(pattern, not notes[0], profile, notes[0]))
+            continue
+        rows = np.array(
+            [list(map(number, split)) if split else [np.nan] * 3 for split in splits],
+            dtype=object if exact else float,
         )
-        profile = None if ok is False else StrategyProfile(*split)
-        verdicts.append(ProfileVerdict(pattern, ok, profile=profile, note=text))
+        profile = StrategyProfile(*(rows[:, j].reshape(shape) for j in range(3)))
+        ok = np.array([not note for note in notes]).reshape(shape)
+        verdicts.append(ProfileVerdict(pattern, ok, profile, np.array(notes).reshape(shape)))
     return verdicts
 
 

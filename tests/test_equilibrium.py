@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import exact
-from exact import EXPECTED_PATTERN, PATTERNS
+from exact import EXPECTED_PATTERN
 from routeinfo import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
@@ -28,13 +28,17 @@ from routeinfo import (
     wardrop_residual,
 )
 from routeinfo.equilibrium import BOUNDARY_TOL
-from routeinfo.model import _cost_tol, _population_demands
+from routeinfo.model import _population_demands
 from routeinfo.oracle import (
+    _PATTERNS,
     UTILIZED_SHARE_EPS,
     _affine_gaps,
-    _cost_unit,
+    _eliminate,
+    _exact_gaps,
     _gap_weights,
+    _lowest,
     _type_gaps,
+    _verdict,
 )
 from strategies import rational_networks, rescaled_networks
 
@@ -110,7 +114,7 @@ def test_split_names_a_type_without_one():
 
 def test_rejects_informative_low_accuracy_signal():
     env = InfoEnvironment(0.2, 0.5, accuracy_high=1.0, accuracy_low=0.6)
-    for op in (regime_boundaries, classify, solve_bwe):
+    for op in (regime_boundaries, classify, solve_bwe, enumerate_profiles):
         with pytest.raises(ValidationError) as exc:
             op(PARAMS, env)
         assert exc.value.code == "unsupported_treatment"
@@ -322,7 +326,7 @@ def test_pattern_table_next_to_each_boundary(boundary, offset):
 
 
 # ---------------------------------------------------------------------------
-# The exact rational pattern table
+# The exact pattern table on rational fields
 # ---------------------------------------------------------------------------
 
 _RATIONAL_P = st.one_of(
@@ -338,21 +342,94 @@ _RATIONAL_ETA = st.one_of(
 #: up to BOUNDARY_TOL past lambda_bar_2 to R2's closed form.
 _INSIDE = Fraction(1, 10**9)
 
+ALL_INTERIOR = ("int", "int", "int")
+
+
+def _regime_span(params, p, eta_h, regime):
+    """The lambdas drawn in ``regime`` (0..3): its interval, _INSIDE in
+    from each end."""
+    bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
+    lo, hi = [0, *bounds, 1][regime : regime + 2]
+    return max(lo, 0) + _INSIDE, min(hi, 1) - _INSIDE
+
+
+#: A network and p, and the ``at`` that draws a point in R2 with it (in the
+#: other regimes this ``at`` leaves [0, 1]): R2's interior block has
+#: condition number about 4 / (1 - p) there, and Hn prefers route 1 by only
+#: 7.4e-5 cost units. Rounded solves rejected (int, 1, int) at that point
+#: and accepted (int, 1, 1) and (1, int, int).
+_NEAR_ONE = NetworkParams(*map(Fraction, ("4/3125", "21/15625", "4/3125", "10", "21/2", "3133/8")))
+_NEAR_ONE_P = 1 - Fraction(1, 10**12)
+_lo, _hi = _regime_span(_NEAR_ONE, _NEAR_ONE_P, Fraction(1), 1)
+_NEAR_ONE_AT = (
+    Fraction(1029879060647764886339984200281, 2633286499999935773500000000000) - _lo
+) / (_hi - _lo)
+
 
 def _assert_one_set_of_loads(params, env, verdicts):
-    """Every accepted solution, singular faces' segment ends included,
-    routes the same loads."""
-    loads = {exact.route1_loads(params, env, end) for v in verdicts for end in v.ends}
+    """Every accepted pattern's profile routes the same loads."""
+    loads = {exact.route1_loads(params, env, v.profile) for v in verdicts if v.is_equilibrium}
     assert len(loads) == 1, loads
 
 
 def test_exact_elimination_on_singular_systems():
     """A consistent singular system gives a particular solution and its null
     space; an inconsistent one gives none."""
-    x, null = exact.solve([[1, 2], [2, 4]], [3, 6])
+    one, two, three, four, five, six, seven = map(Fraction, range(1, 8))
+    x, null = _eliminate([[one, two], [two, four]], [three, six])
     assert x == [3, 0] and null == [[-2, 1]]
-    assert exact.solve([[1, 2], [2, 4]], [3, 7]) == (None, [[-2, 1]])
-    assert exact.solve([[0, 1], [1, 0]], [2, 5]) == ([5, 2], [])
+    assert _eliminate([[one, two], [two, four]], [three, seven]) == (None, [[-2, 1]])
+    assert _eliminate([[0, one], [one, 0]], [two, five]) == ([5, 2], [])
+
+
+def test_lowest_solution_by_fourier_motzkin():
+    """The lowest point of a polygon, first coordinate first, including a
+    lower bound on s[0] that only eliminating s[1] reveals; None for an
+    empty polygon."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    box = [(0, [1, 0]), (0, [0, 1]), (1, [-1, 0]), (1, [0, -1])]
+    assert _lowest(box, 2) == [0, 0]
+    # s0 + s1 >= 1 with s1 <= 1/4.
+    assert _lowest([*box, (-1, [1, 1]), (quarter, [0, -1])], 2) == [3 * quarter, quarter]
+    # s0 - s1 >= 1/2: s1 stays at its lowest.
+    assert _lowest([*box, (-half, [1, -1])], 2) == [half, 0]
+    assert _lowest([*box, (-3, [1, 1])], 2) is None
+    # Unbounded below: s0 takes its highest value, s1 its only bound.
+    assert _lowest([(1, [-1, 0]), (-half, [0, 1])], 2) == [1, half]
+    assert _lowest([(half, []), (0, [])], 0) == []
+    assert _lowest([(-half, [])], 0) is None
+
+
+def test_pattern_with_a_plane_of_solutions():
+    """Gaps that, like those at lambda = 0, ignore the Hn and Ha splits: the
+    all-interior system has a two-dimensional null space. Where Hn and Ha
+    are indifferent at L's equalizing split it is accepted, at that split
+    with the free splits at their lowest, 0; otherwise it has no solution."""
+    coef = [[Fraction(3), 0, 0], [Fraction(2), 0, 0], [Fraction(5), 0, 0]]
+    g0 = [Fraction(-1), Fraction(-2, 3), Fraction(-5, 3)]
+    assert _verdict(g0, coef, ALL_INTERIOR) == ("", [Fraction(1, 3), 0, 0])
+    g0[2] += 1
+    assert _verdict(g0, coef, ALL_INTERIOR) == ("degenerate equalization system", None)
+    # Ha fixed at 0 must weakly prefer route 2: its gap is now 1 > 0.
+    assert _verdict(g0, coef, ("int", "int", "0")) == ("", [Fraction(1, 3), 0, 0])
+    assert _verdict(g0, coef, ("int", "int", "1")) == ("Ha strictly prefers route 2", None)
+
+
+def test_pattern_with_a_segment_of_solutions():
+    """Gaps whose all-interior system has a line of solutions, along
+    (1, 1, 0), with its particular solution (rho_Hn at 0) outside the box:
+    the segment inside the box is accepted at its end with the lowest free
+    split, rho_Hn = 1/2. A fixed owner is judged along it too."""
+    two, half = Fraction(2), Fraction(1, 2)
+    coef = [[two, -two, 0], [two, -two, 0], [0, 0, Fraction(1)]]
+    g0 = [Fraction(1), Fraction(1), -half]
+    assert _verdict(g0, coef, ALL_INTERIOR) == ("", [0, half, half])
+    assert _verdict(g0, coef, ("int", "int", "1")) == ("Ha strictly prefers route 2", None)
+    # rho_L = rho_Hn - 3/2: L's split lies in [0, 1] only where Hn's does
+    # not, so the note names Hn, the first owner no solution satisfies
+    # together with the owners before it.
+    g0[:2] = [Fraction(3), Fraction(3)]
+    assert _verdict(g0, coef, ALL_INTERIOR) == ("Hn split leaves [0, 1]", None)
 
 
 @pytest.mark.parametrize("regime", [0, 1, 2, 3])
@@ -363,64 +440,24 @@ def test_exact_elimination_on_singular_systems():
     at=st.fractions(0, 1, max_denominator=1000),
 )
 @settings(max_examples=25, deadline=None)
-# R2's interior block has condition number about 4 / (1 - p) here; a
-# ceiling on it rejected the pattern.
+# R2's interior block has condition number about 4 / (1 - p) here.
 @example(
     params=RATIONAL_PARAMS, p=1 - Fraction(1, 10**12), eta_h=Fraction(1), at=Fraction(1, 2)
 )
+@example(params=_NEAR_ONE, p=_NEAR_ONE_P, eta_h=Fraction(1), at=_NEAR_ONE_AT)
 def test_closed_form_is_the_exact_tables_one_equilibrium(regime, params, p, eta_h, at):
-    """Inside each regime the exact table accepts exactly one non-singular
-    pattern, the regime's, at solve_bwe's profile with no tolerance. The
-    float table accepts it too wherever rounding cannot undo that, at splits
-    within a few eps times its interior block's condition number."""
-    bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
-    lo, hi = [0, *bounds, 1][regime : regime + 2]
-    lo, hi = max(lo, 0) + _INSIDE, min(hi, 1) - _INSIDE
+    """Inside each regime the table accepts exactly one pattern, the
+    regime's, at solve_bwe's profile with no tolerance (==)."""
+    assume(0 <= at <= 1)
+    lo, hi = _regime_span(params, p, eta_h, regime)
     assume(lo < hi)
     env = InfoEnvironment(p, lo + at * (hi - lo), eta_h)
     label = classify(params, env).label
     assert label == f"R{regime + 1}"
-    verdicts = exact.table(params, env)
-    regular = [v.pattern for v in verdicts if v.accepted and not v.singular]
-    assert regular == [EXPECTED_PATTERN[label]]
-    closed = solve_bwe(params, env)
-    (end,) = verdicts[PATTERNS.index(EXPECTED_PATTERN[label])].ends
-    assert (closed.rho_L, closed.rho_Hn, closed.rho_Ha) == end
-    _assert_one_set_of_loads(params, env, verdicts)
-    _assert_float_table_accepts(params, env, EXPECTED_PATTERN[label], end)
-
-
-def _assert_float_table_accepts(params, env, pattern, end):
-    """``enumerate_profiles`` accepts ``pattern`` at splits within 8 eps (1 +
-    kappa) of the exact ``end``, where kappa = ||A^-1|| for the pattern's
-    interior block A of C in cost units: the splits' condition number under
-    roundings of the gaps' data, which are of the cost scale. Acceptance is
-    required where that error cannot undo it: where it moves no owner's gap
-    past the cost slack, except that an interior owner's gap stays put
-    unless the clip to [0, 1] moves a split."""
-    g0, coef = exact.affine_gaps(params, env)
-    unit = _cost_unit(params)
-    c = np.array([[float(v / unit) for v in row] for row in coef])
-    inner = [j for j, s in enumerate(pattern) if s == "int"]
-    kappa = np.linalg.norm(np.linalg.inv(c[np.ix_(inner, inner)]), 2)
-    error = 8 * np.finfo(float).eps * (1 + kappa)
-    clipped = not all(error < end[j] < 1 - error for j in inner)
-    slack = _cost_tol(params) / unit
-    decided = True
-    for t, s in enumerate(pattern):
-        # How far that error can move the owner's gap in cost units.
-        move = error * (1 + np.abs(c[t]).sum())
-        if s == "int":
-            decided &= not clipped or move <= slack
-        else:
-            gap = float(g0[t] + sum(cj * r for cj, r in zip(coef[t], end))) / unit
-            decided &= (gap if s == "0" else -gap) + slack > move
-    verdict = enumerate_profiles(params, env)[PATTERNS.index(pattern)]
-    assert verdict.is_equilibrium or not decided, (verdict.note, error)
-    if verdict.is_equilibrium:
-        got = (verdict.profile.rho_L, verdict.profile.rho_Hn, verdict.profile.rho_Ha)
-        deviation = max(abs(g - float(w)) for g, w in zip(got, end))
-        assert deviation <= error, (deviation, kappa)
+    verdicts = enumerate_profiles(params, env)
+    accepted = [v for v in verdicts if v.is_equilibrium]
+    assert [v.pattern for v in accepted] == [EXPECTED_PATTERN[label]]
+    assert accepted[0].profile == solve_bwe(params, env)
 
 
 @given(params=rational_networks(), p=_RATIONAL_P, eta_h=_RATIONAL_ETA)
@@ -430,18 +467,18 @@ def _assert_float_table_accepts(params, env, pattern, end):
 @example(params=RATIONAL_PARAMS, p=Fraction(1, 10**12), eta_h=Fraction(1))
 def test_both_neighbouring_patterns_hold_on_each_boundary(params, p, eta_h):
     """On each boundary in (0, 1), also within BOUNDARY_TOL of another, the
-    exact table accepts both neighbouring regimes' patterns at solve_bwe's
-    profile."""
+    table accepts both neighbouring regimes' patterns at solve_bwe's profile
+    (==), and every accepted pattern routes the same loads."""
     bounds = regime_boundaries(params, InfoEnvironment(p, 0, eta_h))
     for i, lam in enumerate(bounds):
         if not 0 < lam < 1:
             continue
         env = InfoEnvironment(p, lam, eta_h)
         closed = solve_bwe(params, env)
-        verdicts = exact.table(params, env)
+        verdicts = enumerate_profiles(params, env)
         for label in (f"R{i + 1}", f"R{i + 2}"):
-            ends = verdicts[PATTERNS.index(EXPECTED_PATTERN[label])].ends
-            assert ends == ((closed.rho_L, closed.rho_Hn, closed.rho_Ha),), (lam, label)
+            verdict = verdicts[_PATTERNS.index(EXPECTED_PATTERN[label])]
+            assert verdict.profile == closed, (lam, label, verdict.note)
         _assert_one_set_of_loads(params, env, verdicts)
 
 
@@ -473,7 +510,7 @@ def test_gap_matrix_certifies_unique_loads(params, p, lam, eta_h):
     and route the same loads. Every check is exact (==)."""
     env = InfoEnvironment(p, lam, eta_h)
     pairs = list(itertools.combinations(range(3), 2))
-    _, c = exact.affine_gaps(params, env)
+    _, c = _exact_gaps(params, env)
     assert c[1][2] == c[2][1] == 0
     d = (1, c[0][1] / c[1][0], c[0][2] / c[2][0])
     assert all(v > 0 for v in d)
@@ -546,16 +583,40 @@ def test_all_interior_pattern_is_degenerate():
 @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-300, 1 - 2**-53, 1.0])
 @pytest.mark.parametrize("p", [1e-12, 0.2, 1 - 1e-12])
 def test_pattern_table_at_the_ends_of_lambda(p, lam):
-    """Here one population's share (the informed one up to 1e-300, the
-    uninformed from 1 - 2**-53) is below the rounding of the gaps in cost
-    units, so its splits move no gap. Exactly the systems that equalize one
-    of them, and the all-interior one, are degenerate, with no LinAlgError
-    and no warning (pytest turns warnings into errors)."""
-    empty = (1, 2) if lam <= 1e-300 else (0,)
-    for verdict in enumerate_profiles(PARAMS, _env(p=p, lam=lam)):
+    """At lambda exactly 0 or 1 one population is empty and its splits move
+    no gap: exactly the systems that equalize one of its owners are
+    degenerate, the all-interior one among them. At the tiny shares next to
+    those ends every population has mass, so only the all-interior system
+    is. Everywhere one pattern is accepted, and it routes solve_bwe's
+    loads."""
+    env = _env(p=p, lam=lam)
+    empty = {0.0: (1, 2), 1.0: (0,)}.get(lam, ())
+    verdicts = enumerate_profiles(PARAMS, env)
+    for verdict in verdicts:
         interior = [j for j, s in enumerate(verdict.pattern) if s == "int"]
         degenerate = len(interior) == 3 or any(j in empty for j in interior)
         assert (verdict.note == "degenerate equalization system") == degenerate, verdict
+    assert sum(v.is_equilibrium for v in verdicts) == 1
+    _assert_table_routes_the_closed_form(PARAMS, env, solve_bwe(PARAMS, env))
+
+
+@pytest.mark.parametrize("eta_h", [1.0, 0.5000001])
+@pytest.mark.parametrize("p", [0.2, 1e-12, 0.999999, 1 - 1e-12])
+def test_pattern_table_accepts_one_pattern_on_the_running_example(p, eta_h):
+    """At lambda = 0.5 the table accepts exactly one pattern, the closed
+    form's, and it routes solve_bwe's loads at the exact value of the float
+    fields within 1e-9 of the demand. (As p -> 1 the float closed form loses
+    O(1 - p) to cancellation: at p = 1 - 1e-12, eta_H = 1 it misses those
+    loads by up to 4.4e-5 of the demand.)"""
+    env = _env(p=p, lam=0.5, eta_h=eta_h)
+    accepted = [v for v in enumerate_profiles(PARAMS, env) if v.is_equilibrium]
+    exact_env = InfoEnvironment(*map(Fraction, (p, 0.5, eta_h)))
+    label = classify(RATIONAL_PARAMS, exact_env).label
+    assert [v.pattern for v in accepted] == [EXPECTED_PATTERN[label]]
+    closed = solve_bwe(RATIONAL_PARAMS, exact_env)
+    want = exact.route1_loads(RATIONAL_PARAMS, exact_env, closed)
+    got = exact.route1_loads(PARAMS, env, accepted[0].profile)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9 * PARAMS.demand
 
 
 def test_rejected_patterns_name_the_deviator():
@@ -568,9 +629,9 @@ def test_rejected_patterns_name_the_deviator():
 
 
 def test_pattern_table_at_a_large_cost_scale_does_not_overflow():
-    """With demand 1e155 a screened-out system's placeholder splits are of
-    the cost scale's size; they must not reach the gap product, where they
-    would overflow (pytest turns the warning into an error)."""
+    """With demand 1e155 nothing overflows (pytest turns the warning into
+    an error): the table accepts the closed form's pattern alone, and it
+    routes the closed form's loads."""
     params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 1e155)
     env = _env(p=0.9, lam=0.5)
     marked = [v.pattern for v in enumerate_profiles(params, env) if v.is_equilibrium]
@@ -580,9 +641,10 @@ def test_pattern_table_at_a_large_cost_scale_does_not_overflow():
 
 def test_pattern_table_and_best_responses_near_the_float_maximum():
     """With demand 5e307 the largest latency, 1.5e308, is finite, and in
-    cost units no gap coefficient overflows (pytest turns the warning into
-    an error): the table accepts the closed form's pattern alone, and each
-    type's best response to the closed form is its own split."""
+    cost units no gap coefficient of the best responses overflows (pytest
+    turns the warning into an error): the table accepts the closed form's
+    pattern alone, and each type's best response to the closed form is its
+    own split."""
     params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5e307)
     env = _env(p=0.9, lam=0.0)
     closed = solve_bwe(params, env)
@@ -598,10 +660,10 @@ def test_pattern_table_and_best_responses_near_the_float_maximum():
 def test_pattern_table_and_best_responses_at_a_subnormal_demand(lam):
     """With demand 1e-310 and slopes near 1e300 the cost unit is 2**-32.
     Slopes divided by it alone would overflow; taken to cost units together
-    with the demand, every coefficient stays finite (pytest turns the
-    warning into an error). The table accepts the closed form's pattern
-    alone, at its splits, and each type's best response to the closed form
-    is its own split."""
+    with the demand, every coefficient of the best responses stays finite
+    (pytest turns the warning into an error). The table accepts the closed
+    form's pattern alone, at its splits, and each type's best response to
+    the closed form is its own split."""
     params = NetworkParams(1e300, 3e300, 2e300, 0.0, 0.0, 1e-310)
     env = _env(p=0.5, lam=lam)
     closed = solve_bwe(params, env)
