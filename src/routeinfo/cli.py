@@ -10,9 +10,14 @@ failure (the verify and oracle subcommands).
 
 Each interpreter runs one subcommand, so this module loads only ``model`` at
 import, and not numpy; each row builder imports the solver modules it calls
-when it runs. numpy loads on the first array operand: a ``--sweep`` (whose
-axis is an array), ``oracle`` or ``verify``. A single point of the other
-subcommands is computed, tabulated and printed in plain Python.
+when it runs. numpy loads on the first array operand: a ``--sweep`` of more
+than ``_POINTWISE_MAX`` (400) points (whose axis is an array), ``oracle`` or
+``verify``. A single point of the other subcommands is computed, tabulated
+and printed in plain Python, and so is a sweep of at most 400 points, one
+point at a time through the same row builders. ``import numpy`` costs about
+46 ms and a plain-Python point of ``value``, the dearest, about 104 us, so
+up to about 470 points a loop beats the import plus one array call (the
+README tabulates the measurements); 400 stays below that break-even.
 """
 
 from __future__ import annotations
@@ -71,12 +76,18 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 #: Points per regime for the verify subcommand's lambda grid.
 _VERIFY_POINTS = 501
 
+#: The longest sweep evaluated one point at a time in plain Python; a longer
+#: one is one array call in numpy. See the module docstring for the 400.
+_POINTWISE_MAX = 400
+
 
 def parse_sweep(text: str) -> tuple:
     """Parse 'axis:start:stop:points' into (axis, evenly spaced values).
 
-    The axis's valid range is not checked here: the environment built from
-    the sweep checks every value and names the first one out of range.
+    The values are those of ``np.linspace(start, stop, points)``: a list of
+    Python floats for at most ``_POINTWISE_MAX`` points, else the array. The
+    axis's valid range is not checked here: the environment built from the
+    sweep checks every value and names the first one out of range.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -104,9 +115,22 @@ def parse_sweep(text: str) -> tuple:
         raise ValidationError(
             "malformed_sweep", f"sweep needs >= 2 points, got {points}"
         )
-    import numpy as np
+    if points > _POINTWISE_MAX:
+        import numpy as np
 
-    return axis, np.linspace(start, stop, points)
+        return axis, np.linspace(start, stop, points)
+    # np.linspace's own arithmetic, so the values are its bits: i * step +
+    # start, with i / div * delta where the step underflows to 0, and stop
+    # itself last. A span that overflows makes delta inf and the first value
+    # 0 * inf + start, NaN, as there.
+    div = points - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    return axis, [*values, stop]
 
 
 def parse_config_file(path: str) -> dict:
@@ -142,14 +166,22 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+def _network(config: dict) -> NetworkParams:
+    return NetworkParams(**{name: config[name] for name in fields(NetworkParams)})
+
+
+def _environment(config: dict) -> InfoEnvironment:
+    return InfoEnvironment(**{name: config[key] for key, name in _ENV_FIELDS.items()})
+
+
 def _build_instance(config: dict, sweep: tuple | None = None) -> tuple:
     """(params, env) at ``config``; a sweep makes its axis an array field."""
     if sweep is not None:
+        import numpy as np
+
         axis, values = sweep
-        config = {**config, axis: values}
-    params = NetworkParams(**{name: config[name] for name in fields(NetworkParams)})
-    env = InfoEnvironment(**{name: config[key] for key, name in _ENV_FIELDS.items()})
-    return params, env
+        config = {**config, axis: np.asarray(values)}
+    return _network(config), _environment(config)
 
 
 def _echo(env: InfoEnvironment) -> dict:
@@ -174,8 +206,8 @@ def _table(columns: dict) -> dict:
 # Row builders
 # ---------------------------------------------------------------------------
 #
-# Every builder takes an environment whose swept field is an array and makes
-# one library call for all points.
+# Every builder takes an environment whose swept field, if any, is an array
+# and makes one library call for all its points.
 
 
 def _rows_regimes(params, env) -> dict:
@@ -369,13 +401,35 @@ def _run_verify(config: dict) -> tuple:
     return payload, (0 if payload["passed"] else 2)
 
 
+def _rows_by_point(build, config: dict, sweep: tuple) -> dict:
+    """The table ``build`` makes of ``sweep``, one point at a time.
+
+    The network is built once, and every point's environment before any row,
+    so an invalid point raises the error of the array call, which checks
+    every value before it computes. The points' tables are joined
+    point-major as Python values, including a column that ``_ieee``'s
+    ZeroDivisionError fallback made a numpy scalar.
+    """
+    axis, values = sweep
+    params = _network(config)
+    envs = [_environment({**config, axis: value}) for value in values]
+    tables = [build(params, env) for env in envs]
+    columns = {name: [] for name in tables[0]}
+    for table in tables:
+        for name, column in table.items():
+            columns[name] += column.tolist() if hasattr(column, "tolist") else column
+    return columns
+
+
 def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     """Execute one subcommand; returns the process exit code.
 
     ``config`` holds the ten parameter keys plus optional ``format``
     (csv|json, default csv; ``verify`` prints JSON and rejects csv), ``out``
     (path, default stdout), and ``treatment`` (beliefs subcommand only).
-    ``sweep`` is an (axis, values) pair from ``parse_sweep``.
+    ``sweep`` is an (axis, values) pair from ``parse_sweep``. A list of
+    values is evaluated one point at a time, except by ``oracle``, whose
+    fixed point needs numpy; an array of values, in one array call.
     """
     fmt = config.get("format", "csv")
     out = config.get("out")
@@ -404,7 +458,11 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     }
     if subcommand not in builders:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
-    table = builders[subcommand](*_build_instance(config, sweep))
+    build = builders[subcommand]
+    if sweep is not None and isinstance(sweep[1], list) and subcommand != "oracle":
+        table = _rows_by_point(build, config, sweep)
+    else:
+        table = build(*_build_instance(config, sweep))
 
     if fmt == "csv":
         _write(lambda fh: _emit_csv(table, fh), out)

@@ -7,12 +7,15 @@ exit code plus captured stdout/stderr, the same surface a shell user sees.
 import csv
 import io
 import json
+import math
+import random
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import routeinfo.cli
 import routeinfo.oracle
 from routeinfo import (
     InfoEnvironment,
@@ -21,7 +24,7 @@ from routeinfo import (
     StrategyProfile,
     solve_bwe,
 )
-from routeinfo.cli import _BLOCK_ROWS, DEFAULTS, _rows_beliefs, main
+from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _rows_beliefs, main, parse_sweep
 from routeinfo.model import replace
 
 # ---------------------------------------------------------------------------
@@ -39,6 +42,22 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_by(capsys, monkeypatch, driver, argv):
+    """``_run(capsys, argv)`` with its sweep evaluated by ``driver``, whatever
+    its length: "point" one point at a time, "array" in one array call. Both
+    get the values ``parse_sweep`` makes, as a list or as an array."""
+    parse = routeinfo.cli.parse_sweep
+
+    def parse_for(text):
+        axis, values = parse(text)
+        values = np.asarray(values)
+        return axis, values.tolist() if driver == "point" else values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(routeinfo.cli, "parse_sweep", parse_for)
+        return _run(capsys, argv)
 
 
 def _point_runs(capsys, base, flag, values, fmt):
@@ -237,8 +256,8 @@ def test_beliefs_table_sizes(capsys, treatment, n_rows):
 def test_beliefs_sweep_prints_the_rows_of_single_points(
     capsys, treatment, extra, axis, start, stop, fmt
 ):
-    """A beliefs sweep is one array call; entries that do not depend on the
-    swept axis are repeated per point, as a run per point prints them."""
+    """Entries that do not depend on the swept axis are repeated per point
+    of a beliefs sweep, as a run per point prints them."""
     base = ["beliefs", "--treatment", treatment, *extra]
     code, out, _ = _run(
         capsys, [*base, "--format", fmt, "--sweep", f"{axis}:{start}:{stop}:4"]
@@ -432,20 +451,111 @@ def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
     ],
 )
 def test_closed_form_sweep_prints_the_rows_of_single_points(
-    capsys, sub, axis, start, stop, fmt
+    capsys, monkeypatch, sub, axis, start, stop, fmt
 ):
     """A single point is computed, tabulated and printed in plain Python and
-    a sweep in numpy; their rows are the same bytes. The lambda sweeps hold
-    the lambda = 0 and lambda = 1 rows, where a population is empty and its
-    costs print as nan in CSV and null in JSON."""
+    a sweep in one array call in numpy; their rows are the same bytes. The
+    lambda sweeps hold the lambda = 0 and lambda = 1 rows, where a population
+    is empty and its costs print as nan in CSV and null in JSON."""
     argv = [sub, "--format", fmt, "--sweep", f"{axis}:{start}:{stop}:11"]
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run_by(capsys, monkeypatch, "array", argv)
     assert (code, err) == (0, "")
     flag = {"lambda": "--lambda", "p": "--p", "eta_h": "--eta-h"}[axis]
     values = np.linspace(start, stop, 11)
     assert out == _point_runs(capsys, [sub], flag, values, fmt)[0]
     if sub == "costs" and axis == "lambda":
         assert {"csv": ",nan,", "json": ": null,"}[fmt] in out
+
+
+#: A network at which the social optimum's costs underflow to 0.
+_UNDERFLOW = ["--intercept1", "0", "--intercept2", "0", "--demand", "5e-324"]
+
+_TREATMENTS = [
+    ["beliefs"],
+    ["beliefs", "--treatment", "conditional", "--eta-l", "0.55"],
+    ["beliefs", "--treatment", "marginal", "--eta-l", "0.55"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("network", [[], _UNDERFLOW], ids=["example", "underflow"])
+@pytest.mark.parametrize(
+    "sweep", ["lambda:0:1:6", "p:0.05:0.95:6", "eta_h:0.6:1:6"], ids=lambda s: s[: s.index(":")]
+)
+@pytest.mark.parametrize(
+    "base",
+    [["regimes"], ["equilibrium"], ["costs"], ["value"], *_TREATMENTS],
+    ids=["regimes", "equilibrium", "costs", "value", "uninformative", "conditional", "marginal"],
+)
+def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep, network, fmt):
+    """A sweep run one point at a time prints the bytes, the stderr and the
+    exit code of the one array call. At the underflow network ``_ieee``
+    gives numpy scalars at single points, which print as the array's
+    floats, and a regime boundary's denominator underflows to 0 at the low
+    p of a p sweep (not_finite); a value sweep along eta_h fails with
+    not_analyzed."""
+    argv = [*base, *network, "--format", fmt, "--sweep", sweep]
+    point = _run_by(capsys, monkeypatch, "point", argv)
+    assert point == _run_by(capsys, monkeypatch, "array", argv)
+    axis = sweep[: sweep.index(":")]
+    fails = (base == ["value"] and axis == "eta_h") or (
+        network == _UNDERFLOW and axis == "p" and base[0] != "beliefs"
+    )
+    assert point[0] == int(fails)
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["value", "--sweep", "eta_h:0.6:1.2:5"], "1.0499999999999998"),
+        (["equilibrium", "--eta-l", "0.6", "--sweep", "eta_h:0.7:1.3:4"], "1.1"),
+    ],
+    ids=["value", "equilibrium"],
+)
+def test_point_and_array_drivers_raise_the_same_error(capsys, monkeypatch, argv, value):
+    """The per-point driver builds every point's environment before any row,
+    so it raises the array call's error, the first out-of-range value, and
+    not the scope error (not_analyzed, unsupported_treatment) that the rows
+    of the valid first point would raise."""
+    point = _run_by(capsys, monkeypatch, "point", argv)
+    assert point == _run_by(capsys, monkeypatch, "array", argv)
+    message = f"error: accuracy_out_of_range: accuracy_high must lie in (0.5, 1], got {value}\n"
+    assert point == (1, "", message)
+
+
+def _bits(values):
+    """Each float's repr: two floats have the same repr only if they have
+    the same bits, or are both NaN."""
+    return [repr(v) for v in values]
+
+
+def test_sweep_values_are_the_bits_of_linspace():
+    """A sweep of at most ``_POINTWISE_MAX`` points gets its values as Python
+    floats, bit for bit those of ``np.linspace``, which a longer sweep gets:
+    at drawn bounds for every length, where the step underflows to 0, and
+    where the span overflows (the first value is NaN both ways)."""
+    rng = random.Random(32)
+    for n in range(2, _POINTWISE_MAX + 1):
+        scale = 10.0 ** rng.randint(-320, 300)
+        start = rng.uniform(-1.0, 1.0) * scale
+        stop = max(start + rng.uniform(0.0, 2.0) * scale, math.nextafter(start, math.inf))
+        axis, values = parse_sweep(f"p:{start!r}:{stop!r}:{n}")
+        assert (axis, type(values)) == ("p", list)
+        assert _bits(values) == _bits(np.linspace(start, stop, n).tolist()), (start, stop, n)
+    axis, values = parse_sweep(f"lambda:0:1:{_POINTWISE_MAX + 1}")
+    assert isinstance(values, np.ndarray) and len(values) == _POINTWISE_MAX + 1
+    for text in ("lambda:0:5e-324:3", "lambda:0:1e-323:6"):
+        _, start, stop, n = text.split(":")
+        linspace = np.linspace(float(start), float(stop), int(n)).tolist()
+        assert _bits(parse_sweep(text)[1]) == _bits(linspace), text
+    # Where the step underflows to 0, numpy scales i / div by the span.
+    assert _bits(parse_sweep("lambda:0:1e-323:6")[1]) == _bits(
+        [0.0, 0.0, 5e-324, 5e-324, 1e-323, 1e-323]
+    )
+    with np.errstate(all="ignore"):
+        wide = np.linspace(-1e308, 1e308, 5).tolist()
+    assert _bits(parse_sweep("p:-1e308:1e308:5")[1]) == _bits(wide)
+    assert _bits(wide) == ["nan", "inf", "inf", "inf", "1e+308"]
 
 
 def test_costs_over_an_optimum_that_underflows_to_zero(capsys):

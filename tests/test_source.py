@@ -224,14 +224,18 @@ def test_oracle_import_loads_no_closed_form():
 
 #: Command line -> (exit code, the package modules besides ``cli`` and
 #: ``model`` that the run loads, whether it loads numpy). numpy is a
-#: dependency of arrays: only a sweep, ``oracle`` and ``verify`` load it.
+#: dependency of arrays: only a sweep of more than 400 points (the CLI's
+#: ``_POINTWISE_MAX``; a shorter one runs a point at a time in plain Python),
+#: ``oracle`` and ``verify`` load it.
 _RUNS = {
     "--help": (0, [], False),
     "beliefs": (0, ["beliefs"], False),
     "beliefs --treatment conditional --eta-l 0.55": (0, ["beliefs"], False),
     "beliefs --treatment marginal --eta-l 0.55": (0, ["beliefs"], False),
     "regimes": (0, ["equilibrium"], False),
-    "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], True),
+    "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], False),
+    "regimes --sweep lambda:0:1:400": (0, ["equilibrium"], False),
+    "regimes --sweep lambda:0:1:401": (0, ["equilibrium"], True),
     "regimes --p 2": (1, [], False),
     "equilibrium": (0, ["equilibrium"], False),
     "costs": (0, ["costs", "equilibrium"], False),
