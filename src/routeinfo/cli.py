@@ -10,14 +10,17 @@ failure (the verify and oracle subcommands).
 
 Each interpreter runs one subcommand, so this module loads only ``model`` at
 import, and not numpy; each row builder imports the solver modules it calls
-when it runs. numpy loads on the first array operand: a ``--sweep`` of more
-than ``_POINTWISE_MAX`` (400) points (whose axis is an array), ``oracle`` or
-``verify``. A single point of the other subcommands is computed, tabulated
-and printed in plain Python, and so is a sweep of at most 400 points, one
-point at a time through the same row builders. ``import numpy`` costs about
-46 ms and a plain-Python point of ``value``, the dearest, about 104 us, so
-up to about 470 points a loop beats the import plus one array call (the
-README tabulates the measurements); 400 stays below that break-even.
+when it runs. numpy loads on the first array operand: a ``--sweep`` longer
+than its subcommand's ``_POINTWISE_MAX`` (whose axis is an array),
+``oracle`` or ``verify``. A single point of the other subcommands is
+computed, tabulated and printed in plain Python, and so is a sweep within
+that limit, one point at a time through the same row builders. ``import
+numpy`` costs about 45 ms, so the loop beats the import plus one array call
+up to a number of points that the cost of a point sets: about 3,000 for
+``regimes``, 2,400 for ``equilibrium``, 1,200 for ``beliefs`` (its
+``marginal`` treatment) and 550 for ``costs`` and ``value``. Each limit
+stays below its subcommand's break-even; the README tabulates the
+measurements.
 """
 
 from __future__ import annotations
@@ -76,18 +79,22 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 #: Points per regime for the verify subcommand's lambda grid.
 _VERIFY_POINTS = 501
 
-#: The longest sweep evaluated one point at a time in plain Python; a longer
-#: one is one array call in numpy. See the module docstring for the 400.
-_POINTWISE_MAX = 400
+#: Subcommand -> the longest sweep of it evaluated one point at a time in
+#: plain Python; a longer one, and every sweep of a subcommand not listed,
+#: is one array call in numpy. See the module docstring for the limits.
+_POINTWISE_MAX = {
+    "regimes": 2500, "equilibrium": 2000, "beliefs": 1000, "costs": 500, "value": 500
+}
 
 
 def parse_sweep(text: str) -> tuple:
     """Parse 'axis:start:stop:points' into (axis, evenly spaced values).
 
     The values are those of ``np.linspace(start, stop, points)``: a list of
-    Python floats for at most ``_POINTWISE_MAX`` points, else the array. The
-    axis's valid range is not checked here: the environment built from the
-    sweep checks every value and names the first one out of range.
+    Python floats for at most the largest ``_POINTWISE_MAX`` points, else
+    the array. The axis's valid range is not checked here: the environment
+    built from the sweep checks every value and names the first one out of
+    range.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -111,18 +118,21 @@ def parse_sweep(text: str) -> tuple:
         raise ValidationError(
             "malformed_sweep", f"sweep needs start < stop, got {start}..{stop}"
         )
+    if not math.isfinite(stop - start):
+        raise ValidationError(
+            "malformed_sweep", f"sweep needs a finite stop - start, got {start}..{stop}"
+        )
     if points < 2:
         raise ValidationError(
             "malformed_sweep", f"sweep needs >= 2 points, got {points}"
         )
-    if points > _POINTWISE_MAX:
+    if points > max(_POINTWISE_MAX.values()):
         import numpy as np
 
         return axis, np.linspace(start, stop, points)
     # np.linspace's own arithmetic, so the values are its bits: i * step +
     # start, with i / div * delta where the step underflows to 0, and stop
-    # itself last. A span that overflows makes delta inf and the first value
-    # 0 * inf + start, NaN, as there.
+    # itself last.
     div = points - 1
     delta = stop - start
     step = delta / div
@@ -295,6 +305,7 @@ def _rows_oracle(params, env) -> dict:
     from .oracle import OracleConfig, solve_fixed_point
 
     closed = solve_bwe(params, env)
+    regime = classify(params, env).label
     numeric = solve_fixed_point(params, env, OracleConfig())
     masses = _type_masses(env)
     deviation = 0.0
@@ -306,7 +317,6 @@ def _rows_oracle(params, env) -> dict:
         for side, profile in (("closed", closed), ("oracle", numeric))
         for t in EQUILIBRIUM_TYPES
     }
-    regime = classify(params, env).label
     return _table({**_echo(env), "regime": regime, **splits, "deviation": deviation})
 
 
@@ -427,9 +437,9 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     ``config`` holds the ten parameter keys plus optional ``format``
     (csv|json, default csv; ``verify`` prints JSON and rejects csv), ``out``
     (path, default stdout), and ``treatment`` (beliefs subcommand only).
-    ``sweep`` is an (axis, values) pair from ``parse_sweep``. A list of
-    values is evaluated one point at a time, except by ``oracle``, whose
-    fixed point needs numpy; an array of values, in one array call.
+    ``sweep`` is an (axis, values) pair from ``parse_sweep``. A list of at
+    most ``_POINTWISE_MAX[subcommand]`` values is evaluated one point at a
+    time; other values, ``oracle``'s among them, in one array call.
     """
     fmt = config.get("format", "csv")
     out = config.get("out")
@@ -459,7 +469,8 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     if subcommand not in builders:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
     build = builders[subcommand]
-    if sweep is not None and isinstance(sweep[1], list) and subcommand != "oracle":
+    limit = _POINTWISE_MAX.get(subcommand, 0)
+    if sweep is not None and isinstance(sweep[1], list) and len(sweep[1]) <= limit:
         table = _rows_by_point(build, config, sweep)
     else:
         table = build(*_build_instance(config, sweep))

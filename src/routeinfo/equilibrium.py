@@ -21,6 +21,13 @@ The same code takes ``Fraction`` fields, and ``regime_boundaries``,
 ``classify`` and ``solve_bwe`` then answer in exact fractions. Scalar
 fields run in plain Python, without numpy (see ``model``).
 
+One private kernel, ``_evaluate``, computes the derived constants, the type
+marginals, the three boundaries and the regime index of an environment,
+each once; ``regime_boundaries``, ``classify``, ``solve_bwe`` and
+``value.lambda_min`` read them from it. The last evaluation in plain Python
+is kept, so ``classify`` and ``solve_bwe`` at one (params, env) pair, as a
+row of the CLI asks for both, evaluate it once.
+
 The closed forms read only ``model``: the derived constants K0..K4, the type
 marginals P(Hn) and P(Ha) and the ``StrategyProfile`` they return. The
 checks of a profile against the equilibrium definition (the Wardrop residual
@@ -37,13 +44,13 @@ from .model import (
     _as_results,
     _choose,
     _clip,
+    _derived_constants,
     _enforce,
     _ieee,
     _Record,
     _require_uninformative,
     _where,
     _zeros_like,
-    derived_constants,
     marginal_type_dist,
 )
 
@@ -100,8 +107,7 @@ def _boundaries(params: NetworkParams, k, dist) -> tuple:
 
 def regime_boundaries(params: NetworkParams, env: InfoEnvironment) -> tuple:
     """The three lambda thresholds separating the four regimes."""
-    _require_uninformative(env)
-    return _boundaries(params, derived_constants(params, env), marginal_type_dist(env))
+    return _evaluation(params, env)[2]
 
 
 _LABELS = ("R1", "R2", "R3", "R4")
@@ -125,6 +131,38 @@ def _regime_index(lam, bounds):
     return 3 - below_r2 - below_r3 - below_r4
 
 
+def _evaluate(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """(derived constants, type marginals, boundaries, regime index) at
+    ``env``: everything the closed forms read, each computed once, after the
+    environment's scope check and with the errors of ``_boundaries``."""
+    _require_uninformative(env)
+    dist = marginal_type_dist(env)
+    k = _derived_constants(params, env, dist)
+    bounds = _boundaries(params, k, dist)
+    return k, dist, bounds, _regime_index(env.frac_informed, bounds)
+
+
+#: The last evaluation made in plain Python, as (params, env, evaluation).
+_last = (None, None, None)
+
+
+def _evaluation(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """``_evaluate(params, env)``, reused while (params, env) is the pair
+    last evaluated. Only an evaluation in plain Python (an int regime index)
+    is kept: its values cannot change, whereas an array field could be
+    changed in place, and a sweep's arrays would be kept alive. The kept
+    pair is held, so no other pair can match it, and the whole entry is
+    replaced at once, so concurrent callers each read a consistent one."""
+    global _last
+    last_params, last_env, evaluation = _last
+    if params is last_params and env is last_env:
+        return evaluation
+    evaluation = _evaluate(params, env)
+    if type(evaluation[3]) is int:
+        _last = (params, env, evaluation)
+    return evaluation
+
+
 def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     """The regime containing ``env.frac_informed``.
 
@@ -136,9 +174,8 @@ def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:
     across the boundaries, so the tie rule is cost-free, and lambda = 0 is
     always R1. Array-valued fields give arrays of labels and boundaries.
     """
-    bounds = regime_boundaries(params, env)
-    label = _choose(_regime_index(env.frac_informed, bounds), _LABELS)
-    return Regime(*_as_results(label, *bounds))
+    _, _, bounds, regime = _evaluation(params, env)
+    return Regime(*_as_results(_choose(regime, _LABELS), *bounds))
 
 
 def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
@@ -151,11 +188,8 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     with ``l_population_empty`` set, so downstream cost formulas never
     silently multiply an undefined fraction by zero demand.
     """
-    _require_uninformative(env)
-    k = derived_constants(params, env)
-    dist = marginal_type_dist(env)
+    k, dist, _, regime = _evaluation(params, env)
     lam, d, p_hn, p_ha = env.frac_informed, params.demand, dist.p_Hn, dist.p_Ha
-    regime = _regime_index(lam, _boundaries(params, k, dist))
 
     def table(uninformed, informed):
         """Every regime's closed form at every point, as a regime x (rho_L,

@@ -37,6 +37,7 @@ never imports numpy, and give the same bits as numpy where one does.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 
@@ -519,7 +520,12 @@ def _numpy(*values):
     is imported here, on the first array operand, so a computation on Python
     scalars alone never loads it. Each primitive below takes its plain-Python
     branch on None and otherwise calls numpy as the closed forms always did.
+    Until numpy is in ``sys.modules`` no operand is looked at: a numpy array
+    or scalar is made by numpy, so none exists before numpy is loaded, and
+    the fields take no other array type.
     """
+    if "numpy" not in sys.modules:
+        return None
     for v in values:
         if hasattr(v, "__array__"):
             import numpy
@@ -725,6 +731,11 @@ def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedCon
 
     Raises ``not_finite`` where a denominator of K2 or K3 underflows to 0.
     """
+    return _derived_constants(params, env, marginal_type_dist(env))
+
+
+def _derived_constants(params, env, dist) -> DerivedConstants:
+    """``derived_constants`` at ``env``, whose type marginals are ``dist``."""
     p, eta = env.p_incident, env.accuracy_high
     a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
     d = params.demand
@@ -733,7 +744,6 @@ def derived_constants(params: NetworkParams, env: InfoEnvironment) -> DerivedCon
     a1_hat = (1 - p) * (1 - eta) * a1n + p * eta * a1a
     a1_tilde = (1 - p) * eta * a1n + p * (1 - eta) * a1a
 
-    dist = marginal_type_dist(env)
     p_ha, p_hn = dist.p_Ha, dist.p_Hn
 
     k0 = a2 * d - params.intercept1 + params.intercept2

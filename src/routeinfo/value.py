@@ -107,7 +107,8 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     the same equalized costs there), making the relative value zero.
     Array-valued environment fields give arrays of their common shape.
     Every cost comes from one ``cost_report`` call; ``lambda_min`` runs the
-    environment checks first.
+    environment checks first, and its evaluation of ``env`` (see
+    ``equilibrium``) serves the equilibrium of ``cost_report`` too.
     """
     lam_min = lambda_min(params, env)
     r = cost_report(params, env)

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +58,8 @@ def _run_by(capsys, monkeypatch, driver, argv):
 
     with monkeypatch.context() as patch:
         patch.setattr(routeinfo.cli, "parse_sweep", parse_for)
+        if driver == "point":
+            patch.setitem(routeinfo.cli._POINTWISE_MAX, argv[0], math.inf)
         return _run(capsys, argv)
 
 
@@ -410,11 +413,11 @@ def test_oracle_without_a_fixed_point_exits_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
+def test_oracle_sweep_prints_the_rows_of_single_points(capsys, monkeypatch, fmt):
     """A sweep is one array call; its rows and its stderr summary are those of
-    a run per point, byte for byte. So are the rows of an equilibrium sweep
-    whose lambda = 1 row, the one with l_population_empty true, falls in the
-    second block of CSV rows."""
+    a run per point, byte for byte. So are the rows of an equilibrium sweep,
+    made in one array call, whose lambda = 1 row, the one with
+    l_population_empty true, falls in the second block of CSV rows."""
     code, out, err = _run(
         capsys, ["oracle", "--sweep", "lambda:0:1:11", "--format", fmt]
     )
@@ -426,9 +429,8 @@ def test_oracle_sweep_prints_the_rows_of_single_points(capsys, fmt):
     assert err == max(summaries, key=lambda line: float(line.rsplit(" ", 1)[1]))
 
     points = _BLOCK_ROWS + 2
-    code, out, err = _run(
-        capsys, ["equilibrium", "--sweep", f"lambda:0:1:{points}", "--format", fmt]
-    )
+    argv = ["equilibrium", "--sweep", f"lambda:0:1:{points}", "--format", fmt]
+    code, out, err = _run_by(capsys, monkeypatch, "array", argv)
     assert (code, err) == (0, "")
     rows, _ = _point_runs(
         capsys, ["equilibrium"], "--lambda", np.linspace(0.0, 1.0, points), fmt
@@ -477,10 +479,25 @@ _TREATMENTS = [
 ]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("network", [[], _UNDERFLOW], ids=["example", "underflow"])
+#: (sweep, network, format) cases of the driver comparison: three short
+#: sweeps in both formats, and in CSV a lambda sweep of the subcommand's
+#: ``_POINTWISE_MAX`` points ("{}") and of one more ("{}+1").
+_DRIVER_CASES = {
+    f"{sweep_id}-{network_id}-{fmt}": (sweep, network, fmt)
+    for sweep_id, sweep, formats in [
+        ("lambda", "lambda:0:1:6", ("csv", "json")),
+        ("p", "p:0.05:0.95:6", ("csv", "json")),
+        ("eta_h", "eta_h:0.6:1:6", ("csv", "json")),
+        ("limit", "lambda:0:1:{}", ("csv",)),
+        ("limit+1", "lambda:0:1:{}+1", ("csv",)),
+    ]
+    for network_id, network in [("example", []), ("underflow", _UNDERFLOW)]
+    for fmt in formats
+}
+
+
 @pytest.mark.parametrize(
-    "sweep", ["lambda:0:1:6", "p:0.05:0.95:6", "eta_h:0.6:1:6"], ids=lambda s: s[: s.index(":")]
+    "sweep,network,fmt", list(_DRIVER_CASES.values()), ids=list(_DRIVER_CASES)
 )
 @pytest.mark.parametrize(
     "base",
@@ -489,14 +506,18 @@ _TREATMENTS = [
 )
 def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep, network, fmt):
     """A sweep run one point at a time prints the bytes, the stderr and the
-    exit code of the one array call. At the underflow network ``_ieee``
-    gives numpy scalars at single points, which print as the array's
-    floats, and a regime boundary's denominator underflows to 0 at the low
-    p of a p sweep (not_finite); a value sweep along eta_h fails with
-    not_analyzed."""
+    exit code of the one array call, and so does the driver that ``run``
+    picks, also at the subcommand's ``_POINTWISE_MAX`` points and one more.
+    At the underflow network ``_ieee`` gives numpy scalars at single points,
+    which print as the array's floats, and a regime boundary's denominator
+    underflows to 0 at the low p of a p sweep (not_finite); a value sweep
+    along eta_h fails with not_analyzed."""
+    limit = _POINTWISE_MAX[base[0]]
+    sweep = sweep.replace("{}+1", str(limit + 1)).replace("{}", str(limit))
     argv = [*base, *network, "--format", fmt, "--sweep", sweep]
     point = _run_by(capsys, monkeypatch, "point", argv)
     assert point == _run_by(capsys, monkeypatch, "array", argv)
+    assert point == _run(capsys, argv)
     axis = sweep[: sweep.index(":")]
     fails = (base == ["value"] and axis == "eta_h") or (
         network == _UNDERFLOW and axis == "p" and base[0] != "beliefs"
@@ -504,23 +525,71 @@ def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep
     assert point[0] == int(fails)
 
 
+def _first_above_one(points: int) -> str:
+    """The first value above 1 of ``--sweep eta_h:0.7:1.3:points``."""
+    return repr(next(v for v in np.linspace(0.7, 1.3, points).tolist() if v > 1))
+
+
 @pytest.mark.parametrize(
     "argv,value",
     [
         (["value", "--sweep", "eta_h:0.6:1.2:5"], "1.0499999999999998"),
         (["equilibrium", "--eta-l", "0.6", "--sweep", "eta_h:0.7:1.3:4"], "1.1"),
+        *(
+            ([sub, "--eta-l", "0.6", "--sweep", f"eta_h:0.7:1.3:{n}"], _first_above_one(n))
+            for sub, limit in _POINTWISE_MAX.items()
+            for n in (limit, limit + 1)
+        ),
     ],
-    ids=["value", "equilibrium"],
+    ids=[
+        "value",
+        "equilibrium",
+        *(f"{sub}-{tag}" for sub in _POINTWISE_MAX for tag in ("limit", "limit+1")),
+    ],
 )
 def test_point_and_array_drivers_raise_the_same_error(capsys, monkeypatch, argv, value):
     """The per-point driver builds every point's environment before any row,
     so it raises the array call's error, the first out-of-range value, and
     not the scope error (not_analyzed, unsupported_treatment) that the rows
-    of the valid first point would raise."""
+    of the valid first point would raise; so does the driver that ``run``
+    picks, at the subcommand's ``_POINTWISE_MAX`` points and one more."""
     point = _run_by(capsys, monkeypatch, "point", argv)
     assert point == _run_by(capsys, monkeypatch, "array", argv)
+    assert point == _run(capsys, argv)
     message = f"error: accuracy_out_of_range: accuracy_high must lie in (0.5, 1], got {value}\n"
     assert point == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "build,evaluations",
+    [
+        ("_rows_regimes", 1),
+        ("_rows_equilibrium", 1),
+        ("_rows_oracle", 1),
+        ("_rows_costs", 2),
+        ("_rows_value", 2),
+    ],
+)
+def test_each_row_evaluates_the_closed_forms_once_per_environment(
+    monkeypatch, build, evaluations
+):
+    """A row at a point runs ``equilibrium._evaluate``, which computes the
+    derived constants, type marginals, boundaries and regime index, once for
+    its environment: the label and the profile of an ``equilibrium`` or
+    ``oracle`` row share it, and so do a ``value`` row's ``lambda_min`` and
+    costs. ``costs`` and ``value`` evaluate the lambda = 0 baseline too."""
+    import routeinfo.equilibrium
+
+    evaluate, calls = routeinfo.equilibrium._evaluate, []
+
+    def counted(params, env):
+        calls.append(env)
+        return evaluate(params, env)
+
+    monkeypatch.setattr(routeinfo.equilibrium, "_evaluate", counted)
+    params, env = routeinfo.cli._network(DEFAULTS), routeinfo.cli._environment(DEFAULTS)
+    getattr(routeinfo.cli, build)(params, env)
+    assert calls[0] is env and len(calls) == evaluations
 
 
 def _bits(values):
@@ -530,20 +599,22 @@ def _bits(values):
 
 
 def test_sweep_values_are_the_bits_of_linspace():
-    """A sweep of at most ``_POINTWISE_MAX`` points gets its values as Python
-    floats, bit for bit those of ``np.linspace``, which a longer sweep gets:
-    at drawn bounds for every length, where the step underflows to 0, and
-    where the span overflows (the first value is NaN both ways)."""
+    """A sweep of at most the largest ``_POINTWISE_MAX`` points gets its
+    values as Python floats, bit for bit those of ``np.linspace``, which a
+    longer sweep gets: at drawn bounds for every length up to 400 and for
+    drawn lengths up to the largest limit, and where the step underflows
+    to 0."""
     rng = random.Random(32)
-    for n in range(2, _POINTWISE_MAX + 1):
+    longest = max(_POINTWISE_MAX.values())
+    for n in [*range(2, 401), *sorted(rng.sample(range(401, longest), 40)), longest]:
         scale = 10.0 ** rng.randint(-320, 300)
         start = rng.uniform(-1.0, 1.0) * scale
         stop = max(start + rng.uniform(0.0, 2.0) * scale, math.nextafter(start, math.inf))
         axis, values = parse_sweep(f"p:{start!r}:{stop!r}:{n}")
         assert (axis, type(values)) == ("p", list)
         assert _bits(values) == _bits(np.linspace(start, stop, n).tolist()), (start, stop, n)
-    axis, values = parse_sweep(f"lambda:0:1:{_POINTWISE_MAX + 1}")
-    assert isinstance(values, np.ndarray) and len(values) == _POINTWISE_MAX + 1
+    axis, values = parse_sweep(f"lambda:0:1:{longest + 1}")
+    assert isinstance(values, np.ndarray) and len(values) == longest + 1
     for text in ("lambda:0:5e-324:3", "lambda:0:1e-323:6"):
         _, start, stop, n = text.split(":")
         linspace = np.linspace(float(start), float(stop), int(n)).tolist()
@@ -552,10 +623,19 @@ def test_sweep_values_are_the_bits_of_linspace():
     assert _bits(parse_sweep("lambda:0:1e-323:6")[1]) == _bits(
         [0.0, 0.0, 5e-324, 5e-324, 1e-323, 1e-323]
     )
-    with np.errstate(all="ignore"):
-        wide = np.linspace(-1e308, 1e308, 5).tolist()
-    assert _bits(parse_sweep("p:-1e308:1e308:5")[1]) == _bits(wide)
-    assert _bits(wide) == ["nan", "inf", "inf", "inf", "1e+308"]
+
+
+@pytest.mark.parametrize("points", [5, max(_POINTWISE_MAX.values()) + 1])
+def test_a_sweep_whose_span_overflows_exits_one(capsys, points):
+    """Finite bounds whose difference overflows (which ``np.linspace`` would
+    turn into NaN values and warnings about) are a malformed sweep, for
+    either driver and also under ``-W error``."""
+    argv = ["regimes", "--sweep", f"p:-1e308:1e308:{points}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    message = "malformed_sweep: sweep needs a finite stop - start, got -1e+308..1e+308"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_costs_over_an_optimum_that_underflows_to_zero(capsys):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import routeinfo
+from routeinfo.cli import _POINTWISE_MAX
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "routeinfo"
 
@@ -216,17 +217,40 @@ def test_package_import_loads_no_module_and_no_numpy():
     assert _fresh(f"import sys, routeinfo; {_LOADED}") == "['routeinfo'] False False"
 
 
+def test_arrays_are_sought_only_once_numpy_is_loaded():
+    """``model._numpy`` answers None while numpy is not loaded, and once it
+    is, finds an array or a numpy scalar among Python scalars."""
+    code = (
+        "import sys; from fractions import Fraction; from routeinfo.model import _numpy\n"
+        "print(_numpy(1.0, 2, Fraction(1, 2)), 'numpy' in sys.modules)\n"
+        "import numpy as np\n"
+        "print(_numpy(np.float64(1.0)) is np, _numpy(1.0, np.zeros(2)) is np, "
+        "_numpy(1.0, 2, Fraction(1, 2), True))\n"
+    )
+    assert _fresh(code) == "None False\nTrue True None"
+
+
 def test_oracle_import_loads_no_closed_form():
     loaded = _fresh(f"import sys, routeinfo.oracle; {_LOADED}")
     modules = ["routeinfo", "routeinfo.beliefs", "routeinfo.model", "routeinfo.oracle"]
     assert loaded == f"{modules} True False"
 
 
+#: The package modules besides ``cli`` and ``model`` that each subcommand
+#: with a ``_POINTWISE_MAX`` loads.
+_SWEEP_MODULES = {
+    "regimes": ["equilibrium"],
+    "equilibrium": ["equilibrium"],
+    "beliefs": ["beliefs"],
+    "costs": ["costs", "equilibrium"],
+    "value": ["costs", "equilibrium", "value"],
+}
+
 #: Command line -> (exit code, the package modules besides ``cli`` and
 #: ``model`` that the run loads, whether it loads numpy). numpy is a
-#: dependency of arrays: only a sweep of more than 400 points (the CLI's
-#: ``_POINTWISE_MAX``; a shorter one runs a point at a time in plain Python),
-#: ``oracle`` and ``verify`` load it.
+#: dependency of arrays: only a sweep of more than its subcommand's
+#: ``_POINTWISE_MAX`` points (a shorter one runs a point at a time in plain
+#: Python), ``oracle`` and ``verify`` load it.
 _RUNS = {
     "--help": (0, [], False),
     "beliefs": (0, ["beliefs"], False),
@@ -235,7 +259,12 @@ _RUNS = {
     "regimes": (0, ["equilibrium"], False),
     "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], False),
     "regimes --sweep lambda:0:1:400": (0, ["equilibrium"], False),
-    "regimes --sweep lambda:0:1:401": (0, ["equilibrium"], True),
+    "regimes --sweep lambda:0:1:401": (0, ["equilibrium"], False),
+    **{
+        f"{sub} --sweep lambda:0:1:{n}": (0, _SWEEP_MODULES[sub], n > limit)
+        for sub, limit in _POINTWISE_MAX.items()
+        for n in (limit, limit + 1)
+    },
     "regimes --p 2": (1, [], False),
     "equilibrium": (0, ["equilibrium"], False),
     "costs": (0, ["costs", "equilibrium"], False),
