@@ -16,11 +16,13 @@ than its subcommand's ``_POINTWISE_MAX`` (whose axis is an array),
 computed, tabulated and printed in plain Python, and so is a sweep within
 that limit, one point at a time through the same row builders. ``import
 numpy`` costs about 45 ms, so the loop beats the import plus one array call
-up to a number of points that the cost of a point sets: about 3,000 for
-``regimes``, 2,400 for ``equilibrium``, 1,200 for ``beliefs`` (its
-``marginal`` treatment) and 550 for ``costs`` and ``value``. Each limit
-stays below its subcommand's break-even; the README tabulates the
-measurements.
+up to a number of points that the cost of a point sets. A sweep of p or
+eta_h costs more per point than one of lambda, whose points share one
+evaluation of the closed forms' constants (see ``equilibrium``), so the
+p sweep sets each break-even: about 3,800 points for ``regimes``, 2,800
+for ``equilibrium``, 1,250 for ``beliefs`` (its ``marginal`` treatment) and
+700 for ``costs`` and ``value``. Each limit stays below its subcommand's
+break-even; the README tabulates the measurements.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ _VERIFY_POINTS = 501
 #: plain Python; a longer one, and every sweep of a subcommand not listed,
 #: is one array call in numpy. See the module docstring for the limits.
 _POINTWISE_MAX = {
-    "regimes": 2500, "equilibrium": 2000, "beliefs": 1000, "costs": 500, "value": 500
+    "regimes": 3000, "equilibrium": 2500, "beliefs": 1000, "costs": 600, "value": 600
 }
 
 
@@ -195,7 +197,14 @@ def _build_instance(config: dict, sweep: tuple | None = None) -> tuple:
 
 
 def _echo(env: InfoEnvironment) -> dict:
-    return {key: getattr(env, name) for key, name in _ENV_FIELDS.items()}
+    """The keys of ``_ENV_FIELDS`` and their values at ``env``, named
+    directly: every row of a sweep makes one."""
+    return {
+        "p": env.p_incident,
+        "lambda": env.frac_informed,
+        "eta_h": env.accuracy_high,
+        "eta_l": env.accuracy_low,
+    }
 
 
 def _table(columns: dict) -> dict:
@@ -224,8 +233,15 @@ def _rows_regimes(params, env) -> dict:
     from .equilibrium import classify
 
     regime = classify(params, env)
-    bounds = {k: v for k, v in vars(regime).items() if k != "label"}
-    return _table({**_echo(env), **bounds, "regime": regime.label})
+    return _table(
+        {
+            **_echo(env),
+            "lambda_bar_1": regime.lambda_bar_1,
+            "lambda_bar_2": regime.lambda_bar_2,
+            "lambda_bar_3": regime.lambda_bar_3,
+            "regime": regime.label,
+        }
+    )
 
 
 def _rows_equilibrium(params, env) -> dict:
@@ -417,17 +433,18 @@ def _rows_by_point(build, config: dict, sweep: tuple) -> dict:
     The network is built once, and every point's environment before any row,
     so an invalid point raises the error of the array call, which checks
     every value before it computes. The points' tables are joined
-    point-major as Python values, including a column that ``_ieee``'s
-    ZeroDivisionError fallback made a numpy scalar.
+    point-major, each column in one pass, as Python values: a column with
+    a numpy scalar, which only ``_ieee``'s ZeroDivisionError fallback makes,
+    is converted, and one is sought only once numpy is loaded.
     """
     axis, values = sweep
     params = _network(config)
     envs = [_environment({**config, axis: value}) for value in values]
     tables = [build(params, env) for env in envs]
-    columns = {name: [] for name in tables[0]}
-    for table in tables:
-        for name, column in table.items():
-            columns[name] += column.tolist() if hasattr(column, "tolist") else column
+    columns = {name: [v for table in tables for v in table[name]] for name in tables[0]}
+    for column in columns.values():
+        if _numpy(*column) is not None:
+            column[:] = [v.tolist() if hasattr(v, "tolist") else v for v in column]
     return columns
 
 
@@ -540,7 +557,11 @@ _SUBCOMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: list) -> argparse.ArgumentParser:
+    """The command's parser, with only ``argv``'s subcommand's options: the
+    top-level parser takes no option with a value, so it hands ``argv`` to
+    the subcommand its first argument not starting with "-" names, if any,
+    and no other subcommand parses."""
     parser = argparse.ArgumentParser(
         prog="routeinfo",
         description=(
@@ -548,27 +569,25 @@ def _parser() -> argparse.ArgumentParser:
             "two-route congestion game with an incident-prone route."
         ),
     )
-    # The options every subcommand shares, built once.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value parameter file")
-    for key, (_, param_help) in _PARAMS.items():
-        common.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=float, help=param_help
-        )
-    common.add_argument(
-        "--sweep",
-        help="axis:start:stop:points with axis in {lambda, p, eta_h}",
-    )
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--out", help="output path (default: stdout)")
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, columns) in _SUBCOMMANDS.items():
         sp = sub.add_parser(
-            name,
-            help=help_text,
-            description=f"{help_text}. Output columns: {columns}.",
-            parents=[common],
+            name, help=help_text, description=f"{help_text}. Output columns: {columns}."
         )
+        if name != chosen:
+            continue
+        sp.add_argument("--config", help="flat key=value parameter file")
+        for key, (_, param_help) in _PARAMS.items():
+            sp.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=float, help=param_help
+            )
+        sp.add_argument(
+            "--sweep",
+            help="axis:start:stop:points with axis in {lambda, p, eta_h}",
+        )
+        sp.add_argument("--format", choices=("csv", "json"))
+        sp.add_argument("--out", help="output path (default: stdout)")
         if name == "beliefs":
             sp.add_argument(
                 "--treatment",
@@ -598,8 +617,9 @@ def _assemble(args: argparse.Namespace) -> tuple:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

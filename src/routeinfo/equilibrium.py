@@ -22,11 +22,14 @@ The same code takes ``Fraction`` fields, and ``regime_boundaries``,
 fields run in plain Python, without numpy (see ``model``).
 
 One private kernel, ``_evaluate``, computes the derived constants, the type
-marginals, the three boundaries and the regime index of an environment,
-each once; ``regime_boundaries``, ``classify``, ``solve_bwe`` and
-``value.lambda_min`` read them from it. The last evaluation in plain Python
-is kept, so ``classify`` and ``solve_bwe`` at one (params, env) pair, as a
-row of the CLI asks for both, evaluate it once.
+marginals and the three boundaries of an environment, each once;
+``regime_boundaries``, ``classify``, ``solve_bwe`` and ``value.lambda_min``
+read them, with the regime index of the environment's lambda, from
+``_evaluation``. None of the three reads lambda: they are functions of the
+network, p_incident and the two accuracies alone. So the last evaluation in
+plain Python is kept under that lambda-free part of its environment, and
+any environment that shares it, a point of a lambda sweep or the lambda = 0
+baseline of a cost report, reuses it and computes only its regime index.
 
 The closed forms read only ``model``: the derived constants K0..K4, the type
 marginals P(Hn) and P(Ha) and the ``StrategyProfile`` they return. The
@@ -79,7 +82,7 @@ class Regime(_Record):
 _BOUNDARY_DENOMINATOR_RULE = (
     (
         "not_finite",
-        lambda lb1_den, lb2_den, **_: (lb1_den != 0) & (lb2_den != 0),
+        lambda lb1_den, lb2_den, d: (lb1_den != 0) & (lb2_den != 0),
         lambda lb1_den, lb2_den, d: (
             f"need nonzero demand * P(Hn) * (a1_hat + slope2 * P(Ha)) and "
             f"demand * P(Hn), the denominators of lambda_bar_1 and lambda_bar_2, "
@@ -98,7 +101,7 @@ def _boundaries(params: NetworkParams, k, dist) -> tuple:
     d, a2 = params.demand, params.slope2
     lb2_den = d * dist.p_Hn
     lb1_den = lb2_den * (k.a1_hat + a2 * dist.p_Ha)
-    _enforce(_BOUNDARY_DENOMINATOR_RULE, lb1_den=lb1_den, lb2_den=lb2_den, d=d)
+    _enforce(_BOUNDARY_DENOMINATOR_RULE, lb1_den, lb2_den, d)
     lb1 = k.k1 * (k.a1_hat - k.a1_bar * dist.p_Ha) / lb1_den
     lb2 = (k.k1 - dist.p_Ha * k.k2) / lb2_den
     lb3 = k.k3 / d
@@ -132,35 +135,45 @@ def _regime_index(lam, bounds):
 
 
 def _evaluate(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """(derived constants, type marginals, boundaries, regime index) at
-    ``env``: everything the closed forms read, each computed once, after the
-    environment's scope check and with the errors of ``_boundaries``."""
+    """(derived constants, type marginals, boundaries) at ``env``: everything
+    the closed forms read but the regime index, each computed once, after
+    the environment's scope check and with the errors of ``_boundaries``.
+    None of it reads ``env.frac_informed``."""
     _require_uninformative(env)
     dist = marginal_type_dist(env)
     k = _derived_constants(params, env, dist)
-    bounds = _boundaries(params, k, dist)
-    return k, dist, bounds, _regime_index(env.frac_informed, bounds)
+    return k, dist, _boundaries(params, k, dist)
 
 
-#: The last evaluation made in plain Python, as (params, env, evaluation).
+#: The last evaluation made in plain Python, as (params, key, evaluation),
+#: where key holds the types and values of the environment fields it read.
 _last = (None, None, None)
 
 
 def _evaluation(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """``_evaluate(params, env)``, reused while (params, env) is the pair
-    last evaluated. Only an evaluation in plain Python (an int regime index)
-    is kept: its values cannot change, whereas an array field could be
-    changed in place, and a sweep's arrays would be kept alive. The kept
-    pair is held, so no other pair can match it, and the whole entry is
-    replaced at once, so concurrent callers each read a consistent one."""
+    """``_evaluate(params, env)`` and the regime index of ``env``'s lambda.
+
+    The evaluation is reused while ``params`` and the lambda-free fields of
+    ``env`` are those last evaluated; the regime index is computed at every
+    call. Only an evaluation in plain Python (an int regime index) is kept:
+    its values cannot change, whereas an array field could be changed in
+    place, and a sweep's arrays would be kept alive. The kept network is
+    held, so no other network can match it, and the whole entry is replaced
+    at once, so concurrent callers each read a consistent one.
+    """
     global _last
-    last_params, last_env, evaluation = _last
-    if params is last_params and env is last_env:
-        return evaluation
-    evaluation = _evaluate(params, env)
-    if type(evaluation[3]) is int:
-        _last = (params, env, evaluation)
-    return evaluation
+    last_params, last_key, evaluation = _last
+    p, eta_h, eta_l = env.p_incident, env.accuracy_high, env.accuracy_low
+    # Types first: a Fraction or an int never matches a float of equal
+    # value, and no array is compared, since its type never matches a scalar's.
+    key = (type(p), type(eta_h), type(eta_l), p, eta_h, eta_l)
+    kept = params is last_params and key == last_key
+    if not kept:
+        evaluation = _evaluate(params, env)
+    regime = _regime_index(env.frac_informed, evaluation[2])
+    if not kept and type(regime) is int:
+        _last = (params, key, evaluation)
+    return (*evaluation, regime)
 
 
 def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:

@@ -309,8 +309,9 @@ class StrategyProfile(_Record):
 
 
 #: The model's rules in checking order: (code, holds, message), where
-#: ``holds`` and ``message`` take the fields by keyword. ``abs(x) < inf``
-#: tests finiteness for ``Fraction`` fields and arrays alike.
+#: ``holds`` and ``message`` take the table's fields by position, in the
+#: order of their parameters. ``abs(x) < inf`` tests finiteness for
+#: ``Fraction`` fields and arrays alike.
 _NETWORK_RULES = (
     (
         "not_finite",
@@ -327,29 +328,29 @@ _NETWORK_RULES = (
     (
         # Route 1's incident latency at full demand, the network's largest.
         "not_finite",
-        lambda a1a, b2, d, **_: abs(b2 + a1a * d) < math.inf,
-        lambda a1a, b2, d, **_: (
+        lambda a1n, a1a, a2, b1, b2, d: abs(b2 + a1a * d) < math.inf,
+        lambda a1n, a1a, a2, b1, b2, d: (
             f"need a finite largest latency intercept2 + slope1_incident * demand, "
             f"got {b2} + {a1a} * {d}"
         ),
     ),
     (
         "slope_ordering",
-        lambda a1n, a1a, a2, **_: (a1a > a2) & (a2 >= a1n) & (a1n > 0),
-        lambda a1n, a1a, a2, **_: (
+        lambda a1n, a1a, a2, b1, b2, d: (a1a > a2) & (a2 >= a1n) & (a1n > 0),
+        lambda a1n, a1a, a2, b1, b2, d: (
             f"need slope1_incident > slope2 >= slope1_normal > 0, "
             f"got ({a1a}, {a2}, {a1n})"
         ),
     ),
     (
         "intercept_ordering",
-        lambda b1, b2, **_: (b2 >= b1) & (b1 >= 0),
-        lambda b1, b2, **_: f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
+        lambda a1n, a1a, a2, b1, b2, d: (b2 >= b1) & (b1 >= 0),
+        lambda a1n, a1a, a2, b1, b2, d: f"need intercept2 >= intercept1 >= 0, got ({b2}, {b1})",
     ),
     (
         "demand_too_small",
-        lambda a1n, b1, b2, d, **_: d > (b2 - b1) / a1n,
-        lambda a1n, b1, b2, d, **_: (
+        lambda a1n, a1a, a2, b1, b2, d: d > (b2 - b1) / a1n,
+        lambda a1n, a1a, a2, b1, b2, d: (
             f"demand {d} must exceed "
             f"(intercept2 - intercept1)/slope1_normal = {(b2 - b1) / a1n}"
         ),
@@ -359,55 +360,55 @@ _NETWORK_RULES = (
 _ENVIRONMENT_RULES = (
     (
         "probability_out_of_range",
-        lambda p, **_: (p > 0) & (p < 1),
-        lambda p, **_: f"p_incident must lie in (0, 1), got {p}",
+        lambda p, lam, eta_h, eta_l: (p > 0) & (p < 1),
+        lambda p, lam, eta_h, eta_l: f"p_incident must lie in (0, 1), got {p}",
     ),
     (
         "probability_out_of_range",
-        lambda lam, **_: (lam >= 0) & (lam <= 1),
-        lambda lam, **_: f"frac_informed must lie in [0, 1], got {lam}",
+        lambda p, lam, eta_h, eta_l: (lam >= 0) & (lam <= 1),
+        lambda p, lam, eta_h, eta_l: f"frac_informed must lie in [0, 1], got {lam}",
     ),
     (
         "accuracy_out_of_range",
-        lambda eta_h, **_: (eta_h > 0.5) & (eta_h <= 1),
-        lambda eta_h, **_: f"accuracy_high must lie in (0.5, 1], got {eta_h}",
+        lambda p, lam, eta_h, eta_l: (eta_h > 0.5) & (eta_h <= 1),
+        lambda p, lam, eta_h, eta_l: f"accuracy_high must lie in (0.5, 1], got {eta_h}",
     ),
     (
         "accuracy_out_of_range",
-        lambda eta_h, eta_l, **_: (eta_l >= 0.5) & (eta_l < eta_h),
-        lambda eta_l, **_: f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
+        lambda p, lam, eta_h, eta_l: (eta_l >= 0.5) & (eta_l < eta_h),
+        lambda p, lam, eta_h, eta_l: f"accuracy_low must lie in [0.5, accuracy_high), got {eta_l}",
     ),
 )
 
 
-def _enforce(rules, **fields) -> None:
-    """Raise ValidationError unless every element of ``fields`` obeys ``rules``.
+def _enforce(rules, *values) -> None:
+    """Raise ValidationError unless every element of ``values`` obeys ``rules``.
 
-    ``rules`` holds (code, holds, message) triples in checking order. With
-    array fields the error names the first element (in C order) that breaks
-    any rule, at the first rule it breaks, with that element's values: the
-    error a loop checking one element at a time would raise. Scalar fields
-    are that loop; a rule is evaluated only once the rules before it hold.
+    ``rules`` holds (code, holds, message) triples in checking order, whose
+    ``holds`` and ``message`` take ``values`` by position. With array values
+    the error names the first element (in C order) that breaks any rule, at
+    the first rule it breaks, with that element's values: the error a loop
+    checking one element at a time would raise. Scalar values are that
+    loop; a rule is evaluated only once the rules before it hold.
     """
-    np = _numpy(*fields.values())
+    np = _numpy(*values)
     if np is None:
         for code, holds, message in rules:
-            if not holds(**fields):
-                raise ValidationError(code, message(**fields))
+            if not holds(*values):
+                raise ValidationError(code, message(*values))
         return
     # A rule's arithmetic may overflow on the very values it rejects (numpy
     # scalars warn where Python floats do not); the verdict is the same.
     with np.errstate(all="ignore"):
-        if all(np.asarray(holds(**fields)).all() for _, holds, _ in rules):
+        if all(np.asarray(holds(*values)).all() for _, holds, _ in rules):
             return
-        shape = np.broadcast_shapes(*(np.shape(v) for v in fields.values()))
-        flat = {k: np.broadcast_to(v, shape).ravel() for k, v in fields.items()}
-        broken = np.stack([~holds(**flat) for _, holds, _ in rules])
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        flat = [np.broadcast_to(v, shape).ravel() for v in values]
+        broken = np.stack([~holds(*flat) for _, holds, _ in rules])
     i = int(np.flatnonzero(broken.any(axis=0))[0])
     code, _, message = rules[int(np.flatnonzero(broken[:, i])[0])]
     # ``tolist`` also reads object arrays (``Fraction`` fields), unlike ``item``.
-    values = {k: v[i : i + 1].tolist()[0] for k, v in flat.items()}
-    raise ValidationError(code, message(**values))
+    raise ValidationError(code, message(*(v[i : i + 1].tolist()[0] for v in flat)))
 
 
 def validate(params: NetworkParams | None, env: InfoEnvironment | None):
@@ -425,20 +426,13 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
     if params is not None:
         _enforce(
             _NETWORK_RULES,
-            a1n=params.slope1_normal,
-            a1a=params.slope1_incident,
-            a2=params.slope2,
-            b1=params.intercept1,
-            b2=params.intercept2,
-            d=params.demand,
+            params.slope1_normal, params.slope1_incident, params.slope2,
+            params.intercept1, params.intercept2, params.demand,
         )
     if env is not None:
         _enforce(
             _ENVIRONMENT_RULES,
-            p=env.p_incident,
-            lam=env.frac_informed,
-            eta_h=env.accuracy_high,
-            eta_l=env.accuracy_low,
+            env.p_incident, env.frac_informed, env.accuracy_high, env.accuracy_low,
         )
     return params, env
 
@@ -462,11 +456,11 @@ _PERFECT_ACCURACY_RULE = (
 
 
 def _require_uninformative(env: InfoEnvironment) -> None:
-    _enforce(_UNINFORMATIVE_RULE, eta_l=env.accuracy_low)
+    _enforce(_UNINFORMATIVE_RULE, env.accuracy_low)
 
 
 def _require_perfect_accuracy(env: InfoEnvironment) -> None:
-    _enforce(_PERFECT_ACCURACY_RULE, eta_h=env.accuracy_high)
+    _enforce(_PERFECT_ACCURACY_RULE, env.accuracy_high)
 
 
 def _require_equilibrium_type(owner: PlayerType) -> None:
@@ -672,7 +666,7 @@ def _route_load(demands: tuple, rho_l, rho_h, route: int):
 _DENOMINATOR_RULE = (
     (
         "not_finite",
-        lambda hat, tilde, **_: (hat != 0) & (tilde != 0),
+        lambda hat, tilde, p, eta_h: (hat != 0) & (tilde != 0),
         lambda hat, tilde, p, eta_h: (
             f"need nonzero a1_hat + P(Ha) * slope2 and a1_tilde + P(Hn) * slope2, "
             f"the denominators of K2 and K3, got {hat} and {tilde} at "
@@ -709,14 +703,18 @@ def _accuracy(env: InfoEnvironment, service: str) -> float:
     raise ValueError(f"service must be 'H' or 'L', got {service!r}")
 
 
+#: Each signal-conditioned type's (service, signal received).
+_SIGNALS = {
+    PlayerType.HN: ("H", State.NORMAL),
+    PlayerType.HA: ("H", State.INCIDENT),
+    PlayerType.LN: ("L", State.NORMAL),
+    PlayerType.LA: ("L", State.INCIDENT),
+}
+
+
 def _signal_of(owner: PlayerType) -> tuple[str, State]:
     """Map a signal-conditioned type to (service, signal received)."""
-    return {
-        PlayerType.HN: ("H", State.NORMAL),
-        PlayerType.HA: ("H", State.INCIDENT),
-        PlayerType.LN: ("L", State.NORMAL),
-        PlayerType.LA: ("L", State.INCIDENT),
-    }[owner]
+    return _SIGNALS[owner]
 
 
 def _type_given_state(env: InfoEnvironment, t: PlayerType, state: State):
@@ -749,7 +747,7 @@ def _derived_constants(params, env, dist) -> DerivedConstants:
     k0 = a2 * d - params.intercept1 + params.intercept2
     k1 = k0 / (a1_bar + a2)
     hat, tilde = a1_hat + p_ha * a2, a1_tilde + p_hn * a2
-    _enforce(_DENOMINATOR_RULE, hat=hat, tilde=tilde, p=p, eta_h=eta)
+    _enforce(_DENOMINATOR_RULE, hat, tilde, p, eta)
     k2 = k0 * p_ha / hat
     k3 = k0 * p_hn / tilde
     k4 = k2 * (1 + (a1a - a1n) / (a1_bar + a2))

@@ -10,7 +10,9 @@ import json
 import math
 import random
 import re
+import sys
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +25,7 @@ from routeinfo import (
     NetworkParams,
     OracleConvergenceError,
     StrategyProfile,
+    classify,
     solve_bwe,
 )
 from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _rows_beliefs, main, parse_sweep
@@ -566,18 +569,27 @@ def test_point_and_array_drivers_raise_the_same_error(capsys, monkeypatch, argv,
         ("_rows_regimes", 1),
         ("_rows_equilibrium", 1),
         ("_rows_oracle", 1),
-        ("_rows_costs", 2),
-        ("_rows_value", 2),
+        ("_rows_costs", 1),
+        ("_rows_value", 1),
     ],
 )
 def test_each_row_evaluates_the_closed_forms_once_per_environment(
     monkeypatch, build, evaluations
 ):
     """A row at a point runs ``equilibrium._evaluate``, which computes the
-    derived constants, type marginals, boundaries and regime index, once for
-    its environment: the label and the profile of an ``equilibrium`` or
+    derived constants, type marginals and boundaries, once for its
+    environment: the label and the profile of an ``equilibrium`` or
     ``oracle`` row share it, and so do a ``value`` row's ``lambda_min`` and
-    costs. ``costs`` and ``value`` evaluate the lambda = 0 baseline too."""
+    costs. The lambda = 0 baseline of ``costs`` and ``value`` shares it too,
+    since it differs from the environment in lambda alone."""
+    calls = _count_evaluations(monkeypatch)
+    params, env = routeinfo.cli._network(DEFAULTS), routeinfo.cli._environment(DEFAULTS)
+    getattr(routeinfo.cli, build)(params, env)
+    assert calls[0] is env and len(calls) == evaluations
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """The environments that ``equilibrium._evaluate`` is called on from now."""
     import routeinfo.equilibrium
 
     evaluate, calls = routeinfo.equilibrium._evaluate, []
@@ -587,9 +599,77 @@ def test_each_row_evaluates_the_closed_forms_once_per_environment(
         return evaluate(params, env)
 
     monkeypatch.setattr(routeinfo.equilibrium, "_evaluate", counted)
-    params, env = routeinfo.cli._network(DEFAULTS), routeinfo.cli._environment(DEFAULTS)
-    getattr(routeinfo.cli, build)(params, env)
-    assert calls[0] is env and len(calls) == evaluations
+    return calls
+
+
+@pytest.mark.parametrize("sub", ["regimes", "equilibrium", "costs", "value"])
+def test_a_lambda_sweep_evaluates_once_and_a_p_sweep_at_every_point(
+    capsys, monkeypatch, sub
+):
+    """A point-by-point sweep of lambda shares one evaluation of the network,
+    p and the accuracies, which every point and baseline reuse; a sweep of p
+    changes them at every point, so each point evaluates its own."""
+    calls = _count_evaluations(monkeypatch)
+    assert _run(capsys, [sub, "--sweep", "lambda:0:1:40"])[0] == 0
+    assert len(calls) == 1
+    del calls[:]
+    assert _run(capsys, [sub, "--sweep", "p:0.1:0.9:40"])[0] == 0
+    assert [env.p_incident for env in calls] == parse_sweep("p:0.1:0.9:40")[1]
+
+
+def test_an_evaluation_is_reused_only_by_fields_of_its_types(monkeypatch):
+    """The kept evaluation serves every environment that shares its network,
+    p_incident and accuracies, whatever its lambda; a ``Fraction`` or int
+    field never reuses a float evaluation of equal value, nor the reverse,
+    so the answer's type follows the fields'. Each step: (p, eta_H, eta_L),
+    lambda, whether it evaluates anew, the type of its boundaries."""
+    half = Fraction(1, 2)
+    steps = [
+        ((half, 1, half), Fraction(1, 10), True, Fraction),
+        ((half, 1, half), Fraction(9, 10), False, Fraction),
+        ((0.5, 1.0, 0.5), 0.1, True, float),
+        ((0.5, 1.0, 0.5), 0.9, False, float),
+        ((half, 1, half), Fraction(1, 10), True, Fraction),
+        ((half, 1.0, half), Fraction(1, 10), True, float),
+        ((0.5, 1, 0.5), 0.1, True, float),
+        ((0.5, 1.0, 0.5), 0.1, True, float),
+    ]
+    envs = [InfoEnvironment(p, lam, eta_h, eta_l) for (p, eta_h, eta_l), lam, _, _ in steps]
+    # Each answer alone, on its own copy of the network.
+    alone = [classify(NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5))), env) for env in envs]
+    params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
+    calls = _count_evaluations(monkeypatch)
+    for env, expected, (_, _, anew, kind) in zip(envs, alone, steps):
+        before = len(calls)
+        regime = classify(params, env)
+        assert len(calls) - before == anew, env
+        assert regime == expected and {type(b) for b in regime.bounds} == {kind}, env
+    assert [regime.label for regime in alone] == ["R1", "R4"] * 2 + ["R1"] * 4
+
+
+def test_an_array_evaluation_is_never_kept(monkeypatch):
+    """An environment with an array lambda reuses the kept evaluation of its
+    scalar fields, but an evaluation with array fields is never kept: an
+    array could change in place, and a sweep's arrays would stay alive."""
+    # Each p's first boundary alone, on its own copy of the network.
+    lb1 = {
+        p: classify(routeinfo.cli._network(DEFAULTS), InfoEnvironment(p, 0.5, 1.0)).lambda_bar_1
+        for p in (0.2, 0.6)
+    }
+    params = routeinfo.cli._network(DEFAULTS)
+    calls = _count_evaluations(monkeypatch)
+    lam = np.linspace(0.0, 1.0, 5)
+    labels = [classify(params, InfoEnvironment(0.2, x, 1.0)).label for x in lam.tolist()]
+    assert classify(params, InfoEnvironment(0.2, lam, 1.0)).label.tolist() == labels
+    assert len(calls) == 1
+    p = np.array([0.2, 0.6])
+    env = InfoEnvironment(p, 0.5, 1.0)
+    assert classify(params, env).lambda_bar_1.tolist() == [lb1[0.2], lb1[0.6]]
+    p[0] = 0.6
+    assert classify(params, env).lambda_bar_1.tolist() == [lb1[0.6], lb1[0.6]]
+    assert len(calls) == 3
+    assert classify(params, InfoEnvironment(0.2, 0.9, 1.0)).label == "R4"
+    assert len(calls) == 3
 
 
 def _bits(values):
@@ -926,6 +1006,99 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "equilibrium" in out
+
+
+def _whole_parser():
+    """The command's parser as built before each run built only its own
+    subcommand's options: every subcommand with every option, from the same
+    tables."""
+    import argparse
+
+    from routeinfo.cli import _PARAMS, _SUBCOMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="routeinfo",
+        description=(
+            "Bayesian Wardrop equilibria and the value of information for a "
+            "two-route congestion game with an incident-prone route."
+        ),
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value parameter file")
+    for key, (_, param_help) in _PARAMS.items():
+        common.add_argument("--" + key.replace("_", "-"), dest=key, type=float, help=param_help)
+    common.add_argument("--sweep", help="axis:start:stop:points with axis in {lambda, p, eta_h}")
+    common.add_argument("--format", choices=("csv", "json"))
+    common.add_argument("--out", help="output path (default: stdout)")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, columns) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(
+            name,
+            help=help_text,
+            description=f"{help_text}. Output columns: {columns}.",
+            parents=[common],
+        )
+        if name == "beliefs":
+            sp.add_argument(
+                "--treatment",
+                choices=("conditional", "marginal", "uninformative"),
+                default="uninformative",
+                help="which interim-belief construction to tabulate",
+            )
+    return parser
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([sub, "--help"] for sub in routeinfo.cli._SUBCOMMANDS),
+        [],
+        ["nonsense"],
+        ["regimes", "--nonsense", "1"],
+        ["costs", "--p", "x"],
+        ["--p", "0.3", "regimes"],
+        ["beliefs", "--treatment", "nonsense"],
+        ["regimes", "--treatment", "marginal"],
+        ["regimes", "beliefs"],
+    ],
+    ids=lambda argv: " ".join(argv) or "none",
+)
+def test_help_and_usage_errors_print_the_whole_parsers_bytes(capsys, argv):
+    """``--help``, each subcommand's ``--help`` and every usage error print
+    the bytes, and exit with the code, of the parser with every subcommand's
+    options built."""
+    try:
+        _whole_parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = (0 if exc.code in (0, None) else 1, *capsys.readouterr())
+    assert expected[1] or expected[2]
+    assert _run(capsys, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv,chosen",
+    [(["regimes", "--p", "0.3"], "regimes"), (["--p", "0.3", "beliefs"], None), ([], None)],
+    ids=["subcommand-first", "option-first", "none"],
+)
+def test_a_run_builds_only_its_subcommands_options(argv, chosen):
+    """Only the subcommand that ``argv`` hands its arguments to, its first
+    argument not starting with "-", gets the shared options; the others
+    keep only ``-h``, which lists them in the top-level help."""
+    parser = routeinfo.cli._parser(argv)
+    (subparsers,) = [a for a in parser._actions if isinstance(a.choices, dict)]
+    for name, sub in subparsers.choices.items():
+        usage = sub.format_usage()
+        assert ("--sweep" in usage) == (name == chosen), usage
+        if name != chosen:
+            assert usage == f"usage: routeinfo {name} [-h]\n"
+
+
+def test_main_without_arguments_parses_the_command_line(capsys, monkeypatch):
+    """``main()``, as the console script calls it, parses ``sys.argv[1:]``."""
+    argv = ["regimes", "--p", "0.3"]
+    monkeypatch.setattr(sys, "argv", ["routeinfo", *argv])
+    assert _run(capsys, None) == _run(capsys, argv)
 
 
 def _help_columns(sub: str, out: str) -> str:

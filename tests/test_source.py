@@ -246,6 +246,16 @@ _SWEEP_MODULES = {
     "value": ["costs", "equilibrium", "value"],
 }
 
+#: Sweep lengths checked besides each subcommand's ``_POINTWISE_MAX`` and
+#: one more: a short sweep, and earlier limits and one more, so a length on
+#: either side of a limit stays checked when the limit moves.
+_SWEEP_LENGTHS = {
+    "regimes": (3, 400, 401, 2500, 2501),
+    "equilibrium": (2000, 2001),
+    "costs": (500, 501),
+    "value": (500, 501),
+}
+
 #: Command line -> (exit code, the package modules besides ``cli`` and
 #: ``model`` that the run loads, whether it loads numpy). numpy is a
 #: dependency of arrays: only a sweep of more than its subcommand's
@@ -257,13 +267,10 @@ _RUNS = {
     "beliefs --treatment conditional --eta-l 0.55": (0, ["beliefs"], False),
     "beliefs --treatment marginal --eta-l 0.55": (0, ["beliefs"], False),
     "regimes": (0, ["equilibrium"], False),
-    "regimes --sweep lambda:0:1:3": (0, ["equilibrium"], False),
-    "regimes --sweep lambda:0:1:400": (0, ["equilibrium"], False),
-    "regimes --sweep lambda:0:1:401": (0, ["equilibrium"], False),
     **{
         f"{sub} --sweep lambda:0:1:{n}": (0, _SWEEP_MODULES[sub], n > limit)
         for sub, limit in _POINTWISE_MAX.items()
-        for n in (limit, limit + 1)
+        for n in (*_SWEEP_LENGTHS.get(sub, ()), limit, limit + 1)
     },
     "regimes --p 2": (1, [], False),
     "equilibrium": (0, ["equilibrium"], False),
