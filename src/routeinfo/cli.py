@@ -9,20 +9,27 @@ Exit codes: 0 success; 1 validation or input problems; 2 verification
 failure (the verify and oracle subcommands).
 
 Each interpreter runs one subcommand, so this module loads only ``model`` at
-import, and not numpy; each row builder imports the solver modules it calls
-when it runs. numpy loads on the first array operand: a ``--sweep`` longer
-than its subcommand's ``_POINTWISE_MAX`` (whose axis is an array),
-``oracle`` or ``verify``. A single point of the other subcommands is
-computed, tabulated and printed in plain Python, and so is a sweep within
-that limit, one point at a time through the same row builders. ``import
-numpy`` costs about 45 ms, so the loop beats the import plus one array call
-up to a number of points that the cost of a point sets. A sweep of p or
-eta_h costs more per point than one of lambda, whose points share one
-evaluation of the closed forms' constants (see ``equilibrium``), so the
-p sweep sets each break-even: about 3,800 points for ``regimes``, 2,800
-for ``equilibrium``, 1,250 for ``beliefs`` (its ``marginal`` treatment) and
-700 for ``costs`` and ``value``. Each limit stays below its subcommand's
-break-even; the README tabulates the measurements.
+import, and not numpy; once its input is checked, a run imports the solver
+functions its rows call and binds them to its row builder (``_builder``).
+numpy loads on the first array operand: a ``--sweep`` longer than its
+subcommand's ``_POINTWISE_MAX`` (whose axis is an array), ``oracle`` or
+``verify``. A single point of the other subcommands is computed, tabulated
+and printed in plain Python, and so is a sweep within that limit, one point
+at a time through the same row builders. Such a sweep computes once what
+does not change along its axis: the network, the bound builder and the
+other environment fields; each point makes its environment and its row's
+values, which the sweep joins into columns. The library keeps what reads
+no lambda, so the points of a lambda sweep share one evaluation of the
+closed forms' constants (see ``equilibrium``), one cost baseline and one
+``lambda_min`` (see ``costs`` and ``value``), and every sweep on one
+network one social optimum. ``import numpy`` costs about 45 ms, so the
+loop beats the import plus one array call up to a number of points that
+the cost of a point sets. A sweep of p or eta_h costs more per point than
+one of lambda, so the p sweep sets each break-even: about 5,800 points for
+``regimes``, 3,900 for ``equilibrium``, 1,400 for ``beliefs`` (its
+``marginal`` treatment), 950 for ``costs`` and 850 for ``value``. Each
+limit stays below its subcommand's break-even; the README tabulates the
+measurements.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import argparse
 import math
 import operator
 import sys
+from functools import partial
 
 from .model import (
     EQUILIBRIUM_TYPES,
@@ -131,7 +139,12 @@ def parse_sweep(text: str) -> tuple:
     if points > max(_POINTWISE_MAX.values()):
         import numpy as np
 
-        return axis, np.linspace(start, stop, points)
+        try:
+            return axis, np.linspace(start, stop, points)
+        except MemoryError as exc:
+            raise ValidationError(
+                "malformed_sweep", f"sweep of {points} points does not fit in memory"
+            ) from exc
     # np.linspace's own arithmetic, so the values are its bits: i * step +
     # start, with i / div * delta where the step underflows to 0, and stop
     # itself last.
@@ -208,11 +221,11 @@ def _echo(env: InfoEnvironment) -> dict:
 
 
 def _table(columns: dict) -> dict:
-    """Scalars and equal-length arrays as 1-D columns, one element per point.
+    """The row values of one call as 1-D columns, one element per point.
 
     With an array among them every column is a 1-D numpy array, a scalar a
-    read-only broadcast view that costs no memory; with none, each column is
-    a one-element list.
+    read-only broadcast view that costs no memory; with none (a single
+    point), each column is a one-element list.
     """
     np = _numpy(*columns.values())
     if np is None:
@@ -225,68 +238,68 @@ def _table(columns: dict) -> dict:
 # Row builders
 # ---------------------------------------------------------------------------
 #
-# Every builder takes an environment whose swept field, if any, is an array
-# and makes one library call for all its points.
+# Every builder takes the network and an environment whose swept field, if
+# any, is an array, and makes one library call for all its points. It
+# returns its row's values, each a scalar or an array of the sweep's points;
+# ``beliefs`` alone returns a table of many rows per point. A builder that a
+# sweep calls at every point takes the solver functions it calls first,
+# which ``_builder`` binds once per run; ``oracle``'s runs once and imports
+# its own.
 
 
-def _rows_regimes(params, env) -> dict:
-    from .equilibrium import classify
-
+def _rows_regimes(classify, params, env) -> dict:
     regime = classify(params, env)
-    return _table(
-        {
-            **_echo(env),
-            "lambda_bar_1": regime.lambda_bar_1,
-            "lambda_bar_2": regime.lambda_bar_2,
-            "lambda_bar_3": regime.lambda_bar_3,
-            "regime": regime.label,
-        }
-    )
-
-
-def _rows_equilibrium(params, env) -> dict:
-    from .equilibrium import classify, solve_bwe
-
-    regime = classify(params, env)
-    return _table(
-        {**_echo(env), "regime": regime.label, **vars(solve_bwe(params, env))}
-    )
-
-
-def _rows_costs(params, env) -> dict:
-    from .costs import cost_report
-
-    report = vars(cost_report(params, env))
-    # Each equilibrium cost c_* over the social optimum of its state (the
-    # suffix _n, _a or _exp); an optimum that underflows to 0 gives inf or NaN.
-    norms = {
-        f"{name}_norm": _ieee(
-            operator.truediv, cost, report["socopt_" + name.rsplit("_", 1)[1]]
-        )
-        for name, cost in report.items()
-        if name.startswith("c_")
+    return {
+        **_echo(env),
+        "lambda_bar_1": regime.lambda_bar_1,
+        "lambda_bar_2": regime.lambda_bar_2,
+        "lambda_bar_3": regime.lambda_bar_3,
+        "regime": regime.label,
     }
-    return _table({**_echo(env), **report, **norms})
 
 
-def _rows_value(params, env) -> dict:
-    from .value import value_report
+def _rows_equilibrium(classify, solve_bwe, params, env) -> dict:
+    regime = classify(params, env)
+    return {**_echo(env), "regime": regime.label, **vars(solve_bwe(params, env))}
 
-    return _table({**_echo(env), **vars(value_report(params, env))})
+
+#: The ``costs`` norm columns: each equilibrium cost over the social optimum
+#: of its state.
+_COST_NORMS = {
+    "c_L_n_norm": ("c_L_n", "socopt_n"),
+    "c_L_a_norm": ("c_L_a", "socopt_a"),
+    "c_H_n_norm": ("c_H_n", "socopt_n"),
+    "c_H_a_norm": ("c_H_a", "socopt_a"),
+    "c_L_exp_norm": ("c_L_exp", "socopt_exp"),
+    "c_H_exp_norm": ("c_H_exp", "socopt_exp"),
+    "c_soc_n_norm": ("c_soc_n", "socopt_n"),
+    "c_soc_a_norm": ("c_soc_a", "socopt_a"),
+    "c_soc_exp_norm": ("c_soc_exp", "socopt_exp"),
+}
+
+
+def _rows_costs(cost_report, params, env) -> dict:
+    report = vars(cost_report(params, env))
+    # An optimum that underflows to 0 gives inf or NaN.
+    norms = {
+        norm: _ieee(operator.truediv, report[cost], report[optimum])
+        for norm, (cost, optimum) in _COST_NORMS.items()
+    }
+    return {**_echo(env), **report, **norms}
+
+
+def _rows_value(value_report, params, env) -> dict:
+    return {**_echo(env), **vars(value_report(params, env))}
 
 
 #: Owners of the two general belief tables, which split the uninformed signal.
 _GENERAL_OWNERS = (PlayerType.LN, PlayerType.LA, PlayerType.HN, PlayerType.HA)
 
 
-def _rows_beliefs(params, env, treatment: str) -> dict:
-    from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
-
-    build, owners = {
-        "uninformative": (belief_uninformative, EQUILIBRIUM_TYPES),
-        "conditional": (belief_conditional_ck, _GENERAL_OWNERS),
-        "marginal": (belief_marginal_ck, _GENERAL_OWNERS),
-    }[treatment]
+def _rows_beliefs(tables: dict, treatment: str, params, env) -> dict:
+    """The table of ``env``'s rows, one per entry of each owner's belief
+    table; ``tables`` maps each treatment to its table function and owners."""
+    build, owners = tables[treatment]
     cells = [
         (owner.value, state.value, opponent.value, prob)
         for owner in owners
@@ -333,7 +346,39 @@ def _rows_oracle(params, env) -> dict:
         for side, profile in (("closed", closed), ("oracle", numeric))
         for t in EQUILIBRIUM_TYPES
     }
-    return _table({**_echo(env), "regime": regime, **splits, "deviation": deviation})
+    return {**_echo(env), "regime": regime, **splits, "deviation": deviation}
+
+
+def _builder(subcommand: str, treatment: str):
+    """``subcommand``'s row builder, called as ``build(params, env)``, with
+    the solver functions it calls imported and bound here, once per run;
+    ``oracle``'s, which runs once, imports its own."""
+    if subcommand == "regimes":
+        from .equilibrium import classify
+
+        return partial(_rows_regimes, classify)
+    if subcommand == "equilibrium":
+        from .equilibrium import classify, solve_bwe
+
+        return partial(_rows_equilibrium, classify, solve_bwe)
+    if subcommand == "costs":
+        from .costs import cost_report
+
+        return partial(_rows_costs, cost_report)
+    if subcommand == "value":
+        from .value import value_report
+
+        return partial(_rows_value, value_report)
+    if subcommand == "beliefs":
+        from .beliefs import belief_conditional_ck, belief_marginal_ck, belief_uninformative
+
+        tables = {
+            "uninformative": (belief_uninformative, EQUILIBRIUM_TYPES),
+            "conditional": (belief_conditional_ck, _GENERAL_OWNERS),
+            "marginal": (belief_marginal_ck, _GENERAL_OWNERS),
+        }
+        return partial(_rows_beliefs, tables, treatment)
+    return _rows_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +472,34 @@ def _run_verify(config: dict) -> tuple:
     return payload, (0 if payload["passed"] else 2)
 
 
-def _rows_by_point(build, config: dict, sweep: tuple) -> dict:
-    """The table ``build`` makes of ``sweep``, one point at a time.
+def _rows_by_point(subcommand: str, config: dict, sweep: tuple) -> dict:
+    """The table of ``subcommand``'s rows at ``sweep``, one point at a time.
 
-    The network is built once, and every point's environment before any row,
-    so an invalid point raises the error of the array call, which checks
-    every value before it computes. The points' tables are joined
-    point-major, each column in one pass, as Python values: a column with
-    a numpy scalar, which only ``_ieee``'s ZeroDivisionError fallback makes,
-    is converted, and one is sought only once numpy is loaded.
+    The network is built once, and every point's environment before any
+    row, from the fixed fields gathered once, so an invalid point raises
+    the error of the array call, which checks every value before it
+    computes. The points' rows are joined point-major, each column in one
+    pass. The library answers a point in Python scalars, so the columns
+    are lists of them; only ``_rows_costs``' division by a social optimum
+    of 0, on ``_ieee``'s ZeroDivisionError fallback, gives a numpy inf or
+    NaN, which prints as the float does, and it does so at every point of
+    the column, since the optimum reads only the network.
     """
     axis, values = sweep
     params = _network(config)
-    envs = [_environment({**config, axis: value}) for value in values]
-    tables = [build(params, env) for env in envs]
-    columns = {name: [v for table in tables for v in table[name]] for name in tables[0]}
-    for column in columns.values():
-        if _numpy(*column) is not None:
-            column[:] = [v.tolist() if hasattr(v, "tolist") else v for v in column]
+    p, lam, eta_h, eta_l = (config[key] for key in _ENV_FIELDS)
+    point = {
+        "lambda": lambda v: InfoEnvironment(p, v, eta_h, eta_l),
+        "p": lambda v: InfoEnvironment(v, lam, eta_h, eta_l),
+        "eta_h": lambda v: InfoEnvironment(p, lam, v, eta_l),
+    }[axis]
+    envs = [point(value) for value in values]
+    build = _builder(subcommand, config.get("treatment", "uninformative"))
+    rows = [build(params, env) for env in envs]
+    if subcommand == "beliefs":
+        columns = {name: [v for table in rows for v in table[name]] for name in rows[0]}
+    else:
+        columns = dict(zip(rows[0], map(list, zip(*(row.values() for row in rows)))))
     return columns
 
 
@@ -474,23 +529,17 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
         _write(lambda fh: _emit_json(payload, fh), out)
         return code
 
-    treatment = config.get("treatment", "uninformative")
-    builders = {
-        "regimes": _rows_regimes,
-        "equilibrium": _rows_equilibrium,
-        "beliefs": lambda params, env: _rows_beliefs(params, env, treatment),
-        "costs": _rows_costs,
-        "value": _rows_value,
-        "oracle": _rows_oracle,
-    }
-    if subcommand not in builders:
+    if subcommand not in _SUBCOMMANDS:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
-    build = builders[subcommand]
     limit = _POINTWISE_MAX.get(subcommand, 0)
     if sweep is not None and isinstance(sweep[1], list) and len(sweep[1]) <= limit:
-        table = _rows_by_point(build, config, sweep)
+        table = _rows_by_point(subcommand, config, sweep)
     else:
-        table = build(*_build_instance(config, sweep))
+        params, env = _build_instance(config, sweep)
+        build = _builder(subcommand, config.get("treatment", "uninformative"))
+        table = build(params, env)
+        if subcommand != "beliefs":
+            table = _table(table)
 
     if fmt == "csv":
         _write(lambda fh: _emit_csv(table, fh), out)

@@ -19,7 +19,12 @@ gives the belief layer's interim costs and the oracle's cost gaps, and this
 module reads only ``model`` and ``equilibrium``. ``cost_report`` broadcasts
 over array-valued environment fields; an empty population's terms are
 masked per point (NaN in the report, dropped from the social cost), so a
-sweep across lambda = 0 or 1 is one call.
+sweep across lambda = 0 or 1 is one call. What reads no lambda is kept by
+the rules of ``model._Kept`` (see ``equilibrium``), so a sweep computes it
+once: ``cost_report`` keeps the last lambda = 0 baseline under its network
+and the environment's p_incident and accuracies, which a lambda sweep
+shares, and ``social_optimum`` the last network's two per-state optima,
+which every sweep on one network shares.
 ``realized_population_state_cost`` is the definition-level cost of one
 population at any profile; it raises ``empty_population`` if asked for an
 empty population.
@@ -38,6 +43,8 @@ from .model import (
     StrategyProfile,
     _as_results,
     _cost_tol,
+    _Kept,
+    _lambda_free_key,
     _population_demands,
     _Record,
     _require_nonempty,
@@ -129,10 +136,21 @@ def _state_optimum(params: NetworkParams, state: State) -> tuple:
     return q1, q2, total / d
 
 
+def _state_optima(params: NetworkParams) -> tuple:
+    """``_state_optimum`` in the normal state, then in the incident state."""
+    return _state_optimum(params, State.NORMAL), _state_optimum(params, State.INCIDENT)
+
+
+#: The last network's two per-state optima.
+_OPTIMA = _Kept()
+
+
 def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolution:
-    """Per-state optimal loads and costs, in closed form (fields broadcast)."""
-    qn1, qn2, cost_n = _state_optimum(params, State.NORMAL)
-    qa1, qa2, cost_a = _state_optimum(params, State.INCIDENT)
+    """Per-state optimal loads and costs, in closed form (fields broadcast).
+
+    The per-state optima read only the network, so those of the last
+    network in plain Python are kept (see ``model._Kept``) and reused."""
+    (qn1, qn2, cost_n), (qa1, qa2, cost_a) = _OPTIMA.get(params, (), _state_optima, params)
     p = env.p_incident
     qn1, qn2, qa1, qa2, cost_n, cost_a, cost_exp = _as_results(
         qn1, qn2, qa1, qa2, cost_n, cost_a, (1 - p) * cost_n + p * cost_a
@@ -287,6 +305,20 @@ class CostReport(_Record):
     socopt_exp: float
 
 
+def _baseline(params: NetworkParams, env: InfoEnvironment) -> tuple:
+    """The uninformed population's (normal, incident) cost at the equilibrium
+    of lambda = 0 with ``env``'s p_incident and accuracy_high."""
+    # An int 0 keeps Fraction fields' baseline exact.
+    at = InfoEnvironment(env.p_incident, 0, env.accuracy_high)
+    profile = solve_bwe(params, at)
+    return tuple(_state_costs(params, at, profile, s)[0] for s in State)
+
+
+#: The last baseline made in plain Python, kept under its network and the
+#: lambda-free fields of its environment.
+_BASELINES = _Kept()
+
+
 def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
     """Solve the equilibrium and assemble all cost quantities for ``env``.
 
@@ -295,20 +327,18 @@ def cost_report(params: NetworkParams, env: InfoEnvironment) -> CostReport:
     an empty population's term dropped; the baseline is the uninformed cost
     at the equilibrium of lam = 0, where only p_incident matters. Array-valued
     environment fields give arrays of their common shape, with NaN at the
-    points where a population is empty.
+    points where a population is empty. The baseline does not read lambda,
+    so it is kept, as ``equilibrium`` keeps its evaluation (see
+    ``model._Kept``), and the points of a lambda sweep share one.
     """
     lam, p = env.frac_informed, env.p_incident
-
-    def state_costs(at: InfoEnvironment) -> list:
-        profile = solve_bwe(params, at)
-        return [_state_costs(params, at, profile, s) for s in State]
 
     def expected(c_n, c_a):
         return (1 - p) * c_n + p * c_a
 
-    (c_l_n, c_h_n), (c_l_a, c_h_a) = state_costs(env)
-    # An int 0 keeps Fraction fields' baseline exact.
-    (base_n, _), (base_a, _) = state_costs(InfoEnvironment(p, 0, env.accuracy_high))
+    profile = solve_bwe(params, env)
+    (c_l_n, c_h_n), (c_l_a, c_h_a) = (_state_costs(params, env, profile, s) for s in State)
+    base_n, base_a = _BASELINES.get(params, _lambda_free_key(env), _baseline, params, env)
     # An empty population's placeholder cost is finite: its term is +0.0.
     soc_n, soc_a = (
         lam * c_h + (1 - lam) * c_l for c_l, c_h in ((c_l_n, c_h_n), (c_l_a, c_h_a))

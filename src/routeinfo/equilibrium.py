@@ -27,9 +27,11 @@ marginals and the three boundaries of an environment, each once;
 read them, with the regime index of the environment's lambda, from
 ``_evaluation``. None of the three reads lambda: they are functions of the
 network, p_incident and the two accuracies alone. So the last evaluation in
-plain Python is kept under that lambda-free part of its environment, and
-any environment that shares it, a point of a lambda sweep or the lambda = 0
-baseline of a cost report, reuses it and computes only its regime index.
+plain Python is kept under that lambda-free part of its environment (by the
+rules of ``model._Kept``), and any environment that shares it, a point of a
+lambda sweep or the lambda = 0 baseline of a cost report, reuses it and
+computes only its regime index: a lambda sweep computes the evaluation
+once, a sweep of p or eta_h at every point.
 
 The closed forms read only ``model``: the derived constants K0..K4, the type
 marginals P(Hn) and P(Ha) and the ``StrategyProfile`` they return. The
@@ -50,6 +52,8 @@ from .model import (
     _derived_constants,
     _enforce,
     _ieee,
+    _Kept,
+    _lambda_free_key,
     _Record,
     _require_uninformative,
     _where,
@@ -145,35 +149,20 @@ def _evaluate(params: NetworkParams, env: InfoEnvironment) -> tuple:
     return k, dist, _boundaries(params, k, dist)
 
 
-#: The last evaluation made in plain Python, as (params, key, evaluation),
-#: where key holds the types and values of the environment fields it read.
-_last = (None, None, None)
+#: The last evaluation made in plain Python, kept under its network and the
+#: lambda-free fields of its environment.
+_EVALUATIONS = _Kept()
 
 
 def _evaluation(params: NetworkParams, env: InfoEnvironment) -> tuple:
     """``_evaluate(params, env)`` and the regime index of ``env``'s lambda.
 
     The evaluation is reused while ``params`` and the lambda-free fields of
-    ``env`` are those last evaluated; the regime index is computed at every
-    call. Only an evaluation in plain Python (an int regime index) is kept:
-    its values cannot change, whereas an array field could be changed in
-    place, and a sweep's arrays would be kept alive. The kept network is
-    held, so no other network can match it, and the whole entry is replaced
-    at once, so concurrent callers each read a consistent one.
+    ``env`` are those last evaluated, by the rules of ``model._Kept``; the
+    regime index is computed at every call.
     """
-    global _last
-    last_params, last_key, evaluation = _last
-    p, eta_h, eta_l = env.p_incident, env.accuracy_high, env.accuracy_low
-    # Types first: a Fraction or an int never matches a float of equal
-    # value, and no array is compared, since its type never matches a scalar's.
-    key = (type(p), type(eta_h), type(eta_l), p, eta_h, eta_l)
-    kept = params is last_params and key == last_key
-    if not kept:
-        evaluation = _evaluate(params, env)
-    regime = _regime_index(env.frac_informed, evaluation[2])
-    if not kept and type(regime) is int:
-        _last = (params, key, evaluation)
-    return (*evaluation, regime)
+    evaluation = _EVALUATIONS.get(params, _lambda_free_key(env), _evaluate, params, env)
+    return (*evaluation, _regime_index(env.frac_informed, evaluation[2]))
 
 
 def classify(params: NetworkParams, env: InfoEnvironment) -> Regime:

@@ -159,10 +159,10 @@ def _record_init(cls, names: tuple, defaults: dict):
     """``cls.__init__``, with one parameter per field, as ``collections.namedtuple``
     and ``dataclasses`` write theirs: the interpreter then binds the
     arguments and raises its own ``TypeError`` for a bad call. The fields
-    are set one at a time, in field order, so that the records of a class
+    are stored in field order by one update of the instance ``__dict__``,
+    which ``__setattr__`` does not guard, so that the records of a class
     share one attribute layout and a field reads fast."""
-    scope = {"_set": object.__setattr__}
-    params, body = ["self"], []
+    scope, params, stored = {}, ["self"], []
     for i, name in enumerate(names):
         value = name
         if name in defaults:
@@ -172,7 +172,8 @@ def _record_init(cls, names: tuple, defaults: dict):
                 value = f"_d{i}.make() if {name} is _d{i} else {name}"
         else:
             params.append(name)
-        body.append(f"    _set(self, {name!r}, {value})\n")
+        stored.append(f"{name}={value}")
+    body = [f"    self.__dict__.update({', '.join(stored)})\n"] if stored else []
     if cls._validate is not _Record._validate:
         body.append("    self._validate()\n")
     exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}", scope)
@@ -618,6 +619,45 @@ def _ieee(fn, *args):
             args = [np.asarray(a)[()] for a in args]
     with np.errstate(all="ignore"):
         return fn(*args)
+
+
+class _Kept:
+    """The last result of a pure function, made in plain Python and kept
+    under the network it read and a key of the other values it read.
+
+    ``get(params, key, compute, *args)`` is ``compute(*args)``, reused while
+    ``params`` and ``key`` are those of the kept result; ``_lambda_free_key``
+    makes the key of a function of an environment's p_incident and
+    accuracies. A result is kept only when no field of ``params`` and no
+    value in ``key`` is an array: an array could change in place, and a
+    sweep's arrays would be kept alive. The kept network is held, so no
+    other network can match it, and the whole entry is replaced at once,
+    so concurrent callers each read a consistent one.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        self._entry = (None, None, None)
+
+    def get(self, params, key: tuple, compute, *args):
+        last_params, last_key, result = self._entry
+        if params is last_params and key == last_key:
+            return result
+        result = compute(*args)
+        # No array exists before numpy is loaded (see ``_numpy``).
+        if "numpy" not in sys.modules or _numpy(*key, *vars(params).values()) is None:
+            self._entry = (params, key, result)
+        return result
+
+
+def _lambda_free_key(env: InfoEnvironment) -> tuple:
+    """The key of ``env``'s p_incident, accuracy_high and accuracy_low for
+    ``_Kept``: their types, then their values. Types first: a ``Fraction``
+    or an int never matches a float of equal value, and no array is
+    compared, since its type never matches a scalar's."""
+    p, eta_h, eta_l = env.p_incident, env.accuracy_high, env.accuracy_low
+    return (type(p), type(eta_h), type(eta_l), p, eta_h, eta_l)
 
 
 def route_slope(params: NetworkParams, route: int, state: State) -> float:

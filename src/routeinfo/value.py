@@ -31,6 +31,8 @@ from .model import (
     _choose,
     _cost_tol,
     _Factory,
+    _Kept,
+    _lambda_free_key,
     _Record,
     _require_perfect_accuracy,
     _require_uninformative,
@@ -98,6 +100,11 @@ def lambda_min(params: NetworkParams, env: InfoEnvironment) -> float:
     return lam_min
 
 
+#: The last ``lambda_min`` made in plain Python, kept under its network and
+#: the lambda-free fields of its environment.
+_LAMBDA_MINS = _Kept()
+
+
 def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     """All value-of-information quantities for one environment.
 
@@ -108,9 +115,11 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
     Array-valued environment fields give arrays of their common shape.
     Every cost comes from one ``cost_report`` call; ``lambda_min`` runs the
     environment checks first, and its evaluation of ``env`` (see
-    ``equilibrium``) serves the equilibrium of ``cost_report`` too.
+    ``equilibrium``) serves the equilibrium of ``cost_report`` too. It does
+    not read lambda, so it is kept, as that evaluation is (see
+    ``model._Kept``), and the points of a lambda sweep share one.
     """
-    lam_min = lambda_min(params, env)
+    lam_min = _LAMBDA_MINS.get(params, _lambda_free_key(env), lambda_min, params, env)
     r = cost_report(params, env)
     lam = env.frac_informed
     p = env.p_incident

@@ -19,16 +19,21 @@ import numpy as np
 import pytest
 
 import routeinfo.cli
+import routeinfo.costs
+import routeinfo.equilibrium
 import routeinfo.oracle
+import routeinfo.value
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
     OracleConvergenceError,
     StrategyProfile,
     classify,
+    cost_report,
+    social_optimum,
     solve_bwe,
 )
-from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _rows_beliefs, main, parse_sweep
+from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _builder, main, parse_sweep
 from routeinfo.model import replace
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ def test_beliefs_sweep_keeps_constant_columns_as_views(treatment):
     eta_l = 0.5 if treatment == "uninformative" else 0.55
     env = InfoEnvironment(0.2, np.linspace(0.0, 1.0, 5), 1.0, eta_l)
     params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
-    table = _rows_beliefs(params, env, treatment)
+    table = _builder("beliefs", treatment)(params, env)
     assert [name for name, c in table.items() if c.strides == (0,)] == [
         "p", "eta_h", "eta_l", "treatment"
     ]
@@ -482,20 +487,52 @@ _TREATMENTS = [
 ]
 
 
+def _drawn_network(seed: int) -> list:
+    """The flags of a network and p drawn from ``seed``: every ordering the
+    model requires holds, with some slack."""
+    rng = random.Random(seed)
+    a1n = rng.uniform(0.5, 2.0)
+    a2 = a1n * rng.uniform(1.0, 2.0)
+    a1a = a2 * rng.uniform(1.2, 3.0)
+    b1 = rng.uniform(5.0, 30.0)
+    b2 = b1 + rng.uniform(0.0, 10.0)
+    demand = (b2 - b1) / a1n + rng.uniform(0.5, 5.0)
+    flags = {
+        "--slope1-normal": a1n, "--slope2": a2, "--slope1-incident": a1a,
+        "--intercept1": b1, "--intercept2": b2, "--demand": demand,
+        "--p": rng.uniform(0.05, 0.5),
+    }
+    return [text for flag, value in flags.items() for text in (flag, repr(value))]
+
+
 #: (sweep, network, format) cases of the driver comparison: three short
 #: sweeps in both formats, and in CSV a lambda sweep of the subcommand's
-#: ``_POINTWISE_MAX`` points ("{}") and of one more ("{}+1").
+#: ``_POINTWISE_MAX`` points ("{}") and of one more ("{}+1"); then, on three
+#: drawn networks, lambda sweeps through 0 and 1 at eta_h below 1 and at 1,
+#: and a p sweep.
 _DRIVER_CASES = {
-    f"{sweep_id}-{network_id}-{fmt}": (sweep, network, fmt)
-    for sweep_id, sweep, formats in [
-        ("lambda", "lambda:0:1:6", ("csv", "json")),
-        ("p", "p:0.05:0.95:6", ("csv", "json")),
-        ("eta_h", "eta_h:0.6:1:6", ("csv", "json")),
-        ("limit", "lambda:0:1:{}", ("csv",)),
-        ("limit+1", "lambda:0:1:{}+1", ("csv",)),
-    ]
-    for network_id, network in [("example", []), ("underflow", _UNDERFLOW)]
-    for fmt in formats
+    **{
+        f"{sweep_id}-{network_id}-{fmt}": (sweep, network, fmt)
+        for sweep_id, sweep, formats in [
+            ("lambda", "lambda:0:1:6", ("csv", "json")),
+            ("p", "p:0.05:0.95:6", ("csv", "json")),
+            ("eta_h", "eta_h:0.6:1:6", ("csv", "json")),
+            ("limit", "lambda:0:1:{}", ("csv",)),
+            ("limit+1", "lambda:0:1:{}+1", ("csv",)),
+        ]
+        for network_id, network in [("example", []), ("underflow", _UNDERFLOW)]
+        for fmt in formats
+    },
+    **{
+        f"{sweep_id}-drawn{seed}-{fmt}": (sweep, [*_drawn_network(seed), *eta_h], fmt)
+        for seed in range(3)
+        for sweep_id, sweep, eta_h in [
+            ("lambda-eta_h0.8", "lambda:0:1:6", ["--eta-h", "0.8"]),
+            ("lambda", "lambda:0:1:6", []),
+            ("p", "p:0.05:0.5:6", []),
+        ]
+        for fmt in ("csv", "json")
+    },
 }
 
 
@@ -514,7 +551,7 @@ def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep
     At the underflow network ``_ieee`` gives numpy scalars at single points,
     which print as the array's floats, and a regime boundary's denominator
     underflows to 0 at the low p of a p sweep (not_finite); a value sweep
-    along eta_h fails with not_analyzed."""
+    along eta_h, or along lambda at eta_h below 1, fails with not_analyzed."""
     limit = _POINTWISE_MAX[base[0]]
     sweep = sweep.replace("{}+1", str(limit + 1)).replace("{}", str(limit))
     argv = [*base, *network, "--format", fmt, "--sweep", sweep]
@@ -522,7 +559,7 @@ def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep
     assert point == _run_by(capsys, monkeypatch, "array", argv)
     assert point == _run(capsys, argv)
     axis = sweep[: sweep.index(":")]
-    fails = (base == ["value"] and axis == "eta_h") or (
+    fails = (base == ["value"] and (axis == "eta_h" or "--eta-h" in network)) or (
         network == _UNDERFLOW and axis == "p" and base[0] != "beliefs"
     )
     assert point[0] == int(fails)
@@ -582,23 +619,21 @@ def test_each_row_evaluates_the_closed_forms_once_per_environment(
     ``oracle`` row share it, and so do a ``value`` row's ``lambda_min`` and
     costs. The lambda = 0 baseline of ``costs`` and ``value`` shares it too,
     since it differs from the environment in lambda alone."""
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, routeinfo.equilibrium, "_evaluate")
     params, env = routeinfo.cli._network(DEFAULTS), routeinfo.cli._environment(DEFAULTS)
-    getattr(routeinfo.cli, build)(params, env)
-    assert calls[0] is env and len(calls) == evaluations
+    _builder(build.removeprefix("_rows_"), "uninformative")(params, env)
+    assert calls[0][1] is env and len(calls) == evaluations
 
 
-def _count_evaluations(monkeypatch) -> list:
-    """The environments that ``equilibrium._evaluate`` is called on from now."""
-    import routeinfo.equilibrium
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """The arguments of each call of ``module``'s function ``name`` from now."""
+    fn, calls = getattr(module, name), []
 
-    evaluate, calls = routeinfo.equilibrium._evaluate, []
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    def counted(params, env):
-        calls.append(env)
-        return evaluate(params, env)
-
-    monkeypatch.setattr(routeinfo.equilibrium, "_evaluate", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -608,13 +643,40 @@ def test_a_lambda_sweep_evaluates_once_and_a_p_sweep_at_every_point(
 ):
     """A point-by-point sweep of lambda shares one evaluation of the network,
     p and the accuracies, which every point and baseline reuse; a sweep of p
-    changes them at every point, so each point evaluates its own."""
-    calls = _count_evaluations(monkeypatch)
-    assert _run(capsys, [sub, "--sweep", "lambda:0:1:40"])[0] == 0
-    assert len(calls) == 1
-    del calls[:]
-    assert _run(capsys, [sub, "--sweep", "p:0.1:0.9:40"])[0] == 0
-    assert [env.p_incident for env in calls] == parse_sweep("p:0.1:0.9:40")[1]
+    or eta_h changes them at every point, so each point evaluates its own.
+    So it goes for the two state costs of the lambda = 0 baseline and for
+    ``lambda_min``, which read no lambda either, while each point computes
+    its own two equilibrium state costs. The social optimum reads only the
+    network, so every sweep computes its two state optima once."""
+    counts = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in [
+            (routeinfo.equilibrium, "_evaluate"),
+            (routeinfo.costs, "_state_costs"),
+            (routeinfo.costs, "_state_optimum"),
+            (routeinfo.value, "lambda_min"),
+        ]
+    }
+    for axis, field, span in [
+        ("lambda", "frac_informed", "0:1"),
+        ("p", "p_incident", "0.1:0.9"),
+        ("eta_h", "accuracy_high", "0.6:1"),
+    ]:
+        if sub == "value" and axis == "eta_h":
+            continue  # the value analysis covers eta_h = 1 only
+        for calls in counts.values():
+            del calls[:]
+        sweep = f"{axis}:{span}:40"
+        assert _run(capsys, [sub, "--sweep", sweep])[0] == 0
+        values = parse_sweep(sweep)[1]
+        evaluated = [getattr(env, field) for _, env in counts["_evaluate"]]
+        assert evaluated == (values[:1] if axis == "lambda" else values), axis
+        once_or_each = len(evaluated)
+        if sub in ("costs", "value"):
+            assert len(counts["_state_costs"]) == 2 * 40 + 2 * once_or_each, axis
+            assert len(counts["_state_optimum"]) == 2, axis
+        if sub == "value":
+            assert len(counts["lambda_min"]) == once_or_each, axis
 
 
 def test_an_evaluation_is_reused_only_by_fields_of_its_types(monkeypatch):
@@ -638,7 +700,7 @@ def test_an_evaluation_is_reused_only_by_fields_of_its_types(monkeypatch):
     # Each answer alone, on its own copy of the network.
     alone = [classify(NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5))), env) for env in envs]
     params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, routeinfo.equilibrium, "_evaluate")
     for env, expected, (_, _, anew, kind) in zip(envs, alone, steps):
         before = len(calls)
         regime = classify(params, env)
@@ -657,7 +719,7 @@ def test_an_array_evaluation_is_never_kept(monkeypatch):
         for p in (0.2, 0.6)
     }
     params = routeinfo.cli._network(DEFAULTS)
-    calls = _count_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, routeinfo.equilibrium, "_evaluate")
     lam = np.linspace(0.0, 1.0, 5)
     labels = [classify(params, InfoEnvironment(0.2, x, 1.0)).label for x in lam.tolist()]
     assert classify(params, InfoEnvironment(0.2, lam, 1.0)).label.tolist() == labels
@@ -669,6 +731,123 @@ def test_an_array_evaluation_is_never_kept(monkeypatch):
     assert classify(params, env).lambda_bar_1.tolist() == [lb1[0.6], lb1[0.6]]
     assert len(calls) == 3
     assert classify(params, InfoEnvironment(0.2, 0.9, 1.0)).label == "R4"
+    assert len(calls) == 3
+
+
+def test_a_baseline_is_reused_only_by_fields_of_its_types(monkeypatch):
+    """The kept lambda = 0 baseline of a cost report serves every environment
+    that shares its network, p_incident and accuracies, whatever its lambda;
+    a ``Fraction`` or int field never reuses a float baseline of equal
+    value, nor the reverse. Each step: (p, eta_H, eta_L), lambda, whether
+    it computes the baseline anew, the type of the baseline's costs."""
+    half = Fraction(1, 2)
+    steps = [
+        ((half, 1, half), Fraction(1, 10), True, Fraction),
+        ((half, 1, half), Fraction(9, 10), False, Fraction),
+        ((0.5, 1.0, 0.5), 0.1, True, float),
+        ((0.5, 1.0, 0.5), 0.9, False, float),
+        ((half, 1, half), Fraction(1, 10), True, Fraction),
+        ((half, 1.0, half), Fraction(1, 10), True, float),
+        ((0.5, 1, 0.5), 0.1, True, float),
+        ((0.5, 1.0, 0.5), 0.1, True, float),
+    ]
+    envs = [InfoEnvironment(p, lam, eta_h, eta_l) for (p, eta_h, eta_l), lam, _, _ in steps]
+    exact = (1, 3, 2, 19, 21, 5)
+    # Each report alone, on its own copy of the network.
+    alone = [cost_report(NetworkParams(*map(Fraction, exact)), env) for env in envs]
+    params = NetworkParams(*map(Fraction, exact))
+    calls = _count_calls(monkeypatch, routeinfo.costs, "_baseline")
+    for env, expected, (_, _, anew, kind) in zip(envs, alone, steps):
+        before = len(calls)
+        report = cost_report(params, env)
+        assert len(calls) - before == anew, env
+        baseline = (report.baseline_n, report.baseline_a)
+        assert baseline == (expected.baseline_n, expected.baseline_a), env
+        assert {type(cost) for cost in baseline} == {kind}, env
+
+
+def test_an_array_baseline_is_never_kept(monkeypatch):
+    """An environment with an array lambda reuses the kept baseline of its
+    scalar fields, but a baseline of array fields is never kept: an array
+    could change in place, and a sweep's arrays would stay alive."""
+    # Each p's baseline alone, on its own copy of the network.
+    alone = {
+        p: cost_report(routeinfo.cli._network(DEFAULTS), InfoEnvironment(p, 0.5, 1.0)).baseline_n
+        for p in (0.2, 0.6)
+    }
+    params = routeinfo.cli._network(DEFAULTS)
+    calls = _count_calls(monkeypatch, routeinfo.costs, "_baseline")
+    assert cost_report(params, InfoEnvironment(0.2, 0.5, 1.0)).baseline_n == alone[0.2]
+    lam = np.linspace(0.0, 1.0, 5)
+    report = cost_report(params, InfoEnvironment(0.2, lam, 1.0))
+    assert report.baseline_n.tolist() == [alone[0.2]] * 5
+    assert len(calls) == 1
+    p = np.array([0.2, 0.6])
+    env = InfoEnvironment(p, 0.5, 1.0)
+    assert cost_report(params, env).baseline_n.tolist() == [alone[0.2], alone[0.6]]
+    p[0] = 0.6
+    assert cost_report(params, env).baseline_n.tolist() == [alone[0.6], alone[0.6]]
+    assert len(calls) == 3
+    assert cost_report(params, InfoEnvironment(0.2, 0.9, 1.0)).baseline_n == alone[0.2]
+    assert len(calls) == 3
+
+
+def test_an_optimum_is_reused_only_by_its_network(monkeypatch):
+    """The social optimum's two state optima read only the network, so the
+    kept ones serve every environment on the same network object; a network
+    of equal value but other field types, or of other values, computes its
+    own. Each step: the network, whether it computes anew, the type of the
+    state optima's costs."""
+    fields = (1, 3, 2, 19, 21, 5)
+    networks = {
+        "exact": lambda: NetworkParams(*map(Fraction, fields)),
+        "float": lambda: NetworkParams(*map(float, fields)),
+        "changed": lambda: NetworkParams(*map(float, fields[:-1]), 6.0),
+    }
+    steps = [
+        ("exact", True, Fraction),
+        ("exact", False, Fraction),
+        ("float", True, float),
+        ("float", False, float),
+        ("exact", True, Fraction),
+        ("changed", True, float),
+        ("float", True, float),
+    ]
+    envs = [InfoEnvironment(p, 0.5, 1.0) for p in (0.2, 0.4, 0.6, 0.8, 0.2, 0.4, 0.6)]
+    # Each optimum alone, on its own copy of the network.
+    alone = [social_optimum(networks[name](), env) for (name, _, _), env in zip(steps, envs)]
+    made = {name: make() for name, make in networks.items()}
+    calls = _count_calls(monkeypatch, routeinfo.costs, "_state_optima")
+    for (name, anew, kind), env, expected in zip(steps, envs, alone):
+        before = len(calls)
+        optimum = social_optimum(made[name], env)
+        assert len(calls) - before == anew, name
+        assert optimum == expected, name
+        costs = (optimum.cost_normal, optimum.cost_incident)
+        assert {type(cost) for cost in costs} == {kind}, name
+
+
+def test_an_array_optimum_is_never_kept(monkeypatch):
+    """A network with an array field computes its state optima at every
+    call and never keeps them: an array could change in place, and a
+    sweep's arrays would stay alive. The kept optima of a scalar network
+    stay kept meanwhile."""
+    env = InfoEnvironment(0.2, 0.5, 1.0)
+    # Each demand's optimum alone, on its own network.
+    alone = {
+        d: social_optimum(NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, d), env).cost_normal
+        for d in (5.0, 6.0)
+    }
+    params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
+    demand = np.array([5.0, 6.0])
+    swept = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, demand)
+    calls = _count_calls(monkeypatch, routeinfo.costs, "_state_optima")
+    assert social_optimum(params, env).cost_normal == alone[5.0]
+    assert social_optimum(swept, env).cost_normal.tolist() == [alone[5.0], alone[6.0]]
+    demand[0] = 6.0
+    assert social_optimum(swept, env).cost_normal.tolist() == [alone[6.0], alone[6.0]]
+    assert len(calls) == 3
+    assert social_optimum(params, env).cost_normal == alone[5.0]
     assert len(calls) == 3
 
 
@@ -716,6 +895,23 @@ def test_a_sweep_whose_span_overflows_exits_one(capsys, points):
         code, out, err = _run(capsys, argv)
     message = "malformed_sweep: sweep needs a finite stop - start, got -1e+308..1e+308"
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_a_sweep_too_long_for_memory_exits_one(capsys, monkeypatch):
+    """A sweep whose values ``np.linspace`` cannot allocate is a malformed
+    sweep that names its point count, not a traceback. The allocation
+    failure is simulated: no test allocates a large array."""
+    points = max(_POINTWISE_MAX.values()) + 1
+    asked = []
+
+    def linspace(start, stop, num):
+        asked.append(num)
+        raise MemoryError(f"cannot allocate {num} values")
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    code, out, err = _run(capsys, ["regimes", "--sweep", f"lambda:0:1:{points}"])
+    message = f"malformed_sweep: sweep of {points} points does not fit in memory"
+    assert (code, out, err, asked) == (1, "", f"error: {message}\n", [points])
 
 
 def test_costs_over_an_optimum_that_underflows_to_zero(capsys):

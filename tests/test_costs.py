@@ -514,7 +514,9 @@ def test_reports_evaluate_each_population_state_cost_once(monkeypatch, report, l
     per informed type and route each (4 x 4), which both populations' costs
     read, and the social optimum takes one per state and route (4). The
     counter replaces ``latency`` in every module that holds it, so a call
-    through another module's import counts too.
+    through another module's import counts too. The report runs on a new
+    copy of the network, on which nothing is kept; a second report on it
+    reuses the kept baseline and optimum and takes only the equilibrium's 8.
     """
     calls = []
     latency_fn = routeinfo.model.latency
@@ -527,5 +529,8 @@ def test_reports_evaluate_each_population_state_cost_once(monkeypatch, report, l
         holds = vars(module).get("latency") is latency_fn
         if name.startswith("routeinfo") and holds:
             monkeypatch.setattr(module, "latency", counted)
-    report(PARAMS, _env(lam=lam))
+    params = NetworkParams(**vars(PARAMS))
+    report(params, _env(lam=lam))
     assert len(calls) == 20
+    report(params, _env(lam=lam))
+    assert len(calls) == 28

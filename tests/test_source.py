@@ -218,16 +218,22 @@ def test_package_import_loads_no_module_and_no_numpy():
 
 
 def test_arrays_are_sought_only_once_numpy_is_loaded():
-    """``model._numpy`` answers None while numpy is not loaded, and once it
-    is, finds an array or a numpy scalar among Python scalars."""
+    """``model._numpy`` answers None while numpy is not loaded, without
+    looking at an operand, and once it is, finds an array or a numpy scalar
+    among Python scalars."""
     code = (
         "import sys; from fractions import Fraction; from routeinfo.model import _numpy\n"
-        "print(_numpy(1.0, 2, Fraction(1, 2)), 'numpy' in sys.modules)\n"
+        "class Watched:\n"
+        "    looked = []\n"
+        "    def __getattr__(self, name):\n"
+        "        Watched.looked.append(name)\n"
+        "        raise AttributeError(name)\n"
+        "print(_numpy(1.0, 2, Fraction(1, 2), Watched()), Watched.looked, 'numpy' in sys.modules)\n"
         "import numpy as np\n"
         "print(_numpy(np.float64(1.0)) is np, _numpy(1.0, np.zeros(2)) is np, "
         "_numpy(1.0, 2, Fraction(1, 2), True))\n"
     )
-    assert _fresh(code) == "None False\nTrue True None"
+    assert _fresh(code) == "None [] False\nTrue True None"
 
 
 def test_oracle_import_loads_no_closed_form():
