@@ -15,7 +15,6 @@ _ORIGIN = {
     "EQUILIBRIUM_TYPES": "model",
     "BeliefTable": "beliefs",
     "CostReport": "costs",
-    "CrosscheckRow": "costs",
     "DerivedConstants": "model",
     "GridScanResult": "oracle",
     "InfoEnvironment": "model",
@@ -33,7 +32,6 @@ _ORIGIN = {
     "Theorem2Report": "value",
     "ValidationError": "model",
     "ValueReport": "value",
-    "analytic_cost_crosscheck": "costs",
     "belief_conditional_ck": "beliefs",
     "belief_marginal_ck": "beliefs",
     "belief_uninformative": "beliefs",

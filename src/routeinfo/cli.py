@@ -5,8 +5,8 @@ default, a grid with --sweep), always echoing the full environment tuple
 (p, lambda, eta_h, eta_l) so every dataset is self-describing. Output is
 deterministic: identical inputs produce byte-identical files.
 
-Exit codes: 0 success; 1 validation or input problems; 2 verification
-failure (the verify and oracle subcommands).
+Exit codes: 0 success; 1 validation or input problems, or a closed stdout;
+2 verification failure (the verify and oracle subcommands).
 
 Each interpreter runs one subcommand, so this module loads only ``model`` at
 import, and not numpy; once its input is checked, a run imports the solver
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import math
 import operator
+import os
 import sys
 from functools import partial
 
@@ -673,7 +674,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config, sweep = _assemble(args)
-        return run(args.subcommand, config, sweep)
+        code = run(args.subcommand, config, sweep)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the flush
+        # at exit cannot fail again (the SIGPIPE note of Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

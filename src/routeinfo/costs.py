@@ -3,11 +3,7 @@
 All cost numbers here are computed from the definition level — realized
 latencies averaged over type realizations per state, applied to an
 equilibrium profile — never by transcribing regime-wise closed forms. The
-closed forms are kept only as cross-check rows in
-``analytic_cost_crosscheck``, because several printed branches carry defects
-(an undefined symbol, a garbled additive term, and one wrong slope
-subscript); the crosscheck reports each branch's status explicitly instead
-of silently trusting it.
+tests hold the paper's printed closed forms of these costs against them.
 
 This module is the only place equilibrium costs are derived, and
 ``cost_report`` the only place they are assembled: equilibrium, social,
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .equilibrium import classify, solve_bwe
+from .equilibrium import solve_bwe
 from .model import (
     InfoEnvironment,
     NetworkParams,
@@ -42,19 +38,15 @@ from .model import (
     State,
     StrategyProfile,
     _as_results,
-    _cost_tol,
     _Kept,
     _lambda_free_key,
     _population_demands,
     _Record,
     _require_nonempty,
-    _require_perfect_accuracy,
-    _require_scalar,
     _require_uninformative,
     _route_load,
     _type_given_state,
     _where,
-    derived_constants,
     latency,
     route_slope,
 )
@@ -162,122 +154,6 @@ def social_optimum(params: NetworkParams, env: InfoEnvironment) -> SocOptSolutio
         cost_incident=cost_a,
         cost_exp=cost_exp,
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form cross-checks
-# ---------------------------------------------------------------------------
-
-
-class CrosscheckRow(_Record):
-    """One printed closed-form branch compared against first principles.
-
-    ``status`` is "match" (|deviation| within 1e-11 of the cost scale
-    intercept2 + slope1_incident * demand), "deviates", or "excluded"
-    (branch not evaluated; see ``note`` for the defect).
-    """
-
-    quantity: str
-    regime: str
-    printed: float | None
-    computed: float
-    deviation: float | None
-    status: str
-    note: str = ""
-
-
-#: Printed branches that are not evaluated, with the defect in each.
-_EXCLUDED = {
-    ("c_L_n", "R1"): "undefined_symbol: R1 branch references K_L^1",
-    ("c_soc_exp", "R1"): "garbled_expression: R1 branch drops a factor",
-}
-
-#: Printed branches evaluated verbatim and known to be wrong, with the defect.
-_DEVIATES = {
-    ("c_soc_exp", "R3"): (
-        "printed incident term uses the normal-state slope; "
-        "expected shortfall (slope1_incident - slope1_normal) * K2 * p"
-    ),
-}
-
-
-def _printed_branches(params: NetworkParams, env: InfoEnvironment) -> dict:
-    """The paper's closed form of each (quantity, regime) but the
-    ``_EXCLUDED`` ones, as printed, all at ``env``. Every denominator is
-    positive for 0 < frac_informed < 1 and accuracy_high = 1."""
-    k = derived_constants(params, env)
-    lam, p, d = env.frac_informed, env.p_incident, params.demand
-    a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
-    b1, b2 = params.intercept1, params.intercept2
-    # Uninformed splits and route costs that several branches share.
-    rho_l_r1 = k.k1 / ((1 - lam) * d) - (1 - p) * lam / (1 - lam)
-    rho_l_r2 = k.k4 / ((1 - lam) * d) - lam / (1 - lam)
-    q1_r1 = k.k1 - (1 - p) * lam * d
-    route1_r1, route2_r1 = a1a * q1_r1 + b1, a2 * (d - q1_r1) + b2
-    route1_k4, route2_k4 = a1n * k.k4 + b1, a2 * (d - k.k4) + b2
-    incident_route1 = a1a * k.k2 + b1
-    incident_route2 = a2 * (d - k.k0 / (a1a + a2)) + b2
-    return {
-        ("c_L_n", "R2"): rho_l_r2 * route1_k4 + (1 - rho_l_r2) * route2_k4,
-        ("c_L_n", "R3"): a2 * (1 - lam) * d + b2,
-        ("c_L_n", "R4"): a2 * (d - k.k3) + b2,
-        ("c_L_a", "R1"): rho_l_r1 * route1_r1 + (1 - rho_l_r1) * route2_r1,
-        ("c_H_n", "R1"): a1n * (k.k1 + p * lam * d) + b1,
-        ("c_H_n", "R2"): route1_k4,
-        ("c_H_n", "R3"): a1n * lam * d + b1,
-        ("c_H_n", "R4"): a1n * k.k3 + b1,
-        ("c_H_a", "R1"): route2_r1,
-        **{
-            (quantity, regime): incident_route1
-            for quantity in ("c_L_a", "c_H_a")
-            for regime in ("R2", "R3", "R4")
-        },
-        ("c_soc_exp", "R2"): p * incident_route2 + (1 - p) * (
-            (k.k4 / d) * route1_k4 + (1 - k.k4 / d) * route2_k4
-        ),
-        ("c_soc_exp", "R3"): p * (a1n * k.k2 + b1) + (1 - p) * (
-            lam**2 * a1n * d + lam * b1 + (1 - lam) ** 2 * a2 * d + (1 - lam) * b2
-        ),
-        ("c_soc_exp", "R4"): p * incident_route2 + (1 - p) * (
-            a2 * (d - k.k0 / (a1n + a2)) + b2
-        ),
-    }
-
-
-def analytic_cost_crosscheck(params: NetworkParams, env: InfoEnvironment) -> list:
-    """Compare the classified regime's printed cost branches with first principles.
-
-    One row per quantity. Scalar fields only (the branch is chosen by one
-    regime label), accuracy_high = 1, and both populations present. The
-    ``_EXCLUDED`` branches carry typos and are not guessed at; the
-    ``_DEVIATES`` one is evaluated verbatim and reported as deviating.
-    """
-    _require_scalar("the crosscheck", params, env)
-    _require_uninformative(env)
-    _require_perfect_accuracy(env)
-    _require_nonempty(env, "L", "H")
-
-    regime = classify(params, env).label
-    report = cost_report(params, env)
-    branches = _printed_branches(params, env)
-    rows = []
-    for quantity in ("c_L_n", "c_L_a", "c_H_n", "c_H_a", "c_soc_exp"):
-        value = getattr(report, quantity)
-        key = (quantity, regime)
-        printed = deviation = None
-        status = "excluded"
-        if key not in _EXCLUDED:
-            printed = float(branches[key])
-            deviation = float(abs(branches[key] - value))
-            matches = key not in _DEVIATES and deviation <= _cost_tol(params)
-            status = "match" if matches else "deviates"
-        note = _EXCLUDED.get(key, _DEVIATES.get(key, ""))
-        rows.append(
-            CrosscheckRow(
-                quantity, regime, printed, float(value), deviation, status, note
-            )
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

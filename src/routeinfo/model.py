@@ -439,7 +439,7 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
 
 
 #: Scope rules, each written once: the equilibrium analysis needs a coin-flip
-#: uninformed signal, the value analysis and crosscheck a perfect service.
+#: uninformed signal, the value analysis a perfect service.
 _UNINFORMATIVE_RULE = (
     (
         "unsupported_treatment",

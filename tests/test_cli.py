@@ -8,11 +8,14 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -963,7 +966,8 @@ def test_csv_is_written_a_block_of_rows_at_a_time(monkeypatch):
     CSV or in JSON, so the formatted text held at once stays bounded however
     long the sweep. The JSON is the bytes of one indented dump of all rows."""
     writes = []
-    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append))
+    stdout = SimpleNamespace(write=writes.append, flush=lambda: None)
+    monkeypatch.setattr("sys.stdout", stdout)
     points = 2 * _BLOCK_ROWS + 5
     sweep = ["regimes", "--sweep", f"lambda:0:1:{points}"]
     assert main(sweep) == 0
@@ -1202,6 +1206,54 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "equilibrium" in out
+
+
+def _console(argv, stdout):
+    """``python -m routeinfo.cli argv`` in a new interpreter that imports
+    from ``src``, writing to ``stdout`` through Python's default buffer,
+    with its stderr piped."""
+    src = str(Path(routeinfo.cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "routeinfo.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["regimes", "--sweep", "lambda:0:1:3000"],
+        ["costs", "--sweep", "lambda:0:1:601"],
+        ["equilibrium", "--sweep", "lambda:0:1:20000", "--format", "json"],
+    ],
+    ids=["regimes", "costs_array", "equilibrium_json"],
+)
+def test_a_reader_that_leaves_early_gets_exit_one_and_no_error_line(argv):
+    """As ``| head -1``: the reader takes one line and closes the pipe while
+    the run still writes (each output is larger than a pipe's buffer). The
+    run exits 1 and prints nothing to stderr."""
+    with _console(argv, subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first.startswith((b"p,", b"[")), first
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_a_stdout_closed_before_the_run_gets_exit_one_and_no_error_line():
+    """A short output stays in stdout's buffer until the last flush, which
+    ``main`` makes instead of the interpreter's exit (that would print
+    "Exception ignored" and exit 120), so it exits as a long one does."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _console(["regimes"], write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def _whole_parser():

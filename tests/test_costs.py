@@ -17,7 +17,6 @@ from routeinfo import (
     State,
     StrategyProfile,
     ValidationError,
-    analytic_cost_crosscheck,
     belief_uninformative,
     classify,
     cost_report,
@@ -25,13 +24,13 @@ from routeinfo import (
     expected_route_cost,
     latency,
     realized_population_state_cost,
+    regime_boundaries,
     route_slope,
     social_optimum,
     solve_bwe,
     value_report,
 )
 import routeinfo.model
-from routeinfo.costs import _DEVIATES, _EXCLUDED, _printed_branches
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -182,7 +181,7 @@ def test_realized_cost_of_a_certain_type_is_its_interim_cost(params, p, lam, rho
 
 @pytest.mark.parametrize("lam", [Fraction(1, 10), Fraction(1, 2), Fraction(77, 100)])
 def test_reports_accept_rational_fields(lam):
-    """Fraction fields give the float network's report and crosscheck rows,
+    """Fraction fields give the float network's report and branch statuses,
     and every cost and value is an exact fraction: the closed forms, the
     lambda = 0 baseline included, divide by zero in no branch they keep."""
     params = NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5)))
@@ -193,8 +192,7 @@ def test_reports_accept_rational_fields(lam):
     values = vars(value_report(params, env))
     for name, value in (*report.items(), *values.items()):
         assert isinstance(value, Fraction), (name, value)
-    rows = analytic_cost_crosscheck(params, env)
-    assert _statuses(rows) == _statuses(analytic_cost_crosscheck(PARAMS, float_env))
+    assert _statuses(params, env) == _statuses(PARAMS, float_env)
 
 
 def test_expected_population_cost_weights_states():
@@ -326,49 +324,120 @@ def test_no_feasible_split_beats_the_optimum(params, frac):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form audit rows
+# The paper's printed closed forms, audited
 # ---------------------------------------------------------------------------
 
+#: The cost quantities the paper prints a closed form of, per regime.
+QUANTITIES = ("c_L_n", "c_L_a", "c_H_n", "c_H_a", "c_soc_exp")
 
-def _statuses(rows):
-    return {row.quantity: row.status for row in rows}
+#: Printed branches that are not evaluated, with the defect in each.
+_EXCLUDED = {
+    ("c_L_n", "R1"): "undefined_symbol: R1 branch references K_L^1",
+    ("c_soc_exp", "R1"): "garbled_expression: R1 branch drops a factor",
+}
+
+#: Printed branches evaluated verbatim and known to be wrong, with the defect.
+_DEVIATES = {
+    ("c_soc_exp", "R3"): (
+        "printed incident term uses the normal-state slope; "
+        "expected shortfall (slope1_incident - slope1_normal) * K2 * p"
+    ),
+}
+
+
+def _printed_branches(params, env):
+    """The paper's closed form of each (quantity, regime) but the
+    ``_EXCLUDED`` ones, as printed, all at ``env``. Every denominator is
+    positive for 0 < frac_informed < 1 and accuracy_high = 1."""
+    k = derived_constants(params, env)
+    lam, p, d = env.frac_informed, env.p_incident, params.demand
+    a1n, a1a, a2 = params.slope1_normal, params.slope1_incident, params.slope2
+    b1, b2 = params.intercept1, params.intercept2
+    # Uninformed splits and route costs that several branches share.
+    rho_l_r1 = k.k1 / ((1 - lam) * d) - (1 - p) * lam / (1 - lam)
+    rho_l_r2 = k.k4 / ((1 - lam) * d) - lam / (1 - lam)
+    q1_r1 = k.k1 - (1 - p) * lam * d
+    route1_r1, route2_r1 = a1a * q1_r1 + b1, a2 * (d - q1_r1) + b2
+    route1_k4, route2_k4 = a1n * k.k4 + b1, a2 * (d - k.k4) + b2
+    incident_route1 = a1a * k.k2 + b1
+    incident_route2 = a2 * (d - k.k0 / (a1a + a2)) + b2
+    return {
+        ("c_L_n", "R2"): rho_l_r2 * route1_k4 + (1 - rho_l_r2) * route2_k4,
+        ("c_L_n", "R3"): a2 * (1 - lam) * d + b2,
+        ("c_L_n", "R4"): a2 * (d - k.k3) + b2,
+        ("c_L_a", "R1"): rho_l_r1 * route1_r1 + (1 - rho_l_r1) * route2_r1,
+        ("c_H_n", "R1"): a1n * (k.k1 + p * lam * d) + b1,
+        ("c_H_n", "R2"): route1_k4,
+        ("c_H_n", "R3"): a1n * lam * d + b1,
+        ("c_H_n", "R4"): a1n * k.k3 + b1,
+        ("c_H_a", "R1"): route2_r1,
+        **{
+            (quantity, regime): incident_route1
+            for quantity in ("c_L_a", "c_H_a")
+            for regime in ("R2", "R3", "R4")
+        },
+        ("c_soc_exp", "R2"): p * incident_route2 + (1 - p) * (
+            (k.k4 / d) * route1_k4 + (1 - k.k4 / d) * route2_k4
+        ),
+        ("c_soc_exp", "R3"): p * (a1n * k.k2 + b1) + (1 - p) * (
+            lam**2 * a1n * d + lam * b1 + (1 - lam) ** 2 * a2 * d + (1 - lam) * b2
+        ),
+        ("c_soc_exp", "R4"): p * incident_route2 + (1 - p) * (
+            a2 * (d - k.k0 / (a1n + a2)) + b2
+        ),
+    }
+
+
+def _statuses(params, env):
+    """Each quantity's printed branch in the regime of ``env``: "excluded"
+    (``_EXCLUDED``), "match" (within ``model._cost_tol`` of ``cost_report``
+    and not in ``_DEVIATES``) or "deviates". Both populations must be
+    present and accuracy_high = 1."""
+    regime = classify(params, env).label
+    report, branches = cost_report(params, env), _printed_branches(params, env)
+    tol = routeinfo.model._cost_tol(params)
+    statuses = {}
+    for quantity in QUANTITIES:
+        key = (quantity, regime)
+        if key in _EXCLUDED:
+            statuses[quantity] = "excluded"
+        elif key not in _DEVIATES and abs(branches[key] - getattr(report, quantity)) <= tol:
+            statuses[quantity] = "match"
+        else:
+            statuses[quantity] = "deviates"
+    return statuses
+
+
+def _slope_shortfall(params, env):
+    """What the printed R3 expected social cost misses by: its incident term
+    reads slope1_normal where slope1_incident belongs."""
+    slopes = params.slope1_incident - params.slope1_normal
+    return env.p_incident * slopes * derived_constants(params, env).k2
 
 
 def test_crosscheck_first_regime_exclusions():
-    rows = analytic_cost_crosscheck(PARAMS, _env(lam=0.1))
-    assert all(row.regime == "R1" for row in rows)
-    statuses = _statuses(rows)
-    assert statuses["c_L_n"] == "excluded"
-    assert statuses["c_soc_exp"] == "excluded"
-    assert statuses["c_L_a"] == "match"
-    assert statuses["c_H_n"] == "match"
-    assert statuses["c_H_a"] == "match"
-    by_name = {row.quantity: row for row in rows}
-    assert by_name["c_L_n"].note.startswith("undefined_symbol")
-    assert by_name["c_L_n"].printed is None
-    assert by_name["c_soc_exp"].note.startswith("garbled_expression")
+    env = _env(lam=0.1)
+    assert classify(PARAMS, env).label == "R1"
+    assert _statuses(PARAMS, env) == {
+        "c_L_n": "excluded", "c_L_a": "match", "c_H_n": "match",
+        "c_H_a": "match", "c_soc_exp": "excluded",
+    }
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.9])
 def test_crosscheck_clean_regimes_all_match(lam):
-    rows = analytic_cost_crosscheck(PARAMS, _env(lam=lam))
-    assert _statuses(rows) == {q: "match" for q in _statuses(rows)}
-    for row in rows:
-        assert row.deviation <= 1e-9
-        assert row.deviation == abs(row.printed - row.computed)
+    assert _statuses(PARAMS, _env(lam=lam)) == {q: "match" for q in QUANTITIES}
 
 
 def test_crosscheck_third_regime_reports_slope_defect():
-    rows = analytic_cost_crosscheck(PARAMS, _env(lam=0.77))
-    statuses = _statuses(rows)
-    assert statuses["c_soc_exp"] == "deviates"
-    assert all(
-        status == "match" for q, status in statuses.items() if q != "c_soc_exp"
-    )
-    row = next(r for r in rows if r.quantity == "c_soc_exp")
+    env = _env(lam=0.77)
+    assert _statuses(PARAMS, env) == {
+        **{q: "match" for q in QUANTITIES}, "c_soc_exp": "deviates"
+    }
+    printed = _printed_branches(PARAMS, env)["c_soc_exp", "R3"]
     # Defect size is exactly p * (slope1_incident - slope1_normal) * K2.
-    assert abs(row.deviation - 0.96) < 1e-9
-    assert "slope" in row.note
+    assert abs(cost_report(PARAMS, env).c_soc_exp - printed - 0.96) < 1e-9
+    assert _slope_shortfall(PARAMS, env) == pytest.approx(0.96, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
@@ -381,9 +450,7 @@ def test_crosscheck_statuses_do_not_depend_on_the_time_unit(scale):
     for p in (0.2, 0.395, 0.6):
         for lam in np.linspace(0.05, 0.95, 19).tolist():
             env = _env(p=p, lam=lam)
-            assert _statuses(analytic_cost_crosscheck(scaled, env)) == _statuses(
-                analytic_cost_crosscheck(PARAMS, env)
-            ), (p, lam)
+            assert _statuses(scaled, env) == _statuses(PARAMS, env), (p, lam)
 
 
 @given(
@@ -394,56 +461,63 @@ def test_crosscheck_statuses_do_not_depend_on_the_time_unit(scale):
 @settings(max_examples=300, deadline=None)
 def test_crosscheck_on_random_networks(params, p, lam):
     """Every evaluated branch matches first principles on any network, except
-    the third-regime expected social cost, which misses by exactly its slope
-    defect p * (slope1_incident - slope1_normal) * K2."""
+    the third-regime expected social cost, which misses by its slope defect
+    p * (slope1_incident - slope1_normal) * K2, within the cost tolerance."""
     env = _env(p=p, lam=lam)
-    tol = routeinfo.model._cost_tol(params)
-    for row in analytic_cost_crosscheck(params, env):
-        key = (row.quantity, row.regime)
-        if key in (("c_L_n", "R1"), ("c_soc_exp", "R1")):
-            assert row.status == "excluded", row
-        elif key == ("c_soc_exp", "R3"):
-            assert row.status == "deviates", row
-            shortfall = (
-                p
-                * (params.slope1_incident - params.slope1_normal)
-                * derived_constants(params, env).k2
-            )
-            assert abs(row.deviation - shortfall) <= tol, row
-        else:
-            assert row.status == "match", row
+    regime = classify(params, env).label
+    want = {q: "excluded" if (q, regime) in _EXCLUDED else "match" for q in QUANTITIES}
+    if regime == "R3":
+        want["c_soc_exp"] = "deviates"
+        printed = _printed_branches(params, env)["c_soc_exp", "R3"]
+        miss = cost_report(params, env).c_soc_exp - printed
+        tol = routeinfo.model._cost_tol(params)
+        assert abs(miss - _slope_shortfall(params, env)) <= tol, (miss, params, env)
+    assert _statuses(params, env) == want
+
+
+_HUNDREDTHS = st.integers(min_value=1, max_value=99).map(lambda n: Fraction(n, 100))
+_THOUSANDTHS = st.integers(min_value=1, max_value=999).map(lambda n: Fraction(n, 1000))
+
+
+def _regime_middles(params, env):
+    """The thousandth nearest the middle of each regime's part of [0, 1],
+    where it lies strictly inside (0, 1)."""
+    edges = [0, *(min(max(b, 0), 1) for b in regime_boundaries(params, env)), 1]
+    middles = {Fraction(round(500 * (a + b)), 1000) for a, b in zip(edges, edges[1:])}
+    return {lam for lam in middles if 0 < lam < 1}
+
+
+@given(params=rational_networks(), p=_HUNDREDTHS, lam=_THOUSANDTHS)
+@settings(max_examples=100, deadline=None)
+def test_printed_branches_are_exact_on_rational_networks(params, p, lam):
+    """With ``Fraction`` fields every evaluated printed branch equals
+    ``cost_report``'s value with ``==``, and the third-regime expected social
+    cost misses it by exactly p * (slope1_incident - slope1_normal) * K2:
+    the audit's verdicts hold without a tolerance. Each draw is checked at
+    its own lambda and in the middle of each regime."""
+
+    def env_at(lam):
+        return InfoEnvironment(p, lam, Fraction(1), Fraction(1, 2))
+
+    for env in map(env_at, sorted({lam, *_regime_middles(params, env_at(lam))})):
+        regime = classify(params, env).label
+        report, branches = cost_report(params, env), _printed_branches(params, env)
+        for quantity in QUANTITIES:
+            key = (quantity, regime)
+            if key in _EXCLUDED:
+                continue
+            computed = getattr(report, quantity)
+            assert isinstance(computed, Fraction), (key, computed)
+            miss = _slope_shortfall(params, env) if key in _DEVIATES else 0
+            assert computed - branches[key] == miss, (key, params, env)
 
 
 def test_printed_branches_and_exclusions_cover_each_row_once():
     printed = set(_printed_branches(PARAMS, _env()))
-    quantities = ("c_L_n", "c_L_a", "c_H_n", "c_H_a", "c_soc_exp")
-    every = set(itertools.product(quantities, ("R1", "R2", "R3", "R4")))
+    every = set(itertools.product(QUANTITIES, ("R1", "R2", "R3", "R4")))
     assert not printed & set(_EXCLUDED)
     assert printed | set(_EXCLUDED) == every
     assert set(_DEVIATES) <= printed
-
-
-def test_crosscheck_guards():
-    """The crosscheck states its scope in the words of the value analysis
-    and of the population-cost check."""
-    with pytest.raises(ValidationError) as exc:
-        analytic_cost_crosscheck(PARAMS, _env(eta_h=0.75))
-    assert exc.value.code == "not_analyzed"
-    assert "value analysis covers accuracy_high = 1 only, got 0.75" in str(exc.value)
-    for lam, empty in ((0.0, "H"), (1.0, "L")):
-        with pytest.raises(ValidationError) as exc:
-            analytic_cost_crosscheck(PARAMS, _env(lam=lam))
-        assert exc.value.code == "empty_population"
-        assert f"population {empty} is empty" in str(exc.value)
-
-
-def test_crosscheck_rejects_array_fields():
-    """The branch is picked by one regime label, so a sweep is refused
-    up front instead of failing inside numpy's truth-value test."""
-    with pytest.raises(ValidationError) as exc:
-        analytic_cost_crosscheck(PARAMS, _env(lam=np.array([0.1, 0.5])))
-    assert exc.value.code == "scalar_only"
-    assert "frac_informed" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from routeinfo import (
     State,
     StrategyProfile,
     ValidationError,
-    analytic_cost_crosscheck,
     derived_constants,
     grid_scan,
     lambda_min,
@@ -290,7 +289,6 @@ def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
     [
         lambda env: lambda_min(PARAMS, env),
         lambda env: theorem2_grid(PARAMS, env),
-        lambda env: analytic_cost_crosscheck(PARAMS, env),
         lambda env: realized_population_state_cost(
             PARAMS, env, StrategyProfile(0.5, 0.5, 0.5), "L", State.NORMAL
         ),
@@ -299,7 +297,6 @@ def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
     ids=[
         "lambda_min",
         "theorem2_grid",
-        "analytic_cost_crosscheck",
         "realized_population_state_cost",
         "grid_scan",
     ],
@@ -438,7 +435,7 @@ RECORDS = sorted(
 
 def test_every_value_type_is_a_record():
     assert RECORDS == [
-        "BeliefTable", "CostReport", "CrosscheckRow", "DerivedConstants",
+        "BeliefTable", "CostReport", "DerivedConstants",
         "GridScanResult", "InfoEnvironment", "MarginalTypeDist", "NetworkParams",
         "OracleConfig", "ProfileVerdict", "Regime", "SocOptSolution",
         "StrategyProfile", "Theorem1Report", "Theorem2Report", "ValueReport",
