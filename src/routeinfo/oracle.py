@@ -26,25 +26,22 @@ layer's one interim-cost sum (``beliefs._interim_cost``, the sum of
 ``expected_route_cost``) over every type's stacked weights, and the residual
 adds each type's defect (``_type_defect``) weighed by its mass
 (``model._type_masses``). Each gap is affine in the profile, so its values
-at four integer probe profiles give its coefficients ``(g0, C)``.
-``_exact_gaps`` reads them at one point with ``Fraction`` fields, and the
-pattern table solves every pattern in them by exact elimination, one
-element at a time. ``_affine_gaps`` reads them in floats, sized like the
-residual by the fields the gaps read and free of the time and flow units
-(``_cost_unit``), and ``best_response`` reads the responder's line from
-them: it broadcasts like the closed forms and, unlike the table, answers in
-floats on ``Fraction`` fields. The fixed point keeps its own lines: one
-evaluation of all three types, each at its own split 0 and 1 with the other
-splits at the iterate, pins down every best-response line of a sweep. What
-does not depend on the iterate (the belief weights, the population demands,
-the type masses and the probe array) is built once per working set.
+at four integer probe profiles give its coefficients ``(g0, C)``. Their one
+reader, ``_owner_gaps``, gives an owner's row exactly, in ``Fraction``s, one
+element at a time (``_exact_points``): the pattern table solves every
+pattern in the three rows by exact elimination, and ``best_response``
+clamps the responder's line; both answer in ``Fraction``s where no input is
+a float, else in the nearest floats. The fixed point keeps its own lines:
+one evaluation of all three types, each at its own split 0 and 1 with the
+other splits at the iterate, pins down every best-response line of a sweep.
+What does not depend on the iterate (the belief weights, the population
+demands, the type masses and the probe array) is built once per working set.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,7 +55,6 @@ from .model import (
     StrategyProfile,
     ValidationError,
     _as_results,
-    _cost_scale,
     _population_demands,
     _Record,
     _require_equilibrium_type,
@@ -121,17 +117,10 @@ class OracleConfig(_Record):
 UTILIZED_SHARE_EPS = 1e-8
 
 
-def _cost_unit(params: NetworkParams):
-    """The power of two at or below ``model._cost_scale`` (``ldexp(1.0, ...)``
-    overflows near the float maximum; ``frexp`` takes no ``Fraction``)."""
-    return np.ldexp(0.5, np.frexp(np.asarray(_cost_scale(params), dtype=float))[1])
-
-
-def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile=None) -> int:
-    """Dimensions of the gaps at ``profile`` (or of their coefficients, with
-    no profile): the most of any field they read."""
+def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile) -> int:
+    """Dimensions of the gaps at ``profile``: the most of any field they read."""
     env_read = (env.p_incident, env.frac_informed, env.accuracy_high)
-    splits = () if profile is None else (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
+    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
 
 
@@ -161,7 +150,8 @@ def _type_gaps(params: NetworkParams, demands: tuple, weights: dict, profile):
     """Every type's route-1 minus route-2 expected cost, owner axis first.
 
     ``demands`` come from ``model._population_demands`` and ``weights``
-    from ``_gap_weights``. The profile's fields may carry the owner axis
+    from ``_gap_weights``, or from one owner's ``_informed_weights`` for
+    that owner's gap alone. The profile's fields may carry the owner axis
     too, so that each type is evaluated at a profile of its own. Each route
     cost is ``beliefs._interim_cost``, the sum of ``expected_route_cost``,
     over the stacked weights; an entry outside the owner's belief adds
@@ -230,57 +220,52 @@ _FAILURES = {
     "1": "strictly prefers route 2",
 }
 
-#: Splits of the four probe profiles (origin, e_L, e_Hn, e_Ha), one row per
-#: component of (rho_L, rho_Hn, rho_Ha). Integers, so that ``Fraction``
-#: gaps stay exact.
-_GAP_PROBES = np.eye(4, dtype=int)[1:]
+#: The four probe profiles (origin, e_L, e_Hn, e_Ha) as (rho_L, rho_Hn,
+#: rho_Ha). Integers, so that ``Fraction`` gaps stay exact.
+_GAP_PROBES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _affine_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """``(g0, C)`` with ``gap[..., t] = g0[..., t] + C[..., t, :] . rho``.
-
-    With the other types' splits held fixed, each type's route-cost gap
-    (types L, Hn, Ha) is affine in the profile rho = (rho_L, rho_Hn,
-    rho_Ha), so its values at the origin and at the three unit profiles fix
-    it exactly. One ``_type_gaps`` call evaluates all three types at all
-    four, stacked on a probe axis ahead of the fields' dimensions; each
-    element equals a separate call at that probe. Both are the network's own
-    divided by ``model._cost_unit``, bit for bit, with every entry below 4.
-    """
-    unit = _cost_unit(params)
-    # Exact steps to cost units: intercepts over the unit, demand over its
-    # own power of two, slopes over their ratio, so no factor exceeds 4. Not
-    # a NetworkParams, whose validation rejects a slope rounded to 0 here.
-    demand, exponent = np.frexp(np.asarray(params.demand, dtype=float))
-    exponent = exponent + 1 - np.frexp(unit)[1]
-    slopes = ("slope1_normal", "slope1_incident", "slope2")
-    in_units = SimpleNamespace(
-        **{k: np.ldexp(np.asarray(getattr(params, k), dtype=float), exponent) for k in slopes},
-        intercept1=params.intercept1 / unit,
-        intercept2=params.intercept2 / unit,
-        demand=demand,
-    )
-    ndim = 1 + _gap_ndim(params, env)
-    probes = StrategyProfile(*_GAP_PROBES.reshape(_GAP_PROBES.shape + (1,) * (ndim - 1)))
-    weights = _gap_weights(env, ndim)
-    gaps = _type_gaps(in_units, _population_demands(in_units, env), weights, probes)
-    # (..., profile, type); Fraction weights leave the float gaps in an
-    # object array.
-    at = np.moveaxis(np.asarray(gaps, dtype=float), (0, 1), (-1, -2))
-    return at[..., 0, :], np.swapaxes(at[..., 1:, :] - at[..., :1, :], -1, -2)
+def _owner_gaps(params: NetworkParams, env: InfoEnvironment, owner: PlayerType) -> tuple:
+    """``(g0, row)`` with ``owner``'s gap ``g0 + sum_j row[j] * rho_j``,
+    splits in (L, Hn, Ha) order: ``_type_gaps`` in plain Python at each
+    probe profile, under the owner's belief weights. On scalar ``Fraction``
+    fields every coefficient is exact: no unit, no rounding."""
+    demands = _population_demands(params, env)
+    weights = _informed_weights(belief_uninformative(env, owner))
+    g0, *ends = [_type_gaps(params, demands, weights, StrategyProfile(*p)) for p in _GAP_PROBES]
+    return g0, [g - g0 for g in ends]
 
 
 def _exact_gaps(params: NetworkParams, env: InfoEnvironment) -> tuple:
-    """``(g0, C)`` as lists, gap_t(rho) = g0[t] + sum_j C[t][j] * rho_j.
+    """``(g0, C)``: the ``_owner_gaps`` rows of the types (L, Hn, Ha)."""
+    return tuple(zip(*(_owner_gaps(params, env, t) for t in EQUILIBRIUM_TYPES)))
 
-    Types and splits in (L, Hn, Ha) order. One ``_type_gaps`` call gives
-    every type's gap at the four integer probe profiles, so on scalar
-    ``Fraction`` fields every coefficient is exact: no unit, no rounding.
+
+def _exact_points(params: NetworkParams, env: InfoEnvironment, splits=()) -> tuple:
+    """``(shape, number, points)``: the fields the gaps read and ``splits``,
+    broadcast together, one point per element in C order.
+
+    A point is ``(network, environment, splits)`` with each value read as
+    its exact ``Fraction`` (a float ``x`` as ``Fraction(x)``), or None
+    where a split is NaN or infinite. ``number`` is the answers' type:
+    ``Fraction`` where no input is a float, else ``float``.
     """
-    demands = _population_demands(params, env)
-    probes = StrategyProfile(*_GAP_PROBES)
-    gaps = _type_gaps(params, demands, _gap_weights(env, 1), probes).tolist()
-    return [g[0] for g in gaps], [[g[j] - g[0] for j in (1, 2, 3)] for g in gaps]
+    from fractions import Fraction
+
+    read = (*vars(params).values(), env.p_incident, env.frac_informed, env.accuracy_high, *splits)
+    shape = np.broadcast_shapes(*map(np.shape, read))
+    elements = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in read)))
+    number = float if any(isinstance(v, float) for e in elements for v in e) else Fraction
+    points = []
+    for element in elements:
+        try:
+            fractions = [Fraction(v) for v in element]
+        except (ValueError, OverflowError):  # Fraction(nan), Fraction(inf)
+            points.append(None)
+            continue
+        network, environment = NetworkParams(*fractions[:6]), InfoEnvironment(*fractions[6:9])
+        points.append((network, environment, fractions[9:]))
+    return shape, number, points
 
 
 def _dot(a, b):
@@ -447,23 +432,12 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     call's verdict: ``is_equilibrium`` and ``note`` are arrays, and
     ``profile`` holds the splits, NaN where the pattern is rejected (None
     in a scalar call). A field the gaps do not read (``accuracy_low``)
-    leaves the results scalar. Of the gap solvers, only ``best_response``
-    still answers in floats, from the float ``(g0, C)`` of ``_affine_gaps``.
+    leaves the results scalar.
     """
-    from fractions import Fraction
-
     _require_uninformative(env)
-    read = (*vars(params).values(), env.p_incident, env.frac_informed, env.accuracy_high)
-    shape = np.broadcast_shapes(*map(np.shape, read))
-    points = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in read)))
-    exact = not any(isinstance(v, float) for point in points for v in point)
-    number = Fraction if exact else float
-    tables = []
-    for point in points:
-        fractions = [Fraction(v) for v in point]
-        network = NetworkParams(*fractions[:6])
-        g0, coef = _exact_gaps(network, InfoEnvironment(*fractions[6:]))
-        tables.append([_verdict(g0, coef, pattern) for pattern in _PATTERNS])
+    shape, number, points = _exact_points(params, env)
+    gaps = (_exact_gaps(network, environment) for network, environment, _ in points)
+    tables = [[_verdict(g0, coef, pattern) for pattern in _PATTERNS] for g0, coef in gaps]
 
     verdicts = []
     for pattern, column in zip(_PATTERNS, zip(*tables)):
@@ -474,7 +448,7 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
             continue
         rows = np.array(
             [list(map(number, split)) if split else [np.nan] * 3 for split in splits],
-            dtype=object if exact else float,
+            dtype=float if number is float else object,
         )
         profile = StrategyProfile(*(rows[:, j].reshape(shape) for j in range(3)))
         ok = np.array([not note for note in notes]).reshape(shape)
@@ -572,24 +546,35 @@ def best_response(
     """Cost-minimizing split for ``responder`` against a fixed profile.
 
     Solves expected_cost_route1(rho) = expected_cost_route2(rho) for the
-    responder's own split and clamps to [0, 1]. The responder's gap is read
-    off ``_affine_gaps``: intercept ``g0[t] + sum over j != t of C[t, j] *
-    rho_j``, slope ``C[t, t]``. If the responder's population is empty its
-    costs do not depend on rho at all; by convention the preferred corner is
-    returned (0 when route 1 is dearer, 1 when cheaper, 0.5 at exact
-    indifference). Fields broadcast; scalar inputs give a Python float.
+    responder's own split, exactly, on its row of ``_owner_gaps``:
+    intercept ``g0 + sum over j != t of row[j] * rho_j``, slope ``row[t]``,
+    clamped to [0, 1]. If the responder's population is empty its costs do
+    not depend on rho (slope exactly 0); by convention the preferred corner
+    is returned (0 when route 1 is dearer, 1 when cheaper, 1/2 at exact
+    indifference). Inputs broadcast and are solved an element at a time, as
+    the pattern table is, at a few hundred microseconds each: a ``Fraction``
+    where no input is a float, else the nearest float; NaN where another
+    type's split is NaN or infinite. The responder's own split is not read.
     """
+    from fractions import Fraction
+
     _require_uninformative(env)
     _require_equilibrium_type(responder)
-    g0, coef = _affine_gaps(params, env)
     t = EQUILIBRIUM_TYPES.index(responder)
-    others = [
-        coef[..., t, j] * profile.split(u)
-        for j, u in enumerate(EQUILIBRIUM_TYPES)
-        if u != responder
-    ]
-    (br,) = _as_results(_br_from_line(sum(others, g0[..., t]), coef[..., t, t]))
-    return br
+    others = [profile.split(u) for u in EQUILIBRIUM_TYPES if u != responder]
+    shape, number, points = _exact_points(params, env, others)
+
+    def solve(network, environment, rho):
+        g0, row = _owner_gaps(network, environment, responder)
+        slope = row.pop(t)
+        intercept = g0 + _dot(row, rho)
+        corner = 0 if intercept > 0 else 1 if intercept < 0 else Fraction(1, 2)
+        return number(min(max(-intercept / slope, 0), 1) if slope else corner)
+
+    answers = [np.nan if point is None else solve(*point) for point in points]
+    if shape == ():
+        return answers[0]
+    return np.array(answers, dtype=float if number is float else object).reshape(shape)
 
 
 def _map_array_fields(obj, fn):

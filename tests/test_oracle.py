@@ -1,14 +1,16 @@
 """The definition-level numerical solvers and their agreement with closed forms."""
 
 import itertools
+import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from routeinfo import (
     EQUILIBRIUM_TYPES,
@@ -33,7 +35,7 @@ import routeinfo.model
 import routeinfo.oracle
 from routeinfo.model import _population_demands
 from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _gap_weights, _probe_splits
-from strategies import rescaled_networks
+from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -173,6 +175,28 @@ def test_best_response_stays_in_unit_interval():
 
 
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
+_RATIONAL_UNIT = st.fractions(0, 1, max_denominator=1000)
+
+
+def _clamped_equalizer(params, env, profile, responder):
+    """The clamped root of the responder's gap line, the line through its
+    gaps at own split 0 and 1, each expected_route_cost at route 1 minus
+    route 2; the preferred corner where the line is flat. Exact on
+    ``Fraction`` inputs."""
+    table = belief_uninformative(env, responder)
+
+    def gap_at(own):
+        at = StrategyProfile(
+            *(own if u == responder else profile.split(u) for u in EQUILIBRIUM_TYPES)
+        )
+        c1 = expected_route_cost(params, env, table, 1, at)
+        return c1 - expected_route_cost(params, env, table, 2, at)
+
+    g0 = gap_at(0)
+    slope = gap_at(1) - g0
+    if slope == 0:
+        return 0 if g0 > 0 else 1 if g0 < 0 else Fraction(1, 2)
+    return min(max(-g0 / slope, 0), 1)
 
 
 @given(
@@ -184,35 +208,70 @@ _UNIT = st.floats(min_value=0.0, max_value=1.0)
     responder=st.sampled_from(EQUILIBRIUM_TYPES),
 )
 @settings(max_examples=200, deadline=None)
+@example(
+    params=PARAMS,
+    p=0.2,
+    lam=0.5,
+    eta=1.0,
+    splits=(0.5247058823529409, 1.0, 0.4352941176470593),
+    responder=PlayerType.L,
+)
 def test_best_response_is_the_clamped_equalizer_of_the_route_costs(
     params, p, lam, eta, splits, responder
 ):
-    """best_response, read off the affine gap model, lies within 1e-9 of the
-    clamped equalizer of the responder's gap line, the line through its
-    gaps at own split 0 and 1, each expected_route_cost at route 1 minus
-    route 2; at a clamped corner it is that corner exactly (==)."""
-    env = _env(p=p, lam=lam, eta_h=eta)
+    """On float inputs best_response is the float nearest to the clamped
+    equalizer of the responder's route costs at the exact values of those
+    floats (==). Against the float closed form at lambda = 1/2 (the
+    example), L's is 0.5247058823529411; float gap coefficients gave
+    0.5247058823529412."""
+    exact = _clamped_equalizer(
+        NetworkParams(*map(Fraction, vars(params).values())),
+        InfoEnvironment(*map(Fraction, (p, lam, eta))),
+        StrategyProfile(*map(Fraction, splits)),
+        responder,
+    )
+    br = best_response(params, _env(p=p, lam=lam, eta_h=eta), StrategyProfile(*splits), responder)
+    assert type(br) is float and br == float(exact)
+
+
+@given(
+    params=rational_networks(),
+    p=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=1000),
+    lam=_RATIONAL_UNIT,
+    eta=st.fractions(Fraction(51, 100), Fraction(1), max_denominator=100),
+    splits=st.tuples(_RATIONAL_UNIT, _RATIONAL_UNIT, _RATIONAL_UNIT),
+    responder=st.sampled_from(EQUILIBRIUM_TYPES),
+)
+@settings(max_examples=100, deadline=None)
+def test_best_response_is_exact_on_rational_fields(params, p, lam, eta, splits, responder):
+    """On Fraction fields and splits best_response answers in Fractions,
+    the clamped equalizer of the responder's route costs (==)."""
+    env = InfoEnvironment(p, lam, eta)
     profile = StrategyProfile(*splits)
-    table = belief_uninformative(env, responder)
-
-    def gap_at(own):
-        at = StrategyProfile(
-            *(own if u == responder else profile.split(u) for u in EQUILIBRIUM_TYPES)
-        )
-        c1 = expected_route_cost(params, env, table, 1, at)
-        return c1 - expected_route_cost(params, env, table, 2, at)
-
-    g0 = gap_at(0.0)
-    slope = gap_at(1.0) - g0
-    if slope == 0:
-        want = 0.0 if g0 > 0 else 1.0 if g0 < 0 else 0.5
-    else:
-        want = min(max(-g0 / slope, 0.0), 1.0)
     br = best_response(params, env, profile, responder)
-    if want in (0.0, 1.0):
-        assert br == want
-    else:
-        assert abs(br - want) <= 1e-9
+    assert type(br) is Fraction
+    assert br == _clamped_equalizer(params, env, profile, responder)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("responder", EQUILIBRIUM_TYPES)
+def test_a_non_finite_split_of_another_type_gives_nan(bad, responder):
+    """A NaN or infinite split of any other type gives NaN, in a scalar call
+    and at its element of an array call; the responder's own split is not
+    read, so a non-finite one changes nothing."""
+    splits = (0.3, 0.6, 0.2)
+    want = best_response(PARAMS, _env(), StrategyProfile(*splits), responder)
+    for j, u in enumerate(EQUILIBRIUM_TYPES):
+        spoilt = list(splits)
+        spoilt[j] = bad
+        br = best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder)
+        if u == responder:
+            assert br == want, u
+            continue
+        assert type(br) is float and math.isnan(br), u
+        spoilt[j] = np.array([splits[j], bad])
+        got = best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder)
+        assert got[0] == want and math.isnan(got[1]), u
 
 
 @given(
