@@ -20,26 +20,27 @@ closed-form equilibrium is genuine two-sided evidence:
   union-find that holds two slabs of cell numbers). It keeps only the
   accepted cells, never a volume of the cube.
 
-The equilibrium condition is written once here: ``_type_gaps`` evaluates all
-three types' route-cost gaps in one pass, owner axis first, as the belief
-layer's one interim-cost sum (``beliefs._interim_cost``, the sum of
-``expected_route_cost``) over every type's stacked weights, and the residual
-adds each type's defect (``_type_defect``) weighed by its mass
-(``model._type_masses``). Each gap is affine in the profile, so its values
-at four integer probe profiles give its coefficients ``(g0, C)``. Their one
-reader, ``_owner_gaps``, gives an owner's row exactly, in ``Fraction``s, one
-element at a time (``_exact_points``): the pattern table solves every
-pattern in the three rows by exact elimination, and ``best_response``
-clamps the responder's line; both answer in ``Fraction``s where no input is
-a float, else in the nearest floats. The fixed point keeps its own lines:
-one evaluation of all three types, each at its own split 0 and 1 with the
-other splits at the iterate, pins down every best-response line of a sweep.
-What does not depend on the iterate (the belief weights, the population
-demands, the type masses and the probe array) is built once per working set.
+The equilibrium condition is written once here: ``_type_gaps`` evaluates a
+type's route-cost gap as the belief layer's one interim-cost sum
+(``beliefs._interim_cost``, the sum of ``expected_route_cost``) over that
+type's own belief weights, and the residual adds each type's defect
+(``_type_defect``) weighed by its mass (``model._type_masses``). Each gap
+is affine in the profile, so its values at four integer probe profiles give
+its coefficients ``(g0, C)``. Their one reader, ``_owner_gaps``, gives an
+owner's row exactly, in ``Fraction``s, one element at a time
+(``_exact_points``): the pattern table solves every pattern in the three
+rows by exact elimination, and ``best_response`` clamps the responder's
+line; both answer in ``Fraction``s where no input is a float, else in the
+nearest floats. Only the fixed point stacks the types' weights by owner
+(``_gap_weights``; each row keeps its type's bits): one evaluation of all
+three types, each at its own split 0 and 1 with the other splits at the
+iterate, pins down every best-response line of a sweep, and what does not
+depend on the iterate is built once per working set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -117,22 +118,17 @@ class OracleConfig(_Record):
 UTILIZED_SHARE_EPS = 1e-8
 
 
-def _gap_ndim(params: NetworkParams, env: InfoEnvironment, profile) -> int:
-    """Dimensions of the gaps at ``profile``: the most of any field they read."""
-    env_read = (env.p_incident, env.frac_informed, env.accuracy_high)
-    splits = (profile.rho_L, profile.rho_Hn, profile.rho_Ha)
-    return max(getattr(v, "ndim", 0) for v in (*vars(params).values(), *env_read, *splits))
-
-
 def _gap_weights(env: InfoEnvironment, ndim: int) -> dict:
-    """Every type's belief weight on each (state, informed type) entry.
+    """Every type's belief weight on each (state, informed type) entry, for
+    the fixed point's one evaluation of all three types' gaps.
 
     Maps each entry, in the order of L's table (L comes first, and its table
     has every entry), to the weights stacked by owner in EQUILIBRIUM_TYPES
-    order, then ``ndim`` dimensions that broadcast against the gaps: the weights' common
-    dimensions come last. An entry the owner's belief lacks weighs the int
-    0, so ``Fraction`` fields stay exact. Scalar weights skip the broadcast,
-    which costs more than the rest of a scalar residual's weights.
+    order, then ``ndim`` dimensions that broadcast against the gaps: the
+    weights' common dimensions come last. An entry the owner's belief lacks
+    weighs the int 0: ``Fraction`` fields stay exact, and a finite float
+    cost gains +0.0, so each row keeps the bits of its owner's own gap.
+    Scalar weights skip the broadcast.
     """
     tables = [_informed_weights(belief_uninformative(env, t)) for t in EQUILIBRIUM_TYPES]
     entries = tables[0]
@@ -147,16 +143,14 @@ def _gap_weights(env: InfoEnvironment, ndim: int) -> dict:
 
 
 def _type_gaps(params: NetworkParams, demands: tuple, weights: dict, profile):
-    """Every type's route-1 minus route-2 expected cost, owner axis first.
+    """A type's route-1 minus route-2 expected cost under ``weights``.
 
     ``demands`` come from ``model._population_demands`` and ``weights``
-    from ``_gap_weights``, or from one owner's ``_informed_weights`` for
-    that owner's gap alone. The profile's fields may carry the owner axis
-    too, so that each type is evaluated at a profile of its own. Each route
-    cost is ``beliefs._interim_cost``, the sum of ``expected_route_cost``,
-    over the stacked weights; an entry outside the owner's belief adds
-    +0.0, so each gap keeps the bits of ``expected_route_cost`` at route 1
-    minus route 2 under that owner's belief.
+    from one owner's ``_informed_weights``, so each route cost is
+    ``beliefs._interim_cost``, the sum of ``expected_route_cost`` under that
+    owner's belief. The fixed point passes ``_gap_weights`` instead and gets
+    every type's gap, owner axis first; its profile's fields may carry the
+    owner axis too, so that each type is evaluated at a profile of its own.
     """
     cost1 = _interim_cost(params, demands, weights, profile, 1)
     return cost1 - _interim_cost(params, demands, weights, profile, 2)
@@ -180,17 +174,22 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
 
     For each positive-mass type: the gap between the costliest route it
     actually uses (share above UTILIZED_SHARE_EPS) and the cheapest route
-    available, with costs taken in expectation under that type's belief. A
-    profile is an epsilon-equilibrium exactly when the residual is <=
-    epsilon.
+    available, with costs taken in expectation under that type's own belief
+    weights (``_type_gaps``). A profile is an epsilon-equilibrium exactly
+    when the residual is <= epsilon; the residual is NaN where a split is.
     """
-    weights = _gap_weights(env, _gap_ndim(params, env, profile))
-    gaps = _type_gaps(params, _population_demands(params, env), weights, profile)
+    demands = _population_demands(params, env)
     masses = _type_masses(env)
-    residual = 0.0
-    for t, gap in zip(EQUILIBRIUM_TYPES, gaps):
-        defect = _type_defect(gap, profile.split(t), masses[t])
-        residual = np.maximum(residual, defect)
+    defects = []
+    for t in EQUILIBRIUM_TYPES:
+        weights = _informed_weights(belief_uninformative(env, t))
+        gap = _type_gaps(params, demands, weights, profile)
+        defects.append(_type_defect(gap, profile.split(t), masses[t]))
+    residual = functools.reduce(np.maximum, defects)
+    # A NaN split fails both utilization tests, which would pass it as 0.
+    for rho in (profile.rho_L, profile.rho_Hn, profile.rho_Ha):
+        if np.isnan(np.add.reduce(rho, axis=None, dtype=float)):
+            residual = np.where(np.isnan(np.asarray(rho, dtype=float)), np.nan, residual)
     if np.ndim(residual) == 0:
         return float(residual)
     return residual

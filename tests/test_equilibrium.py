@@ -220,6 +220,28 @@ def test_residual_is_the_definition(lam):
     assert np.all(got == want)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_a_nan_split_gives_a_nan_residual(lam):
+    """A NaN split fails both utilization tests, yet it is no equilibrium:
+    the residual is NaN, in a scalar call and at its element of an array
+    call, whichever split it is and whatever its type's mass."""
+    env = _env(lam=lam)
+    splits = (0.3, 0.9, 0.1)
+    want = wardrop_residual(PARAMS, env, StrategyProfile(*splits))
+    nan = wardrop_residual(PARAMS, env, StrategyProfile(np.nan, np.nan, np.nan))
+    assert type(nan) is float and np.isnan(nan)
+    got = wardrop_residual(PARAMS, env, StrategyProfile(*(np.array([s, np.nan]) for s in splits)))
+    assert got[0] == want and np.isnan(got[1])
+    for j in range(len(splits)):
+        spoilt = list(splits)
+        spoilt[j] = np.nan
+        got = wardrop_residual(PARAMS, env, StrategyProfile(*spoilt))
+        assert type(got) is float and np.isnan(got), j
+        spoilt[j] = np.array([splits[j], np.nan])
+        got = wardrop_residual(PARAMS, env, StrategyProfile(*spoilt))
+        assert got[0] == want and np.isnan(got[1]), j
+
+
 def test_profiles_continuous_across_boundaries():
     for p in (0.2, 0.6):
         for lb in regime_boundaries(PARAMS, _env(p=p)):

@@ -33,8 +33,16 @@ from routeinfo import (
 import routeinfo.beliefs
 import routeinfo.model
 import routeinfo.oracle
+from routeinfo.beliefs import _informed_weights
 from routeinfo.model import _population_demands
-from routeinfo.oracle import DAMPING, _count_clusters, _gap_lines, _gap_weights, _probe_splits
+from routeinfo.oracle import (
+    DAMPING,
+    _count_clusters,
+    _gap_lines,
+    _gap_weights,
+    _probe_splits,
+    _type_gaps,
+)
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -323,6 +331,58 @@ def test_gap_line_equals_two_scalar_split_evaluations(
         assert np.array_equal(slope[row], gap_at(1.0) - want), t
 
 
+def _owner_rows(params, env, profile) -> list:
+    """Each type's gap under its own belief weights, as the residual reads it."""
+    demands = _population_demands(params, env)
+    return [
+        _type_gaps(params, demands, _informed_weights(belief_uninformative(env, t)), profile)
+        for t in EQUILIBRIUM_TYPES
+    ]
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=0.02, max_value=0.98),
+    lam=st.sampled_from([0.0, 1.0]) | _UNIT | st.lists(_UNIT, min_size=1, max_size=4),
+    eta=st.just(1.0) | st.floats(min_value=0.55, max_value=1.0),
+    probes=st.lists(st.tuples(_UNIT, _UNIT, _UNIT), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_stacked_gaps_equal_each_owners_gaps(params, p, lam, eta, probes):
+    """The fixed point's owner-stacked ``_type_gaps`` over ``_gap_weights``
+    gives, row by row, each type's gap under its own belief weights, the
+    gaps that ``wardrop_residual`` judges (np.array_equal): an entry outside
+    an owner's belief adds +0.0. The profile is a column of probes, so with
+    an array lambda the gaps are two-dimensional."""
+    env = _env(p=p, lam=np.array(lam) if isinstance(lam, list) else lam, eta_h=eta)
+    splits = np.array(probes).T[..., None]
+    profile = StrategyProfile(*splits)
+    ndim = np.broadcast(env.p_incident, env.frac_informed, env.accuracy_high, *splits).ndim
+    demands = _population_demands(params, env)
+    stacked = _type_gaps(params, demands, _gap_weights(env, ndim), profile)
+    assert len(stacked) == len(EQUILIBRIUM_TYPES)
+    for t, row, own in zip(EQUILIBRIUM_TYPES, stacked, _owner_rows(params, env, profile)):
+        assert np.array_equal(row, own), t
+
+
+@given(
+    params=rational_networks(),
+    p=st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=1000),
+    lam=_RATIONAL_UNIT,
+    eta=st.fractions(Fraction(51, 100), Fraction(1), max_denominator=100),
+    splits=st.tuples(_RATIONAL_UNIT, _RATIONAL_UNIT, _RATIONAL_UNIT),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_gaps_equal_each_owners_gaps_on_rational_fields(params, p, lam, eta, splits):
+    """On Fraction fields the stacked rows and each owner's gap are the same
+    Fractions (==)."""
+    env = InfoEnvironment(p, lam, eta)
+    profile = StrategyProfile(*splits)
+    stacked = _type_gaps(params, _population_demands(params, env), _gap_weights(env, 0), profile)
+    for t, row, own in zip(EQUILIBRIUM_TYPES, stacked, _owner_rows(params, env, profile)):
+        assert type(row) is type(own) is Fraction and row == own, t
+
+
 # ---------------------------------------------------------------------------
 # Fixed-point iteration
 # ---------------------------------------------------------------------------
@@ -454,10 +514,25 @@ def test_fixed_point_sweep_evaluates_eight_latencies(monkeypatch, env):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, np.array([0.0, 0.3, 1.0])])
-def test_residual_evaluates_eight_latencies(monkeypatch, lam):
+def test_residual_evaluates_each_owners_latencies(monkeypatch, lam):
+    """Each owner's gap evaluates each (state, informed type) entry of that
+    owner's own belief once per route: 8 latencies for L, 4 for Hn and 4
+    for Ha."""
     latencies = _count_calls(monkeypatch, routeinfo.model, "latency")
+    tables = _count_calls(monkeypatch, routeinfo.beliefs, "belief_uninformative")
+    type_gaps = routeinfo.oracle._type_gaps
+    per_owner = []
+
+    def counted(*args):
+        before = len(latencies)
+        gaps = type_gaps(*args)
+        per_owner.append((tables[-1][1], len(latencies) - before))
+        return gaps
+
+    monkeypatch.setattr(routeinfo.oracle, "_type_gaps", counted)
     wardrop_residual(PARAMS, _env(lam=lam), StrategyProfile(0.3, 0.9, 0.1))
-    assert len(latencies) == 8
+    assert per_owner == [(PlayerType.L, 8), (PlayerType.HN, 4), (PlayerType.HA, 4)]
+    assert len(latencies) == 16
 
 
 def test_fixed_point_builds_belief_weights_once_per_working_set(monkeypatch):

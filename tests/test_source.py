@@ -62,6 +62,17 @@ def read_names(tree: ast.Module) -> set:
     return read
 
 
+def bound_names(node: ast.stmt) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def unreferenced_private_names(sources: dict) -> list:
     """Module-level ``_names`` of ``sources`` (module name -> source) that no
     module reads."""
@@ -69,16 +80,8 @@ def unreferenced_private_names(sources: dict) -> list:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
-            defined += [(module, n) for n in private]
+            names = bound_names(node)
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
         read |= read_names(tree)
     return sorted(f"{module}.{name}" for module, name in defined if name not in read)
 
@@ -100,10 +103,14 @@ def test_no_unreferenced_private_names():
 #: Helpers that only the fixed-point iteration uses.
 FIXED_POINT_ONLY = (
     "_gap_lines",
+    "_gap_weights",
     "_probe_splits",
     "_OWN_ENDS",
     "_OTHER_SPLITS",
+    "_br_from_line",
     "_drift_multiplier",
+    "_DRIFT_PATTERN_RTOL",
+    "DAMPING",
     "_map_array_fields",
 )
 
@@ -117,6 +124,28 @@ def test_fixed_point_machinery_is_read_only_by_the_oracle():
     }
     for name in FIXED_POINT_ONLY:
         assert sorted(m for m in read if name in read[m]) == ["oracle"], name
+
+
+def top_level_readers(tree: ast.Module) -> dict:
+    """Each name a module-level statement defines -> the names it reads."""
+    return {name: read_names(node) for node in tree.body for name in bound_names(node)}
+
+
+def test_top_level_reader_detection():
+    source = "_A = 1\n_B: int = _A\ndef f(): return _B\nclass C:\n    x = f\n"
+    assert top_level_readers(ast.parse(source)) == {
+        "_A": set(), "_B": {"int", "_A"}, "f": {"_B"}, "C": {"f"}
+    }
+
+
+def test_fixed_point_machinery_is_read_only_by_the_fixed_point():
+    """Inside ``oracle`` only ``solve_fixed_point`` and its own helpers read
+    those helpers: the residual and the exact readers share none of them."""
+    readers = top_level_readers(ast.parse((SRC / "oracle.py").read_text(encoding="utf-8")))
+    allowed = {"solve_fixed_point", *FIXED_POINT_ONLY}
+    assert allowed <= set(readers)
+    for name in FIXED_POINT_ONLY:
+        assert {d for d, read in readers.items() if name in read} <= allowed, name
 
 
 def test_interim_cost_is_summed_once():
