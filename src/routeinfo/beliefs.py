@@ -47,7 +47,7 @@ from .model import (
     _require_equilibrium_type,
     _require_uninformative,
     _route_load,
-    _signal_of,
+    _SIGNALS,
     _type_given_state,
     latency,
     marginal_type_dist,
@@ -89,7 +89,7 @@ def _belief(env: InfoEnvironment, owner: PlayerType, opponents, opponent_prob):
     if owner == PlayerType.L:
         p_a = env.p_incident
     else:
-        p_a = posterior_state(env, *_signal_of(owner))
+        p_a = posterior_state(env, *_SIGNALS[owner])
     entries = {}
     for state, post in ((State.INCIDENT, p_a), (State.NORMAL, 1 - p_a)):
         for t in opponents:

@@ -119,13 +119,16 @@ def _state_optimum(params: NetworkParams, state: State) -> tuple:
     """(q1, q2, average cost) minimizing state social cost, closed form.
 
     No clamp: intercept2 >= intercept1 puts q1 >= 0, and validation's
-    intercept2 - intercept1 < slope1_normal * d puts q1 <= d."""
+    intercept2 - intercept1 < slope1_normal * d puts q1 <= d. Each term is
+    formed at the scale of a load or a latency, never of twice a load or of
+    a load times a latency, so the optimum is finite wherever the
+    equilibrium costs are, up to a demand near the largest float."""
     a1 = route_slope(params, 1, state)
     a2, b1, b2, d = params.slope2, params.intercept1, params.intercept2, params.demand
-    q1 = (2 * a2 * d - b1 + b2) / (2 * (a1 + a2))
+    q1 = (a2 * d - b1 / 2 + b2 / 2) / (a1 + a2)
     q2 = d - q1
-    total = q1 * latency(params, 1, state, q1) + q2 * latency(params, 2, state, q2)
-    return q1, q2, total / d
+    cost = q1 / d * latency(params, 1, state, q1) + q2 / d * latency(params, 2, state, q2)
+    return q1, q2, cost
 
 
 def _state_optima(params: NetworkParams) -> tuple:

@@ -88,24 +88,15 @@ class OracleConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class _Factory:
-    """A record field's default made anew for each record, as ``_Factory(list)``
-    gives each record its own empty list."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 class _Record:
     """Base of the value types: an immutable record of named fields.
 
     A subclass lists its fields as class annotations, in order, each with an
-    optional default (a ``_Factory`` for a mutable one). They are read once,
-    when the subclass is defined. Each instance keeps its fields as instance
-    attributes, set in field order, so ``vars(record)`` maps every field
-    name to its value. The base gives what ``@dataclass(frozen=True)`` gives:
+    optional default: a literal, which every record built without that field
+    shares. They are read once, when the subclass is defined. Each instance
+    keeps its fields as instance attributes, set in field order, so
+    ``vars(record)`` maps every field name to its value. The base gives what
+    ``@dataclass(frozen=True)`` gives:
 
     - ``__init__`` takes the fields by position, then by keyword, and raises
       the interpreter's ``TypeError`` on a missing, unknown or repeated one;
@@ -123,8 +114,6 @@ class _Record:
         for name in names:
             if name in cls.__dict__:
                 defaults[name] = cls.__dict__[name]
-                if isinstance(defaults[name], _Factory):
-                    delattr(cls, name)
             elif defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
         cls._fields = names
@@ -162,18 +151,15 @@ def _record_init(cls, names: tuple, defaults: dict):
     are stored in field order by one update of the instance ``__dict__``,
     which ``__setattr__`` does not guard, so that the records of a class
     share one attribute layout and a field reads fast."""
-    scope, params, stored = {}, ["self"], []
+    scope, params = {}, ["self"]
     for i, name in enumerate(names):
-        value = name
         if name in defaults:
             scope[f"_d{i}"] = defaults[name]
             params.append(f"{name}=_d{i}")
-            if isinstance(defaults[name], _Factory):
-                value = f"_d{i}.make() if {name} is _d{i} else {name}"
         else:
             params.append(name)
-        stored.append(f"{name}={value}")
-    body = [f"    self.__dict__.update({', '.join(stored)})\n"] if stored else []
+    stored = ", ".join(f"{name}={name}" for name in names)
+    body = [f"    self.__dict__.update({stored})\n"] if names else []
     if cls._validate is not _Record._validate:
         body.append("    self._validate()\n")
     exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}", scope)
@@ -445,6 +431,16 @@ _UNINFORMATIVE_RULE = (
         "unsupported_treatment",
         lambda eta_l: eta_l == 0.5,
         lambda eta_l: f"equilibrium analysis requires accuracy_low == 0.5, got {eta_l}",
+    ),
+)
+#: A split is a share of its type's demand: it lies in [0, 1], or is NaN,
+#: which a residual reports as NaN. ``rho != rho`` is NaN's test on floats,
+#: ``Fraction``s and arrays alike.
+_SPLIT_RULE = (
+    (
+        "split_out_of_range",
+        lambda rho: ((rho >= 0) & (rho <= 1)) | (rho != rho),
+        lambda rho: f"split fractions must lie in [0, 1], got {rho}",
     ),
 )
 _PERFECT_ACCURACY_RULE = (
@@ -752,14 +748,9 @@ _SIGNALS = {
 }
 
 
-def _signal_of(owner: PlayerType) -> tuple[str, State]:
-    """Map a signal-conditioned type to (service, signal received)."""
-    return _SIGNALS[owner]
-
-
 def _type_given_state(env: InfoEnvironment, t: PlayerType, state: State):
     """Likelihood P(type | state): accuracy if the signal matches the state."""
-    service, signal = _signal_of(t)
+    service, signal = _SIGNALS[t]
     eta = _accuracy(env, service)
     return eta if signal == state else 1 - eta
 

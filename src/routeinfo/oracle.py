@@ -56,11 +56,13 @@ from .model import (
     StrategyProfile,
     ValidationError,
     _as_results,
+    _enforce,
     _population_demands,
     _Record,
     _require_equilibrium_type,
     _require_scalar,
     _require_uninformative,
+    _SPLIT_RULE,
     _type_masses,
     fields,
     replace,
@@ -177,7 +179,11 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     available, with costs taken in expectation under that type's own belief
     weights (``_type_gaps``). A profile is an epsilon-equilibrium exactly
     when the residual is <= epsilon; the residual is NaN where a split is.
+    Every split must lie in [0, 1] or be NaN; otherwise ``split_out_of_range``
+    names the first value that breaks it, in (L, Hn, Ha) order.
     """
+    for rho in (profile.rho_L, profile.rho_Hn, profile.rho_Ha):
+        _enforce(_SPLIT_RULE, rho)
     demands = _population_demands(params, env)
     masses = _type_masses(env)
     defects = []

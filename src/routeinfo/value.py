@@ -30,7 +30,6 @@ from .model import (
     _as_results,
     _choose,
     _cost_tol,
-    _Factory,
     _Kept,
     _lambda_free_key,
     _Record,
@@ -151,7 +150,7 @@ class Theorem1Report(_Record):
 
     passed: bool
     n_checked: int
-    failures: list = _Factory(list)
+    failures: list
 
 
 def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Report:
@@ -192,7 +191,7 @@ class Theorem2Report(_Record):
     grid_argmax_lambda: float
     lambda_min: float
     peak_lambda: float | None
-    failures: list = _Factory(list)
+    failures: list
 
 
 def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> None:

@@ -917,11 +917,19 @@ def test_a_sweep_too_long_for_memory_exits_one(capsys, monkeypatch):
     assert (code, out, err, asked) == (1, "", f"error: {message}\n", [points])
 
 
+#: Slopes 0.3, 3 and 0.6, intercepts 0 and demand 5e-324: the social
+#: optimum's normal and expected costs underflow to 0.
+_UNDERFLOWING_OPTIMUM = [
+    "--slope1-normal", "0.3", "--slope1-incident", "3", "--slope2", "0.6",
+    "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324",
+]
+
+
 def test_costs_over_an_optimum_that_underflows_to_zero(capsys):
-    """At intercepts 0 and demand 5e-324 the social optimum's costs underflow
-    to 0. A single point divides by them as a sweep does: it prints the
-    sweep's row, inf and nan included, and writes nothing to stderr."""
-    network = ["--intercept1", "0", "--intercept2", "0", "--demand", "5e-324"]
+    """Where the social optimum's costs underflow to 0, a single point
+    divides by them as a sweep does: it prints the sweep's row, inf and nan
+    included, and writes nothing to stderr."""
+    network = _UNDERFLOWING_OPTIMUM
     code, out, err = _run(capsys, ["costs", *network, "--sweep", "lambda:0:1:2"])
     assert (code, err) == (0, "")
     assert ",inf," in out and ",nan," in out
@@ -929,10 +937,29 @@ def test_costs_over_an_optimum_that_underflows_to_zero(capsys):
     assert (points, errs) == (out, ["", ""])
 
 
+@pytest.mark.parametrize("demand", ["1e200", "1e308"])
+def test_costs_at_a_huge_demand_match_the_exact_report(capsys, demand):
+    """Near the largest float the social optimum stays finite: every cost
+    and norm cell is the %.9g of the same quantity from ``cost_report`` on
+    ``Fraction`` fields, where nothing overflows."""
+    changes = {"demand": demand, "slope1_incident": "1.5", "slope2": "1.2"}
+    argv = ["costs"]
+    for key, value in changes.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    (row,) = _rows(out)
+    exact = {key: Fraction(value) for key, value in {**DEFAULTS, **changes}.items()}
+    report = vars(cost_report(routeinfo.cli._network(exact), routeinfo.cli._environment(exact)))
+    norms = {norm: report[c] / report[opt] for norm, (c, opt) in routeinfo.cli._COST_NORMS.items()}
+    expected = {name: f"{float(value):.9g}" for name, value in {**report, **norms}.items()}
+    assert {name: row[name] for name in expected} == expected
+
+
 @pytest.mark.parametrize("where", [["--lambda", "0"], ["--sweep", "lambda:0:1:3"]])
 def test_json_prints_non_finite_costs_as_null(capsys, where):
     """JSON has no inf: where CSV prints inf or nan, JSON prints null."""
-    argv = ["costs", "--intercept1", "0", "--intercept2", "0", "--demand", "5e-324", *where]
+    argv = ["costs", *_UNDERFLOWING_OPTIMUM, *where]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     csv_rows = _rows(out)

@@ -242,6 +242,27 @@ def test_a_nan_split_gives_a_nan_residual(lam):
         assert got[0] == want and np.isnan(got[1]), j
 
 
+@pytest.mark.parametrize(
+    "splits, bad",
+    [
+        ((1.5, 0.5, 0.5), "1.5"),
+        ((-0.2, 0.5, 0.5), "-0.2"),
+        ((3.0, 0.5, 0.5), "3.0"),
+        ((np.inf, 0.5, 0.5), "inf"),
+        ((0.5, np.array([0.3, 1.2, 1.3]), np.array([0.5, 0.5, 2.0])), "1.2"),
+        ((0.5, 0.5, Fraction(-1, 3)), "-1/3"),
+    ],
+)
+def test_a_split_outside_the_unit_interval_is_rejected(splits, bad):
+    """A split is a share of its type's demand: outside [0, 1] the residual
+    raises split_out_of_range and names the first such value, not a score
+    (13.0 at (1.5, 0.5, 0.5)) or a negative load (at (3.0, 0.5, 0.5))."""
+    with pytest.raises(ValidationError) as info:
+        wardrop_residual(PARAMS, _env(), StrategyProfile(*splits))
+    assert info.value.code == "split_out_of_range"
+    assert str(info.value).endswith(f"got {bad}")
+
+
 def test_profiles_continuous_across_boundaries():
     for p in (0.2, 0.6):
         for lb in regime_boundaries(PARAMS, _env(p=p)):

@@ -444,8 +444,7 @@ def test_every_value_type_is_a_record():
 
 def _twin(cls):
     """The ``@dataclass(frozen=True)`` that ``cls``'s own declaration makes:
-    its annotated fields, in order, with its literal defaults, and
-    ``_Factory(list)`` read as ``field(default_factory=list)``."""
+    its annotated fields, in order, with their literal defaults."""
     body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
     spec = []
     for node in body:
@@ -454,9 +453,6 @@ def _twin(cls):
         name = node.target.id
         if node.value is None:
             spec.append((name, object))
-        elif isinstance(node.value, ast.Call) and node.value.func.id == "_Factory":
-            assert ast.unparse(node.value) == "_Factory(list)"
-            spec.append((name, object, dataclasses.field(default_factory=list)))
         else:
             spec.append((name, object, ast.literal_eval(node.value)))
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
@@ -486,7 +482,7 @@ def _defaults(name: str) -> dict:
     return {
         f.name: f
         for f in dataclasses.fields(_twin(getattr(routeinfo, name)))
-        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+        if f.default is not dataclasses.MISSING
     }
 
 
@@ -512,11 +508,8 @@ def test_record_fields_and_defaults_match_the_dataclass(name):
     assert list(vars(record).items()) == list(vars(copy).items())
     assert list(vars(cls(**dict(zip(fields(cls), args))))) == list(fields(cls))
     for field in fields(cls):
-        # A default is a class attribute, unless a factory makes it, anew
-        # for every record.
+        # A default is a class attribute.
         assert hasattr(cls, field) == hasattr(twin, field), field
-        if field in _defaults(name) and not hasattr(twin, field):
-            assert getattr(cls(*args), field) is not getattr(record, field)
 
 
 def test_a_required_field_after_a_default_is_rejected():

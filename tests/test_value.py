@@ -1,7 +1,11 @@
 """Value of information: definitions, pinned points, and the two theorem checks."""
 
+from fractions import Fraction
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import routeinfo.value as value_module
 from routeinfo import (
@@ -18,6 +22,7 @@ from routeinfo import (
     verify_theorem2,
 )
 from routeinfo.model import replace
+from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
 
@@ -115,6 +120,60 @@ def test_lambda_min_never_past_third_boundary():
         env = _env(p=float(p))
         lb3 = regime_boundaries(PARAMS, env)[2]
         assert lambda_min(PARAMS, env) <= lb3 + 1e-12
+
+
+def _smallest_exact_argmin(params: NetworkParams, p: Fraction) -> Fraction:
+    """The smallest argmin over [0, 1] of ``cost_report``'s ``c_soc_exp`` at
+    eta_h = 1, from the definition alone: on each regime piece, clipped to
+    [0, 1], the cost is the quadratic through three interior points (a
+    fourth must lie on it exactly), so its minimum is at a piece end or at
+    the vertex of a convex piece."""
+
+    def cost(lam):
+        return cost_report(params, InfoEnvironment(p, lam, Fraction(1))).c_soc_exp
+
+    bounds = regime_boundaries(params, InfoEnvironment(p, Fraction(0), Fraction(1)))
+    ends = sorted({Fraction(0), Fraction(1), *(min(max(b, 0), 1) for b in bounds)})
+    candidates = set(ends)
+    for lo, hi in zip(ends, ends[1:]):
+        (x1, x2, x3, x4) = (lo + (hi - lo) * Fraction(k, 7) for k in (1, 2, 4, 6))
+        y1, y2, y3 = cost(x1), cost(x2), cost(x3)
+        f12, f23 = (y2 - y1) / (x2 - x1), (y3 - y2) / (x3 - x2)
+        a = (f23 - f12) / (x3 - x1)
+        b = f12 - a * (x1 + x2)
+        c = y1 - (a * x1 + b) * x1
+        assert (a * x4 + b) * x4 + c == cost(x4), f"c_soc_exp is not quadratic on [{lo}, {hi}]"
+        if a > 0 and lo < -b / (2 * a) < hi:
+            candidates.add(-b / (2 * a))
+    costs = {lam: cost(lam) for lam in candidates}
+    least = min(costs.values())
+    return min(lam for lam, value in costs.items() if value == least)
+
+
+_HUNDREDTHS_P = st.integers(min_value=1, max_value=99).map(lambda k: Fraction(k, 100))
+
+
+@given(params=rational_networks(), p=_HUNDREDTHS_P)
+@settings(max_examples=40, deadline=None)
+# The running example: the first boundary (24/85) at p = 0.2, and the third
+# regime's vertex (22/30) at p = 0.6.
+@example(params=NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5))), p=Fraction(1, 5))
+@example(params=NetworkParams(*map(Fraction, (1, 3, 2, 19, 21, 5))), p=Fraction(3, 5))
+def test_lambda_min_is_the_smallest_exact_argmin(params, p):
+    """``lambda_min`` equals, with ==, the smallest informed fraction that
+    minimises the expected social cost, found from ``cost_report`` alone."""
+    env = InfoEnvironment(p, Fraction(1, 2), Fraction(1))
+    assert lambda_min(params, env) == _smallest_exact_argmin(params, p)
+
+
+@given(params=rescaled_networks(), p=_HUNDREDTHS_P)
+@settings(max_examples=40, deadline=None)
+def test_lambda_min_is_the_smallest_exact_argmin_on_exact_float_images(params, p):
+    """The same on the exact value of float networks: each field read as
+    ``Fraction(x)``, as the pattern table reads a float point."""
+    exact = NetworkParams(*(Fraction(v) for v in vars(params).values()))
+    env = InfoEnvironment(p, Fraction(1, 2), Fraction(1))
+    assert lambda_min(exact, env) == _smallest_exact_argmin(exact, p)
 
 
 # ---------------------------------------------------------------------------
