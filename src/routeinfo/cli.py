@@ -12,8 +12,9 @@ Each interpreter runs one subcommand, so this module loads only ``model`` at
 import, and not numpy; once its input is checked, a run imports the solver
 functions its rows call and binds them to its row builder (``_builder``).
 numpy loads on the first array operand: a ``--sweep`` longer than its
-subcommand's ``_POINTWISE_MAX`` (whose axis is an array), ``oracle`` or
-``verify``. A single point of the other subcommands is computed, tabulated
+subcommand's ``_POINTWISE_MAX`` (whose axis is an array), or ``oracle``.
+``verify`` checks its grid of scalar environments in plain Python (see
+``value``). A single point of the other subcommands is computed, tabulated
 and printed in plain Python, and so is a sweep within that limit, one point
 at a time through the same row builders. Such a sweep computes once what
 does not change along its axis: the network, the bound builder and the
@@ -49,6 +50,7 @@ from .model import (
     PlayerType,
     ValidationError,
     _ieee,
+    _linspace,
     _numpy,
     _type_masses,
     fields,
@@ -102,10 +104,10 @@ def parse_sweep(text: str) -> tuple:
     """Parse 'axis:start:stop:points' into (axis, evenly spaced values).
 
     The values are those of ``np.linspace(start, stop, points)``: a list of
-    Python floats for at most the largest ``_POINTWISE_MAX`` points, else
-    the array. The axis's valid range is not checked here: the environment
-    built from the sweep checks every value and names the first one out of
-    range.
+    Python floats (``model._linspace``) for at most the largest
+    ``_POINTWISE_MAX`` points, else the array. The axis's valid range is
+    not checked here: the environment built from the sweep checks every
+    value and names the first one out of range.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -146,17 +148,7 @@ def parse_sweep(text: str) -> tuple:
             raise ValidationError(
                 "malformed_sweep", f"sweep of {points} points does not fit in memory"
             ) from exc
-    # np.linspace's own arithmetic, so the values are its bits: i * step +
-    # start, with i / div * delta where the step underflows to 0, and stop
-    # itself last.
-    div = points - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0:
-        values = [i / div * delta + start for i in range(div)]
-    else:
-        values = [i * step + start for i in range(div)]
-    return axis, [*values, stop]
+    return axis, _linspace(start, stop, points)
 
 
 def parse_config_file(path: str) -> dict:

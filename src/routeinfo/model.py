@@ -617,6 +617,23 @@ def _ieee(fn, *args):
         return fn(*args)
 
 
+def _linspace(start: float, stop: float, n: int, endpoint: bool = True) -> list:
+    """``np.linspace(start, stop, n, endpoint=endpoint).tolist()`` in plain
+    Python, bit for bit: numpy's own arithmetic, i * step + start, with
+    i / div * delta where the step underflows to 0, and ``stop`` itself last
+    when ``endpoint`` and n > 1."""
+    div = max(n - 1 if endpoint else n, 1)
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + start for i in range(n)]
+    else:
+        values = [i * step + start for i in range(n)]
+    if endpoint and n > 1:
+        values[-1] = stop
+    return values
+
+
 class _Kept:
     """The last result of a pure function, made in plain Python and kept
     under the network it read and a key of the other values it read.

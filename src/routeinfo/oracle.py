@@ -559,7 +559,9 @@ def best_response(
     indifference). Inputs broadcast and are solved an element at a time, as
     the pattern table is, at a few hundred microseconds each: a ``Fraction``
     where no input is a float, else the nearest float; NaN where another
-    type's split is NaN or infinite. The responder's own split is not read.
+    type's split is NaN. Another type's split outside [0, 1], infinite ones
+    included, raises ``split_out_of_range``, as in ``wardrop_residual``. The
+    responder's own split is not read.
     """
     from fractions import Fraction
 
@@ -567,6 +569,8 @@ def best_response(
     _require_equilibrium_type(responder)
     t = EQUILIBRIUM_TYPES.index(responder)
     others = [profile.split(u) for u in EQUILIBRIUM_TYPES if u != responder]
+    for rho in others:
+        _enforce(_SPLIT_RULE, rho)
     shape, number, points = _exact_points(params, env, others)
 
     def solve(network, environment, rho):

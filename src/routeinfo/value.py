@@ -12,11 +12,12 @@ unvalidated numbers.
 cost is minimized, by the three-way case split on lambda_tilde — the vertex
 of the quadratic that expected social cost follows in the third regime.
 ``verify_theorem1``/``verify_theorem2`` check the monotonicity and
-positivity claims numerically over one environment whose ``frac_informed``
-is a grid of lambda values (``theorem2_grid`` builds one), in one array
-call each: ``lambda_min`` and ``value_report`` broadcast over array-valued
-environment fields. The checks and the grid are array code and import
-numpy when they run; the reports on scalar fields never do.
+positivity claims numerically over a grid of lambda values: a tuple of
+scalar environments, one per lambda (``theorem2_grid`` builds one). Each
+point is evaluated once, in plain Python, and the two checks of one grid
+share that evaluation. ``lambda_min`` and ``value_report`` also broadcast
+over array-valued environment fields, but nothing here imports numpy: the
+grid, the checks and the reports on scalar fields never load it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     _cost_tol,
     _Kept,
     _lambda_free_key,
+    _linspace,
     _Record,
     _require_perfect_accuracy,
     _require_uninformative,
@@ -145,6 +147,19 @@ def value_report(params: NetworkParams, env: InfoEnvironment) -> ValueReport:
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(params: NetworkParams, grid: tuple) -> tuple:
+    """(value reports, regime labels) at each environment of ``grid``."""
+    return (
+        [value_report(params, env) for env in grid],
+        [classify(params, env).label for env in grid],
+    )
+
+
+#: The last grid's evaluation, kept under its network and the grid, so the
+#: two theorem checks of one grid share one evaluation of each point.
+_GRID_EVALUATIONS = _Kept()
+
+
 class Theorem1Report(_Record):
     """Positivity of the relative expected value below the third boundary."""
 
@@ -153,34 +168,32 @@ class Theorem1Report(_Record):
     failures: list
 
 
-def verify_theorem1(params: NetworkParams, env: InfoEnvironment) -> Theorem1Report:
+def verify_theorem1(params: NetworkParams, grid: tuple) -> Theorem1Report:
     """Check: v_rel_exp > 0 strictly below lambda_bar_3, ~0 at or above it.
 
-    ``env`` holds the informed fractions to check in ``frac_informed``
+    ``grid`` holds one scalar environment per informed fraction to check
     (accuracy_high = 1). Boundary membership follows ``classify``: points
     landing in the fourth regime must show |v_rel_exp| within 1e-11 of the
     cost scale intercept2 + slope1_incident * demand, all others a strictly
     positive value. Points with frac_informed = 0 are skipped —
     the relative value compares two populations, and the informed one does
-    not exist there. The rest are evaluated in one array call. Failures
-    carry (frac_informed, v_rel_exp, expectation).
+    not exist there. Failures carry (frac_informed, v_rel_exp, expectation).
     """
-    import numpy as np
-
-    lams = np.ravel(env.frac_informed)
-    lams = lams[lams != 0]
-    env = replace(env, frac_informed=lams)
-    v_rel = value_report(params, env).v_rel_exp
-    labels = classify(params, env).label
+    reports, labels = _GRID_EVALUATIONS.get(params, (grid,), _evaluate, params, grid)
     tol = _cost_tol(params)
+    n_checked = 0
     failures = []
-    for lam, v, regime in zip(lams.tolist(), v_rel.tolist(), labels.tolist()):
+    for env, report, regime in zip(grid, reports, labels):
+        lam, v = env.frac_informed, report.v_rel_exp
+        if lam == 0:
+            continue
+        n_checked += 1
         if regime == "R4":
             if abs(v) > tol:
                 failures.append((lam, v, "expected ~0 in R4"))
         elif not v > 0:
             failures.append((lam, v, f"expected > 0 in {regime}"))
-    return Theorem1Report(passed=not failures, n_checked=lams.size, failures=failures)
+    return Theorem1Report(passed=not failures, n_checked=n_checked, failures=failures)
 
 
 class Theorem2Report(_Record):
@@ -194,15 +207,18 @@ class Theorem2Report(_Record):
     failures: list
 
 
-def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> None:
+def _steps(xs: list) -> list:
+    """``np.diff(xs)``."""
+    return [b - a for a, b in zip(xs, xs[1:])]
+
+
+def _check_shape(ws: list, expected: str, regime: str, failures: list, tol: float) -> None:
     """Assert a regime slice is increasing, decreasing or flat in shape.
 
     Steps within ``tol`` count as flat.
     """
-    import numpy as np
-
-    steps = np.diff(ws)
-    rises, falls = np.any(steps > tol), np.any(steps < -tol)
+    steps = _steps(ws)
+    rises, falls = any(s > tol for s in steps), any(s < -tol for s in steps)
     if expected == "increasing":
         broken = falls or not ws[-1] - ws[0] > tol
     elif expected == "decreasing":
@@ -213,33 +229,32 @@ def _check_shape(ws, expected: str, regime: str, failures: list, tol: float) -> 
         failures.append(f"{regime}: expected {expected} social value")
 
 
-def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Report:
+def verify_theorem2(params: NetworkParams, grid: tuple) -> Theorem2Report:
     """Check the regime-wise shape of w_exp and the location of its maximum.
 
-    ``env`` holds a sorted 1-D array of informed fractions in
-    ``frac_informed`` and scalar p_incident and accuracies (``theorem2_grid``
-    builds a suitable grid); it is evaluated in one array call. Expected
-    shapes: rising in the first regime, flat in the second, the three-way
-    case in the third (decreasing / rise-then-fall peaked at lambda_tilde /
-    increasing), flat in the fourth. A peaked third regime is checked as
-    rising through the grid points at or below lambda_tilde and falling
-    through those at or above it. Social value at ``lambda_min`` must reach the grid maximum within
-    tolerance, and some grid point within tolerance of that maximum must
-    sit within one grid step of ``lambda_min``. The maximum may be attained
+    ``grid`` holds one scalar environment per informed fraction, in
+    increasing order, all with the same p_incident and accuracies
+    (``theorem2_grid`` builds a suitable grid). Expected shapes: rising in
+    the first regime, flat in the second, the three-way case in the third
+    (decreasing / rise-then-fall peaked at lambda_tilde / increasing), flat
+    in the fourth. A peaked third regime is checked as rising through the
+    grid points at or below lambda_tilde and falling through those at or
+    above it. Social value at ``lambda_min`` must reach the grid maximum
+    within tolerance, and some grid point within tolerance of that maximum
+    must sit within one grid step of ``lambda_min``. The maximum may be attained
     far from ``lambda_min`` as well (the second-regime plateau can tie a
     third-regime peak), so its smallest achiever, reported as
     ``grid_argmax_lambda``, is not checked by location.
     """
-    import numpy as np
-
-    lams = np.asarray(env.frac_informed, dtype=float)
-    if lams.ndim != 1 or lams.size < 2:
+    lams = [env.frac_informed for env in grid]
+    if len(lams) < 2:
         raise ValueError("need at least two informed fractions to difference")
-    if np.any(np.diff(lams) <= 0):
+    if not all(step > 0 for step in _steps(lams)):
         raise ValueError("frac_informed must be sorted")
-    ws = value_report(params, env).w_exp
-    labels = classify(params, env).label.tolist()
+    reports, labels = _GRID_EVALUATIONS.get(params, (grid,), _evaluate, params, grid)
+    ws = [report.w_exp for report in reports]
     tol = _cost_tol(params)
+    env = grid[0]
 
     case, tilde, _ = _tilde_case(params, env)
     r3_case = _R3_SHAPES[case]
@@ -251,34 +266,34 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
         if len(idx) < 2:
             continue
         if expected != "peaked":
-            _check_shape(ws[idx], expected, regime, failures, tol)
+            _check_shape([ws[i] for i in idx], expected, regime, failures, tol)
             continue
         # Rising up to lambda_tilde and falling after it. The grid step that
         # straddles lambda_tilde may go either way, and a side with fewer
         # than two grid points (lambda_tilde next to an end of the open
         # regime) has no shape to check.
-        below = [i for i in idx if lams[i] <= tilde]
-        above = [i for i in idx if lams[i] >= tilde]
+        below = [ws[i] for i in idx if lams[i] <= tilde]
+        above = [ws[i] for i in idx if lams[i] >= tilde]
         for side, shape in ((below, "increasing"), (above, "decreasing")):
             if len(side) >= 2:
-                _check_shape(ws[side], shape, regime, failures, tol)
+                _check_shape(side, shape, regime, failures, tol)
 
     if r3_case == "peaked":
         idx = [i for i, lab in enumerate(labels) if lab == "R3"]
         if idx:
-            peak_lam = lams[idx][int(np.argmax(ws[idx]))]
-            r3_step = float(np.max(np.diff(lams[idx]))) if len(idx) > 1 else 0.0
+            peak_lam = lams[max(idx, key=ws.__getitem__)]
+            r3_step = max(_steps([lams[i] for i in idx]), default=0.0)
             if abs(peak_lam - tilde) > r3_step + _LAMBDA_TOL:
                 failures.append(
                     f"R3: peak at {peak_lam:.6f}, expected near {tilde:.6f}"
                 )
 
-    w_max = float(np.max(ws))
-    achievers = np.flatnonzero(ws >= w_max - tol)
-    argmax_lam = float(lams[achievers[0]])
+    w_max = max(ws)
+    achievers = [lam for lam, w in zip(lams, ws) if w >= w_max - tol]
+    argmax_lam = float(achievers[0])
     lam_min = lambda_min(params, env)
-    grid_step = float(np.max(np.diff(lams)))
-    if not np.any(np.abs(lams[achievers] - lam_min) <= grid_step + _LAMBDA_TOL):
+    grid_step = max(_steps(lams))
+    if not any(abs(lam - lam_min) <= grid_step + _LAMBDA_TOL for lam in achievers):
         failures.append(
             f"grid argmax of social value at {argmax_lam:.6f}, "
             f"lambda_min predicts {lam_min:.6f}"
@@ -302,33 +317,32 @@ def verify_theorem2(params: NetworkParams, env: InfoEnvironment) -> Theorem2Repo
 
 def theorem2_grid(
     params: NetworkParams, env: InfoEnvironment, points_per_regime: int = 2001
-) -> InfoEnvironment:
-    """``env`` with ``frac_informed`` a sorted grid covering all four regimes.
+) -> tuple:
+    """``env`` at each informed fraction of a sorted grid covering all four
+    regimes: a tuple of scalar environments, one per lambda, increasing.
 
     Endpoints land exactly on the boundaries (classified into the closed
     regimes); the third regime, open on both sides, contributes strictly
-    interior points. The result feeds verify_theorem1 and verify_theorem2.
-    Raises ``degenerate_grid`` where the boundaries leave no strictly
-    increasing grid, as where they collapse at a subnormal demand.
+    interior points. Each regime's points are those of ``np.linspace``
+    (``model._linspace``). The result feeds verify_theorem1 and
+    verify_theorem2. Raises ``degenerate_grid`` where the boundaries leave
+    no strictly increasing grid, as where they collapse at a subnormal
+    demand.
     """
-    import numpy as np
-
     _require_uninformative(env)
     _require_perfect_accuracy(env)
     lb1, lb2, lb3 = regime_boundaries(params, env)
     n = points_per_regime
-    lams = np.concatenate(
-        [
-            np.linspace(0.0, lb1, n, endpoint=False),
-            np.linspace(lb1, lb2, n),
-            np.linspace(lb2, lb3, n + 2)[1:-1],
-            np.linspace(lb3, 1.0, n),
-        ]
-    )
-    if not np.all(np.diff(lams) > 0):
+    lams = [
+        *_linspace(0.0, lb1, n, endpoint=False),
+        *_linspace(lb1, lb2, n),
+        *_linspace(lb2, lb3, n + 2)[1:-1],
+        *_linspace(lb3, 1.0, n),
+    ]
+    if not all(step > 0 for step in _steps(lams)):
         raise ValidationError(
             "degenerate_grid",
             f"regime boundaries {lb1}, {lb2}, {lb3} leave no strictly increasing "
             f"grid of {n} points per regime",
         )
-    return replace(env, frac_informed=lams)
+    return tuple(replace(env, frac_informed=lam) for lam in lams)

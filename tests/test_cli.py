@@ -37,7 +37,7 @@ from routeinfo import (
     solve_bwe,
 )
 from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _builder, main, parse_sweep
-from routeinfo.model import replace
+from routeinfo.model import _linspace, replace
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -865,7 +865,8 @@ def test_sweep_values_are_the_bits_of_linspace():
     values as Python floats, bit for bit those of ``np.linspace``, which a
     longer sweep gets: at drawn bounds for every length up to 400 and for
     drawn lengths up to the largest limit, and where the step underflows
-    to 0."""
+    to 0. ``model._linspace``, which makes them, also matches
+    ``np.linspace(..., endpoint=False)`` there."""
     rng = random.Random(32)
     longest = max(_POINTWISE_MAX.values())
     for n in [*range(2, 401), *sorted(rng.sample(range(401, longest), 40)), longest]:
@@ -875,15 +876,24 @@ def test_sweep_values_are_the_bits_of_linspace():
         axis, values = parse_sweep(f"p:{start!r}:{stop!r}:{n}")
         assert (axis, type(values)) == ("p", list)
         assert _bits(values) == _bits(np.linspace(start, stop, n).tolist()), (start, stop, n)
+        open_end = np.linspace(start, stop, n, endpoint=False).tolist()
+        assert _bits(_linspace(start, stop, n, endpoint=False)) == _bits(open_end), (start, stop, n)
     axis, values = parse_sweep(f"lambda:0:1:{longest + 1}")
     assert isinstance(values, np.ndarray) and len(values) == longest + 1
     for text in ("lambda:0:5e-324:3", "lambda:0:1e-323:6"):
         _, start, stop, n = text.split(":")
         linspace = np.linspace(float(start), float(stop), int(n)).tolist()
         assert _bits(parse_sweep(text)[1]) == _bits(linspace), text
+        open_end = np.linspace(float(start), float(stop), int(n), endpoint=False).tolist()
+        assert _bits(_linspace(float(start), float(stop), int(n), endpoint=False)) == _bits(
+            open_end
+        ), text
     # Where the step underflows to 0, numpy scales i / div by the span.
     assert _bits(parse_sweep("lambda:0:1e-323:6")[1]) == _bits(
         [0.0, 0.0, 5e-324, 5e-324, 1e-323, 1e-323]
+    )
+    assert _bits(_linspace(0.0, 1e-323, 6, endpoint=False)) == _bits(
+        [0.0, 0.0, 5e-324, 5e-324, 5e-324, 1e-323]
     )
 
 

@@ -261,12 +261,12 @@ def test_best_response_is_exact_on_rational_fields(params, p, lam, eta, splits, 
     assert br == _clamped_equalizer(params, env, profile, responder)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan])
 @pytest.mark.parametrize("responder", EQUILIBRIUM_TYPES)
 def test_a_non_finite_split_of_another_type_gives_nan(bad, responder):
-    """A NaN or infinite split of any other type gives NaN, in a scalar call
-    and at its element of an array call; the responder's own split is not
-    read, so a non-finite one changes nothing."""
+    """A NaN split of any other type gives NaN, in a scalar call and at its
+    element of an array call; the responder's own split is not read, so a
+    NaN one changes nothing."""
     splits = (0.3, 0.6, 0.2)
     want = best_response(PARAMS, _env(), StrategyProfile(*splits), responder)
     for j, u in enumerate(EQUILIBRIUM_TYPES):
@@ -280,6 +280,29 @@ def test_a_non_finite_split_of_another_type_gives_nan(bad, responder):
         spoilt[j] = np.array([splits[j], bad])
         got = best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder)
         assert got[0] == want and math.isnan(got[1]), u
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, -0.2, math.inf, -math.inf])
+@pytest.mark.parametrize("responder", EQUILIBRIUM_TYPES)
+def test_best_response_rejects_another_split_outside_the_unit_interval(bad, responder):
+    """Another type's split outside [0, 1], infinite ones included, raises
+    split_out_of_range naming it, in a scalar call and at its element of an
+    array call; the responder's own split is not read, so such a split of
+    its own changes nothing."""
+    splits = (0.3, 0.6, 0.2)
+    want = best_response(PARAMS, _env(), StrategyProfile(*splits), responder)
+    for j, u in enumerate(EQUILIBRIUM_TYPES):
+        spoilt = list(splits)
+        spoilt[j] = bad
+        if u == responder:
+            assert best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder) == want
+            continue
+        for rho in (bad, np.array([splits[j], bad])):
+            spoilt[j] = rho
+            with pytest.raises(ValidationError) as exc:
+                best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder)
+            assert exc.value.code == "split_out_of_range", u
+            assert str(exc.value).endswith(f"got {bad}"), u
 
 
 @given(

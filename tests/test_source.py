@@ -295,7 +295,8 @@ _SWEEP_LENGTHS = {
 #: ``model`` that the run loads, whether it loads numpy). numpy is a
 #: dependency of arrays: only a sweep of more than its subcommand's
 #: ``_POINTWISE_MAX`` points (a shorter one runs a point at a time in plain
-#: Python), ``oracle`` and ``verify`` load it.
+#: Python) and ``oracle`` load it. ``verify`` evaluates its grid a point at a
+#: time, without numpy.
 _RUNS = {
     "--help": (0, [], False),
     "beliefs": (0, ["beliefs"], False),
@@ -311,7 +312,7 @@ _RUNS = {
     "equilibrium": (0, ["equilibrium"], False),
     "costs": (0, ["costs", "equilibrium"], False),
     "value": (0, ["costs", "equilibrium", "value"], False),
-    "verify": (0, ["costs", "equilibrium", "value"], True),
+    "verify": (0, ["costs", "equilibrium", "value"], False),
     "verify --format csv": (1, [], False),
     "oracle": (0, ["beliefs", "equilibrium", "oracle"], True),
 }

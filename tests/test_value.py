@@ -1,5 +1,6 @@
 """Value of information: definitions, pinned points, and the two theorem checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -21,7 +22,7 @@ from routeinfo import (
     verify_theorem1,
     verify_theorem2,
 )
-from routeinfo.model import replace
+from routeinfo.model import _Kept, replace
 from strategies import rational_networks, rescaled_networks
 
 PARAMS = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
@@ -33,6 +34,16 @@ def _env(p=0.2, lam=0.5, eta_h=1.0):
 
 def _grid(p, points=151):
     return theorem2_grid(PARAMS, _env(p=p), points_per_regime=points)
+
+
+def _lams(grid):
+    """The informed fractions of a theorem grid, in order."""
+    return [env.frac_informed for env in grid]
+
+
+def _nearest(lams, lam):
+    """The index of the first of ``lams`` nearest to ``lam``."""
+    return min(range(len(lams)), key=lambda i: abs(lams[i] - lam))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def test_informed_premium_positive_below_third_boundary(p):
     report = verify_theorem1(PARAMS, grid)
     assert report.passed, report.failures[:5]
     # Every grid point except the empty-population origin is checked.
-    assert report.n_checked == grid.frac_informed.size - 1
+    assert report.n_checked == len(grid) - 1
 
 
 def test_social_value_shapes():
@@ -245,8 +256,7 @@ def test_social_value_peak_next_to_a_third_regime_boundary(params, p):
     env = _env(p=p)
     grid = theorem2_grid(params, env, points_per_regime=501)
     _, lb2, lb3 = regime_boundaries(params, env)
-    lams = grid.frac_informed
-    r3 = lams[(lams > lb2) & (lams < lb3)]
+    r3 = [lam for lam in _lams(grid) if lb2 < lam < lb3]
     tilde = lambda_tilde(params)
     assert r3[0] < tilde < r3[1] or r3[-1] < tilde < lb3
     report = verify_theorem2(params, grid)
@@ -289,6 +299,30 @@ def test_social_value_plateau_tying_the_third_regime_peak(params, p, points):
     assert w_at >= w_plateau
 
 
+def test_both_theorem_checks_share_one_evaluation_of_the_grid(monkeypatch):
+    """On one grid, ``verify_theorem1`` and then ``verify_theorem2`` make one
+    ``value_report`` and one ``classify`` call per point, and one more
+    ``value_report`` at ``lambda_min``."""
+    calls = Counter()
+
+    def counting(name):
+        true = getattr(value_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return true(*args)
+
+        return counted
+
+    for name in ("value_report", "classify"):
+        monkeypatch.setattr(value_module, name, counting(name))
+    monkeypatch.setattr(value_module, "_GRID_EVALUATIONS", _Kept())
+    grid = _grid(0.2, points=20)
+    verify_theorem1(PARAMS, grid)
+    verify_theorem2(PARAMS, grid)
+    assert calls == {"value_report": len(grid) + 1, "classify": len(grid)}
+
+
 def test_theorem2_catches_a_misplaced_lambda_min(monkeypatch):
     """Both maximum checks fail when lambda_min points into the rising regime."""
     monkeypatch.setattr(value_module, "lambda_min", lambda params, env: 0.1)
@@ -301,29 +335,33 @@ def test_theorem2_catches_a_misplaced_lambda_min(monkeypatch):
 def test_theorem2_rejects_unsorted_grid():
     grid = _grid(0.2, points=5)
     with pytest.raises(ValueError, match="frac_informed must be sorted"):
-        verify_theorem2(PARAMS, replace(grid, frac_informed=grid.frac_informed[::-1]))
+        verify_theorem2(PARAMS, grid[::-1])
 
 
-@pytest.mark.parametrize("lams", [0.5, np.array([0.5])], ids=["scalar", "one_point"])
+@pytest.mark.parametrize("lams", [(), (0.5,)], ids=["no_point", "one_point"])
 def test_theorem2_needs_two_informed_fractions(lams):
     with pytest.raises(ValueError, match="need at least two informed fractions"):
-        verify_theorem2(PARAMS, _env(lam=lams))
+        verify_theorem2(PARAMS, tuple(_env(lam=lam) for lam in lams))
 
 
-def _doctor(monkeypatch, field, edit):
-    """Make ``value_report`` return ``field`` of the grid call through
-    ``edit(lams, values)``; scalar calls stay true."""
+def _doctor(monkeypatch, grid, field, edit):
+    """Make ``value_report`` return ``field`` at the points of ``grid``
+    through ``edit(lams, values)``, which edits the list of their true
+    values in place; every other point stays true. The kept grid
+    evaluation is dropped, so the theorem checks read the doctored values."""
     true_report = value_module.value_report
+    values = [getattr(true_report(PARAMS, env), field) for env in grid]
+    edit(_lams(grid), values)
+    edited = dict(zip(grid, values))
 
     def doctored(params, env):
         report = true_report(params, env)
-        if np.ndim(env.frac_informed) == 0:
+        if env not in edited:
             return report
-        values = getattr(report, field).copy()
-        edit(env.frac_informed, values)
-        return replace(report, **{field: values})
+        return replace(report, **{field: edited[env]})
 
     monkeypatch.setattr(value_module, "value_report", doctored)
+    monkeypatch.setattr(value_module, "_GRID_EVALUATIONS", _Kept())
 
 
 def test_theorem1_reports_each_failing_point(monkeypatch):
@@ -335,8 +373,9 @@ def test_theorem1_reports_each_failing_point(monkeypatch):
         for i, lam in enumerate(lams):
             values[i] = doctored.get(lam, values[i])
 
-    _doctor(monkeypatch, "v_rel_exp", edit)
-    report = verify_theorem1(PARAMS, _env(lam=np.array([0.0, 0.1, 0.2, 0.9, 0.95])))
+    grid = tuple(_env(lam=lam) for lam in (0.0, 0.1, 0.2, 0.9, 0.95))
+    _doctor(monkeypatch, grid, "v_rel_exp", edit)
+    report = verify_theorem1(PARAMS, grid)
     assert report.passed is False
     assert report.n_checked == 4
     assert report.failures == [
@@ -351,15 +390,16 @@ def _lower(*lams_to_lower):
 
     def edit(lams, values):
         for lam in lams_to_lower:
-            values[np.argmin(np.abs(lams - lam))] -= 1.0
+            values[_nearest(lams, lam)] -= 1.0
 
     return edit
 
 
 def test_theorem2_names_each_broken_shape(monkeypatch):
     """At p = 0.2: R1 falls, R2 is not flat and the decreasing R3 rises."""
-    _doctor(monkeypatch, "w_exp", _lower(0.1, 0.5, 0.78))
-    report = verify_theorem2(PARAMS, _grid(0.2))
+    grid = _grid(0.2)
+    _doctor(monkeypatch, grid, "w_exp", _lower(0.1, 0.5, 0.78))
+    report = verify_theorem2(PARAMS, grid)
     assert report.passed is False
     assert report.failures == [
         "R1: expected increasing social value",
@@ -371,8 +411,9 @@ def test_theorem2_names_each_broken_shape(monkeypatch):
 def test_theorem2_checks_both_sides_of_a_peak(monkeypatch):
     """At p = 0.6 the third regime peaks at lambda_tilde = 11/15: a dip on
     each side breaks that side's shape, not the peak."""
-    _doctor(monkeypatch, "w_exp", _lower(0.72, 0.78))
-    report = verify_theorem2(PARAMS, _grid(0.6))
+    grid = _grid(0.6)
+    _doctor(monkeypatch, grid, "w_exp", _lower(0.72, 0.78))
+    report = verify_theorem2(PARAMS, grid)
     assert report.passed is False
     assert report.failures == [
         "R3: expected increasing social value",
@@ -384,15 +425,15 @@ def test_theorem2_places_the_third_regime_peak(monkeypatch):
     """A peak raised far from lambda_tilde is reported by location, and
     then lambda_min no longer reaches the grid maximum."""
     grid = _grid(0.6)
-    lams = grid.frac_informed
-    at = int(np.argmin(np.abs(lams - 0.78)))
+    lams = _lams(grid)
+    at = _nearest(lams, 0.78)
 
     def raise_one(lams, values):
         values[at] += 1.0
 
-    _doctor(monkeypatch, "w_exp", raise_one)
+    _doctor(monkeypatch, grid, "w_exp", raise_one)
     report = verify_theorem2(PARAMS, grid)
-    w_max = value_report(PARAMS, grid).w_exp[at] + 1.0
+    w_max = value_report(PARAMS, grid[at]).w_exp + 1.0
     w_min = value_report(PARAMS, _env(p=0.6, lam=22 / 30)).w_exp
     assert report.failures == [
         "R3: expected decreasing social value",
@@ -407,21 +448,61 @@ def test_theorem2_places_the_third_regime_peak(monkeypatch):
 def test_theorem2_skips_a_regime_with_one_grid_point():
     """A one-point regime has no shape to check (here R1 holds only 0)."""
     grid = _grid(0.2)
-    lb1 = regime_boundaries(PARAMS, grid)[0]
-    lams = grid.frac_informed
-    report = verify_theorem2(PARAMS, replace(grid, frac_informed=lams[(lams == 0) | (lams >= lb1)]))
+    lb1 = regime_boundaries(PARAMS, grid[0])[0]
+    report = verify_theorem2(
+        PARAMS, tuple(env for env in grid if env.frac_informed == 0 or env.frac_informed >= lb1)
+    )
     assert report.passed, report.failures
 
 
 def test_theorem2_peaked_case_with_no_third_regime_point():
     """Without a third-regime grid point the peak has no place to check."""
     grid = _grid(0.6)
-    _, lb2, lb3 = regime_boundaries(PARAMS, grid)
-    lams = grid.frac_informed
-    report = verify_theorem2(PARAMS, replace(grid, frac_informed=lams[(lams <= lb2) | (lams >= lb3)]))
+    _, lb2, lb3 = regime_boundaries(PARAMS, grid[0])
+    report = verify_theorem2(
+        PARAMS, tuple(env for env in grid if env.frac_informed <= lb2 or env.frac_informed >= lb3)
+    )
     assert report.regime_cases["R3"] == "peaked"
     assert report.peak_lambda == pytest.approx(22 / 30, abs=1e-12)
     assert report.passed, report.failures
+
+
+def _concatenated_linspaces(params, env, n):
+    """The reference grid: four ``np.linspace`` calls, concatenated."""
+    lb1, lb2, lb3 = regime_boundaries(params, env)
+    return np.concatenate(
+        [
+            np.linspace(0.0, lb1, n, endpoint=False),
+            np.linspace(lb1, lb2, n),
+            np.linspace(lb2, lb3, n + 2)[1:-1],
+            np.linspace(lb3, 1.0, n),
+        ]
+    )
+
+
+@given(
+    params=rescaled_networks(),
+    p=st.floats(min_value=1e-13, max_value=1 - 1e-9),
+    points=st.integers(min_value=1, max_value=60) | st.just(501),
+)
+@settings(max_examples=60, deadline=None)
+# p = 1e-13 on the running example leaves no increasing grid of 501 points.
+@example(params=PARAMS, p=1e-13, points=501)
+def test_grid_is_the_bits_of_four_linspaces(params, p, points):
+    """``theorem2_grid`` gives one scalar environment per lambda of the four
+    concatenated ``np.linspace`` calls, bit for bit and in order, or raises
+    ``degenerate_grid`` exactly where those are not strictly increasing."""
+    env = _env(p=p)
+    want = _concatenated_linspaces(params, env, points)
+    if not np.all(np.diff(want) > 0):
+        with pytest.raises(ValidationError) as exc:
+            theorem2_grid(params, env, points)
+        assert exc.value.code == "degenerate_grid"
+        return
+    grid = theorem2_grid(params, env, points)
+    assert type(grid) is tuple
+    assert all(replace(g, frac_informed=0.5) == env for g in grid)
+    assert [repr(lam) for lam in _lams(grid)] == [repr(lam) for lam in want.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +513,13 @@ def test_theorem2_peaked_case_with_no_third_regime_point():
 @pytest.mark.parametrize("p", [0.2, 0.6])
 def test_informed_value_never_negative_and_never_rises(p):
     grid = _grid(p, points=120)
-    v_h = value_report(PARAMS, grid).v_H_exp[grid.frac_informed > 0]
-    assert v_h.min() > -1e-9
-    assert np.all(np.diff(v_h) <= 1e-9), (
+    v_h = [value_report(PARAMS, env).v_H_exp for env in grid if env.frac_informed > 0]
+    assert min(v_h) > -1e-9
+    assert all(b - a <= 1e-9 for a, b in zip(v_h, v_h[1:])), (
         "being informed should only get less valuable as it gets common"
     )
 
 
 @pytest.mark.parametrize("p", [0.2, 0.6])
 def test_social_value_never_negative(p):
-    assert value_report(PARAMS, _grid(p, points=120)).w_exp.min() > -1e-9
+    assert min(value_report(PARAMS, env).w_exp for env in _grid(p, points=120)) > -1e-9
