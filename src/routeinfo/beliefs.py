@@ -24,8 +24,10 @@ with them is checked here.
 
 ``expected_route_cost`` is the public definition of one type's interim cost
 on one route, from ``model``'s load rule and signal likelihoods. Its sum is
-written once, in ``_interim_cost``, which ``oracle._type_gaps`` also calls,
-with the three equilibrium types' weights stacked, for every type's cost gap.
+written once, in ``_interim_cost``, which ``oracle._type_gaps`` also calls:
+with one owner's weights for the Wardrop residual and the exact gap rows,
+and with the three equilibrium types' weights stacked (``oracle._gap_weights``)
+only in the fixed point.
 
 Functions are pure; profile and environment fields may be numpy arrays of a
 common broadcast shape, in which case belief entries and costs come back as
@@ -45,6 +47,7 @@ from .model import (
     _population_demands,
     _Record,
     _require_equilibrium_type,
+    _require_splits,
     _require_uninformative,
     _route_load,
     _SIGNALS,
@@ -197,7 +200,11 @@ def expected_route_cost(
     otherwise. Within a state each population receives one common signal, so
     its entire demand moves as one type realization. Split fractions come from
     ``profile.split``, which maps ``LN``/``LA`` to the uninformed split. The
-    sum is ``_interim_cost`` over ``_informed_weights(belief)``.
+    sum is ``_interim_cost`` over ``_informed_weights(belief)``. Every split
+    must lie in [0, 1] or be NaN (which gives NaN); otherwise
+    ``split_out_of_range`` names the first value outside, in (L, Hn, Ha)
+    order, as in ``oracle.wardrop_residual``.
     """
+    _require_splits(profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     demands = _population_demands(params, env)
     return _interim_cost(params, demands, _informed_weights(belief), profile, route)

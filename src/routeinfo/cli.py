@@ -89,9 +89,6 @@ _SWEEP_AXES = ("lambda", "p", "eta_h")
 #: Deviation above which the oracle subcommand reports failure (exit 2).
 ORACLE_DEVIATION_LIMIT = 1e-6
 
-#: Points per regime for the verify subcommand's lambda grid.
-_VERIFY_POINTS = 501
-
 #: Subcommand -> the longest sweep of it evaluated one point at a time in
 #: plain Python; a longer one, and every sweep of a subcommand not listed,
 #: is one array call in numpy. See the module docstring for the limits.
@@ -453,7 +450,7 @@ def _run_verify(config: dict) -> tuple:
     from .value import theorem2_grid, verify_theorem1, verify_theorem2
 
     params, env = _build_instance(config)
-    grid = theorem2_grid(params, env, points_per_regime=_VERIFY_POINTS)
+    grid = theorem2_grid(params, env)
     t1 = verify_theorem1(params, grid)
     t2 = verify_theorem2(params, grid)
     payload = {

@@ -43,6 +43,7 @@ from .model import (
     _population_demands,
     _Record,
     _require_nonempty,
+    _require_splits,
     _require_uninformative,
     _route_load,
     _type_given_state,
@@ -65,12 +66,15 @@ def realized_population_state_cost(
     population draws one common signal), weighting each route by the owner
     type's split fraction:
     sum_r sum_types rho_r(t) * latency_r(state, combined load) * P(t|s) * P(t_opp|s).
-    Raises ``empty_population`` if the population is empty at any point.
+    Raises ``empty_population`` if the population is empty at any point, and
+    ``split_out_of_range`` for a split outside [0, 1] (the first, in (L, Hn,
+    Ha) order); a NaN split gives NaN.
     """
     _require_uninformative(env)
     _require_nonempty(env, population)
     if population not in ("L", "H"):
         raise ValueError(f"population must be 'L' or 'H', got {population!r}")
+    _require_splits(profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     c_l, c_h = _state_costs(params, env, profile, state)
     return c_l if population == "L" else c_h
 

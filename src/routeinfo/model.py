@@ -372,11 +372,10 @@ def _enforce(rules, *values) -> None:
     """Raise ValidationError unless every element of ``values`` obeys ``rules``.
 
     ``rules`` holds (code, holds, message) triples in checking order, whose
-    ``holds`` and ``message`` take ``values`` by position. With array values
-    the error names the first element (in C order) that breaks any rule, at
-    the first rule it breaks, with that element's values: the error a loop
-    checking one element at a time would raise. Scalar values are that
-    loop; a rule is evaluated only once the rules before it hold.
+    ``holds`` and ``message`` take ``values`` by position. The error names
+    the first element (in C order) that breaks any rule, at the first rule
+    it breaks, with that element's values, as a loop over elements would.
+    A rule is evaluated once, in the values' types, where those before it hold.
     """
     np = _numpy(*values)
     if np is None:
@@ -384,18 +383,23 @@ def _enforce(rules, *values) -> None:
             if not holds(*values):
                 raise ValidationError(code, message(*values))
         return
-    # A rule's arithmetic may overflow on the very values it rejects (numpy
-    # scalars warn where Python floats do not); the verdict is the same.
+    # A rule may overflow on the values it rejects, where numpy would warn.
     with np.errstate(all="ignore"):
-        if all(np.asarray(holds(*values)).all() for _, holds, _ in rules):
+        verdicts = (np.asarray(holds(*values)) for _, holds, _ in rules)
+        k, held = next(((k, v) for k, v in enumerate(verdicts) if not v.all()), (0, None))
+        if held is None:
             return
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        flat = [np.broadcast_to(v, shape).ravel() for v in values]
-        broken = np.stack([~holds(*flat) for _, holds, _ in rules])
-    i = int(np.flatnonzero(broken.any(axis=0))[0])
-    code, _, message = rules[int(np.flatnonzero(broken[:, i])[0])]
+        shape = np.broadcast_shapes(*map(np.shape, values))
+        end, broken = int(np.argmin(np.broadcast_to(held, shape))), rules[k]
+        flat = [np.broadcast_to(v, shape).ravel() if np.ndim(v) else v for v in values]
+        for rule in rules[k + 1 :]:
+            if end:
+                held = np.broadcast_to(rule[1](*(f[:end] if np.ndim(f) else f for f in flat)), end)
+                if not held.all():
+                    end, broken = int(np.argmin(held)), rule
     # ``tolist`` also reads object arrays (``Fraction`` fields), unlike ``item``.
-    raise ValidationError(code, message(*(v[i : i + 1].tolist()[0] for v in flat)))
+    element = [np.asarray(f[end] if np.ndim(f) else f).tolist() for f in flat]
+    raise ValidationError(broken[0], broken[2](*element))
 
 
 def validate(params: NetworkParams | None, env: InfoEnvironment | None):
@@ -454,6 +458,11 @@ _PERFECT_ACCURACY_RULE = (
 
 def _require_uninformative(env: InfoEnvironment) -> None:
     _enforce(_UNINFORMATIVE_RULE, env.accuracy_low)
+
+
+def _require_splits(*rhos) -> None:
+    for rho in rhos:
+        _enforce(_SPLIT_RULE, rho)
 
 
 def _require_perfect_accuracy(env: InfoEnvironment) -> None:

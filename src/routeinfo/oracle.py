@@ -56,13 +56,12 @@ from .model import (
     StrategyProfile,
     ValidationError,
     _as_results,
-    _enforce,
     _population_demands,
     _Record,
     _require_equilibrium_type,
     _require_scalar,
+    _require_splits,
     _require_uninformative,
-    _SPLIT_RULE,
     _type_masses,
     fields,
     replace,
@@ -182,8 +181,7 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     Every split must lie in [0, 1] or be NaN; otherwise ``split_out_of_range``
     names the first value that breaks it, in (L, Hn, Ha) order.
     """
-    for rho in (profile.rho_L, profile.rho_Hn, profile.rho_Ha):
-        _enforce(_SPLIT_RULE, rho)
+    _require_splits(profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     demands = _population_demands(params, env)
     masses = _type_masses(env)
     defects = []
@@ -252,7 +250,7 @@ def _exact_points(params: NetworkParams, env: InfoEnvironment, splits=()) -> tup
 
     A point is ``(network, environment, splits)`` with each value read as
     its exact ``Fraction`` (a float ``x`` as ``Fraction(x)``), or None
-    where a split is NaN or infinite. ``number`` is the answers' type:
+    where a split is NaN. ``number`` is the answers' type:
     ``Fraction`` where no input is a float, else ``float``.
     """
     from fractions import Fraction
@@ -261,15 +259,8 @@ def _exact_points(params: NetworkParams, env: InfoEnvironment, splits=()) -> tup
     shape = np.broadcast_shapes(*map(np.shape, read))
     elements = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in read)))
     number = float if any(isinstance(v, float) for e in elements for v in e) else Fraction
-    points = []
-    for element in elements:
-        try:
-            fractions = [Fraction(v) for v in element]
-        except (ValueError, OverflowError):  # Fraction(nan), Fraction(inf)
-            points.append(None)
-            continue
-        network, environment = NetworkParams(*fractions[:6]), InfoEnvironment(*fractions[6:9])
-        points.append((network, environment, fractions[9:]))
+    exact = ([Fraction(v) for v in e] if all(v == v for v in e) else None for e in elements)
+    points = [f and (NetworkParams(*f[:6]), InfoEnvironment(*f[6:9]), f[9:]) for f in exact]
     return shape, number, points
 
 
@@ -569,8 +560,7 @@ def best_response(
     _require_equilibrium_type(responder)
     t = EQUILIBRIUM_TYPES.index(responder)
     others = [profile.split(u) for u in EQUILIBRIUM_TYPES if u != responder]
-    for rho in others:
-        _enforce(_SPLIT_RULE, rho)
+    _require_splits(*others)
     shape, number, points = _exact_points(params, env, others)
 
     def solve(network, environment, rho):

@@ -13,7 +13,8 @@ cost is minimized, by the three-way case split on lambda_tilde — the vertex
 of the quadratic that expected social cost follows in the third regime.
 ``verify_theorem1``/``verify_theorem2`` check the monotonicity and
 positivity claims numerically over a grid of lambda values: a tuple of
-scalar environments, one per lambda (``theorem2_grid`` builds one). Each
+scalar environments, one per lambda (``theorem2_grid`` builds one, by
+default of 501 points per regime, the grid that ``verify`` checks). Each
 point is evaluated once, in plain Python, and the two checks of one grid
 share that evaluation. ``lambda_min`` and ``value_report`` also broadcast
 over array-valued environment fields, but nothing here imports numpy: the
@@ -316,18 +317,19 @@ def verify_theorem2(params: NetworkParams, grid: tuple) -> Theorem2Report:
 
 
 def theorem2_grid(
-    params: NetworkParams, env: InfoEnvironment, points_per_regime: int = 2001
+    params: NetworkParams, env: InfoEnvironment, points_per_regime: int = 501
 ) -> tuple:
     """``env`` at each informed fraction of a sorted grid covering all four
     regimes: a tuple of scalar environments, one per lambda, increasing.
 
-    Endpoints land exactly on the boundaries (classified into the closed
-    regimes); the third regime, open on both sides, contributes strictly
-    interior points. Each regime's points are those of ``np.linspace``
-    (``model._linspace``). The result feeds verify_theorem1 and
-    verify_theorem2. Raises ``degenerate_grid`` where the boundaries leave
-    no strictly increasing grid, as where they collapse at a subnormal
-    demand.
+    Each regime has ``points_per_regime`` points, by default the 501 of the
+    ``verify`` subcommand's grid. Endpoints land exactly on the boundaries
+    (classified into the closed regimes); the third regime, open on both
+    sides, contributes strictly interior points. Each regime's points are
+    those of ``np.linspace`` (``model._linspace``). The result feeds
+    verify_theorem1 and verify_theorem2. Raises ``degenerate_grid`` where
+    the boundaries leave no strictly increasing grid, as where they
+    collapse at a subnormal demand.
     """
     _require_uninformative(env)
     _require_perfect_accuracy(env)

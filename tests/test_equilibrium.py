@@ -14,6 +14,8 @@ from routeinfo import (
     EQUILIBRIUM_TYPES,
     InfoEnvironment,
     NetworkParams,
+    PlayerType,
+    State,
     StrategyProfile,
     ValidationError,
     belief_uninformative,
@@ -23,6 +25,7 @@ from routeinfo import (
     expected_route_cost,
     lambda_min,
     marginal_type_dist,
+    realized_population_state_cost,
     regime_boundaries,
     solve_bwe,
     wardrop_residual,
@@ -261,6 +264,37 @@ def test_a_split_outside_the_unit_interval_is_rejected(splits, bad):
         wardrop_residual(PARAMS, _env(), StrategyProfile(*splits))
     assert info.value.code == "split_out_of_range"
     assert str(info.value).endswith(f"got {bad}")
+
+
+#: Every reader of a profile's splits, as a function of the profile. The
+#: best response is Ha's, which reads the L and Hn splits only.
+_PROFILE_READERS = {
+    "wardrop_residual": lambda profile: wardrop_residual(PARAMS, _env(), profile),
+    "best_response": lambda profile: best_response(PARAMS, _env(), profile, PlayerType.HA),
+    "expected_route_cost": lambda profile: expected_route_cost(
+        PARAMS, _env(), belief_uninformative(_env(), PlayerType.L), 1, profile
+    ),
+    "realized_population_state_cost": lambda profile: realized_population_state_cost(
+        PARAMS, _env(), profile, "L", State.NORMAL
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, named",
+    [(1.2, "1.2"), (-0.1, "-0.1"), (np.inf, "inf"), (np.array([0.5, 1.2]), "1.2")],
+    ids=["above", "below", "inf", "array"],
+)
+@pytest.mark.parametrize("reader", list(_PROFILE_READERS))
+def test_every_profile_reader_rejects_a_split_outside_the_unit_interval(reader, bad, named):
+    """Each reader raises split_out_of_range naming the first bad value, in
+    (L, Hn, Ha) order (the Hn split of 2.0 is bad too), not a cost or a
+    negative load; a NaN split still gives NaN."""
+    with pytest.raises(ValidationError) as info:
+        _PROFILE_READERS[reader](StrategyProfile(bad, 2.0, 0.5))
+    assert info.value.code == "split_out_of_range"
+    assert str(info.value).endswith(f"got {named}")
+    assert np.isnan(_PROFILE_READERS[reader](StrategyProfile(0.5, np.nan, 0.5)))
 
 
 def test_profiles_continuous_across_boundaries():

@@ -4,6 +4,7 @@ record base of the value types."""
 import ast
 import dataclasses
 import inspect
+import math
 import textwrap
 from fractions import Fraction
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from routeinfo import (
     validate,
 )
 from routeinfo.model import _Record, fields, replace
+from strategies import rescaled_networks
 
 PARAMS = NetworkParams(
     slope1_normal=1.0,
@@ -251,6 +253,24 @@ def _error(build, **fields):
     return str(exc.value)
 
 
+def _scalar_errors(build, fields) -> list:
+    """The error of ``build`` on scalar fields (None where it succeeds) at
+    each element of the broadcast ``fields``, in C order."""
+    arrays = np.broadcast_arrays(*fields.values())
+    errors = []
+    for index in np.ndindex(arrays[0].shape):
+        try:
+            build(**{name: a.item(index) for name, a in zip(fields, arrays)})
+            errors.append(None)
+        except ValidationError as exc:
+            errors.append(str(exc))
+    return errors
+
+
+def _fractions(values, shape=(-1,)):
+    return np.array([Fraction(v) for v in values], dtype=object).reshape(shape)
+
+
 @pytest.mark.parametrize(
     "build,fields",
     [
@@ -268,15 +288,99 @@ def _error(build, **fields):
             _params,
             dict(slope2=np.array([2.0, 0.5]), demand=np.array([1.0, 5.0])),
         ),
+        # The same, on ``Fraction`` object arrays and scalars.
+        (
+            _params,
+            dict(
+                slope1_normal=Fraction(1), slope1_incident=Fraction(3),
+                intercept1=Fraction(19), intercept2=Fraction(21),
+                slope2=_fractions([2, Fraction(1, 2)]), demand=_fractions([1, 5]),
+            ),
+        ),
+        # A column against a row: element (0, 1) breaks the accuracy rule,
+        # (1, 0) the probability rule and (1, 1) both.
+        (
+            _env,
+            dict(p_incident=np.array([[0.2], [1.5]]), accuracy_high=np.array([1.0, 0.4])),
+        ),
+        # Element (0, 0) breaks the probability rule and the accuracy rule.
+        (
+            _env,
+            dict(
+                p_incident=_fractions([Fraction(3, 2), Fraction(1, 5)], (2, 1)),
+                accuracy_high=_fractions([Fraction(2, 5), 1]),
+            ),
+        ),
+        # Element (1, 0) is the first whose K2 denominator underflows to 0.
+        (
+            lambda **env: derived_constants(_params(**_TINY_SLOPES), _env(**env)),
+            dict(p_incident=np.array([[0.2], [5e-324]]), accuracy_high=np.array([1.0, 0.75])),
+        ),
+        # The demand rule divides by slope1_normal, so it is not evaluated
+        # where the slope ordering fails: at element 1 of an object array,
+        # or at every element of a Python float 0.
+        (_params, dict(slope1_normal=_fractions([1, 0]))),
+        (_params, dict(slope1_normal=0.0, slope1_incident=np.array([3.0, np.inf]))),
     ],
-    ids=["environment", "network"],
+    ids=[
+        "environment", "network", "fraction", "broadcast", "two_rules", "denominator",
+        "zero_slope_element", "zero_slope_scalar",
+    ],
 )
 def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
-    """The error names the first bad element and its first broken rule."""
-    first = {k: v[0].item() for k, v in fields.items()}
-    second = {k: v[1].item() for k, v in fields.items()}
-    assert _error(build, **fields) == _error(build, **first)
-    assert _error(build, **first) != _error(build, **second)
+    """The error names the first bad element in C order and its first
+    broken rule, in the text of that element's scalar construction; the
+    elements' outcomes differ, so another element's would not do."""
+    errors = _scalar_errors(build, fields)
+    assert len(set(errors)) > 1
+    assert _error(build, **fields) == next(e for e in errors if e is not None)
+
+
+@pytest.mark.parametrize("slope", [np.float32(3e30), 3e30], ids=["float32", "python_float"])
+def test_an_array_element_is_checked_in_its_arrays_type(slope):
+    """A float32 demand whose largest latency overflows to inf at element 0
+    in float32, though not in Python floats, with a float32 or Python float
+    incident slope: the array's verdict stands, and the message prints the
+    element's values as Python floats."""
+    f32 = np.float32
+    fields = dict(
+        slope1_normal=f32(1), slope1_incident=slope, slope2=f32(2),
+        intercept1=f32(19), intercept2=f32(21), demand=np.array([3e8, 5], dtype=f32),
+    )
+    assert _error(NetworkParams, **fields) == (
+        "not_finite: need a finite largest latency intercept2 + slope1_incident * demand, "
+        f"got 21.0 + {float(slope)!r} * 300000000.0"
+    )
+    NetworkParams(**{k: np.ravel(v)[0].item() for k, v in fields.items()})
+
+
+#: Factors of a valid network's field: 1 keeps it; the others can break
+#: its orderings, its finiteness, or several rules at once.
+_FACTORS = (1.0, 0.5, 2.0, 0.0, -1.0, math.inf, math.nan)
+
+
+@given(params=rescaled_networks(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_array_network_fails_as_a_loop_over_its_elements(params, data):
+    """Two fields of a valid network become a column and a row of factors
+    times their values, broadcast in 2-D. Construction raises exactly where
+    some element's scalar construction does, with the text of the first
+    such element in C order."""
+    column, row = data.draw(
+        st.lists(st.sampled_from(fields(NetworkParams)), min_size=2, max_size=2, unique=True)
+    )
+    factors = st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3)
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN
+        changed = {
+            column: np.array(data.draw(factors))[:, None] * getattr(params, column),
+            row: np.array(data.draw(factors)) * getattr(params, row),
+        }
+    grid = {**vars(params), **changed}
+    errors = [e for e in _scalar_errors(NetworkParams, grid) if e is not None]
+    if errors:
+        assert _error(NetworkParams, **grid) == errors[0]
+    else:
+        NetworkParams(**grid)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,9 @@ def test_each_subcommand_loads_only_its_modules(sub):
     ``model`` and, when it runs, only the modules its rows need; numpy only
     for an array operand (an invalid input is rejected without it); json
     only when it prints JSON. A run without numpy loads neither
-    ``dataclasses`` nor the ``inspect`` it imports."""
+    ``dataclasses`` nor the ``inspect`` it imports. No run loads
+    ``fractions``: only the exact gap model imports it, when it runs, and
+    ``oracle`` runs the fixed point instead."""
     code = (
         "import contextlib, io, sys\n"
         "from routeinfo.cli import main\n"
@@ -333,6 +335,7 @@ def test_each_subcommand_loads_only_its_modules(sub):
         f"    code = main({sub.split()!r})\n"
         f"print(code); {_LOADED}\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print('fractions' in sys.modules)\n"
     )
     exit_code, loaded, numpy = _RUNS[sub]
     modules = ["cli", "model", *loaded]
@@ -342,6 +345,7 @@ def test_each_subcommand_loads_only_its_modules(sub):
     assert out[:2] == [str(exit_code), f"{expected} {numpy} {json}"]
     if not numpy:
         assert out[2] == "[]"
+    assert out[3] == "False"
 
 
 def test_no_module_imports_dataclasses():
