@@ -11,26 +11,25 @@ Exit codes: 0 success; 1 validation or input problems, or a closed stdout;
 Each interpreter runs one subcommand, so this module loads only ``model`` at
 import, and not numpy; once its input is checked, a run imports the solver
 functions its rows call and binds them to its row builder (``_builder``).
-numpy loads on the first array operand: a ``--sweep`` longer than its
-subcommand's ``_POINTWISE_MAX`` (whose axis is an array), or ``oracle``.
 ``verify`` checks its grid of scalar environments in plain Python (see
-``value``). A single point of the other subcommands is computed, tabulated
-and printed in plain Python, and so is a sweep within that limit, one point
-at a time through the same row builders. Such a sweep computes once what
-does not change along its axis: the network, the bound builder and the
-other environment fields; each point makes its environment and its row's
-values, which the sweep joins into columns. The library keeps what reads
-no lambda, so the points of a lambda sweep share one evaluation of the
-closed forms' constants (see ``equilibrium``), one cost baseline and one
-``lambda_min`` (see ``costs`` and ``value``), and every sweep on one
-network one social optimum. ``import numpy`` costs about 45 ms, so the
-loop beats the import plus one array call up to a number of points that
-the cost of a point sets. A sweep of p or eta_h costs more per point than
-one of lambda, so the p sweep sets each break-even: about 5,800 points for
-``regimes``, 3,900 for ``equilibrium``, 1,400 for ``beliefs`` (its
-``marginal`` treatment), 950 for ``costs`` and 850 for ``value``. Each
-limit stays below its subcommand's break-even; the README tabulates the
-measurements.
+``value``). ``run`` evaluates any other run, from the subcommand and the
+point count alone (a run without ``--sweep`` is one point), one point at a
+time in plain Python through the row builders up to the subcommand's
+``_POINTWISE_MAX`` points, else, and always for ``oracle``, in one array
+call in numpy. A point-by-point sweep computes once what does not change
+along its axis: the network, the bound builder and the other environment
+fields; each point makes its environment and its row's values, which the
+sweep joins into columns. The library keeps what reads no lambda, so the
+points of a lambda sweep share one evaluation of the closed forms'
+constants (see ``equilibrium``), one cost baseline and one ``lambda_min``
+(see ``costs`` and ``value``), and every sweep on one network one social
+optimum. ``import numpy`` costs about 45 ms, so the loop beats the import
+plus one array call up to a number of points that the cost of a point
+sets. A sweep of p or eta_h costs more per point than one of lambda, so
+the p sweep sets each break-even: about 5,800 points for ``regimes``,
+3,900 for ``equilibrium``, 1,400 for ``beliefs`` (its ``marginal``
+treatment), 950 for ``costs`` and 850 for ``value``. Each limit stays
+below its subcommand's break-even; the README tabulates the measurements.
 """
 
 from __future__ import annotations
@@ -98,13 +97,12 @@ _POINTWISE_MAX = {
 
 
 def parse_sweep(text: str) -> tuple:
-    """Parse 'axis:start:stop:points' into (axis, evenly spaced values).
+    """Parse 'axis:start:stop:points' into (axis, start, stop, points).
 
-    The values are those of ``np.linspace(start, stop, points)``: a list of
-    Python floats (``model._linspace``) for at most the largest
-    ``_POINTWISE_MAX`` points, else the array. The axis's valid range is
-    not checked here: the environment built from the sweep checks every
-    value and names the first one out of range.
+    It only parses: the driver that ``run`` picks makes the values of
+    ``np.linspace(start, stop, points)``, as Python floats or as the array.
+    The axis's valid range is not checked here: the environment built from
+    the sweep checks every value and names the first one out of range.
     """
     parts = text.split(":")
     if len(parts) != 4:
@@ -136,16 +134,7 @@ def parse_sweep(text: str) -> tuple:
         raise ValidationError(
             "malformed_sweep", f"sweep needs >= 2 points, got {points}"
         )
-    if points > max(_POINTWISE_MAX.values()):
-        import numpy as np
-
-        try:
-            return axis, np.linspace(start, stop, points)
-        except MemoryError as exc:
-            raise ValidationError(
-                "malformed_sweep", f"sweep of {points} points does not fit in memory"
-            ) from exc
-    return axis, _linspace(start, stop, points)
+    return axis, start, stop, points
 
 
 def parse_config_file(path: str) -> dict:
@@ -194,8 +183,14 @@ def _build_instance(config: dict, sweep: tuple | None = None) -> tuple:
     if sweep is not None:
         import numpy as np
 
-        axis, values = sweep
-        config = {**config, axis: np.asarray(values)}
+        axis, start, stop, points = sweep
+        try:
+            values = np.linspace(start, stop, points)
+        except MemoryError as exc:
+            raise ValidationError(
+                "malformed_sweep", f"sweep of {points} points does not fit in memory"
+            ) from exc
+        config = {**config, axis: values}
     return _network(config), _environment(config)
 
 
@@ -211,15 +206,11 @@ def _echo(env: InfoEnvironment) -> dict:
 
 
 def _table(columns: dict) -> dict:
-    """The row values of one call as 1-D columns, one element per point.
+    """The row values of one array call as 1-D numpy columns, one element
+    per point; a scalar value becomes a read-only broadcast view that costs
+    no memory."""
+    import numpy as np
 
-    With an array among them every column is a 1-D numpy array, a scalar a
-    read-only broadcast view that costs no memory; with none (a single
-    point), each column is a one-element list.
-    """
-    np = _numpy(*columns.values())
-    if np is None:
-        return {name: [value] for name, value in columns.items()}
     cells = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns.values()))
     return dict(zip(columns, cells))
 
@@ -449,8 +440,8 @@ def _write(emit, out: str | None) -> None:
 def _run_verify(config: dict) -> tuple:
     from .value import theorem2_grid, verify_theorem1, verify_theorem2
 
-    params, env = _build_instance(config)
-    grid = theorem2_grid(params, env)
+    params = _network(config)
+    grid = theorem2_grid(params, _environment(config))
     t1 = verify_theorem1(params, grid)
     t2 = verify_theorem2(params, grid)
     payload = {
@@ -462,8 +453,9 @@ def _run_verify(config: dict) -> tuple:
     return payload, (0 if payload["passed"] else 2)
 
 
-def _rows_by_point(subcommand: str, config: dict, sweep: tuple) -> dict:
-    """The table of ``subcommand``'s rows at ``sweep``, one point at a time.
+def _rows_by_point(subcommand: str, config: dict, sweep: tuple | None) -> dict:
+    """The table of ``subcommand``'s rows at ``sweep``'s points (made by
+    ``model._linspace``), or at ``config`` alone, one point at a time.
 
     The network is built once, and every point's environment before any
     row, from the fixed fields gathered once, so an invalid point raises
@@ -475,15 +467,18 @@ def _rows_by_point(subcommand: str, config: dict, sweep: tuple) -> dict:
     NaN, which prints as the float does, and it does so at every point of
     the column, since the optimum reads only the network.
     """
-    axis, values = sweep
     params = _network(config)
-    p, lam, eta_h, eta_l = (config[key] for key in _ENV_FIELDS)
-    point = {
-        "lambda": lambda v: InfoEnvironment(p, v, eta_h, eta_l),
-        "p": lambda v: InfoEnvironment(v, lam, eta_h, eta_l),
-        "eta_h": lambda v: InfoEnvironment(p, lam, v, eta_l),
-    }[axis]
-    envs = [point(value) for value in values]
+    if sweep is None:
+        envs = [_environment(config)]
+    else:
+        axis, start, stop, points = sweep
+        p, lam, eta_h, eta_l = (config[key] for key in _ENV_FIELDS)
+        point = {
+            "lambda": lambda v: InfoEnvironment(p, v, eta_h, eta_l),
+            "p": lambda v: InfoEnvironment(v, lam, eta_h, eta_l),
+            "eta_h": lambda v: InfoEnvironment(p, lam, v, eta_l),
+        }[axis]
+        envs = [point(value) for value in _linspace(start, stop, points)]
     build = _builder(subcommand, config.get("treatment", "uninformative"))
     rows = [build(params, env) for env in envs]
     if subcommand == "beliefs":
@@ -499,9 +494,10 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
     ``config`` holds the ten parameter keys plus optional ``format``
     (csv|json, default csv; ``verify`` prints JSON and rejects csv), ``out``
     (path, default stdout), and ``treatment`` (beliefs subcommand only).
-    ``sweep`` is an (axis, values) pair from ``parse_sweep``. A list of at
-    most ``_POINTWISE_MAX[subcommand]`` values is evaluated one point at a
-    time; other values, ``oracle``'s among them, in one array call.
+    ``sweep`` is ``parse_sweep``'s (axis, start, stop, points), or None
+    for one point. A run of at most ``_POINTWISE_MAX[subcommand]`` points
+    is evaluated one point at a time; any other, ``oracle``'s among them,
+    in one array call.
     """
     fmt = config.get("format", "csv")
     out = config.get("out")
@@ -521,8 +517,7 @@ def run(subcommand: str, config: dict, sweep: tuple | None = None) -> int:
 
     if subcommand not in _SUBCOMMANDS:
         raise ValidationError("unknown_subcommand", f"no subcommand {subcommand!r}")
-    limit = _POINTWISE_MAX.get(subcommand, 0)
-    if sweep is not None and isinstance(sweep[1], list) and len(sweep[1]) <= limit:
+    if (1 if sweep is None else sweep[3]) <= _POINTWISE_MAX.get(subcommand, 0):
         table = _rows_by_point(subcommand, config, sweep)
     else:
         params, env = _build_instance(config, sweep)

@@ -168,6 +168,19 @@ def _record_init(cls, names: tuple, defaults: dict):
     return init
 
 
+def _trusted(cls, *values):
+    """A ``cls`` record of ``values`` by position, its defaults after them,
+    built without ``_validate``: for an image of a checked record's fields
+    (such as their exact ``Fraction`` values), whose rules were decided on
+    the fields as given and are not decided again."""
+    record = object.__new__(cls)
+    given = dict(zip(cls._fields, values))
+    record.__dict__.update(
+        {name: given[name] if name in given else getattr(cls, name) for name in cls._fields}
+    )
+    return record
+
+
 def fields(record) -> tuple:
     """The field names of a record or record class, in order."""
     cls = record if isinstance(record, type) else type(record)
@@ -375,7 +388,9 @@ def _enforce(rules, *values) -> None:
     ``holds`` and ``message`` take ``values`` by position. The error names
     the first element (in C order) that breaks any rule, at the first rule
     it breaks, with that element's values, as a loop over elements would.
-    A rule is evaluated once, in the values' types, where those before it hold.
+    A rule is evaluated once, in the values' types, where those before it
+    hold. Values that do not broadcast together raise ``shape_mismatch``;
+    values of an empty shape have no element, so they break no rule.
     """
     np = _numpy(*values)
     if np is None:
@@ -383,13 +398,21 @@ def _enforce(rules, *values) -> None:
             if not holds(*values):
                 raise ValidationError(code, message(*values))
         return
+    try:
+        shape = np.broadcast(*values).shape
+    except ValueError:
+        shapes = [np.shape(v) for v in values]
+        raise ValidationError(
+            "shape_mismatch", f"fields must broadcast to one shape, got shapes {shapes}"
+        ) from None
+    if 0 in shape:
+        return
     # A rule may overflow on the values it rejects, where numpy would warn.
     with np.errstate(all="ignore"):
         verdicts = (np.asarray(holds(*values)) for _, holds, _ in rules)
         k, held = next(((k, v) for k, v in enumerate(verdicts) if not v.all()), (0, None))
         if held is None:
             return
-        shape = np.broadcast_shapes(*map(np.shape, values))
         end, broken = int(np.argmin(np.broadcast_to(held, shape))), rules[k]
         flat = [np.broadcast_to(v, shape).ravel() if np.ndim(v) else v for v in values]
         for rule in rules[k + 1 :]:
@@ -410,7 +433,8 @@ def validate(params: NetworkParams | None, env: InfoEnvironment | None):
     ValidationError with a distinct code per violated rule: ``not_finite``,
     ``slope_ordering``, ``intercept_ordering``, ``demand_too_small``,
     ``probability_out_of_range``, ``accuracy_out_of_range``. For array
-    fields the message names the first offending element (see ``_enforce``).
+    fields the message names the first offending element, and fields that
+    do not broadcast together raise ``shape_mismatch`` (see ``_enforce``).
     Construction of ``NetworkParams`` and ``InfoEnvironment`` calls this on
     itself.
     """

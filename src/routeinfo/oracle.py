@@ -62,6 +62,7 @@ from .model import (
     _require_scalar,
     _require_splits,
     _require_uninformative,
+    _trusted,
     _type_masses,
     fields,
     replace,
@@ -260,7 +261,13 @@ def _exact_points(params: NetworkParams, env: InfoEnvironment, splits=()) -> tup
     elements = list(zip(*(np.broadcast_to(v, shape).ravel().tolist() for v in read)))
     number = float if any(isinstance(v, float) for e in elements for v in e) else Fraction
     exact = ([Fraction(v) for v in e] if all(v == v for v in e) else None for e in elements)
-    points = [f and (NetworkParams(*f[:6]), InfoEnvironment(*f[6:9]), f[9:]) for f in exact]
+    # The records were checked on the fields as given; their exact images
+    # are not checked again, since a float rule can round to hold where the
+    # exact one fails (demand_too_small's quotient).
+    points = [
+        f and (_trusted(NetworkParams, *f[:6]), _trusted(InfoEnvironment, *f[6:9]), f[9:])
+        for f in exact
+    ]
     return shape, number, points
 
 

@@ -57,20 +57,12 @@ def _run(capsys, argv):
 
 
 def _run_by(capsys, monkeypatch, driver, argv):
-    """``_run(capsys, argv)`` with its sweep evaluated by ``driver``, whatever
-    its length: "point" one point at a time, "array" in one array call. Both
-    get the values ``parse_sweep`` makes, as a list or as an array."""
-    parse = routeinfo.cli.parse_sweep
-
-    def parse_for(text):
-        axis, values = parse(text)
-        values = np.asarray(values)
-        return axis, values.tolist() if driver == "point" else values
-
+    """``_run(capsys, argv)`` evaluated by ``driver``, whatever its length:
+    "point" one point at a time, "array" in one array call, forced through
+    the subcommand's ``_POINTWISE_MAX`` alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(routeinfo.cli, "parse_sweep", parse_for)
-        if driver == "point":
-            patch.setitem(routeinfo.cli._POINTWISE_MAX, argv[0], math.inf)
+        limit = math.inf if driver == "point" else 0
+        patch.setitem(routeinfo.cli._POINTWISE_MAX, argv[0], limit)
         return _run(capsys, argv)
 
 
@@ -568,6 +560,35 @@ def test_point_and_array_drivers_print_the_same(capsys, monkeypatch, base, sweep
     assert point[0] == int(fails)
 
 
+@pytest.mark.parametrize("sub", [*_POINTWISE_MAX, "oracle"])
+def test_run_picks_the_driver_from_the_point_count_alone(capsys, monkeypatch, sub):
+    """A single point, and a sweep of at most the subcommand's
+    ``_POINTWISE_MAX`` points, run one point at a time (``_rows_by_point``);
+    a sweep of one more point runs in one array call (``_build_instance``).
+    ``oracle`` has no limit: a single point and any sweep are one array
+    call."""
+    ran = []
+    for name in ("_rows_by_point", "_build_instance"):
+        fn = getattr(routeinfo.cli, name)
+
+        def spy(*args, fn=fn, name=name):
+            ran.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(routeinfo.cli, name, spy)
+    limit = _POINTWISE_MAX.get(sub)
+    sweeps = [[], ["--sweep", "lambda:0:1:2"]]
+    if limit is not None:
+        sweeps[1:] = [["--sweep", f"lambda:0:1:{n}"] for n in (limit, limit + 1)]
+    drivers = []
+    for sweep in sweeps:
+        del ran[:]
+        assert _run(capsys, [sub, *sweep])[0] == 0, sweep
+        drivers.append(ran[:])
+    point, array = ["_rows_by_point"], ["_build_instance"]
+    assert drivers == ([array, array] if limit is None else [point, point, array])
+
+
 def _first_above_one(points: int) -> str:
     """The first value above 1 of ``--sweep eta_h:0.7:1.3:points``."""
     return repr(next(v for v in np.linspace(0.7, 1.3, points).tolist() if v > 1))
@@ -671,7 +692,7 @@ def test_a_lambda_sweep_evaluates_once_and_a_p_sweep_at_every_point(
             del calls[:]
         sweep = f"{axis}:{span}:40"
         assert _run(capsys, [sub, "--sweep", sweep])[0] == 0
-        values = parse_sweep(sweep)[1]
+        values = _linspace(*parse_sweep(sweep)[1:])
         evaluated = [getattr(env, field) for _, env in counts["_evaluate"]]
         assert evaluated == (values[:1] if axis == "lambda" else values), axis
         once_or_each = len(evaluated)
@@ -861,37 +882,33 @@ def _bits(values):
 
 
 def test_sweep_values_are_the_bits_of_linspace():
-    """A sweep of at most the largest ``_POINTWISE_MAX`` points gets its
-    values as Python floats, bit for bit those of ``np.linspace``, which a
-    longer sweep gets: at drawn bounds for every length up to 400 and for
-    drawn lengths up to the largest limit, and where the step underflows
-    to 0. ``model._linspace``, which makes them, also matches
-    ``np.linspace(..., endpoint=False)`` there."""
+    """``parse_sweep`` returns the parsed (axis, start, stop, points), and
+    ``model._linspace``, which makes the values of a sweep evaluated one
+    point at a time, gives bit for bit those of ``np.linspace``, which
+    makes the values of an array call: at drawn bounds for every length up
+    to 400 and for drawn lengths up to the largest limit, and where the step
+    underflows to 0. It also matches ``np.linspace(..., endpoint=False)``
+    there."""
     rng = random.Random(32)
     longest = max(_POINTWISE_MAX.values())
     for n in [*range(2, 401), *sorted(rng.sample(range(401, longest), 40)), longest]:
         scale = 10.0 ** rng.randint(-320, 300)
         start = rng.uniform(-1.0, 1.0) * scale
         stop = max(start + rng.uniform(0.0, 2.0) * scale, math.nextafter(start, math.inf))
-        axis, values = parse_sweep(f"p:{start!r}:{stop!r}:{n}")
-        assert (axis, type(values)) == ("p", list)
-        assert _bits(values) == _bits(np.linspace(start, stop, n).tolist()), (start, stop, n)
+        assert parse_sweep(f"p:{start!r}:{stop!r}:{n}") == ("p", start, stop, n)
+        linspace = np.linspace(start, stop, n).tolist()
+        assert _bits(_linspace(start, stop, n)) == _bits(linspace), (start, stop, n)
         open_end = np.linspace(start, stop, n, endpoint=False).tolist()
         assert _bits(_linspace(start, stop, n, endpoint=False)) == _bits(open_end), (start, stop, n)
-    axis, values = parse_sweep(f"lambda:0:1:{longest + 1}")
-    assert isinstance(values, np.ndarray) and len(values) == longest + 1
+    assert parse_sweep(f"lambda:0:1:{longest + 1}") == ("lambda", 0.0, 1.0, longest + 1)
     for text in ("lambda:0:5e-324:3", "lambda:0:1e-323:6"):
-        _, start, stop, n = text.split(":")
-        linspace = np.linspace(float(start), float(stop), int(n)).tolist()
-        assert _bits(parse_sweep(text)[1]) == _bits(linspace), text
-        open_end = np.linspace(float(start), float(stop), int(n), endpoint=False).tolist()
-        assert _bits(_linspace(float(start), float(stop), int(n), endpoint=False)) == _bits(
-            open_end
-        ), text
+        _, start, stop, n = parse_sweep(text)
+        linspace = np.linspace(start, stop, n).tolist()
+        assert _bits(_linspace(start, stop, n)) == _bits(linspace), text
+        open_end = np.linspace(start, stop, n, endpoint=False).tolist()
+        assert _bits(_linspace(start, stop, n, endpoint=False)) == _bits(open_end), text
     # Where the step underflows to 0, numpy scales i / div by the span.
-    assert _bits(parse_sweep("lambda:0:1e-323:6")[1]) == _bits(
-        [0.0, 0.0, 5e-324, 5e-324, 1e-323, 1e-323]
-    )
+    assert _bits(_linspace(0.0, 1e-323, 6)) == _bits([0.0, 0.0, 5e-324, 5e-324, 1e-323, 1e-323])
     assert _bits(_linspace(0.0, 1e-323, 6, endpoint=False)) == _bits(
         [0.0, 0.0, 5e-324, 5e-324, 5e-324, 1e-323]
     )
@@ -925,6 +942,22 @@ def test_a_sweep_too_long_for_memory_exits_one(capsys, monkeypatch):
     code, out, err = _run(capsys, ["regimes", "--sweep", f"lambda:0:1:{points}"])
     message = f"malformed_sweep: sweep of {points} points does not fit in memory"
     assert (code, out, err, asked) == (1, "", f"error: {message}\n", [points])
+
+
+def test_verify_rejects_a_sweep_before_making_its_values(capsys, monkeypatch):
+    """``verify`` takes no ``--sweep``, however long: it is rejected before
+    either driver makes a value, so one too long for memory gets the same
+    error as any other."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a sweep's values were made")
+
+    monkeypatch.setattr(np, "linspace", never)
+    monkeypatch.setattr(routeinfo.cli, "_linspace", never)
+    message = "malformed_sweep: verify checks one point and takes no --sweep"
+    for points in (5, max(_POINTWISE_MAX.values()) + 1):
+        code, out, err = _run(capsys, ["verify", "--sweep", f"lambda:0:1:{points}"])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), points
 
 
 #: Slopes 0.3, 3 and 0.6, intercepts 0 and demand 5e-324: the social

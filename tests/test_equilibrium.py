@@ -732,6 +732,38 @@ def test_pattern_table_and_best_responses_near_the_float_maximum():
         assert abs(best_response(params, env, closed, t) - closed.split(t)) <= 1e-9, t
 
 
+#: Networks whose demand passes the float rule d > (b2 - b1) / a1n, which
+#: rounds twice, but fails the exact one: d is the next float above the
+#: float quotient. As (b1, b2, a1n, d), with slopes a1n, 4.5 a1n, 1.5 a1n.
+_DEMANDS_ONLY_FLOATS_ACCEPT = [
+    (1.3297538909118545, 3.8553237907273266, 1.4933894938775938, 1.6911662430795709),
+    (0.5114692623510808, 4.741865594342126, 0.6896415495360412, 6.134195851217288),
+    (0.3077662426629657, 4.343841531433881, 1.8833562343946668, 2.1430227670487194),
+]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("b1,b2,a1n,d", _DEMANDS_ONLY_FLOATS_ACCEPT)
+def test_exact_readers_accept_every_network_that_construction_accepts(b1, b2, a1n, d, lam):
+    """The exact readers decide no rule again on the fields' exact values,
+    so a network that construction accepts is answered, even where the
+    exact demand rule fails: the table accepts the closed form's pattern
+    alone, which routes its loads, and each type's best response to the
+    closed form is its own split."""
+    assert not Fraction(d) > (Fraction(b2) - Fraction(b1)) / Fraction(a1n)
+    params = NetworkParams(a1n, 4.5 * a1n, 1.5 * a1n, b1, b2, d)
+    env = _env(lam=lam)
+    closed = solve_bwe(params, env)
+    pattern = tuple(
+        "0" if s == 0 else "1" if s == 1 else "int" for s in map(closed.split, EQUILIBRIUM_TYPES)
+    )
+    marked = [v.pattern for v in enumerate_profiles(params, env) if v.is_equilibrium]
+    assert marked == [pattern]
+    _assert_table_routes_the_closed_form(params, env, closed)
+    for t in EQUILIBRIUM_TYPES:
+        assert abs(best_response(params, env, closed, t) - closed.split(t)) <= 1e-9, t
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.8, 1.0])
 def test_pattern_table_and_best_responses_at_a_subnormal_demand(lam):
     """With demand 1e-310 and slopes near 1e300, slope times demand is

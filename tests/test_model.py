@@ -28,6 +28,7 @@ from routeinfo import (
     latency,
     realized_population_state_cost,
     route_slope,
+    solve_bwe,
     theorem2_grid,
     validate,
 )
@@ -334,6 +335,43 @@ def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
     errors = _scalar_errors(build, fields)
     assert len(set(errors)) > 1
     assert _error(build, **fields) == next(e for e in errors if e is not None)
+
+
+@pytest.mark.parametrize(
+    "build,fields,shapes",
+    [
+        (
+            _env,
+            dict(p_incident=np.array([0.2, 0.3]), frac_informed=np.array([0.1, 0.2, 0.3])),
+            "[(2,), (3,), (), ()]",
+        ),
+        (
+            _params,
+            dict(slope2=np.array([2.0, 2.5]), demand=np.array([5.0, 6.0, 7.0])),
+            "[(), (), (2,), (), (), (3,)]",
+        ),
+    ],
+    ids=["environment", "network"],
+)
+def test_fields_that_do_not_broadcast_are_a_shape_mismatch(build, fields, shapes):
+    """Array fields whose shapes do not broadcast together are rejected at
+    construction with ``shape_mismatch``, which names the fields' shapes in
+    order, not with numpy's broadcast error, then or at the first solver."""
+    assert _error(build, **fields) == (
+        f"shape_mismatch: fields must broadcast to one shape, got shapes {shapes}"
+    )
+
+
+def test_fields_of_an_empty_shape_break_no_rule():
+    """Fields that broadcast to an empty shape have no element, so, as a
+    loop over their elements would, they break no rule, whatever the scalar
+    fields beside them; the closed forms then answer empty arrays."""
+    env = InfoEnvironment(np.array([]), 0.5, 0.4)
+    assert env.p_incident.shape == (0,) and env.accuracy_high == 0.4
+    params = _params(slope2=0.5, demand=np.empty((2, 0)))
+    assert params.demand.shape == (2, 0)
+    profile = solve_bwe(PARAMS, InfoEnvironment(np.array([]), 0.5, 1.0))
+    assert [np.shape(v) for v in vars(profile).values()] == [(0,)] * 4
 
 
 @pytest.mark.parametrize("slope", [np.float32(3e30), 3e30], ids=["float32", "python_float"])
