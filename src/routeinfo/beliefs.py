@@ -47,7 +47,6 @@ from .model import (
     _population_demands,
     _Record,
     _require_equilibrium_type,
-    _require_splits,
     _require_uninformative,
     _route_load,
     _SIGNALS,
@@ -200,11 +199,8 @@ def expected_route_cost(
     otherwise. Within a state each population receives one common signal, so
     its entire demand moves as one type realization. Split fractions come from
     ``profile.split``, which maps ``LN``/``LA`` to the uninformed split. The
-    sum is ``_interim_cost`` over ``_informed_weights(belief)``. Every split
-    must lie in [0, 1] or be NaN (which gives NaN); otherwise
-    ``split_out_of_range`` names the first value outside, in (L, Hn, Ha)
-    order, as in ``oracle.wardrop_residual``.
+    sum is ``_interim_cost`` over ``_informed_weights(belief)``; a NaN split
+    gives NaN.
     """
-    _require_splits(profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     demands = _population_demands(params, env)
     return _interim_cost(params, demands, _informed_weights(belief), profile, route)

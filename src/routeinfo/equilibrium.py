@@ -56,6 +56,7 @@ from .model import (
     _lambda_free_key,
     _Record,
     _require_uninformative,
+    _trusted,
     _where,
     _zeros_like,
     marginal_type_dist,
@@ -219,4 +220,4 @@ def solve_bwe(params: NetworkParams, env: InfoEnvironment) -> StrategyProfile:
     rows = _ieee(table, uninformed, informed)
     rho_l, rho_hn, rho_ha = (_clip(r, 0, 1) for r in _choose(regime, rows))
     empty = (regime == 3) & (lam == 1)
-    return StrategyProfile(*_as_results(rho_l, rho_hn, rho_ha, empty))
+    return _trusted(StrategyProfile, *_as_results(rho_l, rho_hn, rho_ha, empty))

@@ -13,10 +13,10 @@ that lists its fields as class annotations. A record is built from its
 fields by position or keyword, compares and hashes as the tuple of its
 fields, and cannot be changed after construction; ``fields`` names a
 record's fields in order and ``replace(record, **changes)`` builds a copy
-with some of them changed. ``NetworkParams`` and ``InfoEnvironment`` check
-the model's orderings whenever one is built, ``replace`` included, and raise
-``ValidationError`` on any violation, so an invalid network or environment
-never exists and no function downstream re-checks one. Every operation is
+with some of them changed. ``NetworkParams``, ``InfoEnvironment`` and
+``StrategyProfile`` check their rules whenever one is built, ``replace``
+included, and raise ``ValidationError`` on any violation, so no invalid
+one exists and no function downstream re-checks one. Every operation is
 a pure function, so everything here is safe for unrestricted concurrent
 use. Any field may be a numpy array, the fields broadcasting
 against each other: the closed forms of ``equilibrium``, ``costs`` and
@@ -117,7 +117,7 @@ class _Record:
             elif defaults:
                 raise TypeError(f"non-default argument {name!r} follows default argument")
         cls._fields = names
-        cls.__init__ = _record_init(cls, names, defaults)
+        cls.__init__, cls._fill = _record_init(cls, names, defaults)
 
     def _validate(self) -> None:
         """Check the fields of a new record; no rule by default."""
@@ -144,13 +144,14 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _record_init(cls, names: tuple, defaults: dict):
-    """``cls.__init__``, with one parameter per field, as ``collections.namedtuple``
-    and ``dataclasses`` write theirs: the interpreter then binds the
-    arguments and raises its own ``TypeError`` for a bad call. The fields
-    are stored in field order by one update of the instance ``__dict__``,
-    which ``__setattr__`` does not guard, so that the records of a class
-    share one attribute layout and a field reads fast."""
+def _record_init(cls, names: tuple, defaults: dict) -> tuple:
+    """``(cls.__init__, cls._fill)``, with one parameter per field, as
+    ``collections.namedtuple`` and ``dataclasses`` write theirs: the
+    interpreter binds the arguments and raises its own ``TypeError`` for a
+    bad call. Both store the fields in field order by one update of the
+    instance ``__dict__``, which ``__setattr__`` does not guard, so that the
+    records of a class share one attribute layout and a field reads fast;
+    ``__init__`` then calls an overridden ``_validate``."""
     scope, params = {}, ["self"]
     for i, name in enumerate(names):
         if name in defaults:
@@ -159,25 +160,22 @@ def _record_init(cls, names: tuple, defaults: dict):
         else:
             params.append(name)
     stored = ", ".join(f"{name}={name}" for name in names)
-    body = [f"    self.__dict__.update({stored})\n"] if names else []
-    if cls._validate is not _Record._validate:
-        body.append("    self._validate()\n")
-    exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}", scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    store = f"    self.__dict__.update({stored})\n" if names else "    pass\n"
+    check = "    self._validate()\n" if cls._validate is not _Record._validate else ""
+    signature = ", ".join(params)
+    exec(f"def __init__({signature}):\n{store}{check}\ndef _fill({signature}):\n{store}", scope)
+    for name in ("__init__", "_fill"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    return scope["__init__"], scope["_fill"]
 
 
 def _trusted(cls, *values):
     """A ``cls`` record of ``values`` by position, its defaults after them,
-    built without ``_validate``: for an image of a checked record's fields
-    (such as their exact ``Fraction`` values), whose rules were decided on
-    the fields as given and are not decided again."""
+    built by ``_fill`` without ``_validate``: for fields whose rules hold by
+    construction, such as the exact images of a checked record's fields or
+    the splits the library computes, and are not decided again."""
     record = object.__new__(cls)
-    given = dict(zip(cls._fields, values))
-    record.__dict__.update(
-        {name: given[name] if name in given else getattr(cls, name) for name in cls._fields}
-    )
+    cls._fill(record, *values)
     return record
 
 
@@ -192,9 +190,8 @@ def fields(record) -> tuple:
 def replace(record, **changes):
     """A new record of ``record``'s class: its fields with ``changes`` applied.
 
-    It is built through the class's ``__init__``, so a changed
-    ``NetworkParams`` or ``InfoEnvironment`` is validated again, and a name
-    that is no field raises ``TypeError``.
+    It is built through the class's ``__init__``, so a record with rules is
+    validated again, and a name that is no field raises ``TypeError``.
     """
     return record.__class__(**{**vars(record), **changes})
 
@@ -293,12 +290,22 @@ class StrategyProfile(_Record):
     ``l_population_empty`` marks profiles produced for lambda = 1, where no
     uninformed players exist and ``rho_L`` is a 0.0 placeholder rather than
     an equilibrium quantity.
+
+    Construction raises ``split_out_of_range`` unless every split lies in
+    [0, 1] or is NaN, naming the first value outside in (L, Hn, Ha) order,
+    and ``shape_mismatch`` unless the splits broadcast together.
     """
 
     rho_L: float
     rho_Hn: float
     rho_Ha: float
     l_population_empty: bool = False
+
+    def _validate(self) -> None:
+        rhos = self.rho_L, self.rho_Hn, self.rho_Ha
+        _enforce((), *rhos)
+        for rho in rhos:
+            _enforce(_SPLIT_RULE, rho)
 
     def split(self, t: PlayerType):
         try:
@@ -482,11 +489,6 @@ _PERFECT_ACCURACY_RULE = (
 
 def _require_uninformative(env: InfoEnvironment) -> None:
     _enforce(_UNINFORMATIVE_RULE, env.accuracy_low)
-
-
-def _require_splits(*rhos) -> None:
-    for rho in rhos:
-        _enforce(_SPLIT_RULE, rho)
 
 
 def _require_perfect_accuracy(env: InfoEnvironment) -> None:

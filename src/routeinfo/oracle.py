@@ -60,7 +60,6 @@ from .model import (
     _Record,
     _require_equilibrium_type,
     _require_scalar,
-    _require_splits,
     _require_uninformative,
     _trusted,
     _type_masses,
@@ -179,10 +178,7 @@ def wardrop_residual(params: NetworkParams, env: InfoEnvironment, profile):
     available, with costs taken in expectation under that type's own belief
     weights (``_type_gaps``). A profile is an epsilon-equilibrium exactly
     when the residual is <= epsilon; the residual is NaN where a split is.
-    Every split must lie in [0, 1] or be NaN; otherwise ``split_out_of_range``
-    names the first value that breaks it, in (L, Hn, Ha) order.
     """
-    _require_splits(profile.rho_L, profile.rho_Hn, profile.rho_Ha)
     demands = _population_demands(params, env)
     masses = _type_masses(env)
     defects = []
@@ -224,9 +220,11 @@ _FAILURES = {
     "1": "strictly prefers route 2",
 }
 
-#: The four probe profiles (origin, e_L, e_Hn, e_Ha) as (rho_L, rho_Hn,
-#: rho_Ha). Integers, so that ``Fraction`` gaps stay exact.
-_GAP_PROBES = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+#: The four probe profiles (origin, e_L, e_Hn, e_Ha). Integer splits, so
+#: that ``Fraction`` gaps stay exact.
+_GAP_PROBES = tuple(
+    _trusted(StrategyProfile, *p) for p in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+)
 
 
 def _owner_gaps(params: NetworkParams, env: InfoEnvironment, owner: PlayerType) -> tuple:
@@ -236,7 +234,7 @@ def _owner_gaps(params: NetworkParams, env: InfoEnvironment, owner: PlayerType) 
     fields every coefficient is exact: no unit, no rounding."""
     demands = _population_demands(params, env)
     weights = _informed_weights(belief_uninformative(env, owner))
-    g0, *ends = [_type_gaps(params, demands, weights, StrategyProfile(*p)) for p in _GAP_PROBES]
+    g0, *ends = [_type_gaps(params, demands, weights, probe) for probe in _GAP_PROBES]
     return g0, [g - g0 for g in ends]
 
 
@@ -446,14 +444,14 @@ def enumerate_profiles(params: NetworkParams, env: InfoEnvironment) -> list:
     for pattern, column in zip(_PATTERNS, zip(*tables)):
         notes, splits = zip(*column)
         if shape == ():
-            profile = StrategyProfile(*map(number, splits[0])) if splits[0] else None
+            profile = _trusted(StrategyProfile, *map(number, splits[0])) if splits[0] else None
             verdicts.append(ProfileVerdict(pattern, not notes[0], profile, notes[0]))
             continue
         rows = np.array(
             [list(map(number, split)) if split else [np.nan] * 3 for split in splits],
             dtype=float if number is float else object,
         )
-        profile = StrategyProfile(*(rows[:, j].reshape(shape) for j in range(3)))
+        profile = _trusted(StrategyProfile, *(rows[:, j].reshape(shape) for j in range(3)))
         ok = np.array([not note for note in notes]).reshape(shape)
         verdicts.append(ProfileVerdict(pattern, ok, profile, np.array(notes).reshape(shape)))
     return verdicts
@@ -491,7 +489,7 @@ def _gap_lines(params, demands, weights, probes, rho):
     """
     where = _OTHER_SPLITS.reshape(_OTHER_SPLITS.shape + (1,) * (probes.ndim - 2))
     np.copyto(probes, rho[:, None, None], where=where)
-    gaps = _type_gaps(params, demands, weights, StrategyProfile(*probes))
+    gaps = _type_gaps(params, demands, weights, _trusted(StrategyProfile, *probes))
     return gaps[:, 0], gaps[:, 1] - gaps[:, 0]
 
 
@@ -557,9 +555,7 @@ def best_response(
     indifference). Inputs broadcast and are solved an element at a time, as
     the pattern table is, at a few hundred microseconds each: a ``Fraction``
     where no input is a float, else the nearest float; NaN where another
-    type's split is NaN. Another type's split outside [0, 1], infinite ones
-    included, raises ``split_out_of_range``, as in ``wardrop_residual``. The
-    responder's own split is not read.
+    type's split is NaN. The responder's own split is not read.
     """
     from fractions import Fraction
 
@@ -567,7 +563,6 @@ def best_response(
     _require_equilibrium_type(responder)
     t = EQUILIBRIUM_TYPES.index(responder)
     others = [profile.split(u) for u in EQUILIBRIUM_TYPES if u != responder]
-    _require_splits(*others)
     shape, number, points = _exact_points(params, env, others)
 
     def solve(network, environment, rho):
@@ -671,8 +666,8 @@ def solve_fixed_point(
         rho = np.clip(rho + boost * delta, 0.0, 1.0)
 
     final[:, live] = rho
-    profile = StrategyProfile(
-        *_as_results(*final.reshape((-1,) + shape), env.frac_informed == 1)
+    profile = _trusted(
+        StrategyProfile, *_as_results(*final.reshape((-1,) + shape), env.frac_informed == 1)
     )
     if done.all():  # the loop ended on the break, not on max_iters
         return profile
@@ -750,7 +745,7 @@ def grid_scan(
 
     def accepted_slabs():
         for i, rho_l in enumerate(axis):
-            r = wardrop_residual(params, env, StrategyProfile(rho_l, grid_hn, grid_ha))
+            r = wardrop_residual(params, env, _trusted(StrategyProfile, rho_l, grid_hn, grid_ha))
             accepted = r <= epsilon
             cells.append(np.insert(np.argwhere(accepted), 0, i, axis=1))
             residuals.append(r[accepted])

@@ -29,12 +29,19 @@ import routeinfo.value
 from routeinfo import (
     InfoEnvironment,
     NetworkParams,
+    OracleConfig,
     OracleConvergenceError,
+    PlayerType,
     StrategyProfile,
+    best_response,
     classify,
     cost_report,
+    enumerate_profiles,
+    grid_scan,
     social_optimum,
     solve_bwe,
+    solve_fixed_point,
+    value_report,
 )
 from routeinfo.cli import _BLOCK_ROWS, _POINTWISE_MAX, DEFAULTS, _builder, main, parse_sweep
 from routeinfo.model import _linspace, replace
@@ -396,8 +403,9 @@ def test_oracle_deviation_is_the_largest_split_shift(capsys, monkeypatch, delta,
 
 
 def test_oracle_ignores_a_zero_mass_type(capsys, monkeypatch):
-    """At lambda = 1 the uninformed population is empty: its split is free."""
-    _oracle_shifting(monkeypatch, "rho_L", 0.5)
+    """At lambda = 1 the uninformed population is empty: its split is free,
+    so raising its placeholder 0 to 0.5 deviates by nothing."""
+    _oracle_shifting(monkeypatch, "rho_L", -0.5)
     code, out, err = _run(capsys, ["oracle", "--lambda", "1", "--format", "json"])
     assert code == 0
     assert json.loads(out)[0]["deviation"] == 0.0
@@ -413,6 +421,44 @@ def test_oracle_without_a_fixed_point_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(routeinfo.oracle, "solve_fixed_point", stuck)
     code, out, err = _run(capsys, ["oracle"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_the_library_builds_its_profiles_unchecked(capsys, monkeypatch):
+    """The profiles that the solvers and oracles build hold valid splits by
+    construction, so none of them runs StrategyProfile's split rule: not in
+    a library call, scalar or array, nor in a CLI run."""
+    params = NetworkParams(1.0, 3.0, 2.0, 19.0, 21.0, 5.0)
+    env, sweep = InfoEnvironment(0.2, 0.5, 1.0), InfoEnvironment(0.2, np.array([0.25, 0.75]), 1.0)
+    profile = StrategyProfile(0.5, 0.5, 0.5)
+    checked = []
+    validate = StrategyProfile._validate
+
+    def spy(self):
+        checked.append(self)
+        validate(self)
+
+    monkeypatch.setattr(StrategyProfile, "_validate", spy)
+    StrategyProfile(0.5, 0.5, 0.5)
+    assert len(checked) == 1  # the spy sees a caller's profile
+    checked.clear()
+    solve_bwe(params, env)
+    cost_report(params, env)
+    value_report(params, env)
+    enumerate_profiles(params, env)
+    enumerate_profiles(params, sweep)
+    best_response(params, env, profile, PlayerType.L)
+    solve_fixed_point(params, env)
+    grid_scan(params, env, OracleConfig(grid_resolution=5))
+    assert checked == []
+    points = _POINTWISE_MAX["costs"] + 1
+    for argv in (
+        ["oracle", "--sweep", "lambda:0:1:3"],
+        ["equilibrium"],
+        ["costs", "--sweep", f"lambda:0:1:{points}"],
+        ["verify"],
+    ):
+        assert _run(capsys, argv)[0] == 0, argv
+    assert checked == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -31,7 +31,7 @@ from routeinfo import (
     wardrop_residual,
 )
 from routeinfo.equilibrium import BOUNDARY_TOL
-from routeinfo.model import _population_demands
+from routeinfo.model import _population_demands, replace
 from routeinfo.oracle import (
     _PATTERNS,
     UTILIZED_SHARE_EPS,
@@ -257,13 +257,18 @@ def test_a_nan_split_gives_a_nan_residual(lam):
     ],
 )
 def test_a_split_outside_the_unit_interval_is_rejected(splits, bad):
-    """A split is a share of its type's demand: outside [0, 1] the residual
-    raises split_out_of_range and names the first such value, not a score
-    (13.0 at (1.5, 0.5, 0.5)) or a negative load (at (3.0, 0.5, 0.5))."""
-    with pytest.raises(ValidationError) as info:
-        wardrop_residual(PARAMS, _env(), StrategyProfile(*splits))
-    assert info.value.code == "split_out_of_range"
-    assert str(info.value).endswith(f"got {bad}")
+    """A split is a share of its type's demand: a profile with one outside
+    [0, 1], built or replaced, raises split_out_of_range and names the first
+    such value, so no residual gives a score (13.0 at (1.5, 0.5, 0.5)) or
+    meets a negative load (at (3.0, 0.5, 0.5))."""
+    rho_l, rho_hn, rho_ha = splits
+    with pytest.raises(ValidationError) as built:
+        StrategyProfile(*splits)
+    with pytest.raises(ValidationError) as replaced:
+        replace(StrategyProfile(0.5, 0.5, 0.5), rho_L=rho_l, rho_Hn=rho_hn, rho_Ha=rho_ha)
+    for info in (built, replaced):
+        assert info.value.code == "split_out_of_range"
+        assert str(info.value).endswith(f"got {bad}")
 
 
 #: Every reader of a profile's splits, as a function of the profile. The
@@ -287,13 +292,19 @@ _PROFILE_READERS = {
 )
 @pytest.mark.parametrize("reader", list(_PROFILE_READERS))
 def test_every_profile_reader_rejects_a_split_outside_the_unit_interval(reader, bad, named):
-    """Each reader raises split_out_of_range naming the first bad value, in
-    (L, Hn, Ha) order (the Hn split of 2.0 is bad too), not a cost or a
-    negative load; a NaN split still gives NaN."""
-    with pytest.raises(ValidationError) as info:
-        _PROFILE_READERS[reader](StrategyProfile(bad, 2.0, 0.5))
-    assert info.value.code == "split_out_of_range"
-    assert str(info.value).endswith(f"got {named}")
+    """No reader meets a split outside [0, 1], so none gives a cost or meets
+    a negative load there: the profile that would hold one, built or
+    replaced, raises split_out_of_range naming the first bad value, in (L,
+    Hn, Ha) order (the Hn split of 2.0 is bad too). The reader answers on a
+    valid profile, and a NaN split still gives NaN."""
+    with pytest.raises(ValidationError) as built:
+        StrategyProfile(bad, 2.0, 0.5)
+    with pytest.raises(ValidationError) as replaced:
+        replace(StrategyProfile(0.5, 0.5, 0.5), rho_L=bad, rho_Hn=2.0)
+    for info in (built, replaced):
+        assert info.value.code == "split_out_of_range"
+        assert str(info.value).endswith(f"got {named}")
+    assert np.isfinite(_PROFILE_READERS[reader](StrategyProfile(0.5, 1.0, 0.5)))
     assert np.isnan(_PROFILE_READERS[reader](StrategyProfile(0.5, np.nan, 0.5)))
 
 

@@ -32,7 +32,7 @@ from routeinfo import (
     theorem2_grid,
     validate,
 )
-from routeinfo.model import _Record, fields, replace
+from routeinfo.model import _Record, _trusted, fields, replace
 from strategies import rescaled_networks
 
 PARAMS = NetworkParams(
@@ -350,13 +350,24 @@ def test_array_construction_fails_as_a_loop_over_its_elements(build, fields):
             dict(slope2=np.array([2.0, 2.5]), demand=np.array([5.0, 6.0, 7.0])),
             "[(), (), (2,), (), (), (3,)]",
         ),
+        (
+            lambda **splits: StrategyProfile(**{"rho_Ha": 0.0, **splits}),
+            dict(rho_L=np.array([0.1, 0.2]), rho_Hn=np.array([0.1, 0.2, 0.3])),
+            "[(2,), (3,), ()]",
+        ),
+        (
+            lambda **splits: replace(StrategyProfile(0.1, 0.2, 0.0), **splits),
+            dict(rho_Hn=np.array([0.1, 0.2]), rho_Ha=np.array([0.1, 0.2, 0.3])),
+            "[(), (2,), (3,)]",
+        ),
     ],
-    ids=["environment", "network"],
+    ids=["environment", "network", "profile", "replaced-profile"],
 )
 def test_fields_that_do_not_broadcast_are_a_shape_mismatch(build, fields, shapes):
     """Array fields whose shapes do not broadcast together are rejected at
     construction with ``shape_mismatch``, which names the fields' shapes in
-    order, not with numpy's broadcast error, then or at the first solver."""
+    order (a profile's splits), not with numpy's broadcast error, then or at
+    the first solver or reader."""
     assert _error(build, **fields) == (
         f"shape_mismatch: fields must broadcast to one shape, got shapes {shapes}"
     )
@@ -601,10 +612,12 @@ def _twin(cls):
 
 
 #: Valid values of each validated record's required fields, as floats.
+#: Each stays valid with its first value halved.
 _VALID = {
     "NetworkParams": (1.0, 3.0, 2.0, 19.0, 21.0, 5.0),
     "InfoEnvironment": (0.2, 0.5, 1.0),
     "OracleConfig": (),
+    "StrategyProfile": (0.25, 0.5, 0.75),
 }
 
 
@@ -649,6 +662,9 @@ def test_record_fields_and_defaults_match_the_dataclass(name):
     assert fields(cls) == fields(record) == tuple(f.name for f in dataclasses.fields(twin))
     assert list(vars(record).items()) == list(vars(copy).items())
     assert list(vars(cls(**dict(zip(fields(cls), args))))) == list(fields(cls))
+    # The unchecked build stores the same fields, defaults filled, in order.
+    trusted = _trusted(cls, *args)
+    assert type(trusted) is cls and list(vars(trusted).items()) == list(vars(record).items())
     for field in fields(cls):
         # A default is a class attribute.
         assert hasattr(cls, field) == hasattr(twin, field), field
@@ -675,8 +691,8 @@ def test_record_repr_eq_and_hash_match_the_dataclass(name, kind):
     assert _outcome(lambda: record != cls(*again)) == _outcome(lambda: copy != twin(*again))
     assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(copy))
     assert record != copy and copy != record
-    if name not in _VALID:
-        other = (args[0] + 1, *args[1:])
+    if args:
+        other = (args[0] / 2, *args[1:])
         assert _outcome(lambda: record == cls(*other)) == _outcome(lambda: copy == twin(*other))
 
 

@@ -285,22 +285,23 @@ def test_a_non_finite_split_of_another_type_gives_nan(bad, responder):
 @pytest.mark.parametrize("bad", [1.5, 3.0, -0.2, math.inf, -math.inf])
 @pytest.mark.parametrize("responder", EQUILIBRIUM_TYPES)
 def test_best_response_rejects_another_split_outside_the_unit_interval(bad, responder):
-    """Another type's split outside [0, 1], infinite ones included, raises
-    split_out_of_range naming it, in a scalar call and at its element of an
-    array call; the responder's own split is not read, so such a split of
-    its own changes nothing."""
+    """A split outside [0, 1], infinite ones included, never reaches a best
+    response: the profile that would hold it raises split_out_of_range
+    naming it, as a scalar and at its element of an array, whichever type's
+    split it is. The responder's own split is not read, so another valid
+    one, 0, 1 or NaN, changes nothing."""
     splits = (0.3, 0.6, 0.2)
     want = best_response(PARAMS, _env(), StrategyProfile(*splits), responder)
     for j, u in enumerate(EQUILIBRIUM_TYPES):
         spoilt = list(splits)
-        spoilt[j] = bad
         if u == responder:
-            assert best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder) == want
-            continue
+            for own in (0.0, 1.0, math.nan):
+                spoilt[j] = own
+                assert best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder) == want
         for rho in (bad, np.array([splits[j], bad])):
             spoilt[j] = rho
             with pytest.raises(ValidationError) as exc:
-                best_response(PARAMS, _env(), StrategyProfile(*spoilt), responder)
+                StrategyProfile(*spoilt)
             assert exc.value.code == "split_out_of_range", u
             assert str(exc.value).endswith(f"got {bad}"), u
 
